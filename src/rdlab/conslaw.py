@@ -1,7 +1,8 @@
 """Conservation law descriptors: fluxes, Jacobian actions, entropy pairs.
 
 States are numpy arrays of shape (..., m). ``flux`` returns (..., d, m) and
-``jac_n`` the m-by-m matrix of the normal-flux Jacobian, shape (..., m, m).
+``jac_n`` the m-by-m matrix of the normal-flux Jacobian, shape (..., m, m);
+its normals (..., d) broadcast against the leading axes of the states.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ class ConservationLaw:
 
     def jac_n(self, u, n):
         raise NotImplementedError
+
+    def admissible(self, u):
+        """Mask of the states (..., m) the flux accepts, shape (...)."""
+        return np.ones(np.shape(u)[:-1], dtype=bool)
 
     def max_wave_speed(self, u, n):
         """Spectral radius of the normal Jacobian, vectorised over states."""
@@ -61,8 +66,8 @@ class Advection(ConservationLaw):
 
     def jac_n(self, u, n):
         u = np.asarray(u, dtype=float)
-        an = float(np.dot(self.a, n))
-        return np.full(u.shape[:-1] + (1, 1), an)
+        an = np.asarray(n, dtype=float) @ self.a
+        return (np.zeros(u.shape[:-1]) + an)[..., None, None]
 
     def entropy(self, u):
         return 0.5 * np.asarray(u)[..., 0] ** 2
@@ -95,7 +100,7 @@ class Burgers(ConservationLaw):
 
     def jac_n(self, u, n):
         u = np.asarray(u, dtype=float)
-        dn = float(np.dot(self.d, n))
+        dn = np.asarray(n, dtype=float) @ self.d
         return (u[..., 0] * dn)[..., None, None]
 
     def entropy(self, u):
@@ -121,7 +126,7 @@ class CubicTransport(ConservationLaw):
 
     def jac_n(self, u, n):
         u = np.asarray(u, dtype=float)
-        return (u[..., 0] ** 3 * float(n[0]))[..., None, None]
+        return (u[..., 0] ** 3 * np.asarray(n, dtype=float)[..., 0])[..., None, None]
 
 
 def burgers_flux(u):
@@ -241,14 +246,14 @@ class Euler(ConservationLaw):
         vn = np.sum(v * n, axis=-1)
         q2 = np.sum(v * v, axis=-1)
         H = (u[..., -1] + p) / rho
-        A = np.zeros(u.shape[:-1] + (self.m, self.m))
+        A = np.zeros(np.broadcast_shapes(u.shape[:-1], n.shape[:-1]) + (self.m, self.m))
         A[..., 0, 1 : 1 + d] = n
         for i in range(d):
-            A[..., 1 + i, 0] = 0.5 * k * q2 * n[i] - v[..., i] * vn
+            A[..., 1 + i, 0] = 0.5 * k * q2 * n[..., i] - v[..., i] * vn
             for j in range(d):
-                A[..., 1 + i, 1 + j] = v[..., i] * n[j] - k * v[..., j] * n[i]
+                A[..., 1 + i, 1 + j] = v[..., i] * n[..., j] - k * v[..., j] * n[..., i]
             A[..., 1 + i, 1 + i] += vn
-            A[..., 1 + i, -1] = k * n[i]
+            A[..., 1 + i, -1] = k * n[..., i]
         A[..., -1, 0] = (0.5 * k * q2 - H) * vn
         A[..., -1, 1 : 1 + d] = H[..., None] * n - k * v * vn[..., None]
         A[..., -1, -1] = g * vn
@@ -259,7 +264,14 @@ class Euler(ConservationLaw):
         d = self.dim
         vn = np.sum(w[..., 1 : 1 + d] * np.asarray(n), axis=-1)
         a = sound_speed(w[..., 0], w[..., -1], self.gamma)
-        return np.abs(vn) + a * float(np.linalg.norm(n))
+        return np.abs(vn) + a * np.linalg.norm(n, axis=-1)
+
+    def admissible(self, u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ke = 0.5 * np.sum(u[..., 1:-1] ** 2, axis=-1) / u[..., 0]
+        p = (self.gamma - 1.0) * (u[..., -1] - ke)
+        return (u[..., 0] >= ADMISSIBLE_TOL) & (p >= ADMISSIBLE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as msh
-from .rd_core import _bary_coords
 
 
 @dataclass
@@ -101,11 +100,9 @@ def _face_average_trace(disc, e, lf, u, u_b=None):
     u_in = tb @ disc.element_values(e, u)
     key = (e, lf)
     if key in disc._neighbors:
-        e2, _ = disc._neighbors[key]
-        v2 = msh.element_coords(mesh, e2)
-        lam2 = _bary_coords(v2, xq)
-        tb2 = msh.tri_basis(mesh.degree, lam2)
-        u_out = tb2 @ disc.element_values(e2, u)
+        e2, lf2 = disc._neighbors[key]
+        # the neighbour runs the shared edge the other way round
+        u_out = (disc.fphi[lf2] @ disc.element_values(e2, u))[::-1]
     elif u_b is not None:
         if callable(u_b):
             u_out = np.array([np.atleast_1d(u_b(x)) for x in xq])

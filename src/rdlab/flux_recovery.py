@@ -124,6 +124,8 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
     ``flux_n(uq, n, x)`` returns the normal interface flux at one quadrature
     point; it defaults to the interior normal flux f(u_h).n.
     """
+    if flux_n is None:
+        return disc.boundary_flux(e, u)
     mesh = disc.mesh
     ue = disc.element_values(e, u)
     out = np.zeros((disc.nloc, disc.m))
@@ -131,23 +133,15 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
         for lf, sign in ((0, -1.0), (1, 1.0)):
             n = np.array([sign])
             x = msh.element_coords(mesh, e)[lf]
-            if flux_n is None:
-                fn = np.einsum("dm,d->m", disc.law.flux(ue[lf]), n)
-            else:
-                fn = flux_n(ue[lf], n, x)
-            out[lf] += fn
+            out[lf] += flux_n(ue[lf], n, x)
         return out
-    nq = len(disc.fq_t)
+    nq = disc.fw.shape[-1]
     for lf in range(3):
         xq, w, n, lam = msh.face_geometry(mesh, e, lf, nq)
         tb = msh.tri_basis(mesh.degree, lam)
         uq = tb @ ue
         for q in range(nq):
-            if flux_n is None:
-                fn = np.einsum("dm,d->m", disc.law.flux(uq[q][None, :])[0], n)
-            else:
-                fn = flux_n(uq[q], n, xq[q])
-            out += w[q] * tb[q][:, None] * fn[None, :]
+            out += w[q] * tb[q][:, None] * flux_n(uq[q], n, xq[q])[None, :]
     return out
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ class DofMap:
 
 # local faces of a triangle: face j is the edge opposite local vertex j
 _TRI_FACES = ((1, 2), (2, 0), (0, 1))
+# P2 midpoint DOF on each local face
+_FACE_MIDPOINTS = (4, 5, 3)
 
 # oriented element graphs used for flux recovery, fixed edge ordering
 _GRAPH_EDGES = {
@@ -296,22 +299,25 @@ def tri_basis(degree, lam):
 
 
 def tri_basis_grad(degree, lam, grad_lam):
-    """Physical gradients of basis functions; returns (..., #K, 2)."""
+    """Physical gradients of basis functions; returns (..., #K, 2).
+
+    ``grad_lam`` (..., 3, 2) broadcasts against the leading axes of ``lam``.
+    """
     lam = np.asarray(lam, dtype=float)
-    g = np.asarray(grad_lam, dtype=float)  # (3, 2)
-    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    g = np.asarray(grad_lam, dtype=float)
     if degree == 1:
-        return np.broadcast_to(g, lam.shape[:-1] + (3, 2)).copy()
+        lead = np.broadcast_shapes(lam.shape[:-1], g.shape[:-2])
+        return np.broadcast_to(g, lead + (3, 2)).copy()
     if degree == 2:
-        def outer(coef, grad):
-            return coef[..., None] * grad
+        l1, l2, l3 = (lam[..., k, None] for k in range(3))
+        g1, g2, g3 = (g[..., k, :] for k in range(3))
         rows = [
-            outer(4 * l1 - 1, g[0]),
-            outer(4 * l2 - 1, g[1]),
-            outer(4 * l3 - 1, g[2]),
-            outer(4 * l2, g[0]) + outer(4 * l1, g[1]),
-            outer(4 * l3, g[1]) + outer(4 * l2, g[2]),
-            outer(4 * l1, g[2]) + outer(4 * l3, g[0]),
+            (4 * l1 - 1) * g1,
+            (4 * l2 - 1) * g2,
+            (4 * l3 - 1) * g3,
+            4 * l2 * g1 + 4 * l1 * g2,
+            4 * l3 * g2 + 4 * l2 * g3,
+            4 * l1 * g3 + 4 * l3 * g1,
         ]
         return np.stack(rows, axis=-2)
     raise UnsupportedFeatureError(f"degree {degree} not supported")
@@ -354,10 +360,13 @@ def tri_quadrature(degree_exact):
     raise UnsupportedFeatureError(f"no triangle rule of degree {degree_exact}")
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_01(npts):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1], cached and read-only."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def volume_rule(mesh):
@@ -384,8 +393,7 @@ def face_local_dofs(mesh, local_face):
     i, j = _TRI_FACES[local_face]
     if mesh.degree == 1:
         return (i, j)
-    mid = {(0, 1): 3, (1, 2): 4, (2, 0): 5}[tuple(sorted((i, j)))]
-    return (i, j, mid)
+    return (i, j, _FACE_MIDPOINTS[local_face])
 
 
 def face_geometry(mesh, e, local_face, npts):
@@ -406,16 +414,6 @@ def face_geometry(mesh, e, local_face, npts):
     lam[:, i] = 1.0 - t
     lam[:, j] = t
     return x, w * length, normal, lam
-
-
-# ---------------------------------------------------------------------------
-# interpolation helpers
-
-
-def interpolate(dofmap, fn):
-    """Nodal interpolation of ``fn(x)`` (vectorised over points)."""
-    vals = np.asarray(fn(dofmap.dof_coords))
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ flux.  Distribution families implemented here: central Galerkin splitting,
 Rusanov dissipation, streamline (SUPG-type) stabilization, gradient-jump
 stabilization, and the nonlinear blend limiter.  Every family satisfies the
 conservation contract sum_sigma Phi_sigma = Phi^K by construction.
+
+Every family is the Galerkin split plus one stabilization term, evaluated
+for an index array of elements at once.  The per-element methods take one
+element index (and return its slice) or an index array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +21,7 @@ import numpy as np
 from . import mesh as msh
 from .errors import (
     ConservationDefectError,
+    DegenerateGeometryError,
     InadmissibleStateError,
     InternalConsistencyError,
     StepFailureError,
@@ -59,8 +65,26 @@ class ResidualSet:
     boundary: list = field(default_factory=list)  # (face index, dofs, psi, psi_total)
 
 
+def _per_element(fn):
+    """Batched method over an index array or slice of elements; an integer
+    index returns that element's slice of the batch."""
+
+    @functools.wraps(fn)
+    def sliced(self, e, *args, **kwargs):
+        if isinstance(e, (int, np.integer)):
+            return fn(self, np.array([e]), *args, **kwargs)[0]
+        return fn(self, e, *args, **kwargs)
+
+    return sliced
+
+
 class Discretization:
-    """Per-mesh cache of geometry and quadrature for residual evaluation."""
+    """Per-mesh geometry and quadrature arrays for batched residual evaluation.
+
+    Every element has ``nf`` local faces: the edges of a triangle (face j
+    opposite vertex j) or the end points of an interval (face j at vertex j,
+    weight 1, normal -1 or +1), so 1D and 2D share one residual kernel.
+    """
 
     def __init__(self, mesh, law, dofmap=None):
         self.mesh = mesh
@@ -70,199 +94,202 @@ class Discretization:
         self.nloc = self.dofmap.dofs_per_element
         self._setup()
 
-    # -- geometry / quadrature caches ------------------------------------
+    # -- geometry / quadrature arrays ----------------------------------------
 
     def _setup(self):
         mesh = self.mesh
-        ne = mesh.n_elements
-        self.measure = np.array([msh.element_measure(mesh, e) for e in range(ne)])
-        self.diameter = np.array([msh.element_diameter(mesh, e) for e in range(ne)])
+        v = mesh.vertices[mesh.elements]                 # (ne, dim+1, dim)
         if mesh.dim == 2:
-            self.bgrad = np.array(
-                [msh.barycentric_gradients(mesh, e) for e in range(ne)]
-            )  # (ne, 3, 2)
-            lam, w = msh.volume_rule(mesh)
-            self.vq_lam, self.vq_w = lam, w
-            self.vq_phi = msh.tri_basis(mesh.degree, lam)  # (nq, #K)
-            self.fq_t, self.fq_w = msh.face_rule(mesh)
+            self._triangle_geometry(v)
             self._neighbors = self._build_neighbors()
         else:
-            t, w = msh.gauss_01(2)
-            self.vq_t, self.vq_w = t, w
-            self.vq_phi = msh.interval_basis(t)
+            self._interval_geometry(v)
+        self.fnormal = self.snormal / np.linalg.norm(
+            self.snormal, axis=-1, keepdims=True)       # (ne, nf, dim) unit outward
+        # (nf, nfd) local DOFs on each local face, in trace order
+        self.face_dofs = np.array(
+            [msh.face_local_dofs(mesh, f) for f in range(self.snormal.shape[1])])
+        # (nb, nfd) global DOFs of each boundary face
+        be = np.array([f.element for f in mesh.boundary_faces], dtype=int)
+        blf = np.array([f.local_face for f in mesh.boundary_faces], dtype=int)
+        self.boundary_dofs = np.take_along_axis(
+            self.dofmap.element_dofs[be], self.face_dofs[blf], axis=1)
+
+    def _triangle_geometry(self, v):
+        mesh = self.mesh
+        start, end = v[:, [1, 2, 0]], v[:, [2, 0, 1]]    # (ne, 3, 2) ends of face j
+        edge = end - start                                # (ne, 3, 2)
+        length = np.linalg.norm(edge, axis=-1)            # (ne, 3)
+        a, b = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        self.measure = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])  # (ne,)
+        self.diameter = length.max(axis=1)                # (ne,)
+        bad = self.measure <= msh.DEGENERATE_REL_TOL * self.diameter * self.diameter
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise DegenerateGeometryError(f"element {e} has measure {self.measure[e]}")
+        # (ne, 3, 2) outward normals scaled by the edge length
+        self.snormal = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
+        self.bgrad = -self.snormal / (2.0 * self.measure[:, None, None])  # (ne, 3, 2)
+        self.vq_lam, self.vq_w = msh.volume_rule(mesh)    # (nq, 3), (nq,)
+        self.vq_phi = msh.tri_basis(mesh.degree, self.vq_lam)  # (nq, #K)
+        # (ne, nq, #K, 2) basis gradients at the volume points
+        self.vgrad = msh.tri_basis_grad(mesh.degree, self.vq_lam, self.bgrad[:, None])
+        rules = []
+        # face rule, and one more point (exact for the upwind product) on boundaries
+        for npts in (mesh.degree + 1, mesh.degree + 2):
+            t, w = msh.gauss_01(npts)
+            lam = np.zeros((3, npts, 3))
+            for f, (i, j) in enumerate(msh._TRI_FACES):
+                lam[f, :, i] = 1.0 - t
+                lam[f, :, j] = t
+            rules.append((w * length[..., None], lam))
+        # fw (ne, 3, nfq): weights times the edge length; flam (3, nfq, 3):
+        # barycentric face points; bw, blam: the same for the boundary rule
+        (self.fw, self.flam), (self.bw, self.blam) = rules
+        self.fphi = msh.tri_basis(mesh.degree, self.flam)  # (3, nfq, #K) traces
+        self.bphi = msh.tri_basis(mesh.degree, self.blam)  # (3, nbq, #K)
+
+    def _interval_geometry(self, v):
+        mesh = self.mesh
+        x0, x1 = v[:, 0, 0], v[:, 1, 0]
+        h = x1 - x0
+        if mesh.periodic:
+            # wrap-around cell of a uniform periodic interval
+            h = np.where(x1 <= x0, msh._periodic_spacing(mesh), h)
+        self.measure = self.diameter = h                  # (ne,)
+        self.bgrad = np.stack([-1.0 / h, 1.0 / h], axis=-1)[..., None]  # (ne, 2, 1)
+        self.snormal = np.broadcast_to([[-1.0], [1.0]], (len(h), 2, 1))  # (ne, 2, 1)
+        t, self.vq_w = msh.gauss_01(2)                    # (nq,)
+        self.vq_phi = msh.interval_basis(t)               # (nq, 2)
+        self.vgrad = np.broadcast_to(self.bgrad[:, None], (len(h), len(t), 2, 1))
+        # each end point is a face with one point of weight 1: fw, bw
+        # (ne, 2, 1); flam, blam, fphi, bphi (2, 1, 2)
+        self.flam = self.fphi = self.blam = self.bphi = np.eye(2)[:, None, :]
+        self.fw = self.bw = np.ones((len(h), 2, 1))
 
     def _build_neighbors(self):
-        """Map (element, local_face) -> (neighbor element, its local face)."""
+        """Map (element, local_face) -> (neighbor element, its local face).
+
+        Also sets ``nbr`` (ne, 3): the flat index 3*e2 + lf2 of the face
+        across each face, -1 on the boundary.
+        """
+        self.nbr = np.full((self.mesh.n_elements, 3), -1)
         owners = {}
-        nbr = {}
-        for e in range(self.mesh.n_elements):
-            tri = self.mesh.elements[e]
+        for e, tri in enumerate(self.mesh.elements.tolist()):
             for lf, (i, j) in enumerate(msh._TRI_FACES):
-                key = tuple(sorted((tri[i], tri[j])))
-                if key in owners:
-                    e2, lf2 = owners[key]
-                    nbr[(e, lf)] = (e2, lf2)
-                    nbr[(e2, lf2)] = (e, lf)
-                else:
-                    owners[key] = (e, lf)
-        return nbr
+                here = 3 * e + lf
+                there = owners.setdefault((min(tri[i], tri[j]), max(tri[i], tri[j])), here)
+                if there != here:
+                    self.nbr[e, lf], self.nbr.flat[there] = there, here
+        return {divmod(a, 3): divmod(int(b), 3) for a, b in enumerate(self.nbr.flat) if b >= 0}
 
     def element_values(self, e, u):
-        """DOF values of one element, shape (#K, m)."""
+        """DOF values of one element (#K, m), or of an index array (k, #K, m)."""
         return np.asarray(u)[self.dofmap.element_dofs[e]]
+
+    def _admissible(self, e, u):
+        """Per element: every state its residuals evaluate is admissible, (k,)."""
+        ue = self.element_values(e, u)
+        ok = self.law.admissible(np.einsum("fqs,ksm->kfqm", self.fphi, ue)).all(axis=(1, 2))
+        ok &= self.law.admissible(self.vq_phi @ ue).all(axis=1)
+        return ok & self.law.admissible(ue.mean(axis=1))
 
     # -- residual families -------------------------------------------------
 
-    def total_residual(self, e, u):
-        """Boundary quadrature of the normal flux, an m-vector."""
-        ue = self.element_values(e, u)
-        if self.mesh.dim == 1:
-            fr = self.law.flux(ue[1])[0]
-            fl = self.law.flux(ue[0])[0]
-            return fr - fl
-        total = np.zeros(self.m)
-        for lf in range(3):
-            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
-            phi = msh.tri_basis(self.mesh.degree, lam)       # (nq, #K)
-            uq = phi @ ue                                     # (nq, m)
-            fq = self.law.flux(uq)                            # (nq, 2, m)
-            fn = np.einsum("qdm,d->qm", fq, n)
-            total += w @ fn
-        return total
+    def _face_flux(self, e, ue):
+        """Normal flux f(u_h).n at the face points, (k, nf, nfq, m)."""
+        uf = np.einsum("fqs,ksm->kfqm", self.fphi, ue)
+        return np.einsum("kfqdm,kfd->kfqm", self.law.flux(uf), self.fnormal[e])
 
+    @_per_element
+    def total_residual(self, e, u):
+        """Boundary quadrature of the normal flux, (k, m)."""
+        fn = self._face_flux(e, self.element_values(e, u))
+        return np.einsum("kfq,kfqm->km", self.fw[e], fn)
+
+    @_per_element
+    def boundary_flux(self, e, u):
+        """Contour integral of phi_sigma f(u_h).n, (k, #K, m)."""
+        fn = self._face_flux(e, self.element_values(e, u))
+        return np.einsum("kfq,fqs,kfqm->ksm", self.fw[e], self.fphi, fn)
+
+    @_per_element
     def galerkin_residuals(self, e, u):
         """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
-        ue = self.element_values(e, u)
-        phi = np.zeros((self.nloc, self.m))
-        if self.mesh.dim == 1:
-            h = self.measure[e]
-            # boundary part: basis traces are Kronecker deltas at endpoints
-            fr = self.law.flux(ue[1])[0]
-            fl = self.law.flux(ue[0])[0]
-            phi[0] -= fl
-            phi[1] += fr
-            # volume part: grad(phi) = (-1/h, 1/h)
-            uq = self.vq_phi @ ue
-            fq = self.law.flux(uq)[..., 0, :]                # (nq, m)
-            integral = (self.vq_w * h) @ fq                   # (m,)
-            phi[0] -= (-1.0 / h) * integral
-            phi[1] -= (1.0 / h) * integral
-            return phi
-        for lf in range(3):
-            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
-            tb = msh.tri_basis(self.mesh.degree, lam)
-            uq = tb @ ue
-            fn = np.einsum("qdm,d->qm", self.law.flux(uq), n)
-            phi += np.einsum("q,qs,qm->sm", w, tb, fn)
-        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
-        uq = self.vq_phi @ ue
-        fq = self.law.flux(uq)                                # (nq, 2, m)
-        wq = self.vq_w * self.measure[e]
-        phi -= np.einsum("q,qsd,qdm->sm", wq, grads, fq)
-        return phi
+        fq = self.law.flux(self.vq_phi @ self.element_values(e, u))  # (k, nq, dim, m)
+        wq = self.vq_w * self.measure[e, None]
+        return (self.boundary_flux(e, u)
+                - np.einsum("kq,kqsd,kqdm->ksm", wq, self.vgrad[e], fq))
 
+    def _flux_jacobians(self, e, ue):
+        """States u_q (k, nq, m) and J(u_q).grad(phi_s) (k, nq, #K, m, m)."""
+        uq = self.vq_phi @ ue
+        return uq, self.law.jac_n(uq[:, :, None, :], self.vgrad[e])
+
+    def _rusanov_matrix(self, e, u):
+        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m)."""
+        _, jg = self._flux_jacobians(e, self.element_values(e, u))
+        wq = self.vq_w * self.measure[e, None]
+        return np.einsum("kq,qs,kqpij->kspij", wq, self.vq_phi, jg)
+
+    @_per_element
     def rusanov_alpha(self, e, u):
         """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||."""
-        ue = self.element_values(e, u)
-        if self.mesh.dim == 1:
-            h = self.measure[e]
-            uq = self.vq_phi @ ue
-            grads = np.array([[-1.0 / h], [1.0 / h]])        # (#K, 1)
-            wq = self.vq_w * h
-            best = 0.0
-            for s in range(2):
-                for sp in range(2):
-                    acc = np.zeros((self.m, self.m))
-                    for q in range(len(wq)):
-                        acc += wq[q] * self.vq_phi[q, s] * self.law.jac_n(uq[q], grads[sp])
-                    best = max(best, _specnorm(acc))
-            return 2.0 * best
-        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
-        uq = self.vq_phi @ ue
-        wq = self.vq_w * self.measure[e]
-        best = 0.0
-        for s in range(self.nloc):
-            for sp in range(self.nloc):
-                acc = np.zeros((self.m, self.m))
-                for q in range(len(wq)):
-                    acc += wq[q] * self.vq_phi[q, s] * self.law.jac_n(uq[q], grads[q, sp])
-                best = max(best, _specnorm(acc))
-        return self.nloc * best
+        return self.nloc * _specnorm(self._rusanov_matrix(e, u)).max(axis=(1, 2))
 
-    def rusanov_residuals(self, e, u, alpha=None):
+    def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
-        phi = self.galerkin_residuals(e, u)
         if alpha is None:
             alpha = self.rusanov_alpha(e, u)
-        ubar = ue.mean(axis=0)
-        return phi + alpha * (ue - ubar)
+        return np.reshape(alpha, (-1, 1, 1)) * (ue - ue.mean(axis=1, keepdims=True))
+
+    @_per_element
+    def rusanov_residuals(self, e, u, alpha=None):
+        return self.galerkin_residuals(e, u) + self._rusanov_term(e, u, alpha)
 
     def _tau(self, e, ubar):
-        """Streamline relaxation time from the element wave-speed budget."""
-        normals = msh.element_scaled_normals(self.mesh, e) if self.mesh.dim == 2 \
-            else np.array([[-1.0], [1.0]])
-        speed = 0.0
-        for n in normals:
-            speed += float(self.law.max_wave_speed(ubar[None, :], n)[0])
+        """Streamline relaxation time from the element wave-speed budget, (k,)."""
+        speed = self.law.max_wave_speed(ubar[:, None, :], self.snormal[e]).sum(axis=1)
         speed /= 2.0 * self.measure[e]
-        if speed <= 0.0:
-            return 0.0
-        return 1.0 / (speed * self.diameter[e])
+        hk = speed * self.diameter[e]
+        return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
 
+    def _supg_term(self, e, u, tau_scale):
+        ue = self.element_values(e, u)
+        uq, jg = self._flux_jacobians(e, ue)                  # A.grad(phi_s)
+        jd = self.law.jac_n(uq[:, :, None, :], np.eye(self.mesh.dim))  # (k, nq, dim, m, m)
+        du = np.einsum("kqsd,ksm->kqdm", self.vgrad[e], ue)   # grad(u_h)
+        adu = np.einsum("kqdij,kqdj->kqi", jd, du)            # A.grad(u_h)
+        tau = tau_scale * self._tau(e, ue.mean(axis=1))
+        wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[:, None]
+        return np.einsum("kq,kqsij,kqj->ksi", wq, jg, adu)
+
+    @_per_element
     def supg_residuals(self, e, u, tau_scale=1.0):
-        ue = self.element_values(e, u)
-        phi = self.galerkin_residuals(e, u)
-        if self.mesh.dim == 1:
-            h = self.measure[e]
-            grads = np.array([[-1.0 / h], [1.0 / h]])
-            gq = np.broadcast_to(grads, (len(self.vq_w), 2, 1))
-        else:
-            gq = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
-        uq = self.vq_phi @ ue
-        wq = self.vq_w * self.measure[e]
-        tau = tau_scale * self._tau(e, ue.mean(axis=0))
-        hK = self.diameter[e]
-        dim = gq.shape[-1]
-        for q in range(len(wq)):
-            # A.grad(u_h) at the quadrature point
-            du = gq[q].T @ ue                                 # (dim, m) gradient
-            adu = np.zeros(self.m)
-            for k in range(dim):
-                ek = np.zeros(dim)
-                ek[k] = 1.0
-                adu += self.law.jac_n(uq[q], ek) @ du[k]
-            for s in range(self.nloc):
-                aphi = self.law.jac_n(uq[q], gq[q, s])        # A.grad(phi_s)
-                phi[s] += wq[q] * hK * tau * (aphi @ adu)
-        return phi
+        return self.galerkin_residuals(e, u) + self._supg_term(e, u, tau_scale)
 
-    def _edge_gradient(self, e, u, xq):
-        """Gradient of u_h of element e at physical points xq, (nq, dim, m)."""
-        ue = self.element_values(e, u)
-        v = msh.element_coords(self.mesh, e)
-        lam = _bary_coords(v, xq)
-        gq = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
-        return np.einsum("qsd,sm->qdm", gq, ue)
-
-    def jump_residuals(self, e, u, theta_e=0.01):
+    def _jump_term(self, e, u, theta_e):
         if self.mesh.dim != 2:
             raise UnsupportedFeatureError("gradient-jump stabilization needs 2D")
-        phi = self.galerkin_residuals(e, u)
-        nq = len(self.fq_t)
-        for lf in range(3):
-            if (e, lf) not in self._neighbors:
-                continue
-            e2, _ = self._neighbors[(e, lf)]
-            xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
-            he = float(np.sum(w))
-            grad_in = self._edge_gradient(e, u, xq)           # (nq, 2, m)
-            grad_out = self._edge_gradient(e2, u, xq)
-            jump = grad_in - grad_out                         # (nq, 2, m)
-            gphi = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
-            coef = 0.5 * theta_e * he * he
-            phi += coef * np.einsum("q,qsd,qdm->sm", w, gphi, jump)
-        return phi
+        nbr = self.nbr[e]                                     # (k, 3)
+        e2, f2 = nbr // 3, nbr % 3
+        deg = self.mesh.degree
+        # basis gradients at the face points, (k, 3, nfq, #K, 2)
+        g_in = msh.tri_basis_grad(deg, self.flam, self.bgrad[e][:, None, None])
+        g_out = msh.tri_basis_grad(deg, self.flam[f2], self.bgrad[e2][:, :, None])
+        # ccw elements run a shared edge in opposite directions, so the
+        # neighbour's face point nfq-1-q is this element's face point q
+        jump = (np.einsum("kfqsd,ksm->kfqdm", g_in, self.element_values(e, u))
+                - np.einsum("kfqsd,kfsm->kfqdm", g_out, self.element_values(e2, u))[:, :, ::-1])
+        he = self.fw[e].sum(axis=-1)                          # (k, 3)
+        coef = np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)
+        return np.einsum("kf,kfq,kfqsd,kfqdm->ksm", coef, self.fw[e], g_in, jump)
 
+    @_per_element
+    def jump_residuals(self, e, u, theta_e=0.01):
+        return self.galerkin_residuals(e, u) + self._jump_term(e, u, theta_e)
+
+    @_per_element
     def element_residuals(self, e, u, scheme):
         """Distribute the element residual per the scheme kind."""
         k = scheme.kind
@@ -276,102 +303,86 @@ class Discretization:
             return self.jump_residuals(e, u, scheme.theta_e)
         # limited variants blend the Rusanov split, then add stabilization
         phi_mono = self.rusanov_residuals(e, u, alpha=scheme.alpha)
-        total = phi_mono.sum(axis=0)
-        _, limited = blend_limiter(phi_mono, total)
-        if k == "limited":
-            return limited
-        base = self.galerkin_residuals(e, u)
+        _, limited = blend_limiter(phi_mono, phi_mono.sum(axis=1))
         if k == "limited_supg":
-            stab = self.supg_residuals(e, u, scheme.tau_scale) - base
-        else:
-            stab = self.jump_residuals(e, u, scheme.theta_e) - base
-        return limited + scheme.gamma_jump * stab
+            return limited + scheme.gamma_jump * self._supg_term(e, u, scheme.tau_scale)
+        if k == "limited_jump":
+            return limited + scheme.gamma_jump * self._jump_term(e, u, scheme.theta_e)
+        return limited
 
     # -- boundary ---------------------------------------------------------
 
     def upwind_flux(self, uh, ub, n):
-        """Normal interface flux; picks the boundary state on inflow."""
-        uh = np.atleast_1d(uh)
-        ub = np.atleast_1d(ub)
-        fh = np.einsum("dm,d->m", self.law.flux(uh), n)
-        fb = np.einsum("dm,d->m", self.law.flux(ub), n)
+        """Normal interface flux; picks the boundary state on inflow.
+
+        Batched over the leading axes of ``uh``, ``ub`` (..., m) and ``n`` (..., d).
+        """
+        uh, ub = np.atleast_1d(uh), np.atleast_1d(ub)
+        n = np.asarray(n, dtype=float)
+        fh = np.einsum("...dm,...d->...m", self.law.flux(uh), n)
+        fb = np.einsum("...dm,...d->...m", self.law.flux(ub), n)
+        A = self.law.jac_n(0.5 * (uh + ub), n)
         if self.m == 1:
-            speed = float(self.law.jac_n(0.5 * (uh + ub), n)[0, 0])
-            return fh if speed >= 0.0 else fb
+            return np.where(A[..., 0] >= 0.0, fh, fb)
         # systems: characteristic upwinding at the average state
-        A = self.law.jac_n(0.5 * (uh + ub), np.asarray(n, dtype=float))
         lam, R = np.linalg.eig(A)
-        absA = (R * np.abs(lam)) @ np.linalg.inv(R)
-        return 0.5 * (fh + fb) - 0.5 * np.real(absA) @ (ub - uh)
+        absA = np.real((R * np.abs(lam)[..., None, :]) @ np.linalg.inv(R))
+        return 0.5 * (fh + fb) - 0.5 * (absA @ (ub - uh)[..., None])[..., 0]
 
     def boundary_residuals(self, face, u, u_b):
-        """Weak boundary contribution of one boundary face.
+        """Weak boundary contribution of one boundary face, or of a list.
 
-        Returns (local DOF ids on the face, per-DOF residuals (nfd, m)).
-        ``u_b`` is a constant state or a callable of position.
+        Returns (local DOF ids on the face, per-DOF residuals (nfd, m)); for
+        a list, ids (nb, nfd) and residuals (nb, nfd, m).  ``u_b`` is a
+        constant state or a callable of position.
         """
-        e, lf = face.element, face.local_face
-        ue = self.element_values(e, u)
-        if self.mesh.dim == 1:
-            x = msh.element_coords(self.mesh, e)[lf]
-            uh = ue[lf]
-            ub = np.atleast_1d(u_b(x)) if callable(u_b) else np.atleast_1d(u_b)
-            n = face.normal
-            fn = self.upwind_flux(uh, ub, n)
-            fh = np.einsum("dm,d->m", self.law.flux(np.atleast_1d(uh)), n)
-            dofs = (lf,)
-            return dofs, (fn - fh)[None, :]
-        nq = len(self.fq_t) + 1  # one extra point, exact for the upwind product
-        xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
-        tb = msh.tri_basis(self.mesh.degree, lam)
-        uq = tb @ ue
-        dofs = msh.face_local_dofs(self.mesh, lf)
-        psi = np.zeros((len(dofs), self.m))
-        for q in range(nq):
-            ub = np.atleast_1d(u_b(xq[q])) if callable(u_b) else np.atleast_1d(u_b)
-            fn = self.upwind_flux(uq[q], ub, n)
-            fh = np.einsum("dm,d->m", self.law.flux(uq[q][None, :])[0], n)
-            diff = fn - fh
-            for i, s in enumerate(dofs):
-                psi[i] += w[q] * tb[q, s] * diff
+        faces = [face] if isinstance(face, msh.BoundaryFace) else face
+        e = np.array([f.element for f in faces], dtype=int)
+        lf = np.array([f.local_face for f in faces], dtype=int)
+        uq = np.einsum("bqs,bsm->bqm", self.bphi[lf], self.element_values(e, u))
+        if callable(u_b):
+            x = np.einsum("bqi,bid->bqd", self.blam[lf], self.mesh.vertices[self.mesh.elements[e]])
+            ub = np.array([[np.atleast_1d(u_b(p)) for p in xb] for xb in x])
+        else:
+            ub = np.broadcast_to(np.atleast_1d(u_b), uq.shape)
+        n = np.broadcast_to(self.fnormal[e, lf][:, None], uq.shape[:2] + (self.mesh.dim,))
+        diff = self.upwind_flux(uq, ub, n) - np.einsum(
+            "bqdm,bqd->bqm", self.law.flux(uq), n)
+        dofs = self.face_dofs[lf]                             # (nb, nfd)
+        trace = np.take_along_axis(self.bphi[lf], dofs[:, None, :], axis=2)
+        psi = np.einsum("bq,bqs,bqm->bsm", self.bw[e, lf], trace, diff)
+        if isinstance(face, msh.BoundaryFace):
+            return tuple(int(s) for s in dofs[0]), psi[0]
         return dofs, psi
 
     # -- assembly -----------------------------------------------------------
 
     def residual_set(self, u, scheme, u_b=None):
-        ne = self.mesh.n_elements
-        phi = np.zeros((ne, self.nloc, self.m))
-        for e in range(ne):
-            try:
-                phi[e] = self.element_residuals(e, u, scheme)
-            except InadmissibleStateError as err:
-                raise StepFailureError(
-                    f"inadmissible state in element {e}: {err}", element=e
-                ) from err
-        totals = phi.sum(axis=1)
+        elements = slice(None)
+        try:
+            phi = self.element_residuals(elements, u, scheme)
+        except InadmissibleStateError as err:
+            e = int(np.argmin(self._admissible(elements, u)))
+            raise StepFailureError(
+                f"inadmissible state in element {e}: {err}", element=e
+            ) from err
         boundary = []
-        if u_b is not None:
-            for i, face in enumerate(self.mesh.boundary_faces):
-                dofs, psi = self.boundary_residuals(face, u, u_b)
-                boundary.append((i, dofs, psi, psi.sum(axis=0)))
-        return ResidualSet(phi=phi, phi_total=totals, boundary=boundary)
+        if u_b is not None and self.mesh.boundary_faces:
+            dofs, psi = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
+            boundary = [(i, dofs[i], psi[i], psi[i].sum(axis=0)) for i in range(len(psi))]
+        return ResidualSet(phi=phi, phi_total=phi.sum(axis=1), boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
-        """Per-DOF residual R_sigma; fixed element order for bit stability."""
+        """Per-DOF residual R_sigma; element-major scatter for bit stability."""
         rset = self.residual_set(u, scheme, u_b)
         R = np.zeros((self.dofmap.n_dofs, self.m))
-        for e in range(self.mesh.n_elements):
-            dofs = self.dofmap.element_dofs[e]
-            for s in range(self.nloc):
-                R[dofs[s]] += rset.phi[e, s]
-        for i, local_dofs, psi, _ in rset.boundary:
-            face = self.mesh.boundary_faces[i]
-            gdofs = self.dofmap.element_dofs[face.element]
-            for k, s in enumerate(local_dofs):
-                R[gdofs[s]] += psi[k]
+        np.add.at(R, self.dofmap.element_dofs, rset.phi)
+        if rset.boundary:
+            np.add.at(R, self.boundary_dofs, np.stack([b[2] for b in rset.boundary]))
         return R, rset
 
 
+@_per_element
 def rusanov_coefficients(disc, e, u, alpha=None):
     """Monotone-form coefficients c[s, sp] of the scalar Rusanov split.
 
@@ -381,24 +392,12 @@ def rusanov_coefficients(disc, e, u, alpha=None):
     """
     if disc.m != 1:
         raise UnsupportedFeatureError("coefficient extraction is scalar-only")
+    adv = disc._rusanov_matrix(e, u)[..., 0, 0]           # (k, #K, #K)
     if alpha is None:
-        alpha = disc.rusanov_alpha(e, u)
-    ue = disc.element_values(e, u)
-    if disc.mesh.dim == 1:
-        h = disc.measure[e]
-        gq = np.broadcast_to(
-            np.array([[-1.0 / h], [1.0 / h]]), (len(disc.vq_w), 2, 1)
-        )
-    else:
-        gq = msh.tri_basis_grad(disc.mesh.degree, disc.vq_lam, disc.bgrad[e])
-    uq = disc.vq_phi @ ue
-    wq = disc.vq_w * disc.measure[e]
-    c = np.full((disc.nloc, disc.nloc), alpha / disc.nloc)
-    for q in range(len(wq)):
-        for sp in range(disc.nloc):
-            adv = float(disc.law.jac_n(uq[q], gq[q, sp])[0, 0])
-            c[:, sp] -= wq[q] * disc.vq_phi[q] * adv
-    np.fill_diagonal(c, 0.0)
+        alpha = disc.nloc * np.abs(adv).max(axis=(1, 2))
+    c = np.reshape(alpha, (-1, 1, 1)) / disc.nloc - adv
+    diag = np.arange(disc.nloc)
+    c[:, diag, diag] = 0.0
     return c
 
 
@@ -407,11 +406,9 @@ def monotone_dt(disc, u, mass, alpha=None, safety=1.0):
 
     Bound: dt * sum_K sum_sp max(c_ssp, 0) <= mass_s for every DOF s.
     """
+    c = rusanov_coefficients(disc, slice(None), u, alpha=alpha)
     budget = np.zeros(disc.dofmap.n_dofs)
-    for e in range(disc.mesh.n_elements):
-        c = rusanov_coefficients(disc, e, u, alpha=alpha)
-        rowsum = np.maximum(c, 0.0).sum(axis=1)
-        budget[disc.dofmap.element_dofs[e]] += rowsum
+    np.add.at(budget, disc.dofmap.element_dofs, np.maximum(c, 0.0).sum(axis=2))
     positive = budget > 0.0
     if not positive.any():
         return np.inf
@@ -421,43 +418,28 @@ def monotone_dt(disc, u, mass, alpha=None, safety=1.0):
 def blend_limiter(phi_L, total):
     """Convex reweighting of a monotone split; componentwise for systems.
 
-    Returns (beta, limited residuals beta_sigma * total).  The split must be
-    conservative: sum(phi_L) == total within 1e-10 relative.
+    ``phi_L`` is (..., #K, m) and ``total`` (..., m), with any leading
+    element axes.  Returns (beta, limited residuals beta_sigma * total).  The
+    split must be conservative: sum(phi_L) == total within 1e-10 relative.
     """
     phi_L = np.asarray(phi_L, dtype=float)
-    total = np.asarray(total, dtype=float)
-    nloc, m = phi_L.shape
-    defect = np.abs(phi_L.sum(axis=0) - total)
+    total = np.asarray(total, dtype=float)[..., None, :]
+    defect = np.abs(phi_L.sum(axis=-2, keepdims=True) - total)
     if np.any(defect > 1e-10 * (1.0 + np.abs(total))):
-        raise ConservationDefectError("limiter input is not conservative", defect)
-    beta = np.empty((nloc, m))
-    for c in range(m):
-        if abs(total[c]) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L[:, c]).max()):
-            beta[:, c] = 1.0 / nloc
-            continue
-        ratios = phi_L[:, c] / total[c]
-        num = np.maximum(0.0, ratios)
-        den = num.sum()
-        if den <= 0.0:
-            raise InternalConsistencyError(
-                "all limiter ratios clipped although the total is nonzero"
-            )
-        beta[:, c] = num / den
-    return beta, beta * total[None, :]
+        raise ConservationDefectError("limiter input is not conservative", defect[..., 0, :])
+    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L).max(axis=-2, keepdims=True))
+    num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
+    den = num.sum(axis=-2, keepdims=True)
+    if np.any((den <= 0.0) & ~zero):
+        raise InternalConsistencyError(
+            "all limiter ratios clipped although the total is nonzero"
+        )
+    beta = np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den))
+    return beta, beta * total
 
 
 def _specnorm(a):
-    if a.shape == (1, 1):
-        return abs(float(a[0, 0]))
-    return float(np.linalg.norm(a, 2))
-
-
-def _bary_coords(v, x):
-    """Barycentric coordinates of points ``x`` (nq, 2) in triangle ``v``."""
-    T = np.array([v[0] - v[2], v[1] - v[2]]).T  # (2, 2)
-    sol = np.linalg.solve(T, (np.asarray(x) - v[2]).T).T
-    lam = np.empty((x.shape[0], 3))
-    lam[:, 0] = sol[:, 0]
-    lam[:, 1] = sol[:, 1]
-    lam[:, 2] = 1.0 - sol[:, 0] - sol[:, 1]
-    return lam
+    """Spectral norms of the trailing (m, m) matrices."""
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    return np.linalg.norm(a, 2, axis=(-2, -1))

@@ -41,17 +41,17 @@ class DecConfig:
 def lumped_mass(disc):
     """Per-DOF lumped mass and per-element C_K = |K|/#K."""
     C = disc.measure / disc.nloc
+    dofs = disc.dofmap.element_dofs
     mass = np.zeros(disc.dofmap.n_dofs)
-    for e in range(disc.mesh.n_elements):
-        mass[disc.dofmap.element_dofs[e]] += C[e]
+    np.add.at(mass, dofs, np.broadcast_to(C[:, None], dofs.shape))
     return mass, C
 
 
 def element_mass_matrix(disc, e):
-    """Consistent element mass matrix int_K phi_i phi_j."""
-    phi = disc.vq_phi
-    w = disc.vq_w * disc.measure[e]
-    return np.einsum("q,qi,qj->ij", w, phi, phi)
+    """Consistent element mass matrix int_K phi_i phi_j: (#K, #K) for one
+    element, (k, #K, #K) for an index array or slice of elements."""
+    w = disc.vq_w * np.asarray(disc.measure[e])[..., None]
+    return np.einsum("...q,qi,qj->...ij", w, disc.vq_phi, disc.vq_phi)
 
 
 def mass_apply(disc, w):
@@ -59,11 +59,9 @@ def mass_apply(disc, w):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if w.shape[0] != disc.dofmap.n_dofs:
         w = w.T
+    dofs = disc.dofmap.element_dofs
     out = np.zeros_like(w)
-    for e in range(disc.mesh.n_elements):
-        dofs = disc.dofmap.element_dofs[e]
-        Me = element_mass_matrix(disc, e)
-        out[dofs] += Me @ w[dofs]
+    np.add.at(out, dofs, element_mass_matrix(disc, slice(None)) @ w[dofs])
     return out
 
 
@@ -104,8 +102,11 @@ def _residual(disc, u, scheme, u_b):
     return R
 
 
-def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None):
-    """One time slab of the deferred-correction iteration."""
+def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
+    """One time slab of the deferred-correction iteration.
+
+    ``R_n``, if given, is the residual at ``u_n``; it is not recomputed.
+    """
     if mass is None:
         mass, _ = lumped_mass(disc)
     u_n = np.asarray(u_n, dtype=float)
@@ -115,12 +116,14 @@ def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None):
             f"time step {dt} exceeds the CFL bound {dtmax}", RuntimeWarning
         )
     w0, w1 = config.weights
-    R_n = _residual(disc, u_n, scheme, u_b)
+    if R_n is None:
+        R_n = _residual(disc, u_n, scheme, u_b)
     if config.method == "euler" and config.iterations == 1:
         return u_n - dt * R_n / mass[:, None]
     u_p = u_n
-    for _ in range(config.iterations):
-        R_p = _residual(disc, u_p, scheme, u_b)
+    for sweep in range(config.iterations):
+        # the first sweep starts at u_n, where the residual is R_n
+        R_p = R_n if sweep == 0 else _residual(disc, u_p, scheme, u_b)
         A = dt * (w0 * R_n + w1 * R_p)
         rhs = mass[:, None] * u_p - mass_apply(disc, u_p - u_n) - A
         u_p = rhs / mass[:, None]
@@ -131,7 +134,9 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     """March to ``t_end``; returns (final state, times list).
 
     ``log``, if given, is called after each step with
-    (t, u, total lumped mass per component, residual infinity norm).
+    (t, u, total lumped mass per component, residual infinity norm).  The
+    residual at the new state is computed once and serves both the log and
+    the next step.
     """
     mass, _ = lumped_mass(disc)
     u = np.array(u0, dtype=float)
@@ -139,13 +144,14 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         u = u[:, None]
     t = 0.0
     times = [0.0]
+    R = _residual(disc, u, scheme, u_b)
     while t < t_end - 1e-14:
         step = dt if dt is not None else stable_dt(disc, u, config.cfl)
         step = min(step, t_end - t)
-        u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass)
+        u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)
         t += step
         times.append(t)
+        R = _residual(disc, u, scheme, u_b)
         if log is not None:
-            R = _residual(disc, u, scheme, u_b)
             log(t, u, mass @ u, float(np.abs(R).max()))
     return u, times

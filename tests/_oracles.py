@@ -3,11 +3,27 @@
 Implemented from standard closed-form results, not from the package code:
 an exact Riemann solver for the 1D perfect-gas Euler equations (Newton
 iteration on the star pressure, plus a full similarity sampler).
+
+The second half is a frozen copy of the package's per-element residual
+kernel and deferred-correction stepper from before batching, kept as the
+reference the batched kernel must reproduce.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+
+from rdlab import mesh as msh
+from rdlab.errors import (
+    ConservationDefectError,
+    InadmissibleStateError,
+    InternalConsistencyError,
+    StepFailureError,
+    UnsupportedFeatureError,
+)
+from rdlab.rd_core import BLEND_ZERO_TOL, ResidualSet
 
 
 def _sound(rho, p, gamma):
@@ -122,3 +138,506 @@ def sample_riemann(left, right, xi, gamma=1.4):
             p[fan] = p_r * (a / a_r) ** (2.0 * g / gm)
         set_state(xi >= head, rho_r, u_r, p_r)
     return rho, u, p
+
+
+# ---------------------------------------------------------------------------
+# Pre-batching reference: the per-element residual kernel and the
+# deferred-correction stepper as they were before the batched kernel, loops
+# over elements, quadrature points and DOF pairs included.  Only the P2
+# ``face_local_dofs`` lookup is taken from the package (the frozen copy
+# raised KeyError on local face 1).  Used by test_batched_equivalence.py.
+
+
+class OracleDiscretization:
+    """Per-element ``Discretization`` as it was before batching."""
+
+    def __init__(self, mesh, law, dofmap=None):
+        self.mesh = mesh
+        self.law = law
+        self.dofmap = dofmap if dofmap is not None else msh.build_dofmap(mesh)
+        self.m = law.m
+        self.nloc = self.dofmap.dofs_per_element
+        self._setup()
+
+    # -- geometry / quadrature caches ------------------------------------
+
+    def _setup(self):
+        mesh = self.mesh
+        ne = mesh.n_elements
+        self.measure = np.array([msh.element_measure(mesh, e) for e in range(ne)])
+        self.diameter = np.array([msh.element_diameter(mesh, e) for e in range(ne)])
+        if mesh.dim == 2:
+            self.bgrad = np.array(
+                [msh.barycentric_gradients(mesh, e) for e in range(ne)]
+            )  # (ne, 3, 2)
+            lam, w = msh.volume_rule(mesh)
+            self.vq_lam, self.vq_w = lam, w
+            self.vq_phi = msh.tri_basis(mesh.degree, lam)  # (nq, #K)
+            self.fq_t, self.fq_w = msh.face_rule(mesh)
+            self._neighbors = self._build_neighbors()
+        else:
+            t, w = msh.gauss_01(2)
+            self.vq_t, self.vq_w = t, w
+            self.vq_phi = msh.interval_basis(t)
+
+    def _build_neighbors(self):
+        """Map (element, local_face) -> (neighbor element, its local face)."""
+        owners = {}
+        nbr = {}
+        for e in range(self.mesh.n_elements):
+            tri = self.mesh.elements[e]
+            for lf, (i, j) in enumerate(msh._TRI_FACES):
+                key = tuple(sorted((tri[i], tri[j])))
+                if key in owners:
+                    e2, lf2 = owners[key]
+                    nbr[(e, lf)] = (e2, lf2)
+                    nbr[(e2, lf2)] = (e, lf)
+                else:
+                    owners[key] = (e, lf)
+        return nbr
+
+    def element_values(self, e, u):
+        """DOF values of one element, shape (#K, m)."""
+        return np.asarray(u)[self.dofmap.element_dofs[e]]
+
+    # -- residual families -------------------------------------------------
+
+    def total_residual(self, e, u):
+        """Boundary quadrature of the normal flux, an m-vector."""
+        ue = self.element_values(e, u)
+        if self.mesh.dim == 1:
+            fr = self.law.flux(ue[1])[0]
+            fl = self.law.flux(ue[0])[0]
+            return fr - fl
+        total = np.zeros(self.m)
+        for lf in range(3):
+            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
+            phi = msh.tri_basis(self.mesh.degree, lam)       # (nq, #K)
+            uq = phi @ ue                                     # (nq, m)
+            fq = self.law.flux(uq)                            # (nq, 2, m)
+            fn = np.einsum("qdm,d->qm", fq, n)
+            total += w @ fn
+        return total
+
+    def galerkin_residuals(self, e, u):
+        """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
+        ue = self.element_values(e, u)
+        phi = np.zeros((self.nloc, self.m))
+        if self.mesh.dim == 1:
+            h = self.measure[e]
+            # boundary part: basis traces are Kronecker deltas at endpoints
+            fr = self.law.flux(ue[1])[0]
+            fl = self.law.flux(ue[0])[0]
+            phi[0] -= fl
+            phi[1] += fr
+            # volume part: grad(phi) = (-1/h, 1/h)
+            uq = self.vq_phi @ ue
+            fq = self.law.flux(uq)[..., 0, :]                # (nq, m)
+            integral = (self.vq_w * h) @ fq                   # (m,)
+            phi[0] -= (-1.0 / h) * integral
+            phi[1] -= (1.0 / h) * integral
+            return phi
+        for lf in range(3):
+            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
+            tb = msh.tri_basis(self.mesh.degree, lam)
+            uq = tb @ ue
+            fn = np.einsum("qdm,d->qm", self.law.flux(uq), n)
+            phi += np.einsum("q,qs,qm->sm", w, tb, fn)
+        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+        uq = self.vq_phi @ ue
+        fq = self.law.flux(uq)                                # (nq, 2, m)
+        wq = self.vq_w * self.measure[e]
+        phi -= np.einsum("q,qsd,qdm->sm", wq, grads, fq)
+        return phi
+
+    def rusanov_alpha(self, e, u):
+        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||."""
+        ue = self.element_values(e, u)
+        if self.mesh.dim == 1:
+            h = self.measure[e]
+            uq = self.vq_phi @ ue
+            grads = np.array([[-1.0 / h], [1.0 / h]])        # (#K, 1)
+            wq = self.vq_w * h
+            best = 0.0
+            for s in range(2):
+                for sp in range(2):
+                    acc = np.zeros((self.m, self.m))
+                    for q in range(len(wq)):
+                        acc += wq[q] * self.vq_phi[q, s] * self.law.jac_n(uq[q], grads[sp])
+                    best = max(best, _specnorm(acc))
+            return 2.0 * best
+        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+        uq = self.vq_phi @ ue
+        wq = self.vq_w * self.measure[e]
+        best = 0.0
+        for s in range(self.nloc):
+            for sp in range(self.nloc):
+                acc = np.zeros((self.m, self.m))
+                for q in range(len(wq)):
+                    acc += wq[q] * self.vq_phi[q, s] * self.law.jac_n(uq[q], grads[q, sp])
+                best = max(best, _specnorm(acc))
+        return self.nloc * best
+
+    def rusanov_residuals(self, e, u, alpha=None):
+        ue = self.element_values(e, u)
+        phi = self.galerkin_residuals(e, u)
+        if alpha is None:
+            alpha = self.rusanov_alpha(e, u)
+        ubar = ue.mean(axis=0)
+        return phi + alpha * (ue - ubar)
+
+    def _tau(self, e, ubar):
+        """Streamline relaxation time from the element wave-speed budget."""
+        normals = msh.element_scaled_normals(self.mesh, e) if self.mesh.dim == 2 \
+            else np.array([[-1.0], [1.0]])
+        speed = 0.0
+        for n in normals:
+            speed += float(self.law.max_wave_speed(ubar[None, :], n)[0])
+        speed /= 2.0 * self.measure[e]
+        if speed <= 0.0:
+            return 0.0
+        return 1.0 / (speed * self.diameter[e])
+
+    def supg_residuals(self, e, u, tau_scale=1.0):
+        ue = self.element_values(e, u)
+        phi = self.galerkin_residuals(e, u)
+        if self.mesh.dim == 1:
+            h = self.measure[e]
+            grads = np.array([[-1.0 / h], [1.0 / h]])
+            gq = np.broadcast_to(grads, (len(self.vq_w), 2, 1))
+        else:
+            gq = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+        uq = self.vq_phi @ ue
+        wq = self.vq_w * self.measure[e]
+        tau = tau_scale * self._tau(e, ue.mean(axis=0))
+        hK = self.diameter[e]
+        dim = gq.shape[-1]
+        for q in range(len(wq)):
+            # A.grad(u_h) at the quadrature point
+            du = gq[q].T @ ue                                 # (dim, m) gradient
+            adu = np.zeros(self.m)
+            for k in range(dim):
+                ek = np.zeros(dim)
+                ek[k] = 1.0
+                adu += self.law.jac_n(uq[q], ek) @ du[k]
+            for s in range(self.nloc):
+                aphi = self.law.jac_n(uq[q], gq[q, s])        # A.grad(phi_s)
+                phi[s] += wq[q] * hK * tau * (aphi @ adu)
+        return phi
+
+    def _edge_gradient(self, e, u, xq):
+        """Gradient of u_h of element e at physical points xq, (nq, dim, m)."""
+        ue = self.element_values(e, u)
+        v = msh.element_coords(self.mesh, e)
+        lam = _bary_coords(v, xq)
+        gq = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
+        return np.einsum("qsd,sm->qdm", gq, ue)
+
+    def jump_residuals(self, e, u, theta_e=0.01):
+        if self.mesh.dim != 2:
+            raise UnsupportedFeatureError("gradient-jump stabilization needs 2D")
+        phi = self.galerkin_residuals(e, u)
+        nq = len(self.fq_t)
+        for lf in range(3):
+            if (e, lf) not in self._neighbors:
+                continue
+            e2, _ = self._neighbors[(e, lf)]
+            xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
+            he = float(np.sum(w))
+            grad_in = self._edge_gradient(e, u, xq)           # (nq, 2, m)
+            grad_out = self._edge_gradient(e2, u, xq)
+            jump = grad_in - grad_out                         # (nq, 2, m)
+            gphi = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
+            coef = 0.5 * theta_e * he * he
+            phi += coef * np.einsum("q,qsd,qdm->sm", w, gphi, jump)
+        return phi
+
+    def element_residuals(self, e, u, scheme):
+        """Distribute the element residual per the scheme kind."""
+        k = scheme.kind
+        if k == "galerkin":
+            return self.galerkin_residuals(e, u)
+        if k == "rusanov":
+            return self.rusanov_residuals(e, u, alpha=scheme.alpha)
+        if k == "supg":
+            return self.supg_residuals(e, u, scheme.tau_scale)
+        if k == "jump":
+            return self.jump_residuals(e, u, scheme.theta_e)
+        # limited variants blend the Rusanov split, then add stabilization
+        phi_mono = self.rusanov_residuals(e, u, alpha=scheme.alpha)
+        total = phi_mono.sum(axis=0)
+        _, limited = oracle_blend_limiter(phi_mono, total)
+        if k == "limited":
+            return limited
+        base = self.galerkin_residuals(e, u)
+        if k == "limited_supg":
+            stab = self.supg_residuals(e, u, scheme.tau_scale) - base
+        else:
+            stab = self.jump_residuals(e, u, scheme.theta_e) - base
+        return limited + scheme.gamma_jump * stab
+
+    # -- boundary ---------------------------------------------------------
+
+    def upwind_flux(self, uh, ub, n):
+        """Normal interface flux; picks the boundary state on inflow."""
+        uh = np.atleast_1d(uh)
+        ub = np.atleast_1d(ub)
+        fh = np.einsum("dm,d->m", self.law.flux(uh), n)
+        fb = np.einsum("dm,d->m", self.law.flux(ub), n)
+        if self.m == 1:
+            speed = float(self.law.jac_n(0.5 * (uh + ub), n)[0, 0])
+            return fh if speed >= 0.0 else fb
+        # systems: characteristic upwinding at the average state
+        A = self.law.jac_n(0.5 * (uh + ub), np.asarray(n, dtype=float))
+        lam, R = np.linalg.eig(A)
+        absA = (R * np.abs(lam)) @ np.linalg.inv(R)
+        return 0.5 * (fh + fb) - 0.5 * np.real(absA) @ (ub - uh)
+
+    def boundary_residuals(self, face, u, u_b):
+        """Weak boundary contribution of one boundary face.
+
+        Returns (local DOF ids on the face, per-DOF residuals (nfd, m)).
+        ``u_b`` is a constant state or a callable of position.
+        """
+        e, lf = face.element, face.local_face
+        ue = self.element_values(e, u)
+        if self.mesh.dim == 1:
+            x = msh.element_coords(self.mesh, e)[lf]
+            uh = ue[lf]
+            ub = np.atleast_1d(u_b(x)) if callable(u_b) else np.atleast_1d(u_b)
+            n = face.normal
+            fn = self.upwind_flux(uh, ub, n)
+            fh = np.einsum("dm,d->m", self.law.flux(np.atleast_1d(uh)), n)
+            dofs = (lf,)
+            return dofs, (fn - fh)[None, :]
+        nq = len(self.fq_t) + 1  # one extra point, exact for the upwind product
+        xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
+        tb = msh.tri_basis(self.mesh.degree, lam)
+        uq = tb @ ue
+        dofs = msh.face_local_dofs(self.mesh, lf)
+        psi = np.zeros((len(dofs), self.m))
+        for q in range(nq):
+            ub = np.atleast_1d(u_b(xq[q])) if callable(u_b) else np.atleast_1d(u_b)
+            fn = self.upwind_flux(uq[q], ub, n)
+            fh = np.einsum("dm,d->m", self.law.flux(uq[q][None, :])[0], n)
+            diff = fn - fh
+            for i, s in enumerate(dofs):
+                psi[i] += w[q] * tb[q, s] * diff
+        return dofs, psi
+
+    # -- assembly -----------------------------------------------------------
+
+    def residual_set(self, u, scheme, u_b=None):
+        ne = self.mesh.n_elements
+        phi = np.zeros((ne, self.nloc, self.m))
+        for e in range(ne):
+            try:
+                phi[e] = self.element_residuals(e, u, scheme)
+            except InadmissibleStateError as err:
+                raise StepFailureError(
+                    f"inadmissible state in element {e}: {err}", element=e
+                ) from err
+        totals = phi.sum(axis=1)
+        boundary = []
+        if u_b is not None:
+            for i, face in enumerate(self.mesh.boundary_faces):
+                dofs, psi = self.boundary_residuals(face, u, u_b)
+                boundary.append((i, dofs, psi, psi.sum(axis=0)))
+        return ResidualSet(phi=phi, phi_total=totals, boundary=boundary)
+
+    def assemble(self, u, scheme, u_b=None):
+        """Per-DOF residual R_sigma; fixed element order for bit stability."""
+        rset = self.residual_set(u, scheme, u_b)
+        R = np.zeros((self.dofmap.n_dofs, self.m))
+        for e in range(self.mesh.n_elements):
+            dofs = self.dofmap.element_dofs[e]
+            for s in range(self.nloc):
+                R[dofs[s]] += rset.phi[e, s]
+        for i, local_dofs, psi, _ in rset.boundary:
+            face = self.mesh.boundary_faces[i]
+            gdofs = self.dofmap.element_dofs[face.element]
+            for k, s in enumerate(local_dofs):
+                R[gdofs[s]] += psi[k]
+        return R, rset
+
+
+def oracle_rusanov_coefficients(disc, e, u, alpha=None):
+    """Monotone-form coefficients c[s, sp] of the scalar Rusanov split.
+
+    For scalar laws the residual is Phi_s = sum_sp c[s, sp] (u_s - u_sp) with
+    c[s, sp] = alpha/#K - int phi_s a.grad(phi_sp); all entries are
+    nonnegative when alpha meets the dissipation bound.
+    """
+    if disc.m != 1:
+        raise UnsupportedFeatureError("coefficient extraction is scalar-only")
+    if alpha is None:
+        alpha = disc.rusanov_alpha(e, u)
+    ue = disc.element_values(e, u)
+    if disc.mesh.dim == 1:
+        h = disc.measure[e]
+        gq = np.broadcast_to(
+            np.array([[-1.0 / h], [1.0 / h]]), (len(disc.vq_w), 2, 1)
+        )
+    else:
+        gq = msh.tri_basis_grad(disc.mesh.degree, disc.vq_lam, disc.bgrad[e])
+    uq = disc.vq_phi @ ue
+    wq = disc.vq_w * disc.measure[e]
+    c = np.full((disc.nloc, disc.nloc), alpha / disc.nloc)
+    for q in range(len(wq)):
+        for sp in range(disc.nloc):
+            adv = float(disc.law.jac_n(uq[q], gq[q, sp])[0, 0])
+            c[:, sp] -= wq[q] * disc.vq_phi[q] * adv
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def oracle_monotone_dt(disc, u, mass, alpha=None, safety=1.0):
+    """Largest forward-Euler step keeping the scalar Rusanov split monotone.
+
+    Bound: dt * sum_K sum_sp max(c_ssp, 0) <= mass_s for every DOF s.
+    """
+    budget = np.zeros(disc.dofmap.n_dofs)
+    for e in range(disc.mesh.n_elements):
+        c = oracle_rusanov_coefficients(disc, e, u, alpha=alpha)
+        rowsum = np.maximum(c, 0.0).sum(axis=1)
+        budget[disc.dofmap.element_dofs[e]] += rowsum
+    positive = budget > 0.0
+    if not positive.any():
+        return np.inf
+    return safety * float((mass[positive] / budget[positive]).min())
+
+
+def oracle_blend_limiter(phi_L, total):
+    """Convex reweighting of a monotone split; componentwise for systems.
+
+    Returns (beta, limited residuals beta_sigma * total).  The split must be
+    conservative: sum(phi_L) == total within 1e-10 relative.
+    """
+    phi_L = np.asarray(phi_L, dtype=float)
+    total = np.asarray(total, dtype=float)
+    nloc, m = phi_L.shape
+    defect = np.abs(phi_L.sum(axis=0) - total)
+    if np.any(defect > 1e-10 * (1.0 + np.abs(total))):
+        raise ConservationDefectError("limiter input is not conservative", defect)
+    beta = np.empty((nloc, m))
+    for c in range(m):
+        if abs(total[c]) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L[:, c]).max()):
+            beta[:, c] = 1.0 / nloc
+            continue
+        ratios = phi_L[:, c] / total[c]
+        num = np.maximum(0.0, ratios)
+        den = num.sum()
+        if den <= 0.0:
+            raise InternalConsistencyError(
+                "all limiter ratios clipped although the total is nonzero"
+            )
+        beta[:, c] = num / den
+    return beta, beta * total[None, :]
+
+
+def _specnorm(a):
+    if a.shape == (1, 1):
+        return abs(float(a[0, 0]))
+    return float(np.linalg.norm(a, 2))
+
+
+def _bary_coords(v, x):
+    """Barycentric coordinates of points ``x`` (nq, 2) in triangle ``v``."""
+    T = np.array([v[0] - v[2], v[1] - v[2]]).T  # (2, 2)
+    sol = np.linalg.solve(T, (np.asarray(x) - v[2]).T).T
+    lam = np.empty((x.shape[0], 3))
+    lam[:, 0] = sol[:, 0]
+    lam[:, 1] = sol[:, 1]
+    lam[:, 2] = 1.0 - sol[:, 0] - sol[:, 1]
+    return lam
+
+
+def oracle_lumped_mass(disc):
+    C = disc.measure / disc.nloc
+    mass = np.zeros(disc.dofmap.n_dofs)
+    for e in range(disc.mesh.n_elements):
+        mass[disc.dofmap.element_dofs[e]] += C[e]
+    return mass, C
+
+
+def oracle_element_mass_matrix(disc, e):
+    phi = disc.vq_phi
+    w = disc.vq_w * disc.measure[e]
+    return np.einsum("q,qi,qj->ij", w, phi, phi)
+
+
+def oracle_mass_apply(disc, w):
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    if w.shape[0] != disc.dofmap.n_dofs:
+        w = w.T
+    out = np.zeros_like(w)
+    for e in range(disc.mesh.n_elements):
+        dofs = disc.dofmap.element_dofs[e]
+        Me = oracle_element_mass_matrix(disc, e)
+        out[dofs] += Me @ w[dofs]
+    return out
+
+
+def oracle_stable_dt(disc, u, cfl):
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.shape[0] != disc.dofmap.n_dofs:
+        u = u.T
+    speed = 0.0
+    for k in range(disc.mesh.dim):
+        n = np.zeros(disc.mesh.dim)
+        n[k] = 1.0
+        speed = max(speed, float(np.max(disc.law.max_wave_speed(u, n))))
+    speed *= np.sqrt(disc.mesh.dim)
+    if speed <= 0.0:
+        return np.inf
+    if disc.mesh.dim == 1:
+        hmin = float(disc.measure.min())
+    else:
+        hmin = float((2.0 * disc.measure / disc.diameter).min())
+    return cfl * hmin / speed
+
+
+def _oracle_residual(disc, u, scheme, u_b):
+    R, _ = disc.assemble(u, scheme, u_b)
+    return R
+
+
+def oracle_dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None):
+    if mass is None:
+        mass, _ = oracle_lumped_mass(disc)
+    u_n = np.asarray(u_n, dtype=float)
+    dtmax = oracle_stable_dt(disc, u_n, config.cfl)
+    if dt > dtmax * (1.0 + 1e-12):
+        warnings.warn(
+            f"time step {dt} exceeds the CFL bound {dtmax}", RuntimeWarning
+        )
+    w0, w1 = config.weights
+    R_n = _oracle_residual(disc, u_n, scheme, u_b)
+    if config.method == "euler" and config.iterations == 1:
+        return u_n - dt * R_n / mass[:, None]
+    u_p = u_n
+    for _ in range(config.iterations):
+        R_p = _oracle_residual(disc, u_p, scheme, u_b)
+        A = dt * (w0 * R_n + w1 * R_p)
+        rhs = mass[:, None] * u_p - oracle_mass_apply(disc, u_p - u_n) - A
+        u_p = rhs / mass[:, None]
+    return u_p
+
+
+def oracle_dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
+    mass, _ = oracle_lumped_mass(disc)
+    u = np.array(u0, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    t = 0.0
+    times = [0.0]
+    while t < t_end - 1e-14:
+        step = dt if dt is not None else oracle_stable_dt(disc, u, config.cfl)
+        step = min(step, t_end - t)
+        u = oracle_dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass)
+        t += step
+        times.append(t)
+        if log is not None:
+            R = _oracle_residual(disc, u, scheme, u_b)
+            log(t, u, mass @ u, float(np.abs(R).max()))
+    return u, times

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 
+import rdlab
 from rdlab import mesh as msh
 from rdlab.cli import main
 from rdlab.conslaw import Burgers
@@ -54,6 +56,15 @@ def test_run_is_deterministic(tmp_path):
     assert main(["run", cfg, "--out", str(out1)]) == 0
     assert main(["run", cfg, "--out", str(out2)]) == 0
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+
+
+def test_run_p2_with_weak_boundaries(tmp_path):
+    cfg = write_config(tmp_path, RUN_INI.replace("ny = 4\n", "ny = 4\ndegree = 2\n"))
+    out = tmp_path / "p2"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    data = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    assert data.shape == (9 * 9, 4)  # the P2 lattice of a 4x4 grid
+    assert "PASS conservation" in (out / "audit.txt").read_text()
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -141,9 +152,12 @@ def test_audit_command(tmp_path, capsys):
 
 
 def test_console_script_version():
+    # the child imports the same rdlab as this test, installed or not
+    src = os.path.dirname(os.path.dirname(rdlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "rdlab.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -122,6 +122,23 @@ def test_gauss_rule():
     assert abs(np.sum(w * t**3) - 0.25) < 1e-14
 
 
+@pytest.mark.parametrize("npts", [1, 2, 3, 4])
+def test_gauss_rule_is_leggauss_on_unit_interval(npts):
+    x, w = np.polynomial.legendre.leggauss(npts)
+    t, wt = msh.gauss_01(npts)
+    assert np.array_equal(t, 0.5 * (x + 1.0))
+    assert np.array_equal(wt, 0.5 * w)
+    assert msh.gauss_01(npts)[0] is t  # cached, not recomputed
+
+
+def test_gauss_rule_is_read_only():
+    t, w = msh.gauss_01(3)
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w += 1.0
+
+
 def test_face_geometry():
     mesh = ref_triangle()
     x, w, n, lam = msh.face_geometry(mesh, 0, 0, 3)  # hypotenuse
@@ -134,6 +151,7 @@ def test_face_geometry():
 def test_face_local_dofs():
     mesh = msh.build_structured_tri_mesh(1, 1, degree=2)
     assert msh.face_local_dofs(mesh, 0) == (1, 2, 4)
+    assert msh.face_local_dofs(mesh, 1) == (2, 0, 5)
     assert msh.face_local_dofs(mesh, 2) == (0, 1, 3)
 
 

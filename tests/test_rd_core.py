@@ -234,6 +234,24 @@ def test_inadmissible_state_reports_element():
     assert err.value.element is not None
 
 
+def test_inadmissible_state_names_the_owning_element():
+    mesh = msh.build_structured_tri_mesh(3, 3)
+    disc = Discretization(mesh, Euler(gamma=1.4, dim=2))
+    u = np.tile(conserved_from_primitive(np.array([1.0, 0.1, 0.0, 1.0])),
+                (disc.dofmap.n_dofs, 1))
+    dofs = disc.dofmap.element_dofs
+    # the last DOF that only one element touches, so the answer is not 0
+    owners = np.bincount(dofs.ravel(), minlength=disc.dofmap.n_dofs)
+    dof = int(np.flatnonzero(owners == 1)[-1])
+    element = int(np.flatnonzero((dofs == dof).any(axis=1))[0])
+    assert element > 0
+    u[dof, 0] = -1.0  # negative density
+    for kind in ALL_KINDS:
+        with pytest.raises(StepFailureError) as err:
+            disc.residual_set(u, Scheme(kind=kind))
+        assert err.value.element == element
+
+
 def test_limited_scheme_is_a_convex_split_of_the_total():
     mesh = msh.build_structured_tri_mesh(2, 2)
     disc = Discretization(mesh, Burgers(dim=2))
