@@ -101,7 +101,7 @@ def cmd_run(args):
         cfl=cfg.get_float("time", "cfl"),
     )
     u0 = _initial_field(cfg.get("run", "initial"), disc.dofmap.dof_coords)
-    u_b = None if mesh.periodic or not mesh.boundary_faces else 0.0
+    u_b = None if not mesh.boundary_faces else 0.0
     series = []
     history = [u0[:, None]]
 
@@ -255,7 +255,6 @@ def build_parser():
     pr.add_argument("config")
     pr.add_argument("--strict", action="store_true")
     pr.add_argument("--out", default=None)
-    pr.add_argument("--seed", type=int, default=None)
     pr.set_defaults(func=cmd_run)
 
     pb = sub.add_parser("burgers1d", help="1D Burgers counterexample lab")

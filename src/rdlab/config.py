@@ -13,8 +13,8 @@ SCHEMA = {
     "mesh": {"kind", "n", "nx", "ny", "x0", "x1", "y0", "y1", "degree", "periodic"},
     "scheme": {"kind", "tau_scale", "theta_e", "gamma_jump", "alpha"},
     "time": {"method", "cfl", "dt", "t_end", "dec_iterations"},
-    "corrections": {"correct_conservation", "correct_entropy"},
-    "run": {"initial", "out", "seed", "strict", "snapshots"},
+    "corrections": {"correct_conservation"},
+    "run": {"initial", "out"},
 }
 
 DEFAULTS = {
@@ -45,9 +45,8 @@ DEFAULTS = {
         "t_end": "0.1",
         "dec_iterations": "",
     },
-    "corrections": {"correct_conservation": "true", "correct_entropy": "false"},
-    "run": {"initial": "cosine", "out": "out", "seed": "0", "strict": "false",
-            "snapshots": "1"},
+    "corrections": {"correct_conservation": "true"},
+    "run": {"initial": "cosine", "out": "out"},
 }
 
 

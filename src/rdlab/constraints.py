@@ -10,23 +10,11 @@ the velocity residuals first (r_u^K) and then to the energy residuals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InadmissibleStateError, InfeasibleCorrectionError
 
 DENSITY_TOL = 1e-12
-
-
-@dataclass
-class CorrectionReport:
-    r_u: np.ndarray               # per-element velocity correction
-    r_e: np.ndarray               # per-element energy correction
-    defect_m_before: np.ndarray
-    defect_m_after: np.ndarray
-    defect_e_before: np.ndarray
-    defect_e_after: np.ndarray
 
 
 def conserved_increment_matrix(w_p, w_p1):
@@ -60,28 +48,40 @@ def map_residuals_to_conserved(phi, w_p, w_p1):
 def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     """Uniform velocity-residual correction closing the momentum balance.
 
-    Solves sum_sigma [rho_p1 (phi_u + r_u) + u_p phi_rho] = target_m for the
-    scalar r_u; density residuals are final and stay untouched.
+    Solves sum_sigma [rho_p1 (phi_u + r_u) + u_p phi_rho] = target_m for r_u;
+    density residuals are final and stay untouched.  Batched over leading
+    element axes; the sum runs over the last axis.
     """
     rho_p1 = np.asarray(rho_p1, dtype=float)
-    denom = rho_p1.sum()
-    if denom < DENSITY_TOL:
-        raise InadmissibleStateError(f"element density sum {denom}")
-    current = float(np.sum(rho_p1 * phi_u + np.asarray(u_p) * phi_rho))
-    return (float(target_m) - current) / denom
+    denom = rho_p1.sum(axis=-1)
+    if (denom < DENSITY_TOL).any():
+        raise InadmissibleStateError(f"element density sum {np.min(denom)}")
+    current = (rho_p1 * phi_u + np.asarray(u_p) * phi_rho).sum(axis=-1)
+    return (target_m - current) / denom
 
 
-def energy_correction(phi_rho, phi_u, phi_e, w_p, w_p1, target_e):
+def energy_residuals(phi_rho, phi_u, phi_e, w_p, w_p1):
+    """Conserved total-energy residual of each DOF: the third row of the
+    increment matrix applied to (phi_rho, phi_u, phi_e), written out.
+
+    Only the velocities and the new densities are read, so the primitive
+    states ``w_p`` and ``w_p1`` may hold just (rho, u).
+    """
+    u_p, rho_p1, u_p1 = w_p[..., 1], w_p1[..., 0], w_p1[..., 1]
+    return phi_e + 0.5 * (u_p * u_p) * phi_rho + 0.5 * rho_p1 * (u_p + u_p1) * phi_u
+
+
+def energy_correction(phi_rho, phi_u, phi_e, w_p, w_p1, target_e, mapped=None):
     """Uniform energy-residual correction closing the total-energy balance.
 
-    ``phi_u`` must already contain the velocity correction.  The mapped
-    energy residual of DOF sigma is the third row of the increment matrix
-    applied to (phi_rho, phi_u, phi_e)_sigma.
+    ``phi_u`` must already contain the velocity correction.  ``mapped`` are
+    the ``energy_residuals`` of the same arguments, for a caller that has
+    them already.  Batched over leading element axes; the sum runs over the
+    last axis.
     """
-    phi = np.stack([phi_rho, phi_u, phi_e], axis=-1)
-    mapped = map_residuals_to_conserved(phi, w_p, w_p1)[..., 2]
-    n = mapped.shape[0]
-    return (float(target_e) - float(mapped.sum())) / n
+    if mapped is None:
+        mapped = energy_residuals(phi_rho, phi_u, phi_e, np.asarray(w_p), np.asarray(w_p1))
+    return (target_e - mapped.sum(axis=-1)) / mapped.shape[-1]
 
 
 def divided_difference_rho_kappa(rho_p, rho_p1, kappa):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import DENSITY_TOL
+from .constraints import DENSITY_TOL, energy_correction, energy_residuals, velocity_correction
 from .errors import InadmissibleStateError
 
 GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -104,6 +104,15 @@ def _element_residuals(w, gamma, h):
     return phi
 
 
+def _pairs(*nodal):
+    """Per-element (left node, right node) values of nodal arrays (n+1,), as
+    states (n, 2, len(nodal)) whose components are each contiguous."""
+    out = np.empty((len(nodal), nodal[0].shape[0] - 1, 2))
+    for k, a in enumerate(nodal):
+        out[k, :, 0], out[k, :, 1] = a[:-1], a[1:]
+    return out.transpose(1, 2, 0)
+
+
 def _scatter(phi, n_nodes):
     """Per-node sums of element residual contributions."""
     out = np.zeros((n_nodes, phi.shape[-1]))
@@ -124,35 +133,27 @@ def step(w, dt, h, gamma, correct=True):
     mass = np.full(n_nodes, h)
     mass[0] = mass[-1] = 0.5 * h
     phi = _element_residuals(w, gamma, h)            # (n, 2, 3)
+    w_p = _pairs(w[:, 0], w[:, 1])                   # density, velocity per element
+    u_p = w_p[..., 1]
 
     # density first: its residual needs no correction
     rho_new = w[:, 0] - dt * _scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
-    rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)   # per element (n, 2)
-    u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
+    rho_p1 = _pairs(rho_new)[..., 0]
 
     # velocity: uniform per-element correction closing the momentum balance
     target_m = momentum_flux(w[1:], gamma) - momentum_flux(w[:-1], gamma)
-    current_m = np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1)
     if correct:
-        r_u = (target_m - current_m) / rho_p1.sum(axis=1)
-        phi[..., 1] += r_u[:, None]
-        defect_m = np.abs(
-            np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1) - target_m
-        )
-    else:
-        defect_m = np.abs(current_m - target_m)
+        phi[..., 1] += velocity_correction(phi[..., 0], phi[..., 1], rho_p1, u_p,
+                                           target_m)[:, None]
+    defect_m = np.abs(np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1) - target_m)
     u_new = w[:, 1] - dt * _scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
-    u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
 
     # energy: map residuals through the increment matrix, then correct
     target_e = energy_flux(w[1:], gamma) - energy_flux(w[:-1], gamma)
-    mapped = (
-        phi[..., 2]
-        + 0.5 * (u_p * u_p) * phi[..., 0]
-        + 0.5 * rho_p1 * (u_p + u_p1) * phi[..., 1]
-    )
+    args = (phi[..., 0], phi[..., 1], phi[..., 2], w_p, _pairs(rho_new, u_new))
+    mapped = energy_residuals(*args)
     if correct:
-        r_e = 0.5 * (target_e - mapped.sum(axis=1))
+        r_e = energy_correction(*args, target_e, mapped=mapped)
         phi[..., 2] += r_e[:, None]
         mapped = mapped + r_e[:, None]
     defect_e = np.abs(mapped.sum(axis=1) - target_e)

@@ -126,23 +126,23 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
     """
     if flux_n is None:
         return disc.boundary_flux(e, u)
-    mesh = disc.mesh
-    ue = disc.element_values(e, u)
-    out = np.zeros((disc.nloc, disc.m))
-    if mesh.dim == 1:
-        for lf, sign in ((0, -1.0), (1, 1.0)):
-            n = np.array([sign])
-            x = msh.element_coords(mesh, e)[lf]
-            out[lf] += flux_n(ue[lf], n, x)
-        return out
-    nq = disc.fw.shape[-1]
-    for lf in range(3):
-        xq, w, n, lam = msh.face_geometry(mesh, e, lf, nq)
-        tb = msh.tri_basis(mesh.degree, lam)
-        uq = tb @ ue
-        for q in range(nq):
-            out += w[q] * tb[q][:, None] * flux_n(uq[q], n, xq[q])[None, :]
-    return out
+    uq = disc.fphi @ disc.element_values(e, u)                  # (nf, nfq, m)
+    xq = disc.flam @ disc.mesh.vertices[disc.mesh.elements[e]]  # (nf, nfq, dim)
+    n = disc.fnormal[e]                                         # (nf, dim)
+    fn = np.array([[flux_n(uq[f, q], n[f], xq[f, q]) for q in range(uq.shape[1])]
+                   for f in range(len(n))])
+    return np.einsum("fq,fqs,fqm->sm", disc.fw[e], disc.fphi, fn)
+
+
+def _p2_normal_weights(mesh, e, mid):
+    """-n_l/6 at the vertices and ``mid`` times the scaled inward normal
+    opposite each midpoint's edge at the midpoints, shape (6, 2)."""
+    n_in = msh.element_scaled_normals(mesh, e)
+    N = np.zeros((6, 2))
+    N[:3] = -n_in / 6.0
+    # midpoint 3+k sits on the edge opposite vertex (2, 0, 1)[k]
+    N[3:] = mid * n_in[[2, 0, 1]]
+    return N
 
 
 def trace_normal_weights(mesh, e):
@@ -151,18 +151,12 @@ def trace_normal_weights(mesh, e):
     N_sigma = -(contour integral of phi_sigma n_out); with these weights the
     constant-state recovered fluxes satisfy f_hat = f(u).n_sigmasigma' for
     n_sigmasigma' = recover_normals(system, N).  For P1 each vertex collects
-    half of its two incident inward edge normals, i.e. N_sigma = -n_sigma/2.
+    half of its two incident inward edge normals, i.e. N_sigma = -n_sigma/2;
+    for P2 each midpoint takes 2/3 of the normal opposite its edge.
     """
-    n_in = msh.element_scaled_normals(mesh, e)  # scaled inward normals
     if mesh.degree == 1:
-        return -0.5 * n_in
-    N = np.zeros((6, 2))
-    N[:3] = -n_in / 6.0
-    # midpoint 3+k sits on the edge opposite vertex opp[k]
-    opp = (2, 0, 1)
-    for k in range(3):
-        N[3 + k] = (2.0 / 3.0) * n_in[opp[k]]
-    return N
+        return -0.5 * msh.element_scaled_normals(mesh, e)
+    return _p2_normal_weights(mesh, e, 2.0 / 3.0)
 
 
 def split_normal_weights(mesh, e):
@@ -172,15 +166,9 @@ def split_normal_weights(mesh, e):
     n_opp is the scaled inward normal opposite that midpoint's edge.  The
     weights sum to zero, which is all the normal recovery requires.
     """
-    n_in = msh.element_scaled_normals(mesh, e)
     if mesh.degree != 2:
         raise ValueError("split weights are defined for P2 elements")
-    N = np.zeros((6, 2))
-    N[:3] = -n_in / 6.0
-    opp = (2, 0, 1)
-    for k in range(3):
-        N[3 + k] = n_in[opp[k]] / 3.0
-    return N
+    return _p2_normal_weights(mesh, e, 1.0 / 3.0)
 
 
 def reassemble_dof_residuals(system, fluxes, boundary_flux=None):

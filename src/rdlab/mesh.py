@@ -38,6 +38,19 @@ class ElementGraph:
     edges: tuple
 
 
+@dataclass(frozen=True)
+class FaceTable:
+    """Which element and local face lies across each face of a mesh.
+
+    Local face j of an element is the edge opposite vertex j of a triangle,
+    or vertex j of an interval, so every element has nf = dim + 1 faces.
+    """
+
+    keys: np.ndarray      # (n_faces, 2) lowest and highest vertex id of each face
+    id: np.ndarray        # (ne, nf) face id of each (element, local face)
+    across: np.ndarray    # (ne, nf) flat index nf*e2 + lf2 of the face across, -1 on the boundary
+
+
 @dataclass
 class Mesh:
     dim: int
@@ -55,6 +68,24 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
+    @functools.cached_property
+    def faces(self):
+        """The face table, built once from the element connectivity."""
+        ends = self.elements[:, np.array(_LOCAL_FACES[self.dim])]   # (ne, nf, dim)
+        nf, nv = ends.shape[1], self.n_vertices
+        # a face's key is its lowest and highest vertex id
+        keys, ids, counts = np.unique((ends.min(-1) * nv + ends.max(-1)).ravel(),
+                                      return_inverse=True, return_counts=True)
+        # sum of the flat indices (nf*e + lf) owning each face: across an
+        # interior face lies the owner sum minus this one
+        owners = np.add.reduceat(np.argsort(ids, kind="stable"), np.cumsum(counts) - counts)
+        across = np.where(counts[ids] == 2, owners[ids] - np.arange(len(ids)), -1)
+        table = FaceTable(np.stack(np.divmod(keys, nv), axis=-1), ids.reshape(-1, nf),
+                          across.reshape(-1, nf))
+        for a in (table.keys, table.id, table.across):
+            a.flags.writeable = False
+        return table
+
 
 @dataclass
 class DofMap:
@@ -66,6 +97,8 @@ class DofMap:
 
 # local faces of a triangle: face j is the edge opposite local vertex j
 _TRI_FACES = ((1, 2), (2, 0), (0, 1))
+# local faces of each element type, as local vertex tuples
+_LOCAL_FACES = {1: ((0,), (1,)), 2: _TRI_FACES}
 # P2 midpoint DOF on each local face
 _FACE_MIDPOINTS = (4, 5, 3)
 
@@ -106,7 +139,7 @@ def build_structured_tri_mesh(nx, ny, domain=((0.0, 0.0), (1.0, 1.0)), degree=1)
             tris.append((a, b, c))
             tris.append((a, c, d))
     mesh = Mesh(dim=2, vertices=verts, elements=np.array(tris, dtype=int), degree=degree)
-    mesh.boundary_faces = _detect_boundary_faces(mesh, domain)
+    mesh.boundary_faces = _boundary_faces(mesh, domain)
     return mesh
 
 
@@ -119,41 +152,33 @@ def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
     if periodic:
         verts = np.linspace(a, b, n + 1)[:-1].reshape(-1, 1)
         elems = np.array([(i, (i + 1) % n) for i in range(n)], dtype=int)
-        mesh = Mesh(dim=1, vertices=verts, elements=elems, degree=degree, periodic=True)
-        return mesh
+        return Mesh(dim=1, vertices=verts, elements=elems, degree=degree, periodic=True)
     verts = np.linspace(a, b, n + 1).reshape(-1, 1)
     elems = np.array([(i, i + 1) for i in range(n)], dtype=int)
     mesh = Mesh(dim=1, vertices=verts, elements=elems, degree=degree)
-    mesh.boundary_faces = [
-        BoundaryFace(0, 0, np.array([-1.0]), 1.0, "left"),
-        BoundaryFace(n - 1, 1, np.array([1.0]), 1.0, "right"),
-    ]
+    mesh.boundary_faces = _boundary_faces(mesh)
     return mesh
 
 
-def _detect_boundary_faces(mesh, domain=None):
-    """Faces incident to exactly one element are boundary faces."""
-    seen = {}
-    for e in range(mesh.n_elements):
-        tri = mesh.elements[e]
-        for lf, (i, j) in enumerate(_TRI_FACES):
-            key = tuple(sorted((tri[i], tri[j])))
-            seen.setdefault(key, []).append((e, lf))
-    faces = []
-    for key, owners in seen.items():
-        if len(owners) != 1:
-            continue
-        e, lf = owners[0]
-        tri = mesh.elements[e]
-        i, j = _TRI_FACES[lf]
-        p, q = mesh.vertices[tri[i]], mesh.vertices[tri[j]]
-        t = q - p
-        length = float(np.hypot(*t))
-        nrm = np.array([t[1], -t[0]]) / length  # outward for ccw elements
-        tag = _side_tag(0.5 * (p + q), domain)
-        faces.append(BoundaryFace(e, lf, nrm, length, tag))
-    faces.sort(key=lambda f: (f.element, f.local_face))
-    return faces
+def _boundary_faces(mesh, domain=None):
+    """Faces owned by one element only, in (element, local face) order.
+
+    1D end points are tagged left and right; 2D edges by the side of
+    ``domain`` they lie on.
+    """
+    nf = mesh.dim + 1
+    e, lf = np.divmod(np.flatnonzero(mesh.faces.across < 0), nf)
+    if mesh.dim == 1:
+        return [BoundaryFace(int(k), int(f), np.array([2.0 * f - 1.0]), 1.0,
+                             ("left", "right")[f]) for k, f in zip(e, lf)]
+    ends = mesh.vertices[mesh.elements[e[:, None], np.array(_TRI_FACES)[lf]]]
+    p, q = ends[:, 0], ends[:, 1]
+    t = q - p
+    length = np.hypot(t[:, 0], t[:, 1])
+    nrm = np.stack([t[:, 1], -t[:, 0]], axis=-1) / length[:, None]  # outward for ccw elements
+    mid = 0.5 * (p + q)
+    return [BoundaryFace(int(e[b]), int(lf[b]), nrm[b], float(length[b]),
+                         _side_tag(mid[b], domain)) for b in range(len(e))]
 
 
 def _side_tag(mid, domain):
@@ -183,19 +208,15 @@ def build_dofmap(mesh):
     if mesh.degree == 1:
         return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, 3)
     if mesh.degree == 2:
-        edge_ids = {}
-        coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
-        elem_dofs = np.zeros((mesh.n_elements, 6), dtype=int)
-        for e in range(mesh.n_elements):
-            tri = mesh.elements[e]
-            elem_dofs[e, :3] = tri
-            for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-                key = tuple(sorted((tri[i], tri[j])))
-                if key not in edge_ids:
-                    edge_ids[key] = len(coords)
-                    coords.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
-                elem_dofs[e, 3 + k] = edge_ids[key]
-        coords = np.array(coords)
+        # midpoint DOFs numbered in first-seen order over the edges 01, 12, 20
+        edges = mesh.faces.id[:, [2, 0, 1]]
+        order = np.argsort(np.unique(edges, return_index=True)[1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = mesh.faces.keys[order]
+        mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+        coords = np.concatenate([mesh.vertices, mids])
+        elem_dofs = np.concatenate([mesh.elements, mesh.n_vertices + rank[edges]], axis=1)
         return DofMap(elem_dofs, coords, coords.shape[0], 6)
     raise UnsupportedFeatureError(f"degree {mesh.degree} not supported")
 
@@ -268,7 +289,7 @@ def reference_graph(dim, degree):
     return ElementGraph(n_nodes=n_nodes, edges=_GRAPH_EDGES[key])
 
 
-def element_graph(mesh, e=None):
+def element_graph(mesh):
     """Oriented flux-recovery graph of an element (same for all elements)."""
     return reference_graph(mesh.dim, mesh.degree)
 
@@ -436,13 +457,9 @@ def load_text(path, degree=1):
         verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
         elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(ne)], dtype=int)
     mesh = Mesh(dim=dim, vertices=verts, elements=elems, degree=degree)
-    if dim == 2:
-        mesh.boundary_faces = _detect_boundary_faces(mesh)
-    elif dim == 1 and elems[-1, 1] > elems[-1, 0]:
-        mesh.boundary_faces = [
-            BoundaryFace(0, 0, np.array([-1.0]), 1.0, "left"),
-            BoundaryFace(ne - 1, 1, np.array([1.0]), 1.0, "right"),
-        ]
+    mesh.boundary_faces = _boundary_faces(mesh)
+    # a closed interval mesh is periodic
+    mesh.periodic = dim == 1 and not mesh.boundary_faces
     return mesh
 
 

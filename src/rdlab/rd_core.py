@@ -14,6 +14,7 @@ element index (and return its slice) or an index array.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,6 @@ class Scheme:
 @dataclass
 class ResidualSet:
     phi: np.ndarray                 # (ne, #K, m) distributed residuals
-    phi_total: np.ndarray           # (ne, m) totals, summed in local DOF order
     boundary: list = field(default_factory=list)  # (face index, dofs, psi, psi_total)
 
 
@@ -101,9 +101,9 @@ class Discretization:
         v = mesh.vertices[mesh.elements]                 # (ne, dim+1, dim)
         if mesh.dim == 2:
             self._triangle_geometry(v)
-            self._neighbors = self._build_neighbors()
         else:
             self._interval_geometry(v)
+        self.nbr = mesh.faces.across                     # (ne, nf), see FaceTable
         self.fnormal = self.snormal / np.linalg.norm(
             self.snormal, axis=-1, keepdims=True)       # (ne, nf, dim) unit outward
         # (nf, nfd) local DOFs on each local face, in trace order
@@ -167,21 +167,12 @@ class Discretization:
         self.flam = self.fphi = self.blam = self.bphi = np.eye(2)[:, None, :]
         self.fw = self.bw = np.ones((len(h), 2, 1))
 
-    def _build_neighbors(self):
-        """Map (element, local_face) -> (neighbor element, its local face).
-
-        Also sets ``nbr`` (ne, 3): the flat index 3*e2 + lf2 of the face
-        across each face, -1 on the boundary.
-        """
-        self.nbr = np.full((self.mesh.n_elements, 3), -1)
-        owners = {}
-        for e, tri in enumerate(self.mesh.elements.tolist()):
-            for lf, (i, j) in enumerate(msh._TRI_FACES):
-                here = 3 * e + lf
-                there = owners.setdefault((min(tri[i], tri[j]), max(tri[i], tri[j])), here)
-                if there != here:
-                    self.nbr[e, lf], self.nbr.flat[there] = there, here
-        return {divmod(a, 3): divmod(int(b), 3) for a, b in enumerate(self.nbr.flat) if b >= 0}
+    @functools.cached_property
+    def _neighbors(self):
+        """Read-only map (element, local face) -> (element, local face) across."""
+        nf = self.nbr.shape[1]
+        return types.MappingProxyType(
+            {divmod(a, nf): divmod(int(b), nf) for a, b in enumerate(self.nbr.flat) if b >= 0})
 
     def element_values(self, e, u):
         """DOF values of one element (#K, m), or of an index array (k, #K, m)."""
@@ -370,7 +361,7 @@ class Discretization:
         if u_b is not None and self.mesh.boundary_faces:
             dofs, psi = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
             boundary = [(i, dofs[i], psi[i], psi[i].sum(axis=0)) for i in range(len(psi))]
-        return ResidualSet(phi=phi, phi_total=phi.sum(axis=1), boundary=boundary)
+        return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
         """Per-DOF residual R_sigma; element-major scatter for bit stability."""

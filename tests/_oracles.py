@@ -437,13 +437,12 @@ class OracleDiscretization:
                 raise StepFailureError(
                     f"inadmissible state in element {e}: {err}", element=e
                 ) from err
-        totals = phi.sum(axis=1)
         boundary = []
         if u_b is not None:
             for i, face in enumerate(self.mesh.boundary_faces):
                 dofs, psi = self.boundary_residuals(face, u, u_b)
                 boundary.append((i, dofs, psi, psi.sum(axis=0)))
-        return ResidualSet(phi=phi, phi_total=totals, boundary=boundary)
+        return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
         """Per-DOF residual R_sigma; fixed element order for bit stability."""
@@ -641,3 +640,201 @@ def oracle_dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None)
             R = _oracle_residual(disc, u, scheme, u_b)
             log(t, u, mass @ u, float(np.abs(R).max()))
     return u, times
+
+
+# ---------------------------------------------------------------------------
+# Pre-face-table reference: boundary faces, the P2 midpoint numbering, the
+# neighbour map and the entropy audit as they were before the face table,
+# with their dictionary loops over sorted vertex pairs, the hand-written 1D
+# end-point lists and the 1D e +- 1 neighbour guess.  Only ``_side_tag`` is
+# taken from the package.  Used by test_face_table.py.
+
+
+def oracle_boundary_faces(mesh, domain=None):
+    """Faces incident to exactly one element are boundary faces."""
+    if mesh.dim == 1:
+        ne = mesh.n_elements
+        if mesh.elements[-1, 1] <= mesh.elements[-1, 0]:
+            return []  # periodic: the last cell wraps around
+        return [
+            msh.BoundaryFace(0, 0, np.array([-1.0]), 1.0, "left"),
+            msh.BoundaryFace(ne - 1, 1, np.array([1.0]), 1.0, "right"),
+        ]
+    seen = {}
+    for e in range(mesh.n_elements):
+        tri = mesh.elements[e]
+        for lf, (i, j) in enumerate(msh._TRI_FACES):
+            key = tuple(sorted((tri[i], tri[j])))
+            seen.setdefault(key, []).append((e, lf))
+    faces = []
+    for key, owners in seen.items():
+        if len(owners) != 1:
+            continue
+        e, lf = owners[0]
+        tri = mesh.elements[e]
+        i, j = msh._TRI_FACES[lf]
+        p, q = mesh.vertices[tri[i]], mesh.vertices[tri[j]]
+        t = q - p
+        length = float(np.hypot(*t))
+        nrm = np.array([t[1], -t[0]]) / length  # outward for ccw elements
+        tag = msh._side_tag(0.5 * (p + q), domain)
+        faces.append(msh.BoundaryFace(e, lf, nrm, length, tag))
+    faces.sort(key=lambda f: (f.element, f.local_face))
+    return faces
+
+
+def oracle_dofmap(mesh):
+    """Global DOF numbering; P2 midpoints in first-seen order over edges."""
+    if mesh.dim == 1 or mesh.degree == 1:
+        return msh.DofMap(mesh.elements.copy(), mesh.vertices.copy(),
+                          mesh.n_vertices, mesh.dim + 1)
+    edge_ids = {}
+    coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
+    elem_dofs = np.zeros((mesh.n_elements, 6), dtype=int)
+    for e in range(mesh.n_elements):
+        tri = mesh.elements[e]
+        elem_dofs[e, :3] = tri
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = tuple(sorted((tri[i], tri[j])))
+            if key not in edge_ids:
+                edge_ids[key] = len(coords)
+                coords.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
+            elem_dofs[e, 3 + k] = edge_ids[key]
+    coords = np.array(coords)
+    return msh.DofMap(elem_dofs, coords, coords.shape[0], 6)
+
+
+def oracle_neighbors(mesh):
+    """Map (element, local_face) -> (neighbor element, its local face)."""
+    nbr = {}
+    if mesh.dim == 1:
+        n = mesh.n_elements
+        for e in range(n):
+            for lf in (0, 1):
+                e2 = e - 1 if lf == 0 else e + 1
+                if mesh.periodic:
+                    e2 %= n
+                if 0 <= e2 < n and e2 != e:
+                    nbr[(e, lf)] = (e2, 1 - lf)
+        return nbr
+    owners = {}
+    for e in range(mesh.n_elements):
+        tri = mesh.elements[e]
+        for lf, (i, j) in enumerate(msh._TRI_FACES):
+            key = tuple(sorted((tri[i], tri[j])))
+            if key in owners:
+                e2, lf2 = owners[key]
+                nbr[(e, lf)] = (e2, lf2)
+                nbr[(e2, lf2)] = (e, lf)
+            else:
+                owners[key] = (e, lf)
+    return nbr
+
+
+def _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b=None):
+    """Quadrature points, weights, normal, and the two-sided average state."""
+    mesh = disc.mesh
+    nq = mesh.degree + 1
+    xq, w, n, lam = msh.face_geometry(mesh, e, lf, nq)
+    tb = msh.tri_basis(mesh.degree, lam)
+    u_in = tb @ disc.element_values(e, u)
+    key = (e, lf)
+    if key in neighbors:
+        e2, lf2 = neighbors[key]
+        # the neighbour runs the shared edge the other way round
+        u_out = (disc.fphi[lf2] @ disc.element_values(e2, u))[::-1]
+    elif u_b is not None:
+        if callable(u_b):
+            u_out = np.array([np.atleast_1d(u_b(x)) for x in xq])
+        else:
+            u_out = np.broadcast_to(np.atleast_1d(u_b), u_in.shape)
+    else:
+        u_out = u_in
+    return w, n, 0.5 * (u_in + u_out)
+
+
+def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
+    """(worst defect, worst location, violation count) of the entropy audit;
+    the 1D branch ignores ``u_b``."""
+    law = disc.law
+    mesh = disc.mesh
+    neighbors = oracle_neighbors(mesh)
+    worst = 0.0
+    where = None
+    count = 0
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.shape[0] != disc.dofmap.n_dofs:
+        u = u.T
+    for e in range(mesh.n_elements):
+        ue = disc.element_values(e, u)
+        v = law.entropy_var(ue)
+        lhs = float(np.sum(v * rset.phi[e]))
+        if mesh.dim == 1:
+            outflux = 0.0
+            for lf, sign in ((0, -1.0), (1, 1.0)):
+                nbr = e - 1 if lf == 0 else e + 1
+                if mesh.periodic:
+                    nbr %= mesh.n_elements
+                if 0 <= nbr < mesh.n_elements and nbr != e:
+                    u2 = disc.element_values(nbr, u)[1 - lf]
+                else:
+                    u2 = ue[lf]
+                avg = 0.5 * (ue[lf] + u2)
+                g = law.entropy_flux(avg[None, :])[0]
+                outflux += sign * float(g[0])
+        else:
+            outflux = 0.0
+            for lf in range(3):
+                w, n, uavg = _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b)
+                g = law.entropy_flux(uavg)       # (nq, dim)
+                outflux += float(w @ (g @ n))
+        d = max(0.0, outflux - lhs)
+        if d > tol:
+            count += 1
+        if d > worst:
+            worst, where = d, ("element", e)
+    return worst, where, count
+
+
+# ---------------------------------------------------------------------------
+# The 1D Euler step with its velocity and energy corrections written inline,
+# as it was before it called the ``constraints`` functions.  The element
+# residuals, scatter and fluxes are taken from the package.
+
+
+def oracle_euler1d_step(w, dt, h, gamma, correct=True):
+    from rdlab import euler1d as eu
+
+    n_nodes = w.shape[0]
+    mass = np.full(n_nodes, h)
+    mass[0] = mass[-1] = 0.5 * h
+    phi = eu._element_residuals(w, gamma, h)
+    rho_new = w[:, 0] - dt * eu._scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
+    rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)
+    u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
+    target_m = eu.momentum_flux(w[1:], gamma) - eu.momentum_flux(w[:-1], gamma)
+    current_m = np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1)
+    if correct:
+        r_u = (target_m - current_m) / rho_p1.sum(axis=1)
+        phi[..., 1] += r_u[:, None]
+        defect_m = np.abs(
+            np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1) - target_m
+        )
+    else:
+        defect_m = np.abs(current_m - target_m)
+    u_new = w[:, 1] - dt * eu._scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
+    u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
+    target_e = eu.energy_flux(w[1:], gamma) - eu.energy_flux(w[:-1], gamma)
+    mapped = (
+        phi[..., 2]
+        + 0.5 * (u_p * u_p) * phi[..., 0]
+        + 0.5 * rho_p1 * (u_p + u_p1) * phi[..., 1]
+    )
+    if correct:
+        r_e = 0.5 * (target_e - mapped.sum(axis=1))
+        phi[..., 2] += r_e[:, None]
+        mapped = mapped + r_e[:, None]
+    defect_e = np.abs(mapped.sum(axis=1) - target_e)
+    e_new = w[:, 2] - dt * eu._scatter(phi[..., 2:3], n_nodes)[:, 0] / mass
+    w_next = np.stack([rho_new, u_new, e_new], axis=1)
+    return w_next, float(defect_m.max()), float(defect_e.max())

@@ -1,5 +1,6 @@
 import pytest
 
+from rdlab.cli import main
 from rdlab.config import ConfigError, RunConfig
 
 
@@ -53,3 +54,22 @@ def test_manifest_lines(tmp_path):
     lines = cfg.manifest_lines()
     assert "mesh.nx=4" in lines
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("corrections", "correct_entropy"),
+    ("run", "seed"),
+    ("run", "strict"),
+    ("run", "snapshots"),
+])
+def test_keys_nothing_reads_are_rejected(tmp_path, section, key):
+    path = write(tmp_path, f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_seed_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", write(tmp_path, "[run]\n"), "--seed", "1"])
+    assert exc.value.code == 2

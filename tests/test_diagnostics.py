@@ -31,6 +31,27 @@ def test_conservation_audit_detects_tampering():
     assert "FAIL" in report.line()
 
 
+def test_conservation_audit_checks_the_boundary_integral_total(monkeypatch):
+    """A split shifted off its element's total FAILs even when it is
+    self-consistent, i.e. re-summing it gives the totals stored with it."""
+    mesh = msh.build_structured_tri_mesh(2, 2)
+    disc = Discretization(mesh, Burgers(dim=2))
+    u = np.random.default_rng(1).uniform(0.0, 1.0, size=(disc.dofmap.n_dofs, 1))
+    exact = disc.element_residuals
+
+    def shifted(e, u, scheme):
+        phi = exact(e, u, scheme).copy()
+        phi[5] += 1e-3
+        return phi
+
+    monkeypatch.setattr(disc, "element_residuals", shifted)
+    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"))
+    assert not report.passed
+    assert report.worst_location == ("element", 5)
+    total = disc.total_residual(5, u)
+    assert report.defect == pytest.approx(3e-3 / (1.0 + abs(total[0])), rel=1e-9)
+
+
 def test_maximum_principle_audit():
     history = [np.array([0.0, 1.0]), np.array([0.2, 0.9])]
     assert diag.maximum_principle_audit(history).defect == 0.0

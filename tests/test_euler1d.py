@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import oracle_euler1d_step
 from rdlab import euler1d
 from rdlab.errors import InadmissibleStateError
 
@@ -66,3 +67,17 @@ def test_locate_shock_synthetic():
     x = np.linspace(0.0, 1.0, 101)
     rho = np.where(x < 0.8, 0.4, 0.125)
     assert abs(euler1d.locate_shock(x, rho) - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_step_matches_inline_corrections_bit_for_bit(correct):
+    """The step calls the batched ``constraints`` corrections; states and
+    defects are those of the inline corrections it replaced, bit for bit."""
+    rng = np.random.default_rng(11)
+    x, w = euler1d.sod_initial(40)
+    w = w * rng.uniform(0.8, 1.2, size=w.shape) + [0.0, 0.1, 0.0]
+    for _ in range(5):
+        got = euler1d.step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
+        ref = oracle_euler1d_step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
+        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+        w = got[0]

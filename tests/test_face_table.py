@@ -1,0 +1,143 @@
+"""The face table against the frozen pre-face-table code in ``_oracles.py``.
+
+Boundary faces, the P2 midpoint DOFs, the neighbour table and the entropy
+audit are all derived from ``Mesh.faces``; on structured, vertex-jittered,
+read-back and interval meshes they must reproduce the dictionary loops they
+replaced.
+"""
+
+import numpy as np
+import pytest
+
+from _oracles import (
+    oracle_boundary_faces,
+    oracle_dofmap,
+    oracle_entropy_inequality_audit,
+    oracle_neighbors,
+)
+from rdlab import mesh as msh
+from rdlab.conslaw import Burgers
+from rdlab.diagnostics import entropy_inequality_audit
+from rdlab.rd_core import Discretization, Scheme
+from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh
+
+DOMAIN = ((-1.0, 0.5), (2.0, 2.0))
+
+
+def build(name):
+    """(mesh, domain its boundary faces were tagged with)."""
+    if name == "structured_p1":
+        return msh.build_structured_tri_mesh(4, 3, DOMAIN), DOMAIN
+    if name == "structured_p2":
+        return msh.build_structured_tri_mesh(3, 3, DOMAIN, degree=2), DOMAIN
+    if name.startswith("jittered"):
+        return jittered_tri_mesh(3, int(name[-1]), seed=17), ((0.0, 0.0), (1.0, 1.0))
+    if name == "interval":
+        return jittered_interval_mesh(7, False, seed=3), None
+    return msh.build_interval_mesh(6, -1.0, 2.0, periodic=True), None
+
+
+NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
+         "interval", "periodic_interval"]
+
+
+@pytest.fixture(params=[(n, rt) for n in NAMES for rt in (False, True)],
+                ids=lambda p: p[0] + ("_read_back" if p[1] else ""))
+def case(request, tmp_path):
+    """A mesh and its domain, or the same mesh read back by ``load_text``."""
+    name, read_back = request.param
+    mesh, domain = build(name)
+    if read_back:
+        path = tmp_path / "mesh.txt"
+        msh.save_text(mesh, path)
+        mesh, domain = msh.load_text(path, degree=mesh.degree), None
+    return mesh, domain
+
+
+def test_boundary_faces_match_reference(case):
+    mesh, domain = case
+    ref = oracle_boundary_faces(mesh, domain)
+    assert len(mesh.boundary_faces) == len(ref)
+    for got, want in zip(mesh.boundary_faces, ref):
+        assert (got.element, got.local_face, got.tag) == (want.element, want.local_face, want.tag)
+        assert np.abs(got.normal - want.normal).max() <= 1e-15
+        assert abs(got.measure - want.measure) <= 1e-15
+
+
+def test_dofmap_matches_reference(case):
+    mesh, _ = case
+    got, ref = msh.build_dofmap(mesh), oracle_dofmap(mesh)
+    assert np.array_equal(got.element_dofs, ref.element_dofs)
+    assert np.array_equal(got.dof_coords, ref.dof_coords)
+    assert (got.n_dofs, got.dofs_per_element) == (ref.n_dofs, ref.dofs_per_element)
+
+
+def test_neighbors_match_reference(case):
+    mesh, _ = case
+    disc = Discretization(mesh, Burgers(dim=mesh.dim))
+    ref = oracle_neighbors(mesh)
+    nf = mesh.dim + 1
+    nbr = np.full((mesh.n_elements, nf), -1)
+    for (e, lf), (e2, lf2) in ref.items():
+        nbr[e, lf] = nf * e2 + lf2
+    assert np.array_equal(disc.nbr, nbr)
+    assert disc._neighbors == ref
+    with pytest.raises(TypeError):
+        disc._neighbors[(0, 0)] = (0, 0)
+
+
+def test_entropy_audit_matches_reference(case):
+    mesh, _ = case
+    disc = Discretization(mesh, Burgers(dim=mesh.dim))
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1.0, 2.0, size=(disc.dofmap.n_dofs, 1))
+    # the 1D reference ignores boundary states
+    states = [None] if mesh.dim == 1 else [None, 0.7, lambda x: np.array([x[0] - x[1]])]
+    # with alpha < 0 the Rusanov split is anti-dissipative and violates the
+    # inequality in many elements
+    for alpha in (None, -1.0):
+        rset = disc.residual_set(u, Scheme(kind="rusanov", alpha=alpha))
+        for u_b in states:
+            report = entropy_inequality_audit(disc, u, rset, u_b)
+            worst, where, count = oracle_entropy_inequality_audit(disc, u, rset, u_b)
+            assert worst > 0.0 or alpha is None
+            assert abs(report.defect - worst) <= 1e-14 * worst
+            assert report.worst_location == where
+            assert report.extra["violations"] == count
+
+
+@pytest.mark.parametrize("u_b", [1.0, lambda x: np.array([float(x[0] > 0.5)])])
+def test_1d_entropy_audit_uses_boundary_state(u_b):
+    """Zero state, inflow 1 at the right end: only the last element sees the
+    entropy flux g(1/2) = 1/24 of the face average."""
+    mesh = msh.build_interval_mesh(5)
+    disc = Discretization(mesh, Burgers(dim=1))
+    u = np.zeros((disc.dofmap.n_dofs, 1))
+    rset = disc.residual_set(u, Scheme(kind="rusanov"))
+    assert entropy_inequality_audit(disc, u, rset).defect == 0.0
+    report = entropy_inequality_audit(disc, u, rset, u_b)
+    assert report.defect == pytest.approx(1.0 / 24.0, rel=1e-15)
+    assert report.worst_location == ("element", 4)
+    assert report.extra["violations"] == 1
+
+
+def test_periodic_interval_survives_read_back(tmp_path):
+    mesh = msh.build_interval_mesh(8, periodic=True)
+    path = tmp_path / "mesh.txt"
+    msh.save_text(mesh, path)
+    back = msh.load_text(path)
+    assert back.periodic and not back.boundary_faces
+    measure = Discretization(back, Burgers(dim=1)).measure
+    assert np.array_equal(measure, Discretization(mesh, Burgers(dim=1)).measure)
+    assert np.allclose(measure, 0.125, rtol=1e-14)
+
+
+def test_face_table_is_built_once_and_read_only():
+    mesh = msh.build_structured_tri_mesh(2, 2, degree=2)
+    faces = mesh.faces
+    assert mesh.faces is faces
+    assert faces.keys.shape == (16, 2) and faces.id.shape == (8, 3)
+    # every interior face is owned twice, every boundary face once
+    assert np.bincount(faces.id.ravel()).tolist().count(1) == len(mesh.boundary_faces)
+    with pytest.raises(ValueError):
+        faces.across[0, 0] = 0

@@ -138,6 +138,35 @@ def test_boundary_dof_flux_custom_interface_flux():
     assert np.allclose(out, 2.0 * base, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim, degree", [(1, 1), (2, 1), (2, 2)])
+def test_boundary_dof_flux_callback_matches_default(dim, degree):
+    """With f(u_h).n as the callback the custom path reproduces the default,
+    and every point it passes lies on its face."""
+    if dim == 1:
+        mesh = msh.build_interval_mesh(4, 0.0, 1.0)
+    else:
+        mesh = msh.build_structured_tri_mesh(2, 2, degree=degree)
+    law = Burgers(dim=dim)
+    disc = Discretization(mesh, law)
+    u = np.random.default_rng(3).uniform(0.2, 1.0, size=(disc.dofmap.n_dofs, 1))
+    e = 1
+    v = mesh.vertices[mesh.elements[e]]
+    seen = []
+
+    def flux_n(uq, n, x):
+        seen.append(x)
+        return law.flux(uq).T @ n
+
+    out = fr.boundary_dof_flux(disc, e, u, flux_n=flux_n)
+    assert np.abs(out - fr.boundary_dof_flux(disc, e, u)).max() < 1e-14
+    assert len(seen) == (dim + 1) * (degree + 1 if dim == 2 else 1)
+    faces = ((0, 0), (1, 1)) if dim == 1 else msh._TRI_FACES
+    for x in seen:
+        # on a face: the distances to its two end points add up to its length
+        dist = np.linalg.norm(v - x, axis=-1)
+        assert min(dist[i] + dist[j] - np.linalg.norm(v[i] - v[j]) for i, j in faces) < 1e-14
+
+
 def test_boundary_dof_flux_1d():
     mesh = msh.build_interval_mesh(4, 0.0, 1.0)
     disc = Discretization(mesh, Burgers(dim=1))

@@ -12,7 +12,7 @@ def ref_triangle(degree=1):
         elements=np.array([[0, 1, 2]]),
         degree=degree,
     )
-    mesh.boundary_faces = msh._detect_boundary_faces(mesh)
+    mesh.boundary_faces = msh._boundary_faces(mesh)
     return mesh
 
 
