@@ -124,7 +124,7 @@ def cmd_run(args):
     _write_csv(os.path.join(outdir, "series.csv"), ["t", "mass", "res_inf"],
                series)
     reports = [
-        diag.conservation_audit(disc, u, scheme, u_b),
+        diag.conservation_audit(disc, u, scheme),
         diag.maximum_principle_audit([h[:, 0] for h in history]),
     ]
     with open(os.path.join(outdir, "audit.txt"), "w") as fh:

@@ -60,27 +60,19 @@ def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     return (target_m - current) / denom
 
 
-def energy_residuals(phi_rho, phi_u, phi_e, w_p, w_p1):
+def energy_residuals(phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1):
     """Conserved total-energy residual of each DOF: the third row of the
-    increment matrix applied to (phi_rho, phi_u, phi_e), written out.
-
-    Only the velocities and the new densities are read, so the primitive
-    states ``w_p`` and ``w_p1`` may hold just (rho, u).
-    """
-    u_p, rho_p1, u_p1 = w_p[..., 1], w_p1[..., 0], w_p1[..., 1]
+    increment matrix applied to (phi_rho, phi_u, phi_e), written out."""
     return phi_e + 0.5 * (u_p * u_p) * phi_rho + 0.5 * rho_p1 * (u_p + u_p1) * phi_u
 
 
-def energy_correction(phi_rho, phi_u, phi_e, w_p, w_p1, target_e, mapped=None):
+def energy_correction(mapped, target_e):
     """Uniform energy-residual correction closing the total-energy balance.
 
-    ``phi_u`` must already contain the velocity correction.  ``mapped`` are
-    the ``energy_residuals`` of the same arguments, for a caller that has
-    them already.  Batched over leading element axes; the sum runs over the
-    last axis.
+    ``mapped`` are the ``energy_residuals`` of the velocity-corrected
+    residuals.  Batched over leading element axes; the sum runs over the last
+    axis.
     """
-    if mapped is None:
-        mapped = energy_residuals(phi_rho, phi_u, phi_e, np.asarray(w_p), np.asarray(w_p1))
     return (target_e - mapped.sum(axis=-1)) / mapped.shape[-1]
 
 

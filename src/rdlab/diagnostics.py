@@ -28,11 +28,11 @@ class AuditReport:
         )
 
 
-def conservation_audit(disc, u, scheme, u_b=None, rset=None, tol=1e-12):
+def conservation_audit(disc, u, scheme, rset=None, tol=1e-12):
     """Largest relative gap between an element's distributed residuals and its
     total residual, the boundary integral of the flux (criterion 01's bound)."""
     if rset is None:
-        rset = disc.residual_set(u, scheme, u_b)
+        rset = disc.residual_set(u, scheme)
     total = disc.total_residual(slice(None), u)
     defect = (np.abs(rset.phi.sum(axis=1) - total) / (1.0 + np.abs(total))).max(axis=1)
     e = int(np.argmax(defect))

@@ -104,15 +104,6 @@ def _element_residuals(w, gamma, h):
     return phi
 
 
-def _pairs(*nodal):
-    """Per-element (left node, right node) values of nodal arrays (n+1,), as
-    states (n, 2, len(nodal)) whose components are each contiguous."""
-    out = np.empty((len(nodal), nodal[0].shape[0] - 1, 2))
-    for k, a in enumerate(nodal):
-        out[k, :, 0], out[k, :, 1] = a[:-1], a[1:]
-    return out.transpose(1, 2, 0)
-
-
 def _scatter(phi, n_nodes):
     """Per-node sums of element residual contributions."""
     out = np.zeros((n_nodes, phi.shape[-1]))
@@ -133,12 +124,11 @@ def step(w, dt, h, gamma, correct=True):
     mass = np.full(n_nodes, h)
     mass[0] = mass[-1] = 0.5 * h
     phi = _element_residuals(w, gamma, h)            # (n, 2, 3)
-    w_p = _pairs(w[:, 0], w[:, 1])                   # density, velocity per element
-    u_p = w_p[..., 1]
 
     # density first: its residual needs no correction
     rho_new = w[:, 0] - dt * _scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
-    rho_p1 = _pairs(rho_new)[..., 0]
+    rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)   # per element (n, 2)
+    u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
 
     # velocity: uniform per-element correction closing the momentum balance
     target_m = momentum_flux(w[1:], gamma) - momentum_flux(w[:-1], gamma)
@@ -147,13 +137,13 @@ def step(w, dt, h, gamma, correct=True):
                                            target_m)[:, None]
     defect_m = np.abs(np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1) - target_m)
     u_new = w[:, 1] - dt * _scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
+    u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
 
     # energy: map residuals through the increment matrix, then correct
     target_e = energy_flux(w[1:], gamma) - energy_flux(w[:-1], gamma)
-    args = (phi[..., 0], phi[..., 1], phi[..., 2], w_p, _pairs(rho_new, u_new))
-    mapped = energy_residuals(*args)
+    mapped = energy_residuals(phi[..., 0], phi[..., 1], phi[..., 2], u_p, rho_p1, u_p1)
     if correct:
-        r_e = energy_correction(*args, target_e, mapped=mapped)
+        r_e = energy_correction(mapped, target_e)
         phi[..., 2] += r_e[:, None]
         mapped = mapped + r_e[:, None]
     defect_e = np.abs(mapped.sum(axis=1) - target_e)

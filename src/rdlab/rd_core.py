@@ -62,7 +62,7 @@ class Scheme:
 @dataclass
 class ResidualSet:
     phi: np.ndarray                 # (ne, #K, m) distributed residuals
-    boundary: list = field(default_factory=list)  # (face index, dofs, psi, psi_total)
+    boundary: list = field(default_factory=list)  # (face index, dofs, psi)
 
 
 def _per_element(fn):
@@ -360,7 +360,7 @@ class Discretization:
         boundary = []
         if u_b is not None and self.mesh.boundary_faces:
             dofs, psi = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
-            boundary = [(i, dofs[i], psi[i], psi[i].sum(axis=0)) for i in range(len(psi))]
+            boundary = [(i, dofs[i], psi[i]) for i in range(len(psi))]
         return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):

@@ -441,7 +441,7 @@ class OracleDiscretization:
         if u_b is not None:
             for i, face in enumerate(self.mesh.boundary_faces):
                 dofs, psi = self.boundary_residuals(face, u, u_b)
-                boundary.append((i, dofs, psi, psi.sum(axis=0)))
+                boundary.append((i, dofs, psi))
         return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
@@ -452,7 +452,7 @@ class OracleDiscretization:
             dofs = self.dofmap.element_dofs[e]
             for s in range(self.nloc):
                 R[dofs[s]] += rset.phi[e, s]
-        for i, local_dofs, psi, _ in rset.boundary:
+        for i, local_dofs, psi in rset.boundary:
             face = self.mesh.boundary_faces[i]
             gdofs = self.dofmap.element_dofs[face.element]
             for k, s in enumerate(local_dofs):

@@ -62,7 +62,8 @@ def test_energy_correction_closes_energy_balance():
     phi_u = rng.normal(size=2)
     phi_e = rng.normal(size=2)
     target = -0.4
-    r_e = cs.energy_correction(phi_rho, phi_u, phi_e, w_p, w_p1, target)
+    mapped = cs.energy_residuals(phi_rho, phi_u, phi_e, w_p[..., 1], w_p1[..., 0], w_p1[..., 1])
+    r_e = cs.energy_correction(mapped, target)
     phi = np.stack([phi_rho, phi_u, phi_e + r_e], axis=-1)
     mapped = cs.map_residuals_to_conserved(phi, w_p, w_p1)[..., 2]
     assert abs(mapped.sum() - target) < 1e-13

@@ -12,7 +12,7 @@ def test_conservation_audit_passes_and_formats():
     disc = Discretization(mesh, Burgers(dim=2))
     rng = np.random.default_rng(0)
     u = rng.uniform(0.0, 1.0, size=(disc.dofmap.n_dofs, 1))
-    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"), u_b=0.5)
+    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"))
     assert report.passed
     assert report.defect <= 1e-12
     line = report.line()

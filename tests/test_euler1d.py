@@ -38,6 +38,19 @@ def test_step_rejects_inadmissible_states():
         euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
 
 
+def test_corrected_step_rejects_collapsed_new_density():
+    """The velocity correction divides by each element's new density sum, so
+    a step that drives one below zero raises in the step itself; without the
+    correction the step returns the state and the next step rejects it."""
+    x, w = euler1d.sod_initial(8)
+    h = x[1] - x[0]
+    w_next, _, _ = euler1d.step(w.copy(), 0.5, h, 1.4, correct=False)
+    sums = w_next[:-1, 0] + w_next[1:, 0]
+    assert sums[2] < 0.0 and np.delete(sums, 2).min() > 0.0
+    with pytest.raises(InadmissibleStateError, match="element density sum"):
+        euler1d.step(w.copy(), 0.5, h, 1.4, correct=True)
+
+
 def test_corrected_step_closes_balances():
     x, w = euler1d.sod_initial(50)
     h = x[1] - x[0]

@@ -214,7 +214,7 @@ def test_assemble_matches_residual_set():
     for e in range(mesh.n_elements):
         for s in range(3):
             manual[disc.dofmap.element_dofs[e][s]] += rset.phi[e, s]
-    for i, dofs, psi, _ in rset.boundary:
+    for i, dofs, psi in rset.boundary:
         face = mesh.boundary_faces[i]
         gd = disc.dofmap.element_dofs[face.element]
         for k, s in enumerate(dofs):
