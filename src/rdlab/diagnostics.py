@@ -90,12 +90,12 @@ def entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
     state: the average of the two traces on interior faces, and of the trace
     and ``u_b`` (a constant state or a callable of position) on boundary
     faces, which keep their own trace when ``u_b`` is None.  Violations are
-    counted where the clamped defect exceeds ``tol``.
+    counted where the clamped defect exceeds ``tol``.  ``u`` is (ndof, m),
+    or (ndof,) for one component.
     """
     law = disc.law
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] != disc.dofmap.n_dofs:
-        u = u.T
+    u = np.asarray(u, dtype=float)
+    u = u[:, None] if u.ndim == 1 else u
     ue = disc.element_values(slice(None), u)                      # (ne, #K, m)
     lhs = np.sum(law.entropy_var(ue) * rset.phi, axis=(1, 2))
     u_in = np.einsum("fqs,ksm->kfqm", disc.fphi, ue)              # (ne, nf, nfq, m)

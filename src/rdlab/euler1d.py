@@ -107,8 +107,8 @@ def _element_residuals(w, gamma, h):
 def _scatter(phi, n_nodes):
     """Per-node sums of element residual contributions."""
     out = np.zeros((n_nodes, phi.shape[-1]))
-    np.add.at(out, np.arange(phi.shape[0]), phi[:, 0])
-    np.add.at(out, np.arange(phi.shape[0]) + 1, phi[:, 1])
+    out[:-1] += phi[:, 0]
+    out[1:] += phi[:, 1]
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as msh
-from .errors import ConservationDefectError, InvalidGraphError
+from .errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
 
 COMPAT_TOL = 1e-10
 CONNECTIVITY_TOL = 1e-10
@@ -74,11 +74,10 @@ def build_incidence(graph):
 def recover_fluxes(system, psi, compat_tol=COMPAT_TOL):
     """Minimum-norm edge fluxes solving A f = Psi, componentwise.
 
-    ``psi`` has shape (#nodes, m); returns (#edges, m).
+    ``psi`` has shape (#nodes, m), or (#nodes,) for one component; returns
+    (#edges, m).
     """
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    if psi.shape[0] != system.A.shape[0]:
-        psi = psi.T
+    psi = _columns(psi)
     defect = np.abs(psi.sum(axis=0))
     scale = 1.0 + np.abs(psi).max(axis=0)
     if np.any(defect > compat_tol * scale):
@@ -94,13 +93,9 @@ def recover_normals(system, N):
 
 
 def certify(system, fluxes, psi, balance_tol=1e-11, compat_tol=COMPAT_TOL):
-    """Balance and compatibility defects of a recovered flux assignment."""
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    if psi.shape[0] != system.A.shape[0]:
-        psi = psi.T
-    fluxes = np.atleast_2d(np.asarray(fluxes, dtype=float))
-    if fluxes.shape[0] != system.A.shape[1]:
-        fluxes = fluxes.T
+    """Balance and compatibility defects of a recovered flux assignment;
+    ``fluxes`` (#edges, m) and ``psi`` (#nodes, m), or 1-D for one component."""
+    psi, fluxes = _columns(psi), _columns(fluxes)
     balance = float(np.abs(system.A @ fluxes - psi).max())
     compat = float(np.abs(psi.sum(axis=0)).max())
     # edge fluxes are stored once per direct edge; the reverse flux is the
@@ -112,6 +107,12 @@ def certify(system, fluxes, psi, balance_tol=1e-11, compat_tol=COMPAT_TOL):
         balance_tol=balance_tol,
         compat_tol=compat_tol,
     )
+
+
+def _columns(a):
+    """``a`` as a float array; a 1-D array becomes one column."""
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
 def _p2_normal_weights(mesh, e, mid):
     """-n_l/6 at the vertices and ``mid`` times the scaled inward normal
     opposite each midpoint's edge at the midpoints, shape (6, 2)."""
-    n_in = msh.element_scaled_normals(mesh, e)
+    n_in = -msh.element_geometry(mesh, e)[2]
     N = np.zeros((6, 2))
     N[:3] = -n_in / 6.0
     # midpoint 3+k sits on the edge opposite vertex (2, 0, 1)[k]
@@ -154,8 +155,10 @@ def trace_normal_weights(mesh, e):
     half of its two incident inward edge normals, i.e. N_sigma = -n_sigma/2;
     for P2 each midpoint takes 2/3 of the normal opposite its edge.
     """
+    if mesh.dim != 2:
+        raise UnsupportedFeatureError("normal weights are defined for triangles")
     if mesh.degree == 1:
-        return -0.5 * msh.element_scaled_normals(mesh, e)
+        return 0.5 * msh.element_geometry(mesh, e)[2]
     return _p2_normal_weights(mesh, e, 2.0 / 3.0)
 
 
@@ -177,7 +180,7 @@ def reassemble_dof_residuals(system, fluxes, boundary_flux=None):
     Inverse direction of the recovery: returns Psi_sigma + f_sigma^b, which
     reproduces the original distributed residuals Phi_sigma.
     """
-    psi = system.A @ np.atleast_2d(fluxes)
+    psi = system.A @ _columns(fluxes)
     if boundary_flux is not None:
         psi = psi + boundary_flux
     return psi

@@ -3,8 +3,11 @@
 Conventions used throughout the package:
 
 * triangles are stored counter-clockwise, so all element measures are positive;
-* ``scaled_normals`` returns the edge-length-scaled INWARD normal of the edge
-  opposite each vertex, i.e. n_j = 2|K| grad(phi_j) for the P1 basis;
+* local face j of a triangle is the edge opposite vertex j, and local face j
+  of an interval is its vertex j;
+* ``element_geometry`` returns ``snormal``, the OUTWARD normal of each local
+  face scaled by the face length (1 in 1D), so for the P1 triangle basis
+  grad(phi_j) = -snormal_j / (2|K|);
 * P2 local ordering is vertices 0,1,2 then midpoints 3 (edge 01), 4 (edge 12),
   5 (edge 20).
 """
@@ -58,7 +61,11 @@ class Mesh:
     elements: np.ndarray          # (ne, dim+1) vertex indices
     boundary_faces: list = field(default_factory=list)
     degree: int = 1
-    periodic: bool = False        # 1D only
+    period: float | None = None   # 1D only: length of a periodic interval
+
+    @property
+    def periodic(self):
+        return self.period is not None
 
     @property
     def n_vertices(self):
@@ -152,7 +159,7 @@ def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
     if periodic:
         verts = np.linspace(a, b, n + 1)[:-1].reshape(-1, 1)
         elems = np.array([(i, (i + 1) % n) for i in range(n)], dtype=int)
-        return Mesh(dim=1, vertices=verts, elements=elems, degree=degree, periodic=True)
+        return Mesh(dim=1, vertices=verts, elements=elems, degree=degree, period=b - a)
     verts = np.linspace(a, b, n + 1).reshape(-1, 1)
     elems = np.array([(i, i + 1) for i in range(n)], dtype=int)
     mesh = Mesh(dim=1, vertices=verts, elements=elems, degree=degree)
@@ -168,17 +175,16 @@ def _boundary_faces(mesh, domain=None):
     """
     nf = mesh.dim + 1
     e, lf = np.divmod(np.flatnonzero(mesh.faces.across < 0), nf)
+    snormal = element_geometry(mesh, e)[2][np.arange(len(e)), lf]
+    length = np.linalg.norm(snormal, axis=-1)
     if mesh.dim == 1:
-        return [BoundaryFace(int(k), int(f), np.array([2.0 * f - 1.0]), 1.0,
-                             ("left", "right")[f]) for k, f in zip(e, lf)]
-    ends = mesh.vertices[mesh.elements[e[:, None], np.array(_TRI_FACES)[lf]]]
-    p, q = ends[:, 0], ends[:, 1]
-    t = q - p
-    length = np.hypot(t[:, 0], t[:, 1])
-    nrm = np.stack([t[:, 1], -t[:, 0]], axis=-1) / length[:, None]  # outward for ccw elements
-    mid = 0.5 * (p + q)
-    return [BoundaryFace(int(e[b]), int(lf[b]), nrm[b], float(length[b]),
-                         _side_tag(mid[b], domain)) for b in range(len(e))]
+        tags = [("left", "right")[f] for f in lf]
+    else:
+        ends = mesh.vertices[mesh.elements[e[:, None], np.array(_TRI_FACES)[lf]]]
+        tags = [_side_tag(mid, domain) for mid in 0.5 * (ends[:, 0] + ends[:, 1])]
+    normal = snormal / length[:, None]
+    return [BoundaryFace(*face) for face in
+            zip(e.tolist(), lf.tolist(), normal, length.tolist(), tags)]
 
 
 def _side_tag(mid, domain):
@@ -225,59 +231,30 @@ def build_dofmap(mesh):
 # element geometry
 
 
-def element_coords(mesh, e):
-    return mesh.vertices[mesh.elements[e]]
-
-
-def element_measure(mesh, e):
-    v = element_coords(mesh, e)
+def element_geometry(mesh, e=slice(None)):
+    """Measures (k,), diameters (k,) and outward face normals scaled by the
+    face length (k, nf, dim) of the elements ``e``, an index array or slice;
+    an integer ``e`` returns that element's values."""
+    if isinstance(e, (int, np.integer)):
+        return tuple(a[0] for a in element_geometry(mesh, np.array([e])))
+    v = mesh.vertices[mesh.elements[e]]                   # (k, dim+1, dim)
     if mesh.dim == 1:
-        x0, x1 = float(v[0, 0]), float(v[1, 0])
-        if mesh.periodic and x1 <= x0:
-            # wrap-around cell of a uniform periodic interval
-            return _periodic_spacing(mesh)
-        return x1 - x0
-    a = v[1] - v[0]
-    b = v[2] - v[0]
-    return 0.5 * float(a[0] * b[1] - a[1] * b[0])
-
-
-def _periodic_spacing(mesh):
-    xs = np.sort(mesh.vertices[:, 0])
-    return float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
-
-
-def element_diameter(mesh, e):
-    v = element_coords(mesh, e)
-    if mesh.dim == 1:
-        return element_measure(mesh, e)
-    d01 = np.linalg.norm(v[1] - v[0])
-    d12 = np.linalg.norm(v[2] - v[1])
-    d20 = np.linalg.norm(v[0] - v[2])
-    return float(max(d01, d12, d20))
-
-
-def element_scaled_normals(mesh, e):
-    """Scaled inward normals n_j = 2|K| grad(phi_j); sum to zero."""
-    if mesh.dim != 2:
-        raise UnsupportedFeatureError("scaled normals are defined for 2D elements")
-    v = element_coords(mesh, e)
-    area = element_measure(mesh, e)
-    h = element_diameter(mesh, e)
-    if area <= DEGENERATE_REL_TOL * h * h:
-        raise DegenerateGeometryError(f"element {e} has measure {area}")
-    # edge opposite vertex j, rotated to point toward vertex j
-    normals = np.empty((3, 2))
-    for j in range(3):
-        a, b = v[(j + 1) % 3], v[(j + 2) % 3]
-        t = b - a
-        normals[j] = (-t[1], t[0])  # ccw orientation -> inward
-    return normals
-
-
-def barycentric_gradients(mesh, e):
-    """Gradients of the barycentric coordinates, shape (3, 2)."""
-    return element_scaled_normals(mesh, e) / (2.0 * element_measure(mesh, e))
+        x0, x1 = v[:, 0, 0], v[:, 1, 0]
+        h = x1 - x0
+        if mesh.periodic:
+            # the wrap-around cell runs from x0 to the image of x1
+            h = np.where(x1 <= x0, x1 + mesh.period - x0, h)
+        return h, h, np.broadcast_to([[-1.0], [1.0]], (len(h), 2, 1))
+    edge = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]              # (k, 3, 2) face j, ccw
+    # half the cross product of the edges v0 - v2 and v1 - v0
+    measure = 0.5 * (edge[:, 1, 0] * edge[:, 2, 1] - edge[:, 1, 1] * edge[:, 2, 0])
+    diameter = np.linalg.norm(edge, axis=-1).max(axis=1)
+    bad = measure <= DEGENERATE_REL_TOL * diameter * diameter
+    if bad.any():
+        k = int(np.argmax(bad))
+        e = np.arange(mesh.n_elements)[e][k]                # the global element id
+        raise DegenerateGeometryError(f"element {e} has measure {measure[k]}")
+    return measure, diameter, np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
 
 
 def reference_graph(dim, degree):
@@ -417,34 +394,16 @@ def face_local_dofs(mesh, local_face):
     return (i, j, _FACE_MIDPOINTS[local_face])
 
 
-def face_geometry(mesh, e, local_face, npts):
-    """Quadrature points on a triangle edge.
-
-    Returns (x, w, normal, lam): physical points (npts, 2), weights including
-    the edge length, outward unit normal, and barycentric coords (npts, 3).
-    """
-    v = element_coords(mesh, e)
-    i, j = _TRI_FACES[local_face]
-    t, w = gauss_01(npts)
-    p, q = v[i], v[j]
-    x = p[None, :] + t[:, None] * (q - p)[None, :]
-    length = float(np.linalg.norm(q - p))
-    tv = (q - p) / length
-    normal = np.array([tv[1], -tv[0]])
-    lam = np.zeros((npts, 3))
-    lam[:, i] = 1.0 - t
-    lam[:, j] = t
-    return x, w * length, normal, lam
-
-
 # ---------------------------------------------------------------------------
 # text/CSV I/O
 
 
 def save_text(mesh, path):
-    """Simple text format: ``dim nvert nelem`` header, vertices, elements."""
+    """Simple text format: ``dim nvert nelem`` header, then the period of a
+    periodic interval mesh on the same line; vertices, elements."""
+    period = f" {mesh.period:.17g}" if mesh.periodic else ""
     with open(path, "w") as fh:
-        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_elements}\n")
+        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_elements}{period}\n")
         for v in mesh.vertices:
             fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
         for el in mesh.elements:
@@ -453,13 +412,15 @@ def save_text(mesh, path):
 
 def load_text(path, degree=1):
     with open(path) as fh:
-        dim, nv, ne = (int(t) for t in fh.readline().split())
+        dim, nv, ne, *period = fh.readline().split()
+        dim, nv, ne = int(dim), int(nv), int(ne)
         verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
         elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(ne)], dtype=int)
-    mesh = Mesh(dim=dim, vertices=verts, elements=elems, degree=degree)
+    mesh = Mesh(dim=dim, vertices=verts, elements=elems, degree=degree,
+                period=float(period[0]) if period else None)
     mesh.boundary_faces = _boundary_faces(mesh)
-    # a closed interval mesh is periodic
-    mesh.periodic = dim == 1 and not mesh.boundary_faces
+    if dim == 1 and not mesh.boundary_faces and not period:
+        raise UnsupportedFeatureError(f"{path}: closed interval mesh without a period")
     return mesh
 
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh as msh
 from .errors import (
     ConservationDefectError,
-    DegenerateGeometryError,
     InadmissibleStateError,
     InternalConsistencyError,
     StepFailureError,
@@ -62,7 +61,9 @@ class Scheme:
 @dataclass
 class ResidualSet:
     phi: np.ndarray                 # (ne, #K, m) distributed residuals
-    boundary: list = field(default_factory=list)  # (face index, dofs, psi)
+    # (nb, nfd, m) weak boundary residuals in mesh.boundary_faces order, on
+    # the DOFs Discretization.boundary_dofs; None without boundary data
+    boundary: np.ndarray | None = None
 
 
 def _per_element(fn):
@@ -98,14 +99,15 @@ class Discretization:
 
     def _setup(self):
         mesh = self.mesh
-        v = mesh.vertices[mesh.elements]                 # (ne, dim+1, dim)
+        # (ne,), (ne,), (ne, nf, dim) outward normals scaled by the face length
+        self.measure, self.diameter, self.snormal = msh.element_geometry(mesh)
+        length = np.linalg.norm(self.snormal, axis=-1)    # (ne, nf)
+        self.fnormal = self.snormal / length[..., None]   # (ne, nf, dim) unit outward
         if mesh.dim == 2:
-            self._triangle_geometry(v)
+            self._triangle_rules(length)
         else:
-            self._interval_geometry(v)
+            self._interval_rules()
         self.nbr = mesh.faces.across                     # (ne, nf), see FaceTable
-        self.fnormal = self.snormal / np.linalg.norm(
-            self.snormal, axis=-1, keepdims=True)       # (ne, nf, dim) unit outward
         # (nf, nfd) local DOFs on each local face, in trace order
         self.face_dofs = np.array(
             [msh.face_local_dofs(mesh, f) for f in range(self.snormal.shape[1])])
@@ -115,20 +117,8 @@ class Discretization:
         self.boundary_dofs = np.take_along_axis(
             self.dofmap.element_dofs[be], self.face_dofs[blf], axis=1)
 
-    def _triangle_geometry(self, v):
+    def _triangle_rules(self, length):
         mesh = self.mesh
-        start, end = v[:, [1, 2, 0]], v[:, [2, 0, 1]]    # (ne, 3, 2) ends of face j
-        edge = end - start                                # (ne, 3, 2)
-        length = np.linalg.norm(edge, axis=-1)            # (ne, 3)
-        a, b = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        self.measure = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])  # (ne,)
-        self.diameter = length.max(axis=1)                # (ne,)
-        bad = self.measure <= msh.DEGENERATE_REL_TOL * self.diameter * self.diameter
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise DegenerateGeometryError(f"element {e} has measure {self.measure[e]}")
-        # (ne, 3, 2) outward normals scaled by the edge length
-        self.snormal = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
         self.bgrad = -self.snormal / (2.0 * self.measure[:, None, None])  # (ne, 3, 2)
         self.vq_lam, self.vq_w = msh.volume_rule(mesh)    # (nq, 3), (nq,)
         self.vq_phi = msh.tri_basis(mesh.degree, self.vq_lam)  # (nq, #K)
@@ -149,16 +139,9 @@ class Discretization:
         self.fphi = msh.tri_basis(mesh.degree, self.flam)  # (3, nfq, #K) traces
         self.bphi = msh.tri_basis(mesh.degree, self.blam)  # (3, nbq, #K)
 
-    def _interval_geometry(self, v):
-        mesh = self.mesh
-        x0, x1 = v[:, 0, 0], v[:, 1, 0]
-        h = x1 - x0
-        if mesh.periodic:
-            # wrap-around cell of a uniform periodic interval
-            h = np.where(x1 <= x0, msh._periodic_spacing(mesh), h)
-        self.measure = self.diameter = h                  # (ne,)
+    def _interval_rules(self):
+        h = self.measure
         self.bgrad = np.stack([-1.0 / h, 1.0 / h], axis=-1)[..., None]  # (ne, 2, 1)
-        self.snormal = np.broadcast_to([[-1.0], [1.0]], (len(h), 2, 1))  # (ne, 2, 1)
         t, self.vq_w = msh.gauss_01(2)                    # (nq,)
         self.vq_phi = msh.interval_basis(t)               # (nq, 2)
         self.vgrad = np.broadcast_to(self.bgrad[:, None], (len(h), len(t), 2, 1))
@@ -357,10 +340,9 @@ class Discretization:
             raise StepFailureError(
                 f"inadmissible state in element {e}: {err}", element=e
             ) from err
-        boundary = []
+        boundary = None
         if u_b is not None and self.mesh.boundary_faces:
-            dofs, psi = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
-            boundary = [(i, dofs[i], psi[i]) for i in range(len(psi))]
+            _, boundary = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
         return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
@@ -368,8 +350,8 @@ class Discretization:
         rset = self.residual_set(u, scheme, u_b)
         R = np.zeros((self.dofmap.n_dofs, self.m))
         np.add.at(R, self.dofmap.element_dofs, rset.phi)
-        if rset.boundary:
-            np.add.at(R, self.boundary_dofs, np.stack([b[2] for b in rset.boundary]))
+        if rset.boundary is not None:
+            np.add.at(R, self.boundary_dofs, rset.boundary)
         return R, rset
 
 

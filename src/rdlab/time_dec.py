@@ -55,10 +55,10 @@ def element_mass_matrix(disc, e):
 
 
 def mass_apply(disc, w):
-    """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m)."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if w.shape[0] != disc.dofmap.n_dofs:
-        w = w.T
+    """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m),
+    or (ndof,) for one component."""
+    w = np.asarray(w, dtype=float)
+    w = w[:, None] if w.ndim == 1 else w
     dofs = disc.dofmap.element_dofs
     out = np.zeros_like(w)
     np.add.at(out, dofs, element_mass_matrix(disc, slice(None)) @ w[dofs])
@@ -78,10 +78,10 @@ def time_flux_average(states, weights, law, n):
 
 
 def stable_dt(disc, u, cfl):
-    """CFL time step from the smallest element and largest wave speed."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] != disc.dofmap.n_dofs:
-        u = u.T
+    """CFL time step from the smallest element and largest wave speed;
+    ``u`` is (ndof, m), or (ndof,) for one component."""
+    u = np.asarray(u, dtype=float)
+    u = u[:, None] if u.ndim == 1 else u
     speed = 0.0
     for k in range(disc.mesh.dim):
         n = np.zeros(disc.mesh.dim)

@@ -4,9 +4,12 @@ Implemented from standard closed-form results, not from the package code:
 an exact Riemann solver for the 1D perfect-gas Euler equations (Newton
 iteration on the star pressure, plus a full similarity sampler).
 
-The second half is a frozen copy of the package's per-element residual
-kernel and deferred-correction stepper from before batching, kept as the
-reference the batched kernel must reproduce.
+The second half holds frozen copies of package code that was since
+replaced: the per-element geometry, the per-element residual kernel and
+deferred-correction stepper from before batching, the dictionary-based
+face code from before the face table, and the 1D Euler step with its
+corrections inline, kept as the references the current code must
+reproduce.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from rdlab import mesh as msh
 from rdlab.errors import (
     ConservationDefectError,
+    DegenerateGeometryError,
     InadmissibleStateError,
     InternalConsistencyError,
     StepFailureError,
@@ -141,6 +145,86 @@ def sample_riemann(left, right, xi, gamma=1.4):
 
 
 # ---------------------------------------------------------------------------
+# Pre-geometry reference: the per-element geometry functions as they were
+# before ``mesh.element_geometry`` replaced them, with one fix: the wrap-around
+# cell of a periodic interval spans ``x1 + period - x0`` instead of the first
+# sorted vertex gap, which was wrong on non-uniform meshes.  Used by the
+# frozen kernel below and by test_face_table.py.
+
+DEGENERATE_REL_TOL = 1e-14
+
+
+def oracle_element_coords(mesh, e):
+    return mesh.vertices[mesh.elements[e]]
+
+
+def oracle_element_measure(mesh, e):
+    v = oracle_element_coords(mesh, e)
+    if mesh.dim == 1:
+        x0, x1 = float(v[0, 0]), float(v[1, 0])
+        if mesh.periodic and x1 <= x0:
+            # wrap-around cell of a periodic interval
+            return x1 + mesh.period - x0
+        return x1 - x0
+    a = v[1] - v[0]
+    b = v[2] - v[0]
+    return 0.5 * float(a[0] * b[1] - a[1] * b[0])
+
+
+def oracle_element_diameter(mesh, e):
+    v = oracle_element_coords(mesh, e)
+    if mesh.dim == 1:
+        return oracle_element_measure(mesh, e)
+    d01 = np.linalg.norm(v[1] - v[0])
+    d12 = np.linalg.norm(v[2] - v[1])
+    d20 = np.linalg.norm(v[0] - v[2])
+    return float(max(d01, d12, d20))
+
+
+def oracle_element_scaled_normals(mesh, e):
+    """Scaled inward normals n_j = 2|K| grad(phi_j); sum to zero."""
+    if mesh.dim != 2:
+        raise UnsupportedFeatureError("scaled normals are defined for 2D elements")
+    v = oracle_element_coords(mesh, e)
+    area = oracle_element_measure(mesh, e)
+    h = oracle_element_diameter(mesh, e)
+    if area <= DEGENERATE_REL_TOL * h * h:
+        raise DegenerateGeometryError(f"element {e} has measure {area}")
+    # edge opposite vertex j, rotated to point toward vertex j
+    normals = np.empty((3, 2))
+    for j in range(3):
+        a, b = v[(j + 1) % 3], v[(j + 2) % 3]
+        t = b - a
+        normals[j] = (-t[1], t[0])  # ccw orientation -> inward
+    return normals
+
+
+def oracle_barycentric_gradients(mesh, e):
+    """Gradients of the barycentric coordinates, shape (3, 2)."""
+    return oracle_element_scaled_normals(mesh, e) / (2.0 * oracle_element_measure(mesh, e))
+
+
+def oracle_face_geometry(mesh, e, local_face, npts):
+    """Quadrature points on a triangle edge.
+
+    Returns (x, w, normal, lam): physical points (npts, 2), weights including
+    the edge length, outward unit normal, and barycentric coords (npts, 3).
+    """
+    v = oracle_element_coords(mesh, e)
+    i, j = msh._TRI_FACES[local_face]
+    t, w = msh.gauss_01(npts)
+    p, q = v[i], v[j]
+    x = p[None, :] + t[:, None] * (q - p)[None, :]
+    length = float(np.linalg.norm(q - p))
+    tv = (q - p) / length
+    normal = np.array([tv[1], -tv[0]])
+    lam = np.zeros((npts, 3))
+    lam[:, i] = 1.0 - t
+    lam[:, j] = t
+    return x, w * length, normal, lam
+
+
+# ---------------------------------------------------------------------------
 # Pre-batching reference: the per-element residual kernel and the
 # deferred-correction stepper as they were before the batched kernel, loops
 # over elements, quadrature points and DOF pairs included.  Only the P2
@@ -164,11 +248,11 @@ class OracleDiscretization:
     def _setup(self):
         mesh = self.mesh
         ne = mesh.n_elements
-        self.measure = np.array([msh.element_measure(mesh, e) for e in range(ne)])
-        self.diameter = np.array([msh.element_diameter(mesh, e) for e in range(ne)])
+        self.measure = np.array([oracle_element_measure(mesh, e) for e in range(ne)])
+        self.diameter = np.array([oracle_element_diameter(mesh, e) for e in range(ne)])
         if mesh.dim == 2:
             self.bgrad = np.array(
-                [msh.barycentric_gradients(mesh, e) for e in range(ne)]
+                [oracle_barycentric_gradients(mesh, e) for e in range(ne)]
             )  # (ne, 3, 2)
             lam, w = msh.volume_rule(mesh)
             self.vq_lam, self.vq_w = lam, w
@@ -211,7 +295,7 @@ class OracleDiscretization:
             return fr - fl
         total = np.zeros(self.m)
         for lf in range(3):
-            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
+            _, w, n, lam = oracle_face_geometry(self.mesh, e, lf, len(self.fq_t))
             phi = msh.tri_basis(self.mesh.degree, lam)       # (nq, #K)
             uq = phi @ ue                                     # (nq, m)
             fq = self.law.flux(uq)                            # (nq, 2, m)
@@ -238,7 +322,7 @@ class OracleDiscretization:
             phi[1] -= (1.0 / h) * integral
             return phi
         for lf in range(3):
-            _, w, n, lam = msh.face_geometry(self.mesh, e, lf, len(self.fq_t))
+            _, w, n, lam = oracle_face_geometry(self.mesh, e, lf, len(self.fq_t))
             tb = msh.tri_basis(self.mesh.degree, lam)
             uq = tb @ ue
             fn = np.einsum("qdm,d->qm", self.law.flux(uq), n)
@@ -288,7 +372,7 @@ class OracleDiscretization:
 
     def _tau(self, e, ubar):
         """Streamline relaxation time from the element wave-speed budget."""
-        normals = msh.element_scaled_normals(self.mesh, e) if self.mesh.dim == 2 \
+        normals = oracle_element_scaled_normals(self.mesh, e) if self.mesh.dim == 2 \
             else np.array([[-1.0], [1.0]])
         speed = 0.0
         for n in normals:
@@ -328,7 +412,7 @@ class OracleDiscretization:
     def _edge_gradient(self, e, u, xq):
         """Gradient of u_h of element e at physical points xq, (nq, dim, m)."""
         ue = self.element_values(e, u)
-        v = msh.element_coords(self.mesh, e)
+        v = oracle_element_coords(self.mesh, e)
         lam = _bary_coords(v, xq)
         gq = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
         return np.einsum("qsd,sm->qdm", gq, ue)
@@ -342,7 +426,7 @@ class OracleDiscretization:
             if (e, lf) not in self._neighbors:
                 continue
             e2, _ = self._neighbors[(e, lf)]
-            xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
+            xq, w, n, lam = oracle_face_geometry(self.mesh, e, lf, nq)
             he = float(np.sum(w))
             grad_in = self._edge_gradient(e, u, xq)           # (nq, 2, m)
             grad_out = self._edge_gradient(e2, u, xq)
@@ -402,7 +486,7 @@ class OracleDiscretization:
         e, lf = face.element, face.local_face
         ue = self.element_values(e, u)
         if self.mesh.dim == 1:
-            x = msh.element_coords(self.mesh, e)[lf]
+            x = oracle_element_coords(self.mesh, e)[lf]
             uh = ue[lf]
             ub = np.atleast_1d(u_b(x)) if callable(u_b) else np.atleast_1d(u_b)
             n = face.normal
@@ -411,7 +495,7 @@ class OracleDiscretization:
             dofs = (lf,)
             return dofs, (fn - fh)[None, :]
         nq = len(self.fq_t) + 1  # one extra point, exact for the upwind product
-        xq, w, n, lam = msh.face_geometry(self.mesh, e, lf, nq)
+        xq, w, n, lam = oracle_face_geometry(self.mesh, e, lf, nq)
         tb = msh.tri_basis(self.mesh.degree, lam)
         uq = tb @ ue
         dofs = msh.face_local_dofs(self.mesh, lf)
@@ -437,11 +521,10 @@ class OracleDiscretization:
                 raise StepFailureError(
                     f"inadmissible state in element {e}: {err}", element=e
                 ) from err
-        boundary = []
-        if u_b is not None:
-            for i, face in enumerate(self.mesh.boundary_faces):
-                dofs, psi = self.boundary_residuals(face, u, u_b)
-                boundary.append((i, dofs, psi))
+        boundary = None
+        if u_b is not None and self.mesh.boundary_faces:
+            boundary = np.array([self.boundary_residuals(face, u, u_b)[1]
+                                 for face in self.mesh.boundary_faces])
         return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):
@@ -452,11 +535,12 @@ class OracleDiscretization:
             dofs = self.dofmap.element_dofs[e]
             for s in range(self.nloc):
                 R[dofs[s]] += rset.phi[e, s]
-        for i, local_dofs, psi in rset.boundary:
-            face = self.mesh.boundary_faces[i]
-            gdofs = self.dofmap.element_dofs[face.element]
-            for k, s in enumerate(local_dofs):
-                R[gdofs[s]] += psi[k]
+        if rset.boundary is not None:
+            for face, psi in zip(self.mesh.boundary_faces, rset.boundary):
+                gdofs = self.dofmap.element_dofs[face.element]
+                local_dofs = msh.face_local_dofs(self.mesh, face.local_face)
+                for k, s in enumerate(local_dofs):
+                    R[gdofs[s]] += psi[k]
         return R, rset
 
 
@@ -735,7 +819,7 @@ def _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b=None):
     """Quadrature points, weights, normal, and the two-sided average state."""
     mesh = disc.mesh
     nq = mesh.degree + 1
-    xq, w, n, lam = msh.face_geometry(mesh, e, lf, nq)
+    xq, w, n, lam = oracle_face_geometry(mesh, e, lf, nq)
     tb = msh.tri_basis(mesh.degree, lam)
     u_in = tb @ disc.element_values(e, u)
     key = (e, lf)

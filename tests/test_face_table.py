@@ -1,9 +1,11 @@
-"""The face table against the frozen pre-face-table code in ``_oracles.py``.
+"""The face table and the element geometry against the frozen code in
+``_oracles.py``.
 
 Boundary faces, the P2 midpoint DOFs, the neighbour table and the entropy
-audit are all derived from ``Mesh.faces``; on structured, vertex-jittered,
-read-back and interval meshes they must reproduce the dictionary loops they
-replaced.
+audit are all derived from ``Mesh.faces``, and measures, diameters and
+scaled face normals from ``element_geometry``; on structured,
+vertex-jittered, read-back and interval meshes they must reproduce the
+dictionary loops and per-element functions they replaced.
 """
 
 import numpy as np
@@ -12,12 +14,16 @@ import pytest
 from _oracles import (
     oracle_boundary_faces,
     oracle_dofmap,
+    oracle_element_diameter,
+    oracle_element_measure,
+    oracle_element_scaled_normals,
     oracle_entropy_inequality_audit,
     oracle_neighbors,
 )
 from rdlab import mesh as msh
 from rdlab.conslaw import Burgers
 from rdlab.diagnostics import entropy_inequality_audit
+from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
 from rdlab.rd_core import Discretization, Scheme
 from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh
 
@@ -34,11 +40,13 @@ def build(name):
         return jittered_tri_mesh(3, int(name[-1]), seed=17), ((0.0, 0.0), (1.0, 1.0))
     if name == "interval":
         return jittered_interval_mesh(7, False, seed=3), None
+    if name == "periodic_interval_jittered":
+        return jittered_interval_mesh(10, True, seed=2), None
     return msh.build_interval_mesh(6, -1.0, 2.0, periodic=True), None
 
 
 NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
-         "interval", "periodic_interval"]
+         "interval", "periodic_interval", "periodic_interval_jittered"]
 
 
 @pytest.fixture(params=[(n, rt) for n in NAMES for rt in (False, True)],
@@ -52,6 +60,48 @@ def case(request, tmp_path):
         msh.save_text(mesh, path)
         mesh, domain = msh.load_text(path, degree=mesh.degree), None
     return mesh, domain
+
+
+def test_element_geometry_matches_reference(case):
+    mesh, _ = case
+    ne = mesh.n_elements
+    measure, diameter, snormal = msh.element_geometry(mesh)
+    assert np.array_equal(measure, [oracle_element_measure(mesh, e) for e in range(ne)])
+    ref = np.array([oracle_element_diameter(mesh, e) for e in range(ne)])
+    assert np.all(np.abs(diameter - ref) <= 1e-15 * ref)
+    if mesh.dim == 2:
+        ref = -np.array([oracle_element_scaled_normals(mesh, e) for e in range(ne)])
+    else:
+        ref = np.broadcast_to([[-1.0], [1.0]], (ne, 2, 1))
+    assert snormal.shape == (ne, mesh.dim + 1, mesh.dim)
+    assert np.array_equal(snormal, ref)
+    # one element, and an index array, are slices of the batch
+    for e in (ne // 2, np.array([ne // 2, 0])):
+        for got, want in zip(msh.element_geometry(mesh, e), (measure, diameter, snormal)):
+            assert np.array_equal(got, want[e])
+
+
+def test_degenerate_element_names_its_global_id():
+    mesh = msh.build_structured_tri_mesh(3, 3)
+    ne = mesh.n_elements
+    # vertices 0, 1, 2 lie on the bottom side
+    bad = msh.Mesh(dim=2, vertices=mesh.vertices,
+                   elements=np.vstack([mesh.elements, [0, 1, 2]]))
+    for e in (np.array([3, ne, 5]), slice(ne - 1, None), ne):
+        with pytest.raises(DegenerateGeometryError, match=f"element {ne} has measure"):
+            msh.element_geometry(bad, e)
+    assert msh.element_geometry(bad, np.array([3, 5]))[0].shape == (2,)
+
+
+@pytest.mark.parametrize("a, b, n", [(0.0, 1.0, 10), (-1.0, 2.0, 9)])
+def test_jittered_periodic_measures_sum_to_the_period(a, b, n):
+    mesh = msh.build_interval_mesh(n, a, b, periodic=True)
+    rng = np.random.default_rng(2)
+    mesh.vertices[1:-1, 0] += rng.uniform(-0.2, 0.2, size=n - 2) * (b - a) / n
+    measure = Discretization(mesh, Burgers(dim=1)).measure
+    assert abs(measure.sum() - (b - a)) <= 1e-14 * (b - a)
+    # the wrap-around cell runs from the last vertex to the image of the first
+    assert abs(measure[-1] - (b - mesh.vertices[-1, 0])) <= 1e-15 * (b - a)
 
 
 def test_boundary_faces_match_reference(case):
@@ -127,9 +177,20 @@ def test_periodic_interval_survives_read_back(tmp_path):
     msh.save_text(mesh, path)
     back = msh.load_text(path)
     assert back.periodic and not back.boundary_faces
+    assert back.period == mesh.period == 1.0
     measure = Discretization(back, Burgers(dim=1)).measure
     assert np.array_equal(measure, Discretization(mesh, Burgers(dim=1)).measure)
     assert np.allclose(measure, 0.125, rtol=1e-14)
+
+
+def test_closed_interval_file_without_period_is_rejected(tmp_path):
+    path = tmp_path / "mesh.txt"
+    msh.save_text(msh.build_interval_mesh(4, periodic=True), path)
+    lines = path.read_text().splitlines()
+    assert lines[0].split() == ["1", "4", "4", "1"]
+    path.write_text("\n".join(["1 4 4"] + lines[1:]) + "\n")
+    with pytest.raises(UnsupportedFeatureError):
+        msh.load_text(path)
 
 
 def test_face_table_is_built_once_and_read_only():

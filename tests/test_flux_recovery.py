@@ -4,7 +4,7 @@ import pytest
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab.conslaw import Advection, Burgers
-from rdlab.errors import ConservationDefectError, InvalidGraphError
+from rdlab.errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
 from rdlab.mesh import ElementGraph
 from rdlab.rd_core import Discretization, Scheme
 from test_mesh import ref_triangle
@@ -35,6 +35,19 @@ def test_incompatible_residuals_raise():
     with pytest.raises(ConservationDefectError) as err:
         fr.recover_fluxes(system, np.array([[1.0], [1.0], [1.0]]))
     assert np.max(err.value.defect) > 1.0
+
+
+def test_residual_shape_is_not_guessed():
+    """1-D input is one column; (m, #nodes) input is used as given, and
+    with m = 4 its column sums (the DOFs) are not zero."""
+    system = fr.build_incidence(msh.reference_graph(2, 2))
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=(6, 4))
+    psi -= psi.mean(axis=0)
+    assert fr.recover_fluxes(system, psi).shape == (9, 4)
+    assert fr.recover_fluxes(system, psi[:, 0]).shape == (9, 1)
+    with pytest.raises(ConservationDefectError):
+        fr.recover_fluxes(system, psi.T)
 
 
 def test_disconnected_graph_raises():
@@ -69,16 +82,18 @@ def test_certify_report():
 def test_trace_weights_p1():
     mesh = ref_triangle()
     N = fr.trace_normal_weights(mesh, 0)
-    n_in = msh.element_scaled_normals(mesh, 0)
+    n_in = -msh.element_geometry(mesh, 0)[2]
     assert np.allclose(N, -0.5 * n_in)
     assert np.allclose(N.sum(axis=0), 0.0, atol=1e-14)
+    with pytest.raises(UnsupportedFeatureError):
+        fr.trace_normal_weights(msh.build_interval_mesh(4), 0)
 
 
 def test_split_weights_pattern():
     mesh = msh.build_structured_tri_mesh(2, 2, degree=2)
     for e in (0, 3):
         N = fr.split_normal_weights(mesh, e)
-        n_in = msh.element_scaled_normals(mesh, e)
+        n_in = -msh.element_geometry(mesh, e)[2]
         assert np.allclose(N[:3], -n_in / 6.0)
         opp = (2, 0, 1)
         for k in range(3):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from rdlab import mesh as msh
+from rdlab.conslaw import Advection
 from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
+from rdlab.rd_core import Discretization
 
 
 def ref_triangle(degree=1):
@@ -25,7 +27,7 @@ def test_structured_mesh_counts():
 
 def test_element_measures_positive_and_sum_to_area():
     mesh = msh.build_structured_tri_mesh(3, 2, ((0.0, -1.0), (2.0, 1.0)))
-    areas = [msh.element_measure(mesh, e) for e in range(mesh.n_elements)]
+    areas = msh.element_geometry(mesh)[0]
     assert min(areas) > 0.0
     assert abs(sum(areas) - 4.0) < 1e-13
 
@@ -35,7 +37,7 @@ def test_boundary_faces_outward_and_tagged():
     for bf in mesh.boundary_faces:
         assert abs(np.linalg.norm(bf.normal) - 1.0) < 1e-14
         assert bf.tag in ("left", "right", "bottom", "top")
-        v = msh.element_coords(mesh, bf.element)
+        v = mesh.vertices[mesh.elements[bf.element]]
         i, j = msh._TRI_FACES[bf.local_face]
         mid = 0.5 * (v[i] + v[j])
         centroid = v.mean(axis=0)
@@ -44,11 +46,12 @@ def test_boundary_faces_outward_and_tagged():
 
 def test_scaled_normals_reference_triangle():
     mesh = ref_triangle()
-    n = msh.element_scaled_normals(mesh, 0)
+    measure, _, snormal = msh.element_geometry(mesh, 0)
+    n = -snormal  # inward
     assert np.allclose(n, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(n.sum(axis=0), 0.0)
-    g = msh.barycentric_gradients(mesh, 0)
-    assert np.allclose(n, 2.0 * msh.element_measure(mesh, 0) * g)
+    g = Discretization(mesh, Advection((1.0, 0.5))).bgrad[0]
+    assert np.allclose(n, 2.0 * measure * g)
 
 
 def test_degenerate_triangle_raises():
@@ -58,7 +61,7 @@ def test_degenerate_triangle_raises():
         elements=np.array([[0, 1, 2]]),
     )
     with pytest.raises(DegenerateGeometryError):
-        msh.element_scaled_normals(mesh, 0)
+        msh.element_geometry(mesh, 0)
 
 
 def test_p2_dofmap_midpoints():
@@ -68,7 +71,7 @@ def test_p2_dofmap_midpoints():
     assert dm.dofs_per_element == 6
     assert n_edges == 16  # interior + boundary edges of a 2x2 criss-cross grid
     for e in range(mesh.n_elements):
-        v = msh.element_coords(mesh, e)
+        v = mesh.vertices[mesh.elements[e]]
         mids = dm.dof_coords[dm.element_dofs[e, 3:]]
         expect = 0.5 * np.array([v[0] + v[1], v[1] + v[2], v[2] + v[0]])
         assert np.allclose(mids, expect)
@@ -96,7 +99,8 @@ def test_p2_basis_is_nodal():
 
 def test_basis_gradients_sum_to_zero():
     mesh = msh.build_structured_tri_mesh(2, 2, degree=2)
-    g = msh.barycentric_gradients(mesh, 1)
+    measure, _, snormal = msh.element_geometry(mesh, 1)
+    g = -snormal / (2.0 * measure)
     lam = np.array([[0.3, 0.5, 0.2], [1 / 3, 1 / 3, 1 / 3]])
     grads = msh.tri_basis_grad(2, lam, g)
     assert np.allclose(grads.sum(axis=-2), 0.0, atol=1e-13)
@@ -104,7 +108,7 @@ def test_basis_gradients_sum_to_zero():
 
 def test_triangle_quadrature_exactness():
     mesh = ref_triangle()
-    area = msh.element_measure(mesh, 0)
+    area = msh.element_geometry(mesh, 0)[0]
     # on the reference triangle x = lam_1 and y = lam_2
     lam, w = msh.tri_quadrature(2)
     val = area * np.sum(w * lam[:, 1] ** 2)
@@ -140,12 +144,16 @@ def test_gauss_rule_is_read_only():
 
 
 def test_face_geometry():
-    mesh = ref_triangle()
-    x, w, n, lam = msh.face_geometry(mesh, 0, 0, 3)  # hypotenuse
+    mesh = ref_triangle(degree=2)
+    disc = Discretization(mesh, Advection((1.0, 0.5)))
+    # the hypotenuse, with the 3-point face rule
+    w, n, lam = disc.fw[0, 0], disc.fnormal[0, 0], disc.flam[0]
+    x = lam @ mesh.vertices
     assert abs(w.sum() - np.sqrt(2.0)) < 1e-13
     assert np.allclose(n, np.array([1.0, 1.0]) / np.sqrt(2.0))
     assert np.allclose(lam.sum(axis=1), 1.0)
-    assert np.allclose(x, lam @ mesh.vertices)
+    assert np.allclose(x.sum(axis=1), 1.0)
+    assert np.allclose(msh.element_geometry(mesh, 0)[2][0], np.sqrt(2.0) * n)
 
 
 def test_face_local_dofs():
@@ -159,8 +167,9 @@ def test_interval_mesh_periodic():
     mesh = msh.build_interval_mesh(4, 0.0, 2.0, periodic=True)
     assert mesh.n_elements == 4
     assert not mesh.boundary_faces
+    measure = msh.element_geometry(mesh)[0]
     for e in range(4):
-        assert abs(msh.element_measure(mesh, e) - 0.5) < 1e-14
+        assert abs(measure[e] - 0.5) < 1e-14
 
 
 def test_interval_mesh_rejects_p2():
