@@ -88,10 +88,11 @@ def entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
 
     The numerical entropy flux is the law's entropy flux at the face-average
     state: the average of the two traces on interior faces, and of the trace
-    and ``u_b`` (a constant state or a callable of position) on boundary
-    faces, which keep their own trace when ``u_b`` is None.  Violations are
-    counted where the clamped defect exceeds ``tol``.  ``u`` is (ndof, m),
-    or (ndof,) for one component.
+    and ``u_b`` on boundary faces, which keep their own trace when ``u_b`` is
+    None.  ``u_b`` is a constant state (m,) or a callable taking positions
+    (..., dim) to states (..., m), called once.  Violations are counted where
+    the clamped defect exceeds ``tol``.  ``u`` is (ndof, m), or (ndof,) for
+    one component.
     """
     law = disc.law
     u = np.asarray(u, dtype=float)
@@ -106,8 +107,7 @@ def entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
         u_out[boundary] = u_in[boundary]
     elif callable(u_b):
         e, lf = np.nonzero(boundary)
-        x = np.einsum("bqi,bid->bqd", disc.flam[lf], disc.mesh.vertices[disc.mesh.elements[e]])
-        u_out[boundary] = [[np.atleast_1d(u_b(p)) for p in xb] for xb in x]
+        u_out[boundary] = u_b(disc.face_points(e, disc.flam[lf]))
     else:
         u_out[boundary] = np.atleast_1d(u_b)
     g = law.entropy_flux(0.5 * (u_in + u_out))                    # (ne, nf, nfq, dim)

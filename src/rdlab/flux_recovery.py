@@ -19,6 +19,7 @@ import numpy as np
 
 from . import mesh as msh
 from .errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
+from .rd_core import _per_element
 
 COMPAT_TOL = 1e-10
 CONNECTIVITY_TOL = 1e-10
@@ -29,14 +30,12 @@ class IncidenceSystem:
     A: np.ndarray       # (#nodes, #edges), +1 at the tail, -1 at the head
     L: np.ndarray       # graph Laplacian A A^T
     Linv: np.ndarray    # pseudo-inverse of L on the zero-mean subspace
-    edges: tuple        # oriented (tail, head) pairs
 
 
 @dataclass
 class BalanceReport:
     balance_defect: float
     compat_defect: float
-    antisymmetry_defect: float
     balance_tol: float
     compat_tol: float
 
@@ -51,9 +50,8 @@ class BalanceReport:
 def build_incidence(graph):
     """Incidence matrix and Laplacian pseudo-inverse of an element graph."""
     n = graph.n_nodes
-    edges = tuple(graph.edges)
-    A = np.zeros((n, len(edges)))
-    for k, (tail, head) in enumerate(edges):
+    A = np.zeros((n, len(graph.edges)))
+    for k, (tail, head) in enumerate(graph.edges):
         A[tail, k] = 1.0
         A[head, k] = -1.0
     L = A @ A.T
@@ -68,22 +66,24 @@ def build_incidence(graph):
             f"graph Laplacian has rank below {n - 1}; graph is disconnected"
         )
     Linv = np.linalg.inv(M) - np.outer(x0, x0) / (lam * n)
-    return IncidenceSystem(A=A, L=L, Linv=Linv, edges=edges)
+    return IncidenceSystem(A=A, L=L, Linv=Linv)
 
 
 def recover_fluxes(system, psi, compat_tol=COMPAT_TOL):
     """Minimum-norm edge fluxes solving A f = Psi, componentwise.
 
-    ``psi`` has shape (#nodes, m), or (#nodes,) for one component; returns
-    (#edges, m).
+    ``psi`` has shape (..., #nodes, m) with any leading element axes, or
+    (#nodes,) for one component; returns (..., #edges, m).  The residuals of
+    every element must sum to zero; the error names the first element that
+    fails, as a flat index over the leading axes, and carries its defect.
     """
     psi = _columns(psi)
-    defect = np.abs(psi.sum(axis=0))
-    scale = 1.0 + np.abs(psi).max(axis=0)
-    if np.any(defect > compat_tol * scale):
-        raise ConservationDefectError(
-            "per-DOF residuals do not sum to zero", defect
-        )
+    defect = np.abs(psi.sum(axis=-2))
+    bad = defect > compat_tol * (1.0 + np.abs(psi).max(axis=-2))
+    if np.any(bad):
+        e = int(np.argmax(np.any(bad, axis=-1)))
+        raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
+                                      defect.reshape(-1, defect.shape[-1])[e])
     return system.A.T @ (system.Linv @ psi)
 
 
@@ -93,17 +93,15 @@ def recover_normals(system, N):
 
 
 def certify(system, fluxes, psi, balance_tol=1e-11, compat_tol=COMPAT_TOL):
-    """Balance and compatibility defects of a recovered flux assignment;
-    ``fluxes`` (#edges, m) and ``psi`` (#nodes, m), or 1-D for one component."""
+    """Worst balance and compatibility defects over a batch of recovered
+    ``fluxes`` (..., #edges, m) and residuals ``psi`` (..., #nodes, m), or 1-D
+    for one component.  Each edge flux is stored once, for the oriented edge,
+    so the reverse flux is its negation by data layout: no antisymmetry defect.
+    """
     psi, fluxes = _columns(psi), _columns(fluxes)
-    balance = float(np.abs(system.A @ fluxes - psi).max())
-    compat = float(np.abs(psi.sum(axis=0)).max())
-    # edge fluxes are stored once per direct edge; the reverse flux is the
-    # negation by data layout, so the antisymmetry defect is identically zero
     return BalanceReport(
-        balance_defect=balance,
-        compat_defect=compat,
-        antisymmetry_defect=0.0,
+        balance_defect=float(np.abs(system.A @ fluxes - psi).max()),
+        compat_defect=float(np.abs(psi.sum(axis=-2)).max()),
         balance_tol=balance_tol,
         compat_tol=compat_tol,
     )
@@ -119,35 +117,33 @@ def _columns(a):
 # boundary DOF fluxes and normal weights
 
 
+@_per_element
 def boundary_dof_flux(disc, e, u, flux_n=None):
-    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma fn.
+    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma fn,
+    (k, #K, m) for an index array or slice of elements, (#K, m) for one.
 
-    ``flux_n(uq, n, x)`` returns the normal interface flux at one quadrature
-    point; it defaults to the interior normal flux f(u_h).n.
+    ``flux_n(uq, n, x)`` maps the traces (k, nf, nfq, m), unit outward normals
+    and positions (k, nf, nfq, dim) of the face points to normal interface
+    fluxes (k, nf, nfq, m); it defaults to the interior normal flux f(u_h).n.
     """
     if flux_n is None:
         return disc.boundary_flux(e, u)
-    uq = disc.fphi @ disc.element_values(e, u)                  # (nf, nfq, m)
-    xq = disc.flam @ disc.mesh.vertices[disc.mesh.elements[e]]  # (nf, nfq, dim)
-    n = disc.fnormal[e]                                         # (nf, dim)
-    fn = np.array([[flux_n(uq[f, q], n[f], xq[f, q]) for q in range(uq.shape[1])]
-                   for f in range(len(n))])
-    return np.einsum("fq,fqs,fqm->sm", disc.fw[e], disc.fphi, fn)
+    uq = np.einsum("fqs,ksm->kfqm", disc.fphi, disc.element_values(e, u))
+    n = np.broadcast_to(disc.fnormal[e][:, :, None], uq.shape[:-1] + (disc.mesh.dim,))
+    x = disc.face_points(np.arange(disc.mesh.n_elements)[e, None], disc.flam)
+    return np.einsum("kfq,fqs,kfqm->ksm", disc.fw[e], disc.fphi, flux_n(uq, n, x))
 
 
 def _p2_normal_weights(mesh, e, mid):
     """-n_l/6 at the vertices and ``mid`` times the scaled inward normal
-    opposite each midpoint's edge at the midpoints, shape (6, 2)."""
+    opposite each midpoint's edge at the midpoints, shape (..., 6, 2)."""
     n_in = -msh.element_geometry(mesh, e)[2]
-    N = np.zeros((6, 2))
-    N[:3] = -n_in / 6.0
     # midpoint 3+k sits on the edge opposite vertex (2, 0, 1)[k]
-    N[3:] = mid * n_in[[2, 0, 1]]
-    return N
+    return np.concatenate([-n_in / 6.0, mid * n_in[..., [2, 0, 1], :]], axis=-2)
 
 
 def trace_normal_weights(mesh, e):
-    """Exact boundary weights in the inward convention, shape (#K, 2).
+    """Exact boundary weights in the inward convention, shape (..., #K, 2).
 
     N_sigma = -(contour integral of phi_sigma n_out); with these weights the
     constant-state recovered fluxes satisfy f_hat = f(u).n_sigmasigma' for
@@ -163,7 +159,7 @@ def trace_normal_weights(mesh, e):
 
 
 def split_normal_weights(mesh, e):
-    """Alternative zero-sum splitting for P2 elements.
+    """Alternative zero-sum splitting for P2 elements, shape (..., 6, 2).
 
     Vertices are weighted with -n_l/6 and each midpoint with n_opp/3 where
     n_opp is the scaled inward normal opposite that midpoint's edge.  The

@@ -28,8 +28,6 @@ DEGENERATE_REL_TOL = 1e-14
 class BoundaryFace:
     element: int
     local_face: int
-    normal: np.ndarray  # outward unit normal
-    measure: float
     tag: str = ""
 
 
@@ -175,16 +173,12 @@ def _boundary_faces(mesh, domain=None):
     """
     nf = mesh.dim + 1
     e, lf = np.divmod(np.flatnonzero(mesh.faces.across < 0), nf)
-    snormal = element_geometry(mesh, e)[2][np.arange(len(e)), lf]
-    length = np.linalg.norm(snormal, axis=-1)
     if mesh.dim == 1:
         tags = [("left", "right")[f] for f in lf]
     else:
         ends = mesh.vertices[mesh.elements[e[:, None], np.array(_TRI_FACES)[lf]]]
         tags = [_side_tag(mid, domain) for mid in 0.5 * (ends[:, 0] + ends[:, 1])]
-    normal = snormal / length[:, None]
-    return [BoundaryFace(*face) for face in
-            zip(e.tolist(), lf.tolist(), normal, length.tolist(), tags)]
+    return [BoundaryFace(*face) for face in zip(e.tolist(), lf.tolist(), tags)]
 
 
 def _side_tag(mid, domain):

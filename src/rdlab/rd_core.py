@@ -157,6 +157,12 @@ class Discretization:
         return types.MappingProxyType(
             {divmod(a, nf): divmod(int(b), nf) for a, b in enumerate(self.nbr.flat) if b >= 0})
 
+    def face_points(self, e, lam):
+        """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
+        dim + 1) on the elements ``e``, whose index shape broadcasts against
+        the leading axes of ``lam``."""
+        return lam @ self.mesh.vertices[self.mesh.elements[e]]
+
     def element_values(self, e, u):
         """DOF values of one element (#K, m), or of an index array (k, #K, m)."""
         return np.asarray(u)[self.dofmap.element_dofs[e]]
@@ -308,17 +314,15 @@ class Discretization:
 
         Returns (local DOF ids on the face, per-DOF residuals (nfd, m)); for
         a list, ids (nb, nfd) and residuals (nb, nfd, m).  ``u_b`` is a
-        constant state or a callable of position.
+        constant state (m,) or a callable taking positions (..., dim) to
+        states (..., m), called once for all face points.
         """
         faces = [face] if isinstance(face, msh.BoundaryFace) else face
         e = np.array([f.element for f in faces], dtype=int)
         lf = np.array([f.local_face for f in faces], dtype=int)
         uq = np.einsum("bqs,bsm->bqm", self.bphi[lf], self.element_values(e, u))
-        if callable(u_b):
-            x = np.einsum("bqi,bid->bqd", self.blam[lf], self.mesh.vertices[self.mesh.elements[e]])
-            ub = np.array([[np.atleast_1d(u_b(p)) for p in xb] for xb in x])
-        else:
-            ub = np.broadcast_to(np.atleast_1d(u_b), uq.shape)
+        ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
+        ub = np.broadcast_to(ub, uq.shape)
         n = np.broadcast_to(self.fnormal[e, lf][:, None], uq.shape[:2] + (self.mesh.dim,))
         diff = self.upwind_flux(uq, ub, n) - np.einsum(
             "bqdm,bqd->bqm", self.law.flux(uq), n)

@@ -65,18 +65,6 @@ def mass_apply(disc, w):
     return out
 
 
-def time_flux_average(states, weights, law, n):
-    """Weighted average of the normal flux over sub-time states."""
-    weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"time weights must sum to 1, got {weights.sum()}")
-    out = None
-    for w, u in zip(weights, states):
-        fn = np.einsum("...dm,d->...m", law.flux(np.asarray(u, dtype=float)), n)
-        out = w * fn if out is None else out + w * fn
-    return out
-
-
 def stable_dt(disc, u, cfl):
     """CFL time step from the smallest element and largest wave speed;
     ``u`` is (ndof, m), or (ndof,) for one component."""

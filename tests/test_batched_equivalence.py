@@ -62,12 +62,12 @@ def random_state(law, coords, seed):
 def boundary_state(law):
     """A constant boundary state and a callable one."""
     if law.m == 1:
-        return 0.5, lambda x: 0.5 + x[0] * x[-1]
+        return 0.5, lambda x: 0.5 + x[..., :1] * x[..., -1:]
     d = law.dim
     w = np.concatenate([BASE[:1 + d], BASE[-1:]])
 
     def varying(x):
-        return conserved_from_primitive(w + 0.1 * np.sin(3.0 * x[0]))
+        return conserved_from_primitive(w + 0.1 * np.sin(3.0 * x[..., :1]))
 
     return conserved_from_primitive(w), varying
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import rdlab
 from rdlab import mesh as msh
@@ -139,6 +140,19 @@ def test_recover_incompatible_dump_exits_1(tmp_path):
     dump = tmp_path / "bad.csv"
     dump.write_text("element,dof,psi0\n0,0,1.0\n0,1,1.0\n0,2,1.0\n")
     assert main(["recover", str(dump), "--out", str(tmp_path / "r")]) == 1
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("0,0,1.0\n0,1,-1.0\n", "element 0 has 0 rows for DOF 2"),
+    ("0,0,1.0\n0,1,-0.5\n0,2,-0.5\n0,3,5.0\n", "DOF ids in [0, 3)"),
+    ("0,0,1.0\n0,1,-0.5\n0,2,-0.5\n0,2,-0.5\n", "element 0 has 2 rows for DOF 2"),
+    ("0,0,1.0\n0,1,-0.5\n0,2,half\n", "'half'"),
+], ids=["missing_row", "dof_out_of_range", "duplicate_row", "non_numeric"])
+def test_recover_malformed_dump_exits_2(tmp_path, capsys, rows, problem):
+    dump = tmp_path / "bad.csv"
+    dump.write_text("element,dof,psi0\n" + rows)
+    assert main(["recover", str(dump), "--out", str(tmp_path / "r")]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_audit_command(tmp_path, capsys):

@@ -34,14 +34,16 @@ def test_element_measures_positive_and_sum_to_area():
 
 def test_boundary_faces_outward_and_tagged():
     mesh = msh.build_structured_tri_mesh(2, 2)
+    fnormal = Discretization(mesh, Advection((1.0, 0.0))).fnormal
     for bf in mesh.boundary_faces:
-        assert abs(np.linalg.norm(bf.normal) - 1.0) < 1e-14
+        normal = fnormal[bf.element, bf.local_face]
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-14
         assert bf.tag in ("left", "right", "bottom", "top")
         v = mesh.vertices[mesh.elements[bf.element]]
         i, j = msh._TRI_FACES[bf.local_face]
         mid = 0.5 * (v[i] + v[j])
         centroid = v.mean(axis=0)
-        assert np.dot(bf.normal, mid - centroid) > 0.0
+        assert np.dot(normal, mid - centroid) > 0.0
 
 
 def test_scaled_normals_reference_triangle():

@@ -197,7 +197,7 @@ def test_boundary_residuals_vanish_when_trace_matches():
     u = disc.dofmap.dof_coords[:, :1] + 2.0
 
     def u_b(x):
-        return x[0] + 2.0
+        return x[..., :1] + 2.0
 
     for face in mesh.boundary_faces:
         _, psi = disc.boundary_residuals(face, u, u_b)

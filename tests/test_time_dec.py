@@ -52,16 +52,6 @@ def test_mass_apply_constant_field():
     assert np.allclose(out[:, 0], mass, atol=1e-14)
 
 
-def test_time_flux_average_weights():
-    law = Burgers(dim=1)
-    states = [np.array([[1.0]]), np.array([[3.0]])]
-    n = np.array([1.0])
-    avg = td.time_flux_average(states, (0.5, 0.5), law, n)
-    assert abs(avg[0, 0] - 0.5 * (0.5 + 4.5)) < 1e-14
-    with pytest.raises(ValueError):
-        td.time_flux_average(states, (0.5, 0.4), law, n)
-
-
 def test_stable_dt_scaling():
     dts = []
     for n in (8, 16):
