@@ -1,21 +1,13 @@
 """Flat key=value configuration files with sections, strictly validated.
 
-Unknown sections or keys are rejected so typos fail fast instead of being
-silently ignored.
+``DEFAULTS`` names every section and key; others are rejected on load.  The
+accessors record each key they read, so a run can reject every key its file
+sets that the run did not read: no key is silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
-
-SCHEMA = {
-    "law": {"name"},
-    "mesh": {"kind", "n", "nx", "ny", "x0", "x1", "y0", "y1", "degree", "periodic"},
-    "scheme": {"kind", "tau_scale", "theta_e", "gamma_jump", "alpha"},
-    "time": {"method", "cfl", "dt", "t_end", "dec_iterations"},
-    "corrections": {"correct_conservation"},
-    "run": {"initial", "out"},
-}
 
 DEFAULTS = {
     "law": {"name": "advection(1,0)"},
@@ -60,14 +52,15 @@ def _as_bool(s):
         return True
     if s in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {s!r}")
+    raise ValueError(f"not a boolean: {s!r}")
 
 
 class RunConfig:
-    """Validated configuration with typed accessors."""
+    """Validated configuration with typed accessors that record each key read."""
 
-    def __init__(self, sections):
-        self.sections = sections
+    def __init__(self, values):
+        self.values = values    # (section, key) -> value, for the keys the file sets
+        self.read = {}          # (section, key) -> effective value, for the keys read
 
     @classmethod
     def load(cls, path):
@@ -77,47 +70,46 @@ class RunConfig:
                 cp.read_file(fh)
         except (OSError, configparser.Error) as err:
             raise ConfigError(f"cannot parse {path}: {err}") from err
-        sections = {k: dict(v) for k, v in DEFAULTS.items()}
+        values = {}
         for sec in cp.sections():
-            if sec not in SCHEMA:
+            if sec not in DEFAULTS:
                 raise ConfigError(f"unknown section [{sec}]")
             for key, val in cp.items(sec):
-                if key not in SCHEMA[sec]:
+                if key not in DEFAULTS[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                sections[sec][key] = val
-        return cls(sections)
+                values[sec, key] = val
+        return cls(values)
 
     def get(self, sec, key):
-        return self.sections[sec][key]
+        """The file's value, or the default where the file sets none or ''."""
+        self.read[sec, key] = value = self.values.get((sec, key)) or DEFAULTS[sec][key]
+        return value
 
-    def get_float(self, sec, key, default=None):
-        raw = self.sections[sec][key].strip()
+    def _typed(self, sec, key, convert, default=None):
+        raw = self.get(sec, key).strip()
         if raw == "":
             return default
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError as err:
-            raise ConfigError(f"[{sec}] {key}: not a number: {raw!r}") from err
-
-    def get_int(self, sec, key, default=None):
-        raw = self.sections[sec][key].strip()
-        if raw == "":
-            return default
-        try:
-            return int(raw)
-        except ValueError as err:
-            raise ConfigError(f"[{sec}] {key}: not an integer: {raw!r}") from err
-
-    def get_bool(self, sec, key):
-        try:
-            return _as_bool(self.sections[sec][key])
-        except ConfigError as err:
             raise ConfigError(f"[{sec}] {key}: {err}") from err
 
+    def get_float(self, sec, key, default=None):
+        return self._typed(sec, key, float, default)
+
+    def get_int(self, sec, key, default=None):
+        return self._typed(sec, key, int, default)
+
+    def get_bool(self, sec, key):
+        return self._typed(sec, key, _as_bool)
+
+    def check_all_read(self, what):
+        """Reject the keys the file sets that ``what`` did not read."""
+        unread = [f"[{sec}] {key}" for sec, key in sorted(self.values.keys() - self.read.keys())]
+        if unread:
+            raise ConfigError(f"{what} does not read {', '.join(unread)}")
+
     def manifest_lines(self):
-        """Every effective key echoed as section.key=value lines."""
-        lines = []
-        for sec in sorted(self.sections):
-            for key in sorted(self.sections[sec]):
-                lines.append(f"{sec}.{key}={self.sections[sec][key]}")
-        return lines
+        """The keys read so far, with their effective values, as sorted
+        section.key=value lines."""
+        return [f"{sec}.{key}={val}" for (sec, key), val in sorted(self.read.items())]

@@ -91,18 +91,14 @@ def _residual(disc, u, scheme, u_b):
 
 
 def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
-    """One time slab of the deferred-correction iteration.
+    """One time slab of the deferred-correction iteration; ``dt`` is taken
+    as given (``dec_run`` checks it against ``stable_dt``).
 
     ``R_n``, if given, is the residual at ``u_n``; it is not recomputed.
     """
     if mass is None:
         mass, _ = lumped_mass(disc)
     u_n = np.asarray(u_n, dtype=float)
-    dtmax = stable_dt(disc, u_n, config.cfl)
-    if dt > dtmax * (1.0 + 1e-12):
-        warnings.warn(
-            f"time step {dt} exceeds the CFL bound {dtmax}", RuntimeWarning
-        )
     w0, w1 = config.weights
     if R_n is None:
         R_n = _residual(disc, u_n, scheme, u_b)
@@ -121,10 +117,11 @@ def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
 def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     """March to ``t_end``; returns (final state, times list).
 
-    ``log``, if given, is called after each step with
-    (t, u, total lumped mass per component, residual infinity norm).  The
-    residual at the new state is computed once and serves both the log and
-    the next step.
+    Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
+    a RuntimeWarning where ``dt`` exceeds that bound.  ``log``, if given, is
+    called after each step with (t, u, total lumped mass per component,
+    residual infinity norm).  The residual at the new state is computed once
+    and serves both the log and the next step.
     """
     mass, _ = lumped_mass(disc)
     u = np.array(u0, dtype=float)
@@ -134,8 +131,11 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     times = [0.0]
     R = _residual(disc, u, scheme, u_b)
     while t < t_end - 1e-14:
-        step = dt if dt is not None else stable_dt(disc, u, config.cfl)
-        step = min(step, t_end - t)
+        dtmax = stable_dt(disc, u, config.cfl)
+        step = min(dtmax if dt is None else dt, t_end - t)
+        if step > dtmax * (1.0 + 1e-12):
+            warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}",
+                          RuntimeWarning)
         u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)
         t += step
         times.append(t)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import rdlab
+from rdlab import diagnostics as diag
+from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab.cli import main
-from rdlab.conslaw import Burgers
+from rdlab.conslaw import Advection, Burgers
 from rdlab.flux_recovery import boundary_dof_flux
 from rdlab.rd_core import Discretization, Scheme
 
@@ -99,6 +101,123 @@ t_end = 0.02
     assert data.shape == (101, 5)
 
 
+SOD_INI = """
+[law]
+name = euler(1.4)
+
+[mesh]
+n = 20
+
+[time]
+t_end = 0.01
+"""
+
+TRI_INI = """
+[mesh]
+kind = structured_tri
+nx = 2
+ny = 2
+
+[time]
+t_end = 0.01
+"""
+
+INTERVAL_INI = """
+[law]
+name = advection(1)
+
+[mesh]
+kind = interval
+n = 8
+
+[time]
+t_end = 0.01
+"""
+
+
+def with_key(ini, section, line):
+    """``ini`` with ``line`` added to ``section``, opening it if absent."""
+    head = f"[{section}]\n"
+    return ini.replace(head, head + line + "\n") if head in ini else f"{ini}\n{head}{line}\n"
+
+
+PATHS = {"sod": SOD_INI, "triangle": TRI_INI, "interval": INTERVAL_INI}
+
+
+@pytest.mark.parametrize("path, section, key, value", [
+    ("sod", "mesh", "kind", "structured_tri"),
+    ("sod", "mesh", "nx", "8"),
+    ("sod", "mesh", "ny", "8"),
+    ("sod", "scheme", "kind", "limited_jump"),
+    ("sod", "time", "method", "cn"),
+    ("sod", "time", "dt", "0.001"),
+    ("sod", "time", "dec_iterations", "3"),
+    ("triangle", "mesh", "n", "50"),
+    ("triangle", "mesh", "periodic", "true"),
+    ("interval", "mesh", "nx", "4"),
+    ("interval", "mesh", "ny", "4"),
+    ("triangle", "corrections", "correct_conservation", "false"),
+    ("interval", "corrections", "correct_conservation", "false"),
+])
+def test_key_the_run_does_not_read_exits_2(tmp_path, capsys, path, section, key, value):
+    cfg = write_config(tmp_path, with_key(PATHS[path], section, f"{key} = {value}"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"[{section}] {key}" in err
+
+
+@pytest.mark.parametrize("ini, problem", [
+    (TRI_INI.replace("structured_tri", "bogus"), "unknown mesh kind 'bogus'"),
+    (with_key(TRI_INI, "scheme", "kind = bogus"), "unknown scheme kind 'bogus'"),
+    (with_key(TRI_INI, "law", "name = warp"), "unknown conservation law: 'warp'"),
+    (with_key(TRI_INI, "time", "method = rk4"), "unknown time method 'rk4'"),
+    (SOD_INI.replace("euler(1.4)", "euler(abc)"), "[law] name: could not convert"),
+    (with_key(TRI_INI, "scheme", "kind = supg\ntau_scale = -1"), "tau_scale must be positive"),
+    (with_key(TRI_INI, "time", "dec_iterations = 0"), "iteration count must be >= 1"),
+    (TRI_INI.replace("nx = 2", "nx = 0"), "cell counts must be >= 1"),
+    (with_key(INTERVAL_INI, "mesh", "degree = 2"), "degree 1 only"),
+    (with_key(TRI_INI, "mesh", "degree = 3"), "degree 3 not supported"),
+    (SOD_INI.replace("n = 20", "n = 0"), "[mesh] n: cell count must be >= 1"),
+    (INTERVAL_INI.replace("advection(1)", "advection(1, 0)"), "2-D advection law on a 1-D"),
+    (with_key(TRI_INI, "law", "name = cubic"), "1-D cubic law on a 2-D mesh"),
+], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "tau_scale",
+        "dec_iterations", "nx", "interval_degree", "triangle_degree", "sod_cells",
+        "law_dim_interval", "law_dim_triangle"])
+def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
+    assert main(["run", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert problem in err
+
+
+def test_bad_value_has_no_traceback(tmp_path):
+    cfg = write_config(tmp_path, with_key(TRI_INI, "time", "method = rk4"))
+    src = os.path.dirname(os.path.dirname(rdlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdlab.cli", "run", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: unknown time method 'rk4'\n"
+
+
+@pytest.mark.parametrize("path, read, unread", [
+    ("triangle", "mesh.nx=2", "mesh.n="),
+    ("interval", "mesh.periodic=false", "mesh.nx="),
+    ("sod", "corrections.correct_conservation=true", "scheme.kind="),
+])
+def test_manifest_lists_the_keys_read(tmp_path, path, read, unread):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, with_key(PATHS[path], "run", "out = elsewhere"))
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert read in manifest
+    assert f"run.out={out}" in manifest    # --out overrides [run] out
+    assert not any(line.startswith(unread) for line in manifest)
+
+
 def test_burgers1d_command(tmp_path):
     out = tmp_path / "b"
     rc = main(["burgers1d", "--scheme", "cons", "--n", "50", "--periodic",
@@ -142,6 +261,14 @@ def test_recover_incompatible_dump_exits_1(tmp_path):
     assert main(["recover", str(dump), "--out", str(tmp_path / "r")]) == 1
 
 
+def test_recover_nan_dump_exits_1(tmp_path):
+    dump = tmp_path / "nan.csv"
+    dump.write_text("element,dof,psi0\n0,0,0.5\n0,1,nan\n0,2,-0.3\n")
+    out = tmp_path / "r"
+    assert main(["recover", str(dump), "--out", str(out)]) == 1
+    assert "passed=False" in (out / "certification.txt").read_text()
+
+
 @pytest.mark.parametrize("rows, problem", [
     ("0,0,1.0\n0,1,-1.0\n", "element 0 has 0 rows for DOF 2"),
     ("0,0,1.0\n0,1,-0.5\n0,2,-0.5\n0,3,5.0\n", "DOF ids in [0, 3)"),
@@ -163,6 +290,59 @@ def test_audit_command(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert "conservation.passed=True" in captured
+
+
+@pytest.mark.parametrize("scheme", ["kind = rusanov\nalpha = 0", "kind = supg\ntau_scale = 3",
+                                    "kind = jump\ntheta_e = 0.5"],
+                         ids=["alpha", "tau_scale", "theta_e"])
+def test_audit_uses_the_configured_scheme(tmp_path, capsys, scheme):
+    cfg = write_config(tmp_path, RUN_INI.replace("kind = rusanov", scheme))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["audit", cfg, str(out / "solution.csv")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection((1.0, 0.5)))
+    u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)[:, -1:]
+    kwargs = dict(line.split(" = ") for line in scheme.splitlines())
+    full = Scheme(kind=kwargs.pop("kind"), **{k: float(v) for k, v in kwargs.items()})
+    rset = disc.residual_set(u, full)
+    for r in (diag.conservation_audit(disc, u, full, rset=rset),
+              diag.entropy_inequality_audit(disc, u, rset)):
+        assert f"{r.name}.defect={r.defect:.17g}" in printed
+
+
+@pytest.mark.parametrize("state, problem", [
+    ("dof,x0,x1,u0\n0,0,0,1\n", "has 1 rows"),
+    ("dof,x0,x1,u0\n0,0,0,one\n", "'one'"),
+], ids=["rows", "non_numeric"])
+def test_audit_malformed_state_exits_2(tmp_path, capsys, state, problem):
+    path = tmp_path / "state.csv"
+    path.write_text(state)
+    assert main(["audit", write_config(tmp_path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert problem in err
+
+
+def test_audit_euler_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.csv"
+    path.write_text("node,x,rho,u,p\n0,0,1,0,1\n")
+    assert main(["audit", write_config(tmp_path, SOD_INI), str(path)]) == 2
+    assert "Sod" in capsys.readouterr().err
+
+
+def test_recover_certifies_large_residuals(tmp_path):
+    """A dump that recovery accepts is certified however large its values."""
+    rng = np.random.default_rng(14)
+    psi = 1e5 * rng.normal(size=(100, 6))
+    psi -= psi.mean(axis=1, keepdims=True)
+    dump = tmp_path / "dump.csv"
+    dump.write_text("element,dof,psi0\n" + "".join(
+        f"{e},{s},{psi[e, s]:.17g}\n" for e in range(100) for s in range(6)))
+    out = tmp_path / "rec"
+    assert main(["recover", str(dump), "--degree", "2", "--out", str(out)]) == 0
+    assert "passed=True" in (out / "certification.txt").read_text()
 
 
 def test_console_script_version():

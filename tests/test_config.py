@@ -1,7 +1,8 @@
 import pytest
 
+from rdlab import cli
 from rdlab.cli import main
-from rdlab.config import ConfigError, RunConfig
+from rdlab.config import DEFAULTS, ConfigError, RunConfig
 
 
 def write(tmp_path, text):
@@ -20,9 +21,10 @@ def test_defaults_and_overrides(tmp_path):
 
 
 def test_empty_values_fall_back_to_default(tmp_path):
-    cfg = RunConfig.load(write(tmp_path, "[time]\ndt =\n"))
+    cfg = RunConfig.load(write(tmp_path, "[time]\ndt =\nt_end =\n"))
     assert cfg.get_float("time", "dt", default=None) is None
     assert cfg.get_int("time", "dec_iterations", default=3) == 3
+    assert cfg.get_float("time", "t_end") == 0.1    # the DEFAULTS value, not None
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -51,9 +53,13 @@ def test_missing_file_rejected(tmp_path):
 
 def test_manifest_lines(tmp_path):
     cfg = RunConfig.load(write(tmp_path, "[mesh]\nnx = 4\n"))
+    cfg.get_int("mesh", "nx")
+    cfg.get_float("time", "cfl")
     lines = cfg.manifest_lines()
     assert "mesh.nx=4" in lines
     assert lines == sorted(lines)
+    # only the keys read, with their effective values
+    assert lines == ["mesh.nx=4", "time.cfl=0.3"]
 
 
 @pytest.mark.parametrize("section, key", [
@@ -73,3 +79,15 @@ def test_seed_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", write(tmp_path, "[run]\n"), "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_the_set_ups_read_every_key(tmp_path):
+    """The scalar triangle, scalar interval and Sod set-ups, run on defaults,
+    read every key of DEFAULTS between them: no key is one that nothing reads."""
+    read = set()
+    for text in ("", "[mesh]\nkind = interval\n[law]\nname = burgers\n",
+                 "[law]\nname = euler\n"):
+        cfg = RunConfig.load(write(tmp_path, text))
+        cli._setup(cfg)
+        read |= set(cfg.read)
+    assert read == {(sec, key) for sec, keys in DEFAULTS.items() for key in keys}

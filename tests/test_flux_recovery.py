@@ -79,6 +79,30 @@ def test_certify_report():
     assert not bad.passed
 
 
+def test_certify_scales_tolerances_with_the_residuals():
+    """Exact recoveries of large zero-sum residuals pass, as recover_fluxes
+    accepts them; a perturbation far above round-off still fails."""
+    system = fr.build_incidence(msh.reference_graph(2, 2))
+    rng = np.random.default_rng(14)
+    psi = 1e5 * rng.normal(size=(100, 6, 1))
+    psi -= psi.mean(axis=1, keepdims=True)
+    fluxes = fr.recover_fluxes(system, psi)
+    report = fr.certify(system, fluxes, psi)
+    assert report.balance_defect > 1e-11     # above the unscaled tolerance
+    assert report.passed
+    fluxes[3, 0] += 1e-3
+    assert not fr.certify(system, fluxes, psi).passed
+
+
+@pytest.mark.parametrize("where", ["psi", "fluxes"])
+def test_certify_fails_nan_defects(where):
+    system = fr.build_incidence(msh.reference_graph(2, 1))
+    psi = np.array([[0.5], [-0.2], [-0.3]])
+    fluxes = fr.recover_fluxes(system, psi)
+    {"psi": psi, "fluxes": fluxes}[where][1, 0] = np.nan
+    assert not fr.certify(system, fluxes, psi).passed
+
+
 def test_trace_weights_p1():
     mesh = ref_triangle()
     N = fr.trace_normal_weights(mesh, 0)

@@ -16,6 +16,7 @@ from rdlab.rd_core import (
     monotone_dt,
     rusanov_coefficients,
 )
+from test_batched_equivalence import jittered_tri_mesh
 from test_mesh import ref_triangle
 
 ALL_KINDS = Scheme.KINDS
@@ -44,26 +45,55 @@ def test_rusanov_alpha_reference_value():
     assert abs(disc.rusanov_alpha(0, u) - 0.5) < 1e-13
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_conservation_all_families_scalar(kind, degree):
-    mesh = msh.build_structured_tri_mesh(2, 2, degree=degree)
+def conservation_mesh(name, degree, tmp_path):
+    """The 2x2 structured mesh, a 3x3 mesh with jittered interior vertices,
+    or that jittered mesh written by ``save_text`` and read by ``load_text``."""
+    if name == "structured":
+        return msh.build_structured_tri_mesh(2, 2, degree=degree)
+    mesh = jittered_tri_mesh(3, degree, seed=3)
+    if name == "text":
+        msh.save_text(mesh, tmp_path / "mesh.txt")
+        mesh = msh.load_text(tmp_path / "mesh.txt", degree=degree)
+    return mesh
+
+
+def assert_element_conservation(disc, u, scheme, tol):
+    """Each element's distributed residuals sum to its boundary integral,
+    checked for all elements in one batched call."""
+    phi = disc.element_residuals(slice(None), u, scheme)
+    total = disc.total_residual(slice(None), u)
+    defect = np.abs(phi.sum(axis=1) - total).max(axis=1)
+    assert np.all(defect <= tol * (1.0 + np.abs(total).max(axis=1)))
+
+
+IRREGULAR = ("jittered", "text")
+
+
+@pytest.mark.parametrize("kind, degree, mesh_name", [
+    pytest.param(kind, degree, "structured", id=f"{kind}-{degree}")
+    for kind in ALL_KINDS for degree in (1, 2)
+] + [
+    pytest.param(kind, degree, name, id=f"{kind}-{degree}-{name}")
+    for name in IRREGULAR for kind in ALL_KINDS for degree in (1, 2)
+])
+def test_conservation_all_families_scalar(kind, degree, mesh_name, tmp_path):
+    mesh = conservation_mesh(mesh_name, degree, tmp_path)
     disc = Discretization(mesh, Burgers(dim=2))
     scheme = Scheme(kind=kind)
     rng = np.random.default_rng(11)
     for _ in range(20):
         u = rng.uniform(-1.0, 2.0, size=(disc.dofmap.n_dofs, 1))
-        for e in range(mesh.n_elements):
-            phi = disc.element_residuals(e, u, scheme)
-            total = disc.total_residual(e, u)
-            assert np.abs(phi.sum(axis=0) - total).max() <= 1e-12 * (
-                1.0 + np.abs(total).max()
-            )
+        assert_element_conservation(disc, u, scheme, 1e-12)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_conservation_euler_system(kind):
-    mesh = msh.build_structured_tri_mesh(2, 2)
+@pytest.mark.parametrize("kind, degree, mesh_name", [
+    pytest.param(kind, 1, "structured", id=kind) for kind in ALL_KINDS
+] + [
+    pytest.param(kind, degree, name, id=f"{kind}-{degree}-{name}")
+    for name in IRREGULAR for kind in ALL_KINDS for degree in (1, 2)
+])
+def test_conservation_euler_system(kind, degree, mesh_name, tmp_path):
+    mesh = conservation_mesh(mesh_name, degree, tmp_path)
     law = Euler(gamma=1.4, dim=2)
     disc = Discretization(mesh, law)
     rng = np.random.default_rng(5)
@@ -73,13 +103,7 @@ def test_conservation_euler_system(kind):
          rng.uniform(-0.3, 0.3, n), rng.uniform(0.5, 1.5, n)], axis=-1
     )
     u = conserved_from_primitive(w)
-    scheme = Scheme(kind=kind)
-    for e in range(mesh.n_elements):
-        phi = disc.element_residuals(e, u, scheme)
-        total = disc.total_residual(e, u)
-        assert np.abs(phi.sum(axis=0) - total).max() <= 1e-11 * (
-            1.0 + np.abs(total).max()
-        )
+    assert_element_conservation(disc, u, Scheme(kind=kind), 1e-11)
 
 
 def test_conservation_1d():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,18 @@ def test_cfl_violation_warns():
     u = np.ones((disc.dofmap.n_dofs, 1))
     dt = 10.0 * td.stable_dt(disc, u, 0.3)
     with pytest.warns(RuntimeWarning):
-        td.dec_step(disc, u, dt, Scheme(kind="rusanov"),
-                    td.DecConfig(method="euler"))
+        td.dec_run(disc, u, dt, Scheme(kind="rusanov"), td.DecConfig(method="euler"), dt=dt)
+
+
+def test_dec_run_computes_the_cfl_bound_once_per_step(monkeypatch):
+    disc = make_disc(8)
+    u0 = np.ones((disc.dofmap.n_dofs, 1))
+    calls = []
+    monkeypatch.setattr(td, "stable_dt", lambda *a: calls.append(1) or 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # the default step never warns
+        _, times = td.dec_run(disc, u0, 0.05, Scheme(kind="rusanov"), td.DecConfig(method="cn"))
+    assert len(times) - 1 == len(calls) == 5
 
 
 def test_dec_run_conserves_mass_periodic():
