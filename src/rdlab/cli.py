@@ -80,7 +80,8 @@ def _setup(cfg):
 
 def _scalar_setup(cfg):
     """Interval meshes read [mesh] n and periodic, triangle meshes nx, ny, y0
-    and y1; the law is parsed again for the mesh dimension."""
+    and y1; [scheme] reads the parameters of its kind (``Scheme.PARAMS``);
+    the law is parsed again for the mesh dimension."""
     kind = cfg.get("mesh", "kind")
     x0, x1 = cfg.get_float("mesh", "x0"), cfg.get_float("mesh", "x1")
     if kind == "interval":
@@ -93,9 +94,10 @@ def _scalar_setup(cfg):
     else:
         raise ConfigError(f"unknown mesh kind {kind!r}")
     degree = cfg.get_int("mesh", "degree")
-    scheme = {key: cfg.get_float("scheme", key)
-              for key in ("tau_scale", "theta_e", "gamma_jump", "alpha")}
-    scheme["kind"] = cfg.get("scheme", "kind")
+    family = cfg.get("scheme", "kind")
+    with _config_values():
+        scheme = Scheme(family, **{key: cfg.get_float("scheme", key)
+                                   for key in Scheme.PARAMS.get(family, ())})
     time = dict(method=cfg.get("time", "method"), cfl=cfg.get_float("time", "cfl"),
                 iterations=cfg.get_int("time", "dec_iterations"))
     t_end, dt = cfg.get_float("time", "t_end"), cfg.get_float("time", "dt")
@@ -107,7 +109,7 @@ def _scalar_setup(cfg):
         if law.dim != mesh.dim:
             raise ConfigError(f"[law] name: a {law.dim}-D {law.name} law on a {mesh.dim}-D mesh")
         disc = Discretization(mesh, law)
-        return SimpleNamespace(disc=disc, scheme=Scheme(**scheme),
+        return SimpleNamespace(disc=disc, scheme=scheme,
                                time=time_dec.DecConfig(**time), t_end=t_end, dt=dt,
                                u0=_initial_field(initial, disc.dofmap.dof_coords), out=out,
                                sod=None)

@@ -5,7 +5,9 @@ Working variables are the primitives W = (rho, u, e) with e the internal
 energy per unit volume, p = (gamma - 1) e.  A scheme updating W is made
 conservative in (rho, rho*u, E) by adding a uniform per-element correction to
 the velocity residuals first (r_u^K) and then to the energy residuals
-(r_e^K), each solving the element conserved-balance equation exactly.
+(r_e^K), each solving the element conserved-balance equation exactly.  The
+corrections batch with the DOF axis first: the balance sums run over axis 0,
+and any trailing axes are elements; 1-D arrays are one element.
 """
 
 from __future__ import annotations
@@ -49,14 +51,15 @@ def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     """Uniform velocity-residual correction closing the momentum balance.
 
     Solves sum_sigma [rho_p1 (phi_u + r_u) + u_p phi_rho] = target_m for r_u;
-    density residuals are final and stay untouched.  Batched over leading
-    element axes; the sum runs over the last axis.
+    density residuals are final and stay untouched.
     """
     rho_p1 = np.asarray(rho_p1, dtype=float)
-    denom = rho_p1.sum(axis=-1)
+    denom = rho_p1.sum(axis=0)
     if (denom < DENSITY_TOL).any():
-        raise InadmissibleStateError(f"element density sum {np.min(denom)}")
-    current = (rho_p1 * phi_u + np.asarray(u_p) * phi_rho).sum(axis=-1)
+        i = int(np.argmax(denom < DENSITY_TOL))
+        raise InadmissibleStateError(f"density sum {np.ravel(denom)[i]} below "
+                                     f"{DENSITY_TOL} in element {i}")
+    current = (rho_p1 * phi_u + np.asarray(u_p) * phi_rho).sum(axis=0)
     return (target_m - current) / denom
 
 
@@ -70,10 +73,9 @@ def energy_correction(mapped, target_e):
     """Uniform energy-residual correction closing the total-energy balance.
 
     ``mapped`` are the ``energy_residuals`` of the velocity-corrected
-    residuals.  Batched over leading element axes; the sum runs over the last
-    axis.
+    residuals.
     """
-    return (target_e - mapped.sum(axis=-1)) / mapped.shape[-1]
+    return (target_e - mapped.sum(axis=0)) / mapped.shape[0]
 
 
 def divided_difference_rho_kappa(rho_p, rho_p1, kappa):

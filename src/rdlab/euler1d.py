@@ -12,6 +12,11 @@ form
 Updated in that order, each element receives a uniform velocity correction
 and then a uniform energy correction so the conserved momentum and total
 energy balances close exactly (up to round-off); see the constraints module.
+
+``step`` takes and returns (n_nodes, 3) states but works on contiguous
+component-first arrays: the state (3, n_nodes), element residuals
+(3, 2, n_cells) and element node pairs (2, n_cells), side first.  B(W) dW is
+written out row by row, with no 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -46,21 +51,6 @@ class SodResult:
         return self.w[:, 1]
 
 
-def primitive_matrix(w, gamma):
-    """Quasi-linear matrix B(W) of the primitive system, (..., 3, 3)."""
-    w = np.asarray(w, dtype=float)
-    rho, u, e = w[..., 0], w[..., 1], w[..., 2]
-    k = gamma - 1.0
-    B = np.zeros(w.shape[:-1] + (3, 3))
-    B[..., 0, 0] = u
-    B[..., 0, 1] = rho
-    B[..., 1, 1] = u
-    B[..., 1, 2] = k / rho
-    B[..., 2, 1] = e + k * e
-    B[..., 2, 2] = u
-    return B
-
-
 def wave_speed(w, gamma):
     rho, u, e = w[..., 0], w[..., 1], w[..., 2]
     p = (gamma - 1.0) * e
@@ -83,73 +73,81 @@ def total_energy(w):
 
 
 def _element_residuals(w, gamma, h):
-    """Rusanov-distributed primitive residuals per element.
-
-    ``w`` is (n+1, 3); returns phi with shape (n, 2, 3): contribution of each
-    element to its left and right node.
-    """
-    wl, wr = w[:-1], w[1:]
-    dw = (wr - wl) / h                               # (n, 3) gradient
+    """Rusanov-distributed primitive residuals per element: ``w`` is the state
+    (3, n+1), phi is (3, 2, n), component, then left and right node, then
+    element."""
+    wl, wr = w[:, :-1], w[:, 1:]
+    drho, du, de = (wr - wl) / h                     # (3, n) gradient
+    k = gamma - 1.0
     # total residual by two-point Gauss quadrature of B(W_h) dW/dx
     total = np.zeros_like(wl)
     for t in GAUSS_T:
-        wq = (1.0 - t) * wl + t * wr
-        B = primitive_matrix(wq, gamma)
-        total += 0.5 * h * np.einsum("eij,ej->ei", B, dw)
-    alpha = np.maximum(wave_speed(wl, gamma), wave_speed(wr, gamma))
+        rho, u, e = (1.0 - t) * wl + t * wr
+        total[0] += 0.5 * h * (u * drho + rho * du)
+        total[1] += 0.5 * h * (u * du + k / rho * de)
+        total[2] += 0.5 * h * ((e + k * e) * du + u * de)
+    ws = wave_speed(w.T, gamma)
+    alpha = np.maximum(ws[:-1], ws[1:])
     wbar = 0.5 * (wl + wr)
-    phi = np.empty((wl.shape[0], 2, 3))
-    phi[:, 0] = 0.5 * total + alpha[:, None] * (wl - wbar)
-    phi[:, 1] = 0.5 * total + alpha[:, None] * (wr - wbar)
+    phi = np.empty((3, 2, wl.shape[1]))
+    phi[:, 0] = 0.5 * total + alpha * (wl - wbar)
+    phi[:, 1] = 0.5 * total + alpha * (wr - wbar)
     return phi
 
 
-def _scatter(phi, n_nodes):
-    """Per-node sums of element residual contributions."""
-    out = np.zeros((n_nodes, phi.shape[-1]))
-    out[:-1] += phi[:, 0]
-    out[1:] += phi[:, 1]
+def _pairs(a):
+    """Per-element node values (2, n) of a nodal array (n+1,), side first."""
+    return np.stack((a[:-1], a[1:]))
+
+
+def _scatter(phi):
+    """Per-node sums (n+1,) of element contributions (2, n), side first."""
+    out = np.zeros(phi.shape[1] + 1)
+    out[:-1] += phi[0]
+    out[1:] += phi[1]
     return out
 
 
 def step(w, dt, h, gamma, correct=True):
     """One forward-Euler step; returns (w_next, momentum defect, energy defect).
 
-    The defects are the worst per-element conserved-balance residuals after
-    whatever corrections were applied.
+    ``w`` and ``w_next`` are (n+1, 3).  The defects are the worst per-element
+    conserved-balance residuals after whatever corrections were applied.
     """
-    n_nodes = w.shape[0]
-    if np.any(w[:, 0] < DENSITY_TOL) or np.any(w[:, 2] < DENSITY_TOL):
-        raise InadmissibleStateError("nonpositive density or internal energy")
-    mass = np.full(n_nodes, h)
+    wt = w.T.copy()                                  # component first, contiguous
+    rho, u, e = wt
+    if (rho < DENSITY_TOL).any() or (e < DENSITY_TOL).any():
+        i = int(np.argmax((rho < DENSITY_TOL) | (e < DENSITY_TOL)))
+        name, value = ("density", rho[i]) if rho[i] < DENSITY_TOL else ("internal energy", e[i])
+        raise InadmissibleStateError(f"{name} {value} below {DENSITY_TOL} at node {i}")
+    mass = np.full(rho.shape[0], h)
     mass[0] = mass[-1] = 0.5 * h
-    phi = _element_residuals(w, gamma, h)            # (n, 2, 3)
+    phi_rho, phi_u, phi_e = _element_residuals(wt, gamma, h)   # each (2, n)
 
     # density first: its residual needs no correction
-    rho_new = w[:, 0] - dt * _scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
-    rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)   # per element (n, 2)
-    u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
+    rho_new = rho - dt * _scatter(phi_rho) / mass
+    rho_p1, u_p = _pairs(rho_new), _pairs(u)
 
     # velocity: uniform per-element correction closing the momentum balance
-    target_m = momentum_flux(w[1:], gamma) - momentum_flux(w[:-1], gamma)
+    target_m = np.diff(momentum_flux(wt.T, gamma))
     if correct:
-        phi[..., 1] += velocity_correction(phi[..., 0], phi[..., 1], rho_p1, u_p,
-                                           target_m)[:, None]
-    defect_m = np.abs(np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1) - target_m)
-    u_new = w[:, 1] - dt * _scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
-    u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
+        phi_u += velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m)
+    m = rho_p1 * phi_u + u_p * phi_rho
+    defect_m = np.abs(m[0] + m[1] - target_m)
+    u_new = u - dt * _scatter(phi_u) / mass
+    u_p1 = _pairs(u_new)
 
     # energy: map residuals through the increment matrix, then correct
-    target_e = energy_flux(w[1:], gamma) - energy_flux(w[:-1], gamma)
-    mapped = energy_residuals(phi[..., 0], phi[..., 1], phi[..., 2], u_p, rho_p1, u_p1)
+    target_e = np.diff(energy_flux(wt.T, gamma))
+    mapped = energy_residuals(phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1)
     if correct:
         r_e = energy_correction(mapped, target_e)
-        phi[..., 2] += r_e[:, None]
-        mapped = mapped + r_e[:, None]
-    defect_e = np.abs(mapped.sum(axis=1) - target_e)
-    e_new = w[:, 2] - dt * _scatter(phi[..., 2:3], n_nodes)[:, 0] / mass
+        phi_e += r_e
+        mapped += r_e
+    defect_e = np.abs(mapped[0] + mapped[1] - target_e)
+    e_new = e - dt * _scatter(phi_e) / mass
 
-    w_next = np.stack([rho_new, u_new, e_new], axis=1)
+    w_next = np.stack((rho_new, u_new, e_new), axis=1)
     return w_next, float(defect_m.max()), float(defect_e.max())
 
 

@@ -39,23 +39,19 @@ class Scheme:
     gamma_jump: float = 0.1
     alpha: float | None = None  # Rusanov dissipation override
 
-    KINDS = (
-        "galerkin",
-        "rusanov",
-        "supg",
-        "jump",
-        "limited",
-        "limited_supg",
-        "limited_jump",
-    )
+    # the parameters each kind reads in Discretization.element_residuals
+    PARAMS = {"galerkin": (), "rusanov": ("alpha",), "supg": ("tau_scale",),
+              "jump": ("theta_e",), "limited": ("alpha",),
+              "limited_supg": ("alpha", "tau_scale", "gamma_jump"),
+              "limited_jump": ("alpha", "theta_e", "gamma_jump")}
+    KINDS = tuple(PARAMS)
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.PARAMS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in ("supg", "limited_supg") and self.tau_scale <= 0:
-            raise ValueError("tau_scale must be positive")
-        if self.kind in ("jump", "limited_jump") and self.theta_e <= 0:
-            raise ValueError("theta_e must be positive")
+        for key in ("tau_scale", "theta_e"):
+            if key in self.PARAMS[self.kind] and getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
 
 
 @dataclass

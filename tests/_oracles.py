@@ -7,9 +7,9 @@ iteration on the star pressure, plus a full similarity sampler).
 The second half holds frozen copies of package code that was since
 replaced: the per-element geometry, the per-element residual kernel and
 deferred-correction stepper from before batching, the dictionary-based
-face code from before the face table, and the 1D Euler step with its
-corrections inline, kept as the references the current code must
-reproduce.
+face code from before the face table, and the 1D Euler step on (n, 3)
+arrays with B(W) as (n, 3, 3) matrices and its corrections inline, kept as
+the references the current code must reproduce.
 """
 
 from __future__ import annotations
@@ -886,19 +886,67 @@ def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# The 1D Euler step with its velocity and energy corrections written inline,
-# as it was before it called the ``constraints`` functions.  The element
-# residuals, scatter and fluxes are taken from the package.
+# The 1D Euler step as it was before it worked on component-first arrays and
+# called the ``constraints`` functions: the quasi-linear matrix B(W), the
+# element residuals as an einsum over (n, 3, 3) matrices, the scatter and the
+# velocity and energy corrections written inline.  Only the wave speed, the
+# fluxes and the initial state are taken from the package.
+
+ORACLE_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
+
+def oracle_primitive_matrix(w, gamma):
+    """Quasi-linear matrix B(W) of the primitive system, (..., 3, 3)."""
+    w = np.asarray(w, dtype=float)
+    rho, u, e = w[..., 0], w[..., 1], w[..., 2]
+    k = gamma - 1.0
+    B = np.zeros(w.shape[:-1] + (3, 3))
+    B[..., 0, 0] = u
+    B[..., 0, 1] = rho
+    B[..., 1, 1] = u
+    B[..., 1, 2] = k / rho
+    B[..., 2, 1] = e + k * e
+    B[..., 2, 2] = u
+    return B
+
+
+def oracle_euler1d_element_residuals(w, gamma, h):
+    """Rusanov-distributed primitive residuals; ``w`` is (n+1, 3), phi is
+    (n, 2, 3)."""
+    from rdlab import euler1d as eu
+
+    wl, wr = w[:-1], w[1:]
+    dw = (wr - wl) / h
+    total = np.zeros_like(wl)
+    for t in ORACLE_GAUSS_T:
+        wq = (1.0 - t) * wl + t * wr
+        B = oracle_primitive_matrix(wq, gamma)
+        total += 0.5 * h * np.einsum("eij,ej->ei", B, dw)
+    alpha = np.maximum(eu.wave_speed(wl, gamma), eu.wave_speed(wr, gamma))
+    wbar = 0.5 * (wl + wr)
+    phi = np.empty((wl.shape[0], 2, 3))
+    phi[:, 0] = 0.5 * total + alpha[:, None] * (wl - wbar)
+    phi[:, 1] = 0.5 * total + alpha[:, None] * (wr - wbar)
+    return phi
+
+
+def oracle_euler1d_scatter(phi, n_nodes):
+    """Per-node sums of element residual contributions (n, 2, m)."""
+    out = np.zeros((n_nodes, phi.shape[-1]))
+    out[:-1] += phi[:, 0]
+    out[1:] += phi[:, 1]
+    return out
 
 
 def oracle_euler1d_step(w, dt, h, gamma, correct=True):
     from rdlab import euler1d as eu
 
+    scatter = oracle_euler1d_scatter
     n_nodes = w.shape[0]
     mass = np.full(n_nodes, h)
     mass[0] = mass[-1] = 0.5 * h
-    phi = eu._element_residuals(w, gamma, h)
-    rho_new = w[:, 0] - dt * eu._scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
+    phi = oracle_euler1d_element_residuals(w, gamma, h)
+    rho_new = w[:, 0] - dt * scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
     rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)
     u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
     target_m = eu.momentum_flux(w[1:], gamma) - eu.momentum_flux(w[:-1], gamma)
@@ -911,7 +959,7 @@ def oracle_euler1d_step(w, dt, h, gamma, correct=True):
         )
     else:
         defect_m = np.abs(current_m - target_m)
-    u_new = w[:, 1] - dt * eu._scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
+    u_new = w[:, 1] - dt * scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
     u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
     target_e = eu.energy_flux(w[1:], gamma) - eu.energy_flux(w[:-1], gamma)
     mapped = (
@@ -924,6 +972,27 @@ def oracle_euler1d_step(w, dt, h, gamma, correct=True):
         phi[..., 2] += r_e[:, None]
         mapped = mapped + r_e[:, None]
     defect_e = np.abs(mapped.sum(axis=1) - target_e)
-    e_new = w[:, 2] - dt * eu._scatter(phi[..., 2:3], n_nodes)[:, 0] / mass
+    e_new = w[:, 2] - dt * scatter(phi[..., 2:3], n_nodes)[:, 0] / mass
     w_next = np.stack([rho_new, u_new, e_new], axis=1)
     return w_next, float(defect_m.max()), float(defect_e.max())
+
+
+def oracle_run_sod(n_cells, t_end, correct, gamma=1.4, cfl=0.3):
+    """The shock-tube loop of ``euler1d.run_sod`` over ``oracle_euler1d_step``;
+    returns (w, t, defect_m, defect_e, mass_history)."""
+    from rdlab import euler1d as eu
+
+    x, w = eu.sod_initial(n_cells, gamma)
+    h = x[1] - x[0]
+    t = 0.0
+    worst_m = worst_e = 0.0
+    mass_hist = []
+    while t < t_end - 1e-14:
+        dt = min(cfl * h / eu.wave_speed(w, gamma).max(), t_end - t)
+        w, dm, de = oracle_euler1d_step(w, dt, h, gamma, correct=correct)
+        worst_m = max(worst_m, dm)
+        worst_e = max(worst_e, de)
+        t += dt
+        lumped_rho = h * (w[:, 0].sum() - 0.5 * (w[0, 0] + w[-1, 0]))
+        mass_hist.append((t, float(lumped_rho)))
+    return w, t, worst_m, worst_e, mass_hist

@@ -167,6 +167,23 @@ def test_key_the_run_does_not_read_exits_2(tmp_path, capsys, path, section, key,
     assert f"[{section}] {key}" in err
 
 
+@pytest.mark.parametrize("family, key", [
+    ("galerkin", "alpha"),
+    ("rusanov", "tau_scale"),
+    ("limited", "theta_e"),
+    ("supg", "alpha"),
+    ("jump", "gamma_jump"),
+    ("limited_supg", "theta_e"),
+    ("limited_jump", "tau_scale"),
+])
+def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, key):
+    cfg = write_config(tmp_path, with_key(TRI_INI, "scheme", f"kind = {family}\n{key} = 5"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"does not read [scheme] {key}" in err
+
+
 @pytest.mark.parametrize("ini, problem", [
     (TRI_INI.replace("structured_tri", "bogus"), "unknown mesh kind 'bogus'"),
     (with_key(TRI_INI, "scheme", "kind = bogus"), "unknown scheme kind 'bogus'"),

@@ -82,11 +82,13 @@ def test_seed_flag_is_rejected(tmp_path):
 
 
 def test_the_set_ups_read_every_key(tmp_path):
-    """The scalar triangle, scalar interval and Sod set-ups, run on defaults,
-    read every key of DEFAULTS between them: no key is one that nothing reads."""
+    """The scalar triangle, scalar interval and Sod set-ups, run on defaults
+    and with the two limited-stabilized scheme kinds, read every key of
+    DEFAULTS between them: no key is one that nothing reads."""
     read = set()
     for text in ("", "[mesh]\nkind = interval\n[law]\nname = burgers\n",
-                 "[law]\nname = euler\n"):
+                 "[law]\nname = euler\n", "[scheme]\nkind = limited_supg\n",
+                 "[scheme]\nkind = limited_jump\n"):
         cfg = RunConfig.load(write(tmp_path, text))
         cli._setup(cfg)
         read |= set(cfg.read)

@@ -69,6 +69,25 @@ def test_energy_correction_closes_energy_balance():
     assert abs(mapped.sum() - target) < 1e-13
 
 
+def test_batched_corrections_equal_per_element_calls():
+    """(2, k) inputs, DOF axis first, give the k per-element 1-D results bit
+    for bit."""
+    rng = np.random.default_rng(4)
+    k = 37
+    phi_rho, phi_u, phi_e, u_p, u_p1 = rng.normal(size=(5, 2, k))
+    rho_p1 = rng.uniform(0.2, 2.0, (2, k))
+    target_m, target_e = rng.normal(size=(2, k))
+    r_u = cs.velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m)
+    mapped = cs.energy_residuals(phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1)
+    r_e = cs.energy_correction(mapped, target_e)
+    for j in range(k):
+        pr, pu, pe, up, rp, up1 = (a[:, j] for a in (phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1))
+        assert r_u[j] == cs.velocity_correction(pr, pu, rp, up, target_m[j])
+        one = cs.energy_residuals(pr, pu, pe, up, rp, up1)
+        assert np.array_equal(mapped[:, j], one)
+        assert r_e[j] == cs.energy_correction(one, target_e[j])
+
+
 def test_divided_difference():
     kappa = 0.4
     dd = cs.divided_difference_rho_kappa(1.0, 2.0, kappa)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_euler1d_step
+from _oracles import oracle_euler1d_step, oracle_primitive_matrix, oracle_run_sod
 from rdlab import euler1d
 from rdlab.errors import InadmissibleStateError
 
@@ -9,7 +9,7 @@ from rdlab.errors import InadmissibleStateError
 def test_primitive_matrix_structure():
     w = np.array([2.0, 0.5, 1.5])
     gamma = 1.4
-    B = euler1d.primitive_matrix(w, gamma)
+    B = oracle_primitive_matrix(w, gamma)
     k = gamma - 1.0
     expect = np.array([
         [0.5, 2.0, 0.0],
@@ -34,7 +34,12 @@ def test_wave_speed_and_fluxes():
 def test_step_rejects_inadmissible_states():
     x, w = euler1d.sod_initial(10)
     w[3, 0] = -1.0
-    with pytest.raises(InadmissibleStateError):
+    w[5, 2] = -1.0
+    with pytest.raises(InadmissibleStateError, match="density -1.0 below 1e-12 at node 3$"):
+        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+    w[3, 0] = 1.0
+    with pytest.raises(InadmissibleStateError,
+                       match="internal energy -1.0 below 1e-12 at node 5$"):
         euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
 
 
@@ -47,7 +52,7 @@ def test_corrected_step_rejects_collapsed_new_density():
     w_next, _, _ = euler1d.step(w.copy(), 0.5, h, 1.4, correct=False)
     sums = w_next[:-1, 0] + w_next[1:, 0]
     assert sums[2] < 0.0 and np.delete(sums, 2).min() > 0.0
-    with pytest.raises(InadmissibleStateError, match="element density sum"):
+    with pytest.raises(InadmissibleStateError, match=r"density sum \S+ below 1e-12 in element 2$"):
         euler1d.step(w.copy(), 0.5, h, 1.4, correct=True)
 
 
@@ -84,8 +89,9 @@ def test_locate_shock_synthetic():
 
 @pytest.mark.parametrize("correct", [True, False])
 def test_step_matches_inline_corrections_bit_for_bit(correct):
-    """The step calls the batched ``constraints`` corrections; states and
-    defects are those of the inline corrections it replaced, bit for bit."""
+    """The component-first step with the batched ``constraints`` corrections
+    gives the states and defects of the frozen (n, 3) step with the inline
+    corrections, bit for bit."""
     rng = np.random.default_rng(11)
     x, w = euler1d.sod_initial(40)
     w = w * rng.uniform(0.8, 1.2, size=w.shape) + [0.0, 0.1, 0.0]
@@ -94,3 +100,12 @@ def test_step_matches_inline_corrections_bit_for_bit(correct):
         ref = oracle_euler1d_step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
         assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
         w = got[0]
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_run_sod_matches_frozen_step_loop_bit_for_bit(correct):
+    res = euler1d.run_sod(n_cells=200, t_end=0.05, correct=correct)
+    w, t, defect_m, defect_e, mass_history = oracle_run_sod(200, 0.05, correct)
+    assert np.array_equal(res.w, w)
+    assert (res.defect_m, res.defect_e) == (defect_m, defect_e)
+    assert res.mass_history == mass_history and res.t == t
