@@ -1,7 +1,7 @@
 """Command line entry point: run experiments, recover fluxes, audit states.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad arguments or config,
-3 audit failure under --strict.
+3 audit failure or a time step above the CFL bound under --strict.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
@@ -98,8 +99,7 @@ def _scalar_setup(cfg):
     with _config_values():
         scheme = Scheme(family, **{key: cfg.get_float("scheme", key)
                                    for key in Scheme.PARAMS.get(family, ())})
-    time = dict(method=cfg.get("time", "method"), cfl=cfg.get_float("time", "cfl"),
-                iterations=cfg.get_int("time", "dec_iterations"))
+    time = dict(method=cfg.get("time", "method"), cfl=cfg.get_float("time", "cfl"))
     t_end, dt = cfg.get_float("time", "t_end"), cfg.get_float("time", "dt")
     initial, out = cfg.get("run", "initial"), cfg.get("run", "out")
     cfg.check_all_read(f"a scalar run on {kind} meshes")
@@ -152,8 +152,15 @@ def cmd_run(args):
         history.append(u.copy())
 
     u_b = None if not disc.mesh.boundary_faces else 0.0
-    u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=u_b, dt=run.dt,
-                            log=log)
+    with warnings.catch_warnings():
+        if args.strict:
+            warnings.simplefilter("error", time_dec.CflWarning)
+        try:
+            u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=u_b,
+                                    dt=run.dt, log=log)
+        except time_dec.CflWarning as err:
+            print(f"step rejected: {err}", file=sys.stderr)
+            return 3
     coords = disc.dofmap.dof_coords
     rows = zip(range(len(coords)), *coords.T, *u.T)
     hdr = ["dof"] + [f"x{k}" for k in range(disc.mesh.dim)] + \

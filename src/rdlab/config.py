@@ -35,7 +35,6 @@ DEFAULTS = {
         "cfl": "0.3",
         "dt": "",
         "t_end": "0.1",
-        "dec_iterations": "",
     },
     "corrections": {"correct_conservation": "true"},
     "run": {"initial": "cosine", "out": "out"},
@@ -85,20 +84,20 @@ class RunConfig:
         self.read[sec, key] = value = self.values.get((sec, key)) or DEFAULTS[sec][key]
         return value
 
-    def _typed(self, sec, key, convert, default=None):
+    def _typed(self, sec, key, convert):
         raw = self.get(sec, key).strip()
         if raw == "":
-            return default
+            return None
         try:
             return convert(raw)
         except ValueError as err:
             raise ConfigError(f"[{sec}] {key}: {err}") from err
 
-    def get_float(self, sec, key, default=None):
-        return self._typed(sec, key, float, default)
+    def get_float(self, sec, key):
+        return self._typed(sec, key, float)
 
-    def get_int(self, sec, key, default=None):
-        return self._typed(sec, key, int, default)
+    def get_int(self, sec, key):
+        return self._typed(sec, key, int)
 
     def get_bool(self, sec, key):
         return self._typed(sec, key, _as_bool)

@@ -81,16 +81,13 @@ class Advection(ConservationLaw):
 
 
 class Burgers(ConservationLaw):
-    """f(u) = u^2/2 along a fixed direction (default the x axis in 2D)."""
+    """f(u) = u^2/2 along the x axis."""
 
     has_entropy = True
 
-    def __init__(self, dim=1, direction=None):
+    def __init__(self, dim=1):
         self.dim = dim
-        if direction is None:
-            direction = np.zeros(dim)
-            direction[0] = 1.0
-        self.d = np.asarray(direction, dtype=float)
+        self.d = np.eye(dim)[0]
         self.name = "burgers"
 
     def flux(self, u):
@@ -160,31 +157,35 @@ def rh_shock_speed(uL, uR, law):
 # compressible Euler (perfect gas)
 
 
+def _decode(u, gamma):
+    """Density, velocity and pressure of conserved states (..., m),
+    unchecked: a zero density gives inf or NaN."""
+    u = np.asarray(u, dtype=float)
+    rho = u[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = u[..., 1:-1] / rho[..., None]
+        ke = 0.5 * rho * np.sum(v * v, axis=-1)
+    return rho, v, (gamma - 1.0) * (u[..., -1] - ke)
+
+
+def _admissible(rho, p):
+    """Where density and pressure reach ``ADMISSIBLE_TOL``; NaN fails."""
+    return (np.asarray(rho) >= ADMISSIBLE_TOL) & (np.asarray(p) >= ADMISSIBLE_TOL)
+
+
 def _check_admissible(rho, p):
-    rho = np.asarray(rho)
-    p = np.asarray(p)
-    if np.any(rho < ADMISSIBLE_TOL) or np.any(p < ADMISSIBLE_TOL):
-        raise InadmissibleStateError(
-            f"min density {rho.min()}, min pressure {p.min()}"
-        )
+    ok = _admissible(rho, p)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rho, p = (a.flat[i] for a in np.broadcast_arrays(rho, p))
+        raise InadmissibleStateError(f"density {rho} or pressure {p} below {ADMISSIBLE_TOL}")
 
 
 def primitive_from_conserved(u, gamma=1.4):
     """(rho, m, E) -> (rho, v, p); vectorised over leading axes."""
-    u = np.asarray(u, dtype=float)
-    d = u.shape[-1] - 2
-    rho = u[..., 0]
-    if np.any(rho < ADMISSIBLE_TOL):
-        raise InadmissibleStateError(f"min density {rho.min()}")
-    v = u[..., 1 : 1 + d] / rho[..., None]
-    ke = 0.5 * rho * np.sum(v * v, axis=-1)
-    p = (gamma - 1.0) * (u[..., -1] - ke)
+    rho, v, p = _decode(u, gamma)
     _check_admissible(rho, p)
-    out = np.empty_like(u)
-    out[..., 0] = rho
-    out[..., 1 : 1 + d] = v
-    out[..., -1] = p
-    return out
+    return np.concatenate([rho[..., None], v, p[..., None]], axis=-1)
 
 
 def conserved_from_primitive(w, gamma=1.4):
@@ -216,11 +217,6 @@ def euler_flux(u, gamma=1.4):
         f[..., k, 1 + k] += p
         f[..., k, -1] = v[..., k] * (E + p)
     return f
-
-
-def sound_speed(rho, p, gamma=1.4):
-    _check_admissible(rho, p)
-    return np.sqrt(gamma * np.asarray(p) / np.asarray(rho))
 
 
 class Euler(ConservationLaw):
@@ -263,15 +259,12 @@ class Euler(ConservationLaw):
         w = primitive_from_conserved(np.asarray(u, dtype=float), self.gamma)
         d = self.dim
         vn = np.sum(w[..., 1 : 1 + d] * np.asarray(n), axis=-1)
-        a = sound_speed(w[..., 0], w[..., -1], self.gamma)
+        a = np.sqrt(self.gamma * w[..., -1] / w[..., 0])
         return np.abs(vn) + a * np.linalg.norm(n, axis=-1)
 
     def admissible(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ke = 0.5 * np.sum(u[..., 1:-1] ** 2, axis=-1) / u[..., 0]
-        p = (self.gamma - 1.0) * (u[..., -1] - ke)
-        return (u[..., 0] >= ADMISSIBLE_TOL) & (p >= ADMISSIBLE_TOL)
+        rho, _, p = _decode(u, self.gamma)
+        return _admissible(rho, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InadmissibleStateError, InfeasibleCorrectionError
 
 DENSITY_TOL = 1e-12
+ENTROPY_CORRECTION_TOL = 1e-11
 
 
 def conserved_increment_matrix(w_p, w_p1):
@@ -55,8 +56,9 @@ def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     """
     rho_p1 = np.asarray(rho_p1, dtype=float)
     denom = rho_p1.sum(axis=0)
-    if (denom < DENSITY_TOL).any():
-        i = int(np.argmax(denom < DENSITY_TOL))
+    ok = denom >= DENSITY_TOL                       # NaN fails
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise InadmissibleStateError(f"density sum {np.ravel(denom)[i]} below "
                                      f"{DENSITY_TOL} in element {i}")
     current = (rho_p1 * phi_u + np.asarray(u_p) * phi_rho).sum(axis=0)
@@ -93,7 +95,7 @@ def divided_difference_rho_kappa(rho_p, rho_p1, kappa):
     return out if out.ndim else float(out)
 
 
-def entropy_pressure_correction(rho_p, kappa, E1, E2, tol=1e-11):
+def entropy_pressure_correction(rho_p, kappa, E1, E2):
     """Minimum-norm pressure corrections (r_p)_sigma satisfying
 
         sum_sigma (r_p)_sigma = E1
@@ -109,7 +111,7 @@ def entropy_pressure_correction(rho_p, kappa, E1, E2, tol=1e-11):
     r, *_ = np.linalg.lstsq(A, b, rcond=None)
     defect = np.abs(A @ r - b)
     scale = 1.0 + np.abs(b)
-    if np.any(defect > tol * scale):
+    if np.any(defect > ENTROPY_CORRECTION_TOL * scale):
         raise InfeasibleCorrectionError(
             "entropy correction constraints are incompatible; "
             f"row defects {defect.tolist()}"

@@ -7,6 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CONSERVATION_TOL = 1e-12
+MAXIMUM_PRINCIPLE_TOL = 1e-10
+ENTROPY_TOL = 1e-12
+# the Lipschitz audit certifies finiteness and reports the constant;
+# callers may assert a concrete bound on the defect
+LIPSCHITZ_TOL = np.inf
+
 
 @dataclass
 class AuditReport:
@@ -28,7 +35,7 @@ class AuditReport:
         )
 
 
-def conservation_audit(disc, u, scheme, rset=None, tol=1e-12):
+def conservation_audit(disc, u, scheme, rset=None):
     """Largest relative gap between an element's distributed residuals and its
     total residual, the boundary integral of the flux (criterion 01's bound)."""
     if rset is None:
@@ -36,16 +43,12 @@ def conservation_audit(disc, u, scheme, rset=None, tol=1e-12):
     total = disc.total_residual(slice(None), u)
     defect = (np.abs(rset.phi.sum(axis=1) - total) / (1.0 + np.abs(total))).max(axis=1)
     e = int(np.argmax(defect))
-    return AuditReport("conservation", float(defect[e]), tol, ("element", e))
+    return AuditReport("conservation", float(defect[e]), CONSERVATION_TOL, ("element", e))
 
 
-def lipschitz_audit(disc, scheme, bound_M=1.0, n_samples=10000, seed=0, tol=np.inf):
+def lipschitz_audit(disc, scheme, bound_M=1.0, n_samples=10000, seed=0):
     """Empirical Lipschitz constant of the distribution: the largest ratio
-    max_sigma |Phi_sigma| / sum |u_sigma - u_sigma'| over random element data.
-
-    The tolerance defaults to infinity: the audit certifies finiteness and
-    reports the constant; callers may assert a concrete bound.
-    """
+    max_sigma |Phi_sigma| / sum |u_sigma - u_sigma'| over random element data."""
     rng = np.random.default_rng(seed)
     nloc, m = disc.nloc, disc.m
     worst = 0.0
@@ -66,10 +69,10 @@ def lipschitz_audit(disc, scheme, bound_M=1.0, n_samples=10000, seed=0, tol=np.i
         ratio = num / denom
         if ratio > worst:
             worst, where = ratio, ("sample", k)
-    return AuditReport("lipschitz", worst, tol, where)
+    return AuditReport("lipschitz", worst, LIPSCHITZ_TOL, where)
 
 
-def maximum_principle_audit(history, tol=1e-10):
+def maximum_principle_audit(history):
     """Overshoot of a scalar run history beyond the initial data range."""
     u0 = np.asarray(history[0], dtype=float)
     lo, hi = float(u0.min()), float(u0.max())
@@ -80,10 +83,10 @@ def maximum_principle_audit(history, tol=1e-10):
         d = max(float(u.max()) - hi, lo - float(u.min()), 0.0)
         if d > worst:
             worst, where = d, ("step", k)
-    return AuditReport("maximum_principle", worst, tol, where)
+    return AuditReport("maximum_principle", worst, MAXIMUM_PRINCIPLE_TOL, where)
 
 
-def entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
+def entropy_inequality_audit(disc, u, rset, u_b=None):
     """Per-element defect (entropy outflux minus entropy residual), clamped.
 
     The numerical entropy flux is the law's entropy flux at the face-average
@@ -114,9 +117,9 @@ def entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
     outflux = np.einsum("kfq,kfqd,kfd->k", disc.fw, g, disc.fnormal)
     defect = np.maximum(0.0, outflux - lhs)
     e = int(np.argmax(defect))
-    report = AuditReport("entropy_inequality", float(defect[e]), tol,
+    report = AuditReport("entropy_inequality", float(defect[e]), ENTROPY_TOL,
                          ("element", e) if defect[e] > 0.0 else None)
-    report.extra = {"violations": int((defect > tol).sum())}
+    report.extra = {"violations": int((defect > ENTROPY_TOL).sum())}
     return report
 
 

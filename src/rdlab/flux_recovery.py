@@ -21,6 +21,7 @@ from . import mesh as msh
 from .errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
 from .rd_core import _per_element
 
+BALANCE_TOL = 1e-11
 COMPAT_TOL = 1e-10
 CONNECTIVITY_TOL = 1e-10
 
@@ -61,7 +62,7 @@ def build_incidence(graph):
     return IncidenceSystem(A=A, L=L, Linv=Linv)
 
 
-def recover_fluxes(system, psi, compat_tol=COMPAT_TOL):
+def recover_fluxes(system, psi):
     """Minimum-norm edge fluxes solving A f = Psi, componentwise.
 
     ``psi`` has shape (..., #nodes, m) with any leading element axes, or
@@ -71,7 +72,7 @@ def recover_fluxes(system, psi, compat_tol=COMPAT_TOL):
     """
     psi = _columns(psi)
     defect = np.abs(psi.sum(axis=-2))
-    bad = defect > compat_tol * (1.0 + np.abs(psi).max(axis=-2))
+    bad = defect > COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))
     if np.any(bad):
         e = int(np.argmax(np.any(bad, axis=-1)))
         raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
@@ -84,13 +85,14 @@ def recover_normals(system, N):
     return recover_fluxes(system, N)
 
 
-def certify(system, fluxes, psi, balance_tol=1e-11, compat_tol=COMPAT_TOL):
+def certify(system, fluxes, psi):
     """Worst balance and compatibility defects over a batch of recovered
     ``fluxes`` (..., #edges, m) and residuals ``psi`` (..., #nodes, m), or 1-D
     for one component.  Each edge flux is stored once, for the oriented edge,
     so the reverse flux is its negation by data layout: no antisymmetry defect.
     The report passes when, for every element and component, both defects
-    are within their tolerance times 1 + max|psi|, as ``recover_fluxes``
+    are within their tolerance (``BALANCE_TOL``, ``COMPAT_TOL``) times
+    1 + max|psi|, as ``recover_fluxes``
     scales its compatibility check; a NaN defect fails.
     """
     psi, fluxes = _columns(psi), _columns(fluxes)
@@ -98,8 +100,8 @@ def certify(system, fluxes, psi, balance_tol=1e-11, compat_tol=COMPAT_TOL):
     compat = np.abs(psi.sum(axis=-2))
     scale = 1.0 + np.abs(psi).max(axis=-2)
     return BalanceReport(float(balance.max()), float(compat.max()),
-                         passed=bool((balance <= balance_tol * scale).all()
-                                     and (compat <= compat_tol * scale).all()))
+                         passed=bool((balance <= BALANCE_TOL * scale).all()
+                                     and (compat <= COMPAT_TOL * scale).all()))
 
 
 def _columns(a):

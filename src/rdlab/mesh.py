@@ -253,11 +253,10 @@ def element_geometry(mesh, e=slice(None)):
 
 def reference_graph(dim, degree):
     """Oriented flux-recovery graph for an element type."""
-    key = (dim, degree)
-    if key not in _GRAPH_EDGES:
+    edges = _GRAPH_EDGES.get((dim, degree))
+    if edges is None:
         raise UnsupportedFeatureError(f"no element graph for dim={dim}, degree={degree}")
-    n_nodes = {(2, 1): 3, (2, 2): 6, (1, 1): 2}[key]
-    return ElementGraph(n_nodes=n_nodes, edges=_GRAPH_EDGES[key])
+    return ElementGraph(n_nodes=1 + max(map(max, edges)), edges=edges)
 
 
 def element_graph(mesh):
@@ -362,10 +361,7 @@ def gauss_01(npts):
 
 
 def volume_rule(mesh):
-    """Interior rule exact for degree 2k polynomials."""
-    if mesh.dim == 1:
-        t, w = gauss_01(2)
-        return t, w
+    """Interior triangle rule exact for degree 2k polynomials."""
     return tri_quadrature(2 * mesh.degree)
 
 
@@ -389,7 +385,7 @@ def face_local_dofs(mesh, local_face):
 
 
 # ---------------------------------------------------------------------------
-# text/CSV I/O
+# text I/O
 
 
 def save_text(mesh, path):
@@ -416,22 +412,3 @@ def load_text(path, degree=1):
     if dim == 1 and not mesh.boundary_faces and not period:
         raise UnsupportedFeatureError(f"{path}: closed interval mesh without a period")
     return mesh
-
-
-def export_csv(mesh, directory):
-    """Write vertices/elements/boundary tags as three CSV files."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "vertices.csv"), "w") as fh:
-        fh.write(",".join(f"x{k}" for k in range(mesh.dim)) + "\n")
-        for v in mesh.vertices:
-            fh.write(",".join(f"{x:.17g}" for x in v) + "\n")
-    with open(os.path.join(directory, "elements.csv"), "w") as fh:
-        fh.write(",".join(f"v{k}" for k in range(mesh.dim + 1)) + "\n")
-        for el in mesh.elements:
-            fh.write(",".join(str(int(i)) for i in el) + "\n")
-    with open(os.path.join(directory, "boundary.csv"), "w") as fh:
-        fh.write("element,local_face,tag\n")
-        for bf in mesh.boundary_faces:
-            fh.write(f"{bf.element},{bf.local_face},{bf.tag}\n")

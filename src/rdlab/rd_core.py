@@ -83,10 +83,10 @@ class Discretization:
     weight 1, normal -1 or +1), so 1D and 2D share one residual kernel.
     """
 
-    def __init__(self, mesh, law, dofmap=None):
+    def __init__(self, mesh, law):
         self.mesh = mesh
         self.law = law
-        self.dofmap = dofmap if dofmap is not None else msh.build_dofmap(mesh)
+        self.dofmap = msh.build_dofmap(mesh)
         self.m = law.m
         self.nloc = self.dofmap.dofs_per_element
         self._setup()

@@ -19,19 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class CflWarning(RuntimeWarning):
+    """A given time step exceeds the CFL bound ``stable_dt`` of the state."""
+
+
 @dataclass
 class DecConfig:
-    method: str = "cn"          # "euler" (weights 1,0) or "cn" (1/2,1/2)
-    iterations: int | None = None
+    method: str                 # "euler" (weights 1,0) or "cn" (1/2,1/2)
     cfl: float = 0.3
 
     def __post_init__(self):
         if self.method not in ("euler", "cn"):
             raise ValueError(f"unknown time method {self.method!r}")
-        if self.iterations is None:
-            self.iterations = 1 if self.method == "euler" else 2
-        if self.iterations < 1:
-            raise ValueError("iteration count must be >= 1")
+
+    @property
+    def iterations(self):
+        """Correction sweeps: the time average fixes them, one for forward
+        Euler and two for the second-order trapezoidal average."""
+        return 1 if self.method == "euler" else 2
 
     @property
     def weights(self):
@@ -102,7 +107,7 @@ def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
     w0, w1 = config.weights
     if R_n is None:
         R_n = _residual(disc, u_n, scheme, u_b)
-    if config.method == "euler" and config.iterations == 1:
+    if config.method == "euler":
         return u_n - dt * R_n / mass[:, None]
     u_p = u_n
     for sweep in range(config.iterations):
@@ -118,7 +123,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     """March to ``t_end``; returns (final state, times list).
 
     Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
-    a RuntimeWarning where ``dt`` exceeds that bound.  ``log``, if given, is
+    a ``CflWarning`` where ``dt`` exceeds that bound.  ``log``, if given, is
     called after each step with (t, u, total lumped mass per component,
     residual infinity norm).  The residual at the new state is computed once
     and serves both the log and the next step.
@@ -134,8 +139,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
         if step > dtmax * (1.0 + 1e-12):
-            warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}",
-                          RuntimeWarning)
+            warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
         u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)
         t += step
         times.append(t)

@@ -9,6 +9,7 @@ import rdlab
 from rdlab import diagnostics as diag
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
+from rdlab import time_dec
 from rdlab.cli import main
 from rdlab.conslaw import Advection, Burgers
 from rdlab.flux_recovery import boundary_dof_flux
@@ -68,6 +69,18 @@ def test_run_p2_with_weak_boundaries(tmp_path):
     data = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
     assert data.shape == (9 * 9, 4)  # the P2 lattice of a 4x4 grid
     assert "PASS conservation" in (out / "audit.txt").read_text()
+
+
+def test_strict_rejects_a_step_above_the_cfl_bound(tmp_path, capsys):
+    """The 4x4 grid's CFL bound is 0.0375 for the bump; a step of 0.05 only
+    warns, and under --strict exits 3 naming the step and the bound."""
+    cfg = write_config(tmp_path, with_key(RUN_INI, "time", "dt = 0.05"))
+    with pytest.warns(time_dec.CflWarning, match="time step 0.05 exceeds the CFL bound 0.037"):
+        assert main(["run", cfg, "--out", str(tmp_path / "warned")]) == 0
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("step rejected: time step 0.05 exceeds the CFL bound 0.037")
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -151,7 +164,6 @@ PATHS = {"sod": SOD_INI, "triangle": TRI_INI, "interval": INTERVAL_INI}
     ("sod", "scheme", "kind", "limited_jump"),
     ("sod", "time", "method", "cn"),
     ("sod", "time", "dt", "0.001"),
-    ("sod", "time", "dec_iterations", "3"),
     ("triangle", "mesh", "n", "50"),
     ("triangle", "mesh", "periodic", "true"),
     ("interval", "mesh", "nx", "4"),
@@ -191,7 +203,7 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (with_key(TRI_INI, "time", "method = rk4"), "unknown time method 'rk4'"),
     (SOD_INI.replace("euler(1.4)", "euler(abc)"), "[law] name: could not convert"),
     (with_key(TRI_INI, "scheme", "kind = supg\ntau_scale = -1"), "tau_scale must be positive"),
-    (with_key(TRI_INI, "time", "dec_iterations = 0"), "iteration count must be >= 1"),
+    (with_key(TRI_INI, "time", "dec_iterations = 2"), "unknown key 'dec_iterations' in section [time]"),
     (TRI_INI.replace("nx = 2", "nx = 0"), "cell counts must be >= 1"),
     (with_key(INTERVAL_INI, "mesh", "degree = 2"), "degree 1 only"),
     (with_key(TRI_INI, "mesh", "degree = 3"), "degree 3 not supported"),
@@ -199,7 +211,7 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (INTERVAL_INI.replace("advection(1)", "advection(1, 0)"), "2-D advection law on a 1-D"),
     (with_key(TRI_INI, "law", "name = cubic"), "1-D cubic law on a 2-D mesh"),
 ], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "tau_scale",
-        "dec_iterations", "nx", "interval_degree", "triangle_degree", "sod_cells",
+        "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
         "law_dim_interval", "law_dim_triangle"])
 def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
     assert main(["run", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]) == 2

@@ -22,8 +22,6 @@ def test_burgers_flux_and_direction():
     f = law.flux(u)
     assert np.allclose(f[0], [[2.0], [0.0]])
     assert abs(law.jac_n(u, np.array([1.0, 0.0]))[0, 0, 0] - 2.0) < 1e-14
-    tilted = cl.Burgers(dim=2, direction=(0.0, 1.0))
-    assert np.allclose(tilted.flux(u)[0], [[0.0], [2.0]])
 
 
 def test_cubic_transport():
@@ -67,6 +65,25 @@ def test_inadmissible_states_raise():
     with pytest.raises(InadmissibleStateError):
         # kinetic energy exceeds the total energy -> negative pressure
         cl.primitive_from_conserved(np.array([1.0, 2.0, 1.0]))
+
+
+def test_conversion_accepts_exactly_the_admissible_states():
+    """Near the density and pressure bounds, and with NaN in any component,
+    ``Euler.admissible`` and ``primitive_from_conserved`` agree state by
+    state."""
+    law = cl.Euler(dim=1)
+    rng = np.random.default_rng(19)
+    rho = rng.uniform(-1e-12, 3e-12, 200)
+    u = np.stack([rho, np.zeros_like(rho), rng.uniform(-1e-12, 6e-12, 200) / 0.4], axis=-1)
+    u = np.concatenate([u, [[1e-12, 0.0, 1.0], [0.0, 0.0, 1.0]], 1.0 + np.diag([np.nan] * 3)])
+    ok = law.admissible(u)
+    assert ok.any() and not ok[-3:].any()
+    for state, accepted in zip(u, ok):
+        if accepted:
+            cl.primitive_from_conserved(state)
+        else:
+            with pytest.raises(InadmissibleStateError):
+                cl.primitive_from_conserved(state)
 
 
 def test_euler_flux_value():

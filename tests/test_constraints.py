@@ -54,6 +54,13 @@ def test_velocity_correction_rejects_vanishing_density():
                                np.zeros(2), 1.0)
 
 
+def test_velocity_correction_rejects_nan_density():
+    rho_p1 = np.array([[1.0, 1.0, np.nan], [1.0, 1.0, 1.0]])    # (2 DOFs, 3 elements)
+    with pytest.raises(InadmissibleStateError, match="density sum nan below 1e-12 in element 2$"):
+        cs.velocity_correction(np.zeros((2, 3)), np.zeros((2, 3)), rho_p1,
+                               np.zeros((2, 3)), np.zeros(3))
+
+
 def test_energy_correction_closes_energy_balance():
     rng = np.random.default_rng(3)
     w_p = random_primitive(rng)

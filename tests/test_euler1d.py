@@ -43,6 +43,18 @@ def test_step_rejects_inadmissible_states():
         euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
 
 
+def test_step_rejects_nan_states():
+    x, w = euler1d.sod_initial(10)
+    w[4, 0] = np.nan
+    with pytest.raises(InadmissibleStateError, match="density nan below 1e-12 at node 4$"):
+        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+    w[4, 0] = 1.0
+    w[6, 2] = np.nan
+    with pytest.raises(InadmissibleStateError,
+                       match="internal energy nan below 1e-12 at node 6$"):
+        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+
+
 def test_corrected_step_rejects_collapsed_new_density():
     """The velocity correction divides by each element's new density sum, so
     a step that drives one below zero raises in the step itself; without the

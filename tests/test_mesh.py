@@ -195,10 +195,3 @@ def test_text_io_roundtrip(tmp_path):
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.elements, mesh.elements)
     assert len(back.boundary_faces) == len(mesh.boundary_faces)
-
-
-def test_export_csv(tmp_path):
-    mesh = msh.build_structured_tri_mesh(2, 2)
-    msh.export_csv(mesh, tmp_path)
-    for name in ("vertices.csv", "elements.csv", "boundary.csv"):
-        assert (tmp_path / name).exists()

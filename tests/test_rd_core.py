@@ -269,11 +269,14 @@ def test_inadmissible_state_names_the_owning_element():
     dof = int(np.flatnonzero(owners == 1)[-1])
     element = int(np.flatnonzero((dofs == dof).any(axis=1))[0])
     assert element > 0
-    u[dof, 0] = -1.0  # negative density
-    for kind in ALL_KINDS:
-        with pytest.raises(StepFailureError) as err:
-            disc.residual_set(u, Scheme(kind=kind))
-        assert err.value.element == element
+    # a negative density, and NaN in the density, a momentum or the energy
+    for component, value in ((0, -1.0), (0, np.nan), (1, np.nan), (3, np.nan)):
+        bad = u.copy()
+        bad[dof, component] = value
+        for kind in ALL_KINDS:
+            with pytest.raises(StepFailureError, match=f"in element {element}:") as err:
+                disc.residual_set(bad, Scheme(kind=kind))
+            assert err.value.element == element
 
 
 def test_limited_scheme_is_a_convex_split_of_the_total():

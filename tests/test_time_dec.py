@@ -23,8 +23,8 @@ def test_dec_config_defaults():
     assert cn.weights == (0.5, 0.5)
     with pytest.raises(ValueError):
         td.DecConfig(method="rk4")
-    with pytest.raises(ValueError):
-        td.DecConfig(method="cn", iterations=0)
+    with pytest.raises(TypeError):
+        td.DecConfig()    # the method has no default
 
 
 def test_lumped_mass_totals():
