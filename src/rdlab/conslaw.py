@@ -164,7 +164,7 @@ def _decode(u, gamma):
     rho = u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         v = u[..., 1:-1] / rho[..., None]
-        ke = 0.5 * rho * np.sum(v * v, axis=-1)
+        ke = 0.5 * rho * (v * v).sum(axis=-1)
     return rho, v, (gamma - 1.0) * (u[..., -1] - ke)
 
 
@@ -203,19 +203,18 @@ def conserved_from_primitive(w, gamma=1.4):
 
 
 def euler_flux(u, gamma=1.4):
-    """Flux tensor of conserved Euler state(s), shape (..., d, m)."""
+    """Flux tensor of conserved Euler state(s) (..., m), shape (..., d, m)."""
     u = np.asarray(u, dtype=float)
-    d = u.shape[-1] - 2
-    w = primitive_from_conserved(u, gamma)
-    rho, v, p = w[..., 0], w[..., 1 : 1 + d], w[..., -1]
-    E = u[..., -1]
-    f = np.zeros(u.shape[:-1] + (d, u.shape[-1]))
-    for k in range(d):
-        f[..., k, 0] = rho * v[..., k]
-        for i in range(d):
-            f[..., k, 1 + i] = rho * v[..., k] * v[..., i]
-        f[..., k, 1 + k] += p
-        f[..., k, -1] = v[..., k] * (E + p)
+    rho, v, p = _decode(u, gamma)
+    _check_admissible(rho, p)
+    m = u.shape[-1]
+    rv = rho[..., None] * v                                 # momentum rho v_k
+    f = np.empty(u.shape[:-1] + (m - 2, m))
+    f[..., 0] = rv
+    f[..., 1:-1] = rv[..., :, None] * v[..., None, :]       # (rho v_k) v_i
+    f[..., -1] = v * (u[..., -1] + p)[..., None]
+    # the entries (k, 1 + k) are every (m + 1)-th of the flattened (d, m)
+    f.reshape(u.shape[:-1] + (-1,))[..., 1 :: m + 1] += p[..., None]
     return f
 
 
@@ -236,8 +235,8 @@ class Euler(ConservationLaw):
         d = self.dim
         g = self.gamma
         k = g - 1.0
-        w = primitive_from_conserved(u, g)
-        rho, v, p = w[..., 0], w[..., 1 : 1 + d], w[..., -1]
+        rho, v, p = _decode(u, g)
+        _check_admissible(rho, p)
         n = np.asarray(n, dtype=float)
         vn = np.sum(v * n, axis=-1)
         q2 = np.sum(v * v, axis=-1)
@@ -256,10 +255,10 @@ class Euler(ConservationLaw):
         return A
 
     def max_wave_speed(self, u, n):
-        w = primitive_from_conserved(np.asarray(u, dtype=float), self.gamma)
-        d = self.dim
-        vn = np.sum(w[..., 1 : 1 + d] * np.asarray(n), axis=-1)
-        a = np.sqrt(self.gamma * w[..., -1] / w[..., 0])
+        rho, v, p = _decode(u, self.gamma)
+        _check_admissible(rho, p)
+        vn = np.sum(v * np.asarray(n), axis=-1)
+        a = np.sqrt(self.gamma * p / rho)
         return np.abs(vn) + a * np.linalg.norm(n, axis=-1)
 
     def admissible(self, u):

@@ -29,6 +29,9 @@ from .errors import (
 )
 
 BLEND_ZERO_TOL = 1e-13
+# relative and absolute (subnormal squares) slack of the pruning in rusanov_alpha
+PRUNE_SLACK = 1e-12
+PRUNE_FLOOR = 1e-300
 
 
 @dataclass
@@ -140,11 +143,18 @@ class Discretization:
         self.bgrad = np.stack([-1.0 / h, 1.0 / h], axis=-1)[..., None]  # (ne, 2, 1)
         t, self.vq_w = msh.gauss_01(2)                    # (nq,)
         self.vq_phi = msh.interval_basis(t)               # (nq, 2)
-        self.vgrad = np.broadcast_to(self.bgrad[:, None], (len(h), len(t), 2, 1))
+        self.vgrad = np.repeat(self.bgrad[:, None], len(t), axis=1)  # (ne, nq, 2, 1)
         # each end point is a face with one point of weight 1: fw, bw
         # (ne, 2, 1); flam, blam, fphi, bphi (2, 1, 2)
         self.flam = self.fphi = self.blam = self.bphi = np.eye(2)[:, None, :]
         self.fw = self.bw = np.ones((len(h), 2, 1))
+
+    @functools.cached_property
+    def element_mass(self):
+        """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K);
+        built on first use, so runs that never step in time skip them."""
+        w = self.vq_w * self.measure[:, None]
+        return np.einsum("...q,qi,qj->...ij", w, self.vq_phi, self.vq_phi)
 
     @functools.cached_property
     def _neighbors(self):
@@ -210,8 +220,17 @@ class Discretization:
 
     @_per_element
     def rusanov_alpha(self, e, u):
-        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||."""
-        return self.nloc * _specnorm(self._rusanov_matrix(e, u)).max(axis=(1, 2))
+        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
+
+        A block's largest column or row norm bounds its spectral norm from
+        below and its Frobenius norm from above, so only blocks whose
+        Frobenius norm reaches the element's largest column or row norm are
+        decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
+        ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
+        block that sets the maximum always gets its own SVD, and alpha is the
+        float that decomposing every block gives.
+        """
+        return self.nloc * _max_specnorm(self._rusanov_matrix(e, u))
 
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
@@ -416,3 +435,19 @@ def _specnorm(a):
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
     return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _max_specnorm(a):
+    """Largest ``_specnorm`` of the trailing (m, m) blocks of each a[k], (k,),
+    decomposing only blocks that can set it (see ``rusanov_alpha``)."""
+    if a.shape[-2:] == (1, 1):
+        return _specnorm(a).reshape(len(a), -1).max(axis=1)
+    blocks = a.reshape((len(a), -1) + a.shape[-2:])      # (k, nb, m, m)
+    sq = blocks * blocks
+    col2 = sq.sum(axis=-2)                               # (k, nb, m)
+    line2 = np.maximum(col2.max(axis=(1, 2)), sq.sum(axis=-1).max(axis=(1, 2)))
+    lower = (1.0 - PRUNE_SLACK) * line2 - PRUNE_FLOOR
+    keep = ~(col2.sum(axis=-1) < lower[:, None])         # NaN is kept
+    norms = np.zeros(keep.shape)
+    norms[keep] = _specnorm(blocks[keep])
+    return norms.max(axis=1)

@@ -52,13 +52,6 @@ def lumped_mass(disc):
     return mass, C
 
 
-def element_mass_matrix(disc, e):
-    """Consistent element mass matrix int_K phi_i phi_j: (#K, #K) for one
-    element, (k, #K, #K) for an index array or slice of elements."""
-    w = disc.vq_w * np.asarray(disc.measure[e])[..., None]
-    return np.einsum("...q,qi,qj->...ij", w, disc.vq_phi, disc.vq_phi)
-
-
 def mass_apply(disc, w):
     """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m),
     or (ndof,) for one component."""
@@ -66,7 +59,7 @@ def mass_apply(disc, w):
     w = w[:, None] if w.ndim == 1 else w
     dofs = disc.dofmap.element_dofs
     out = np.zeros_like(w)
-    np.add.at(out, dofs, element_mass_matrix(disc, slice(None)) @ w[dofs])
+    np.add.at(out, dofs, disc.element_mass @ w[dofs])
     return out
 
 

@@ -7,7 +7,8 @@ iteration on the star pressure, plus a full similarity sampler).
 The second half holds frozen copies of package code that was since
 replaced: the per-element geometry, the per-element residual kernel and
 deferred-correction stepper from before batching, the dictionary-based
-face code from before the face table, and the 1D Euler step on (n, 3)
+face code from before the face table, the Euler flux assembled entry by
+entry from the primitive variables, and the 1D Euler step on (n, 3)
 arrays with B(W) as (n, 3, 3) matrices and its corrections inline, kept as
 the references the current code must reproduce.
 """
@@ -20,6 +21,7 @@ from collections import namedtuple
 import numpy as np
 
 from rdlab import mesh as msh
+from rdlab.conslaw import primitive_from_conserved
 from rdlab.errors import (
     ConservationDefectError,
     DegenerateGeometryError,
@@ -623,6 +625,24 @@ def _specnorm(a):
     if a.shape == (1, 1):
         return abs(float(a[0, 0]))
     return float(np.linalg.norm(a, 2))
+
+
+def oracle_euler_flux(u, gamma=1.4):
+    """Flux tensor of conserved Euler state(s), shape (..., d, m), filled
+    entry by entry from ``primitive_from_conserved``."""
+    u = np.asarray(u, dtype=float)
+    d = u.shape[-1] - 2
+    w = primitive_from_conserved(u, gamma)
+    rho, v, p = w[..., 0], w[..., 1 : 1 + d], w[..., -1]
+    E = u[..., -1]
+    f = np.zeros(u.shape[:-1] + (d, u.shape[-1]))
+    for k in range(d):
+        f[..., k, 0] = rho * v[..., k]
+        for i in range(d):
+            f[..., k, 1 + i] = rho * v[..., k] * v[..., i]
+        f[..., k, 1 + k] += p
+        f[..., k, -1] = v[..., k] * (E + p)
+    return f
 
 
 def _bary_coords(v, x):

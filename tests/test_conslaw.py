@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import oracle_euler_flux
 from rdlab import conslaw as cl
 from rdlab.errors import InadmissibleStateError
 
@@ -92,6 +93,53 @@ def test_euler_flux_value():
     f = cl.euler_flux(u)[0]
     E = u[-1]
     assert np.allclose(f, [1.2 * 0.3, 1.2 * 0.09 + 2.0, 0.3 * (E + 2.0)])
+
+
+def random_euler_states(rng, dim, shape):
+    w = np.concatenate([rng.uniform(0.2, 2.0, shape + (1,)),
+                        rng.uniform(-1.0, 1.0, shape + (dim,)),
+                        rng.uniform(0.2, 2.0, shape + (1,))], axis=-1)
+    return cl.conserved_from_primitive(w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euler_flux_is_bit_identical_to_the_frozen_flux(dim):
+    """Shapes (m,), (k, m) and (k, nf, nfq, m), as the kernels call it."""
+    rng = np.random.default_rng(40 + dim)
+    law = cl.Euler(dim=dim)
+    for shape in [(), (7,), (5, 3, 4)]:
+        u = random_euler_states(rng, dim, shape)
+        ref = oracle_euler_flux(u)
+        assert ref.shape == shape + (dim, dim + 2)
+        assert np.array_equal(cl.euler_flux(u), ref)
+        assert np.array_equal(law.flux(u), ref)
+
+
+@pytest.mark.parametrize("bad", ["nan_density", "nan_energy", "negative_pressure"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_euler_kernels_reject_inadmissible_states_as_before(dim, bad):
+    """The flux raises what the frozen flux raises, with the same message;
+    ``jac_n`` and ``max_wave_speed`` raise what ``primitive_from_conserved``
+    raises."""
+    law = cl.Euler(dim=dim)
+    u = random_euler_states(np.random.default_rng(5), dim, (4,))
+    if bad == "nan_density":
+        u[2, 0] = np.nan
+    elif bad == "nan_energy":
+        u[2, -1] = np.nan
+    else:
+        u[2, -1] = 0.4 * u[2, 1] ** 2 / u[2, 0]   # below the kinetic energy
+    n = np.eye(dim)[0]
+    with pytest.raises(InadmissibleStateError) as ref:
+        oracle_euler_flux(u)
+    with pytest.raises(InadmissibleStateError) as conv:
+        cl.primitive_from_conserved(u)
+    assert str(conv.value) == str(ref.value)
+    for kernel in (cl.euler_flux, law.flux, lambda s: law.jac_n(s, n),
+                   lambda s: law.max_wave_speed(s, n)):
+        with pytest.raises(InadmissibleStateError) as got:
+            kernel(u)
+        assert str(got.value) == str(ref.value)
 
 
 def test_euler_jacobian_matches_finite_differences():

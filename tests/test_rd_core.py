@@ -304,3 +304,104 @@ def test_specnorm():
     assert rd_core._specnorm(np.array([[-3.0]])) == 3.0
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert abs(rd_core._specnorm(a) - 1.0) < 1e-14
+
+
+def full_max_specnorm(a):
+    """Every block decomposed (1x1 blocks: their absolute value), as
+    ``rusanov_alpha`` computed it before pruning, (k,)."""
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0]).max(axis=(1, 2))
+    return np.linalg.norm(a, 2, axis=(-2, -1)).max(axis=(1, 2))
+
+
+def one_line_blocks(rng, shape, m, axis):
+    """Blocks with one nonzero column (axis=-1) or row (axis=-2)."""
+    a = np.zeros(shape + (m, m))
+    line = rng.integers(0, m, size=shape)
+    vals = rng.standard_normal(shape + (m,))
+    if axis == -1:
+        np.put_along_axis(a, np.broadcast_to(line[..., None, None], shape + (m, 1)),
+                          vals[..., None], axis=-1)
+    else:
+        np.put_along_axis(a, np.broadcast_to(line[..., None, None], shape + (1, m)),
+                          vals[..., None, :], axis=-2)
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pruned_spectral_maximum_equals_the_full_maximum(m):
+    """Bit for bit on seeded batches (k, #K, #K, m, m): dense, single-column
+    and single-row blocks, all-zero blocks and elements, exact ties between
+    blocks whose entries are summed in different orders, and near-ties."""
+    rng = np.random.default_rng(100 + m)
+    k, n = 300, 6
+    dense = rng.standard_normal((k, n, n, m, m)) * rng.uniform(0.1, 10.0, (k, n, n, 1, 1))
+    cols = one_line_blocks(rng, (k, n, n), m, -1)
+    rows = one_line_blocks(rng, (k, n, n), m, -2)
+    mixed = np.where(rng.random((k, n, n, 1, 1)) < 0.5, cols, rows)
+    zeros = dense * (rng.random((k, n, n, 1, 1)) < 0.2)
+    zeros[::7] = 0.0
+    # one row vector laid out, permuted, as the single column of another
+    # block, and as a transposed copy of a dense block: equal norms
+    ties = np.zeros((k, n, n, m, m))
+    ties[:, 0, 0, 0, :] = rng.standard_normal((k, m))
+    ties[:, 1, 2, :, 0] = ties[:, 0, 0, 0, rng.permutation(m)]
+    ties[:, 3, 4] = rng.standard_normal((k, m, m))
+    ties[:, 4, 3] = np.swapaxes(ties[:, 3, 4], -2, -1)
+    ties[:, 5, 5] = ties[:, 0, 0]
+    # a single-row and a single-column block whose norms differ by 1e-9
+    # relative; scaled by 1e-158, their squares are subnormal
+    near = np.zeros((k, n, n, m, m))
+    x, y = rng.standard_normal((2, k, m))
+    y *= (np.linalg.norm(x, axis=1) / np.linalg.norm(y, axis=1) * (1.0 - 1e-9))[:, None]
+    near[:, 0, 0, 0, :] = x
+    near[:, 1, 1, :, 0] = y
+    for a in (dense, cols, rows, mixed, zeros, ties, near, 1e-158 * near):
+        assert np.array_equal(rd_core._max_specnorm(a), full_max_specnorm(a))
+
+
+def test_pruned_spectral_maximum_keeps_nan_blocks():
+    """A NaN block is decomposed, and fails as the full decomposition does."""
+    a = np.random.default_rng(8).standard_normal((3, 2, 2, 4, 4))
+    a[1, 1, 0, 2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        full_max_specnorm(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        rd_core._max_specnorm(a)
+
+
+def test_rusanov_alpha_decomposes_only_candidate_blocks(monkeypatch):
+    """On a P2 Euler state alpha is the full maximum, and fewer than a tenth
+    of the 4x4 blocks need a singular value decomposition."""
+    mesh = jittered_tri_mesh(3, 2, seed=6)
+    disc = Discretization(mesh, Euler(gamma=1.4, dim=2))
+    rng = np.random.default_rng(6)
+    w = np.array([1.0, 0.5, 0.25, 1.0]) + rng.uniform(-0.2, 0.2, (disc.dofmap.n_dofs, 4))
+    u = conserved_from_primitive(w)
+    a = disc._rusanov_matrix(slice(None), u)
+    decomposed = []
+    specnorm = rd_core._specnorm
+
+    def counting(blocks):
+        decomposed.append(len(blocks))
+        return specnorm(blocks)
+
+    monkeypatch.setattr(rd_core, "_specnorm", counting)
+    alpha = disc.rusanov_alpha(slice(None), u)
+    assert np.array_equal(alpha, disc.nloc * full_max_specnorm(a))
+    assert sum(decomposed) < 0.1 * a[..., 0, 0].size
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (2, 1), (2, 2)])
+def test_discretization_tables_are_c_contiguous(dim, degree):
+    """Per-element tables keep the element axis outermost in memory."""
+    if dim == 1:
+        mesh = msh.build_interval_mesh(6)
+    else:
+        mesh = jittered_tri_mesh(3, degree, seed=2)
+    disc = Discretization(mesh, Euler(gamma=1.4, dim=dim))
+    disc.element_mass                                     # built on first use
+    tables = {k: v for k, v in vars(disc).items()
+              if isinstance(v, np.ndarray) and v.ndim > 1}
+    assert {"snormal", "fnormal", "fw", "bw", "bgrad", "vgrad", "element_mass"} <= set(tables)
+    assert [k for k, v in tables.items() if not v.flags.c_contiguous] == []

@@ -39,7 +39,7 @@ def test_lumped_mass_totals():
 def test_element_mass_matrix_p1():
     mesh = msh.build_interval_mesh(4)
     disc = Discretization(mesh, Advection([1.0]))
-    Me = td.element_mass_matrix(disc, 0)
+    Me = disc.element_mass[0]
     h = 0.25
     assert np.allclose(Me, h * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]),
                        atol=1e-14)
@@ -52,6 +52,16 @@ def test_mass_apply_constant_field():
     mass, _ = td.lumped_mass(disc)
     # consistent and lumped pairings agree on constants
     assert np.allclose(out[:, 0], mass, atol=1e-14)
+
+
+def test_element_mass_matrices_are_built_once_on_first_use():
+    disc = make_disc(6)
+    assert "element_mass" not in vars(disc)
+    w = np.ones((disc.dofmap.n_dofs, 1))
+    td.mass_apply(disc, w)
+    built = vars(disc)["element_mass"]
+    td.mass_apply(disc, w)
+    assert vars(disc)["element_mass"] is built
 
 
 def test_stable_dt_scaling():
