@@ -82,7 +82,8 @@ def _setup(cfg):
 def _scalar_setup(cfg):
     """Interval meshes read [mesh] n and periodic, triangle meshes nx, ny, y0
     and y1; [scheme] reads the parameters of its kind (``Scheme.PARAMS``);
-    the law is parsed again for the mesh dimension."""
+    the law is parsed again for the mesh dimension.  The boundary state
+    ``u_b`` is 0 on every boundary face; a periodic mesh has none."""
     kind = cfg.get("mesh", "kind")
     x0, x1 = cfg.get_float("mesh", "x0"), cfg.get_float("mesh", "x1")
     if kind == "interval":
@@ -109,7 +110,7 @@ def _scalar_setup(cfg):
         if law.dim != mesh.dim:
             raise ConfigError(f"[law] name: a {law.dim}-D {law.name} law on a {mesh.dim}-D mesh")
         disc = Discretization(mesh, law)
-        return SimpleNamespace(disc=disc, scheme=scheme,
+        return SimpleNamespace(disc=disc, scheme=scheme, u_b=0.0,
                                time=time_dec.DecConfig(**time), t_end=t_end, dt=dt,
                                u0=_initial_field(initial, disc.dofmap.dof_coords), out=out,
                                sod=None)
@@ -151,12 +152,11 @@ def cmd_run(args):
         series.append((t, mass_total[0], rnorm))
         history.append(u.copy())
 
-    u_b = None if not disc.mesh.boundary_faces else 0.0
     with warnings.catch_warnings():
         if args.strict:
             warnings.simplefilter("error", time_dec.CflWarning)
         try:
-            u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=u_b,
+            u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=run.u_b,
                                     dt=run.dt, log=log)
         except time_dec.CflWarning as err:
             print(f"step rejected: {err}", file=sys.stderr)
@@ -280,10 +280,10 @@ def cmd_audit(args):
         raise ConfigError(f"{args.state}: needs one row per DOF ({disc.dofmap.n_dofs}) with at "
                           f"least {law.m} value columns; has {len(u)} rows of {u.shape[1]}")
     u = u[:, -law.m:]
-    rset = disc.residual_set(u, scheme)
+    rset = disc.residual_set(u, scheme, run.u_b)
     reports = [diag.conservation_audit(disc, u, scheme, rset=rset)]
     if law.has_entropy:
-        reports.append(diag.entropy_inequality_audit(disc, u, rset))
+        reports.append(diag.entropy_inequality_audit(disc, u, rset, run.u_b))
     for r in reports:
         print(f"{r.name}.defect={_fmt(r.defect)}")
         print(f"{r.name}.tolerance={_fmt(r.tolerance)}")

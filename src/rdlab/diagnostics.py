@@ -91,11 +91,11 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
 
     The numerical entropy flux is the law's entropy flux at the face-average
     state: the average of the two traces on interior faces, and of the trace
-    and ``u_b`` on boundary faces, which keep their own trace when ``u_b`` is
-    None.  ``u_b`` is a constant state (m,) or a callable taking positions
-    (..., dim) to states (..., m), called once.  Violations are counted where
-    the clamped defect exceeds ``tol``.  ``u`` is (ndof, m), or (ndof,) for
-    one component.
+    and ``u_b`` on boundary faces (``mesh.faces.boundary``), which keep their
+    own trace when ``u_b`` is None.  ``u_b`` is a constant state (m,) or a
+    callable taking positions (..., dim) to states (..., m), called once.
+    Violations are counted where the clamped defect exceeds ``ENTROPY_TOL``.
+    ``u`` is (ndof, m), or (ndof,) for one component.
     """
     law = disc.law
     u = np.asarray(u, dtype=float)
@@ -105,14 +105,13 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
     u_in = np.einsum("fqs,ksm->kfqm", disc.fphi, ue)              # (ne, nf, nfq, m)
     # the neighbour runs a shared face the other way round
     u_out = u_in.reshape((-1,) + u_in.shape[2:])[disc.nbr][:, :, ::-1]
-    boundary = disc.nbr < 0
+    e, lf = disc.mesh.faces.boundary
     if u_b is None:
-        u_out[boundary] = u_in[boundary]
+        u_out[e, lf] = u_in[e, lf]
     elif callable(u_b):
-        e, lf = np.nonzero(boundary)
-        u_out[boundary] = u_b(disc.face_points(e, disc.flam[lf]))
+        u_out[e, lf] = u_b(disc.face_points(e, disc.flam[lf]))
     else:
-        u_out[boundary] = np.atleast_1d(u_b)
+        u_out[e, lf] = np.atleast_1d(u_b)
     g = law.entropy_flux(0.5 * (u_in + u_out))                    # (ne, nf, nfq, dim)
     outflux = np.einsum("kfq,kfqd,kfd->k", disc.fw, g, disc.fnormal)
     defect = np.maximum(0.0, outflux - lhs)

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,11 @@ DEGENERATE_REL_TOL = 1e-14
 
 @dataclass(frozen=True)
 class BoundaryFace:
+    """One boundary face, a face owned by one element only: that element and
+    its local face."""
+
     element: int
     local_face: int
-    tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,19 @@ class FaceTable:
     keys: np.ndarray      # (n_faces, 2) lowest and highest vertex id of each face
     id: np.ndarray        # (ne, nf) face id of each (element, local face)
     across: np.ndarray    # (ne, nf) flat index nf*e2 + lf2 of the face across, -1 on the boundary
+    boundary: np.ndarray  # (2, nb) element and local face of each boundary face, in flat order
 
 
 @dataclass
 class Mesh:
+    """Vertices and element connectivity.  Faces, neighbours and the boundary
+    are derived from the connectivity alone (``faces``), so a mesh built by
+    hand or read back has the same boundary as a builder's mesh: the faces
+    owned by one element."""
+
     dim: int
     vertices: np.ndarray          # (nv, dim)
     elements: np.ndarray          # (ne, dim+1) vertex indices
-    boundary_faces: list = field(default_factory=list)
     degree: int = 1
     period: float | None = None   # 1D only: length of a periodic interval
 
@@ -85,11 +92,18 @@ class Mesh:
         # interior face lies the owner sum minus this one
         owners = np.add.reduceat(np.argsort(ids, kind="stable"), np.cumsum(counts) - counts)
         across = np.where(counts[ids] == 2, owners[ids] - np.arange(len(ids)), -1)
+        boundary = np.stack(np.divmod(np.flatnonzero(across < 0), nf))
         table = FaceTable(np.stack(np.divmod(keys, nv), axis=-1), ids.reshape(-1, nf),
-                          across.reshape(-1, nf))
-        for a in (table.keys, table.id, table.across):
+                          across.reshape(-1, nf), boundary)
+        for a in (table.keys, table.id, table.across, table.boundary):
             a.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def boundary_faces(self):
+        """``faces.boundary`` as a tuple of ``BoundaryFace``, for callers that
+        take the faces one at a time."""
+        return tuple(BoundaryFace(*f) for f in zip(*self.faces.boundary.tolist()))
 
 
 @dataclass
@@ -122,30 +136,20 @@ _GRAPH_EDGES = {
 def build_structured_tri_mesh(nx, ny, domain=((0.0, 0.0), (1.0, 1.0)), degree=1):
     """Split an nx-by-ny rectangle grid into 2*nx*ny triangles.
 
-    ``domain`` is ((x0, y0), (x1, y1)). Boundary faces are tagged by side.
+    ``domain`` is ((x0, y0), (x1, y1)).  Vertices are numbered row by row
+    from (x0, y0); cell (i, j) with lower-left vertex a is split into the
+    triangles (a, a+1, a+nx+2) and (a, a+nx+2, a+nx+1).
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
     (x0, y0), (x1, y1) = domain
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate domain rectangle")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    verts = np.array([(x, y) for y in ys for x in xs])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    mesh = Mesh(dim=2, vertices=verts, elements=np.array(tris, dtype=int), degree=degree)
-    mesh.boundary_faces = _boundary_faces(mesh, domain)
-    return mesh
+    xs, ys = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    verts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    tris = np.stack([a, a + 1, a + nx + 2, a, a + nx + 2, a + nx + 1], axis=-1).reshape(-1, 3)
+    return Mesh(dim=2, vertices=verts, elements=tris, degree=degree)
 
 
 def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
@@ -160,41 +164,7 @@ def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
         return Mesh(dim=1, vertices=verts, elements=elems, degree=degree, period=b - a)
     verts = np.linspace(a, b, n + 1).reshape(-1, 1)
     elems = np.array([(i, i + 1) for i in range(n)], dtype=int)
-    mesh = Mesh(dim=1, vertices=verts, elements=elems, degree=degree)
-    mesh.boundary_faces = _boundary_faces(mesh)
-    return mesh
-
-
-def _boundary_faces(mesh, domain=None):
-    """Faces owned by one element only, in (element, local face) order.
-
-    1D end points are tagged left and right; 2D edges by the side of
-    ``domain`` they lie on.
-    """
-    nf = mesh.dim + 1
-    e, lf = np.divmod(np.flatnonzero(mesh.faces.across < 0), nf)
-    if mesh.dim == 1:
-        tags = [("left", "right")[f] for f in lf]
-    else:
-        ends = mesh.vertices[mesh.elements[e[:, None], np.array(_TRI_FACES)[lf]]]
-        tags = [_side_tag(mid, domain) for mid in 0.5 * (ends[:, 0] + ends[:, 1])]
-    return [BoundaryFace(*face) for face in zip(e.tolist(), lf.tolist(), tags)]
-
-
-def _side_tag(mid, domain):
-    if domain is None:
-        return ""
-    (x0, y0), (x1, y1) = domain
-    tol = 1e-12 * max(x1 - x0, y1 - y0)
-    if abs(mid[0] - x0) < tol:
-        return "left"
-    if abs(mid[0] - x1) < tol:
-        return "right"
-    if abs(mid[1] - y0) < tol:
-        return "bottom"
-    if abs(mid[1] - y1) < tol:
-        return "top"
-    return ""
+    return Mesh(dim=1, vertices=verts, elements=elems, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +380,6 @@ def load_text(path, degree=1):
         elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(ne)], dtype=int)
     mesh = Mesh(dim=dim, vertices=verts, elements=elems, degree=degree,
                 period=float(period[0]) if period else None)
-    mesh.boundary_faces = _boundary_faces(mesh)
-    if dim == 1 and not mesh.boundary_faces and not period:
+    if dim == 1 and not mesh.faces.boundary.size and not period:
         raise UnsupportedFeatureError(f"{path}: closed interval mesh without a period")
     return mesh

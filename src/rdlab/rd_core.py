@@ -14,7 +14,6 @@ element index (and return its slice) or an index array.
 from __future__ import annotations
 
 import functools
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,9 @@ class Scheme:
 @dataclass
 class ResidualSet:
     phi: np.ndarray                 # (ne, #K, m) distributed residuals
-    # (nb, nfd, m) weak boundary residuals in mesh.boundary_faces order, on
-    # the DOFs Discretization.boundary_dofs; None without boundary data
+    # (nb, nfd, m) weak boundary residuals of the faces owned by one element,
+    # in mesh.faces.boundary order, on the DOFs Discretization.boundary_dofs;
+    # None without boundary data or on a mesh without boundary faces
     boundary: np.ndarray | None = None
 
 
@@ -111,8 +111,7 @@ class Discretization:
         self.face_dofs = np.array(
             [msh.face_local_dofs(mesh, f) for f in range(self.snormal.shape[1])])
         # (nb, nfd) global DOFs of each boundary face
-        be = np.array([f.element for f in mesh.boundary_faces], dtype=int)
-        blf = np.array([f.local_face for f in mesh.boundary_faces], dtype=int)
+        be, blf = mesh.faces.boundary
         self.boundary_dofs = np.take_along_axis(
             self.dofmap.element_dofs[be], self.face_dofs[blf], axis=1)
 
@@ -155,13 +154,6 @@ class Discretization:
         built on first use, so runs that never step in time skip them."""
         w = self.vq_w * self.measure[:, None]
         return np.einsum("...q,qi,qj->...ij", w, self.vq_phi, self.vq_phi)
-
-    @functools.cached_property
-    def _neighbors(self):
-        """Read-only map (element, local face) -> (element, local face) across."""
-        nf = self.nbr.shape[1]
-        return types.MappingProxyType(
-            {divmod(a, nf): divmod(int(b), nf) for a, b in enumerate(self.nbr.flat) if b >= 0})
 
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
@@ -325,16 +317,16 @@ class Discretization:
         return 0.5 * (fh + fb) - 0.5 * (absA @ (ub - uh)[..., None])[..., 0]
 
     def boundary_residuals(self, face, u, u_b):
-        """Weak boundary contribution of one boundary face, or of a list.
+        """Weak boundary contribution of one ``BoundaryFace``, or of the faces
+        given as (elements, local faces) index arrays like ``faces.boundary``.
 
         Returns (local DOF ids on the face, per-DOF residuals (nfd, m)); for
-        a list, ids (nb, nfd) and residuals (nb, nfd, m).  ``u_b`` is a
+        index arrays, ids (nb, nfd) and residuals (nb, nfd, m).  ``u_b`` is a
         constant state (m,) or a callable taking positions (..., dim) to
         states (..., m), called once for all face points.
         """
-        faces = [face] if isinstance(face, msh.BoundaryFace) else face
-        e = np.array([f.element for f in faces], dtype=int)
-        lf = np.array([f.local_face for f in faces], dtype=int)
+        single = isinstance(face, msh.BoundaryFace)
+        e, lf = ([face.element], [face.local_face]) if single else face
         uq = np.einsum("bqs,bsm->bqm", self.bphi[lf], self.element_values(e, u))
         ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
         ub = np.broadcast_to(ub, uq.shape)
@@ -344,7 +336,7 @@ class Discretization:
         dofs = self.face_dofs[lf]                             # (nb, nfd)
         trace = np.take_along_axis(self.bphi[lf], dofs[:, None, :], axis=2)
         psi = np.einsum("bq,bqs,bqm->bsm", self.bw[e, lf], trace, diff)
-        if isinstance(face, msh.BoundaryFace):
+        if single:
             return tuple(int(s) for s in dofs[0]), psi[0]
         return dofs, psi
 
@@ -360,8 +352,8 @@ class Discretization:
                 f"inadmissible state in element {e}: {err}", element=e
             ) from err
         boundary = None
-        if u_b is not None and self.mesh.boundary_faces:
-            _, boundary = self.boundary_residuals(self.mesh.boundary_faces, u, u_b)
+        if u_b is not None and len(self.boundary_dofs):
+            _, boundary = self.boundary_residuals(self.mesh.faces.boundary, u, u_b)
         return ResidualSet(phi=phi, boundary=boundary)
 
     def assemble(self, u, scheme, u_b=None):

@@ -6,11 +6,12 @@ iteration on the star pressure, plus a full similarity sampler).
 
 The second half holds frozen copies of package code that was since
 replaced: the per-element geometry, the per-element residual kernel and
-deferred-correction stepper from before batching, the dictionary-based
-face code from before the face table, the Euler flux assembled entry by
-entry from the primitive variables, and the 1D Euler step on (n, 3)
-arrays with B(W) as (n, 3, 3) matrices and its corrections inline, kept as
-the references the current code must reproduce.
+deferred-correction stepper from before batching, the cell-loop mesh
+builder and dictionary-based face code from before the face table, the
+Euler flux assembled entry by entry from the primitive variables, and the
+1D Euler step on (n, 3) arrays with B(W) as (n, 3, 3) matrices and its
+corrections inline, kept as the references the current code must
+reproduce.
 """
 
 from __future__ import annotations
@@ -748,26 +749,46 @@ def oracle_dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None)
 
 
 # ---------------------------------------------------------------------------
-# Pre-face-table reference: boundary faces, the P2 midpoint numbering, the
-# neighbour map and the entropy audit as they were before the face table,
-# with their dictionary loops over sorted vertex pairs, the hand-written 1D
-# end-point lists and the 1D e +- 1 neighbour guess.  Only ``_side_tag`` is
-# taken from the package.  Used by test_face_table.py.
+# Pre-face-table reference: the structured triangle builder, boundary
+# faces, the P2 midpoint numbering, the neighbour map and the entropy audit
+# as they were before the face table, with their loops over grid cells,
+# dictionary loops over sorted vertex pairs, the hand-written 1D end-point
+# lists and the 1D e +- 1 neighbour guess.  Used by test_face_table.py.
+
+
+def oracle_structured_tri_mesh(nx, ny, domain=((0.0, 0.0), (1.0, 1.0))):
+    """(vertices, elements) of an nx-by-ny grid, two triangles per cell."""
+    (x0, y0), (x1, y1) = domain
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    verts = np.array([(x, y) for y in ys for x in xs])
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return verts, np.array(tris, dtype=int)
 
 
 # the boundary face record as it was, with its outward unit normal and length
-OracleBoundaryFace = namedtuple("OracleBoundaryFace", "element local_face normal measure tag")
+OracleBoundaryFace = namedtuple("OracleBoundaryFace", "element local_face normal measure")
 
 
-def oracle_boundary_faces(mesh, domain=None):
+def oracle_boundary_faces(mesh):
     """Faces incident to exactly one element are boundary faces."""
     if mesh.dim == 1:
         ne = mesh.n_elements
         if mesh.elements[-1, 1] <= mesh.elements[-1, 0]:
             return []  # periodic: the last cell wraps around
         return [
-            OracleBoundaryFace(0, 0, np.array([-1.0]), 1.0, "left"),
-            OracleBoundaryFace(ne - 1, 1, np.array([1.0]), 1.0, "right"),
+            OracleBoundaryFace(0, 0, np.array([-1.0]), 1.0),
+            OracleBoundaryFace(ne - 1, 1, np.array([1.0]), 1.0),
         ]
     seen = {}
     for e in range(mesh.n_elements):
@@ -786,8 +807,7 @@ def oracle_boundary_faces(mesh, domain=None):
         t = q - p
         length = float(np.hypot(*t))
         nrm = np.array([t[1], -t[0]]) / length  # outward for ccw elements
-        tag = msh._side_tag(0.5 * (p + q), domain)
-        faces.append(OracleBoundaryFace(e, lf, nrm, length, tag))
+        faces.append(OracleBoundaryFace(e, lf, nrm, length))
     faces.sort(key=lambda f: (f.element, f.local_face))
     return faces
 

@@ -51,10 +51,7 @@ def test_criterion_01_element_conservation_all_families():
     mesh = msh.build_structured_tri_mesh(2, 2)
     disc = Discretization(mesh, Burgers(dim=2))
     # an element with three interior edges so jump terms are active
-    e = next(
-        e for e in range(mesh.n_elements)
-        if all((e, lf) in disc._neighbors for lf in range(3))
-    )
+    e = next(e for e in range(mesh.n_elements) if (disc.nbr[e] >= 0).all())
     schemes = [Scheme(kind=k) for k in Scheme.KINDS]
     rng = np.random.default_rng(42)
     n = disc.dofmap.n_dofs

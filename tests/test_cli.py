@@ -335,10 +335,26 @@ def test_audit_uses_the_configured_scheme(tmp_path, capsys, scheme):
     u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)[:, -1:]
     kwargs = dict(line.split(" = ") for line in scheme.splitlines())
     full = Scheme(kind=kwargs.pop("kind"), **{k: float(v) for k, v in kwargs.items()})
-    rset = disc.residual_set(u, full)
+    # the run's boundary state, 0 on every boundary face
+    rset = disc.residual_set(u, full, 0.0)
     for r in (diag.conservation_audit(disc, u, full, rset=rset),
-              diag.entropy_inequality_audit(disc, u, rset)):
+              diag.entropy_inequality_audit(disc, u, rset, 0.0)):
         assert f"{r.name}.defect={r.defect:.17g}" in printed
+
+
+def test_audit_uses_the_runs_boundary_state(tmp_path, capsys):
+    """On u = 1 the boundary trace and the boundary state 0 differ, so the
+    entropy audit reads the boundary faces' face-average state."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection((1.0, 0.5)))
+    u = np.ones((disc.dofmap.n_dofs, 1))
+    state = tmp_path / "state.csv"
+    state.write_text("dof,u0\n" + "".join(f"{k},1\n" for k in range(len(u))))
+    assert main(["audit", write_config(tmp_path), str(state)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    rset = disc.residual_set(u, Scheme(kind="rusanov"), 0.0)
+    with_state = diag.entropy_inequality_audit(disc, u, rset, 0.0)
+    assert f"entropy_inequality.defect={with_state.defect:.17g}" in printed
+    assert with_state.defect != diag.entropy_inequality_audit(disc, u, rset).defect
 
 
 @pytest.mark.parametrize("state, problem", [

@@ -5,7 +5,8 @@ Boundary faces, the P2 midpoint DOFs, the neighbour table and the entropy
 audit are all derived from ``Mesh.faces``, and measures, diameters and
 scaled face normals from ``element_geometry``; on structured,
 vertex-jittered, read-back and interval meshes they must reproduce the
-dictionary loops and per-element functions they replaced.
+dictionary loops and per-element functions they replaced.  The structured
+builder must reproduce its cell loop.
 """
 
 import numpy as np
@@ -19,9 +20,10 @@ from _oracles import (
     oracle_element_scaled_normals,
     oracle_entropy_inequality_audit,
     oracle_neighbors,
+    oracle_structured_tri_mesh,
 )
 from rdlab import mesh as msh
-from rdlab.conslaw import Burgers
+from rdlab.conslaw import Advection, Burgers
 from rdlab.diagnostics import entropy_inequality_audit
 from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
 from rdlab.rd_core import Discretization, Scheme
@@ -31,18 +33,17 @@ DOMAIN = ((-1.0, 0.5), (2.0, 2.0))
 
 
 def build(name):
-    """(mesh, domain its boundary faces were tagged with)."""
     if name == "structured_p1":
-        return msh.build_structured_tri_mesh(4, 3, DOMAIN), DOMAIN
+        return msh.build_structured_tri_mesh(4, 3, DOMAIN)
     if name == "structured_p2":
-        return msh.build_structured_tri_mesh(3, 3, DOMAIN, degree=2), DOMAIN
+        return msh.build_structured_tri_mesh(3, 3, DOMAIN, degree=2)
     if name.startswith("jittered"):
-        return jittered_tri_mesh(3, int(name[-1]), seed=17), ((0.0, 0.0), (1.0, 1.0))
+        return jittered_tri_mesh(3, int(name[-1]), seed=17)
     if name == "interval":
-        return jittered_interval_mesh(7, False, seed=3), None
+        return jittered_interval_mesh(7, False, seed=3)
     if name == "periodic_interval_jittered":
-        return jittered_interval_mesh(10, True, seed=2), None
-    return msh.build_interval_mesh(6, -1.0, 2.0, periodic=True), None
+        return jittered_interval_mesh(10, True, seed=2)
+    return msh.build_interval_mesh(6, -1.0, 2.0, periodic=True)
 
 
 NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
@@ -52,18 +53,18 @@ NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
 @pytest.fixture(params=[(n, rt) for n in NAMES for rt in (False, True)],
                 ids=lambda p: p[0] + ("_read_back" if p[1] else ""))
 def case(request, tmp_path):
-    """A mesh and its domain, or the same mesh read back by ``load_text``."""
+    """A mesh, or the same mesh read back by ``load_text``."""
     name, read_back = request.param
-    mesh, domain = build(name)
+    mesh = build(name)
     if read_back:
         path = tmp_path / "mesh.txt"
         msh.save_text(mesh, path)
-        mesh, domain = msh.load_text(path, degree=mesh.degree), None
-    return mesh, domain
+        mesh = msh.load_text(path, degree=mesh.degree)
+    return mesh
 
 
 def test_element_geometry_matches_reference(case):
-    mesh, _ = case
+    mesh = case
     ne = mesh.n_elements
     measure, diameter, snormal = msh.element_geometry(mesh)
     assert np.array_equal(measure, [oracle_element_measure(mesh, e) for e in range(ne)])
@@ -105,19 +106,21 @@ def test_jittered_periodic_measures_sum_to_the_period(a, b, n):
 
 
 def test_boundary_faces_match_reference(case):
-    mesh, domain = case
-    ref = oracle_boundary_faces(mesh, domain)
+    mesh = case
+    ref = oracle_boundary_faces(mesh)
     disc = Discretization(mesh, Burgers(dim=mesh.dim))
     assert len(mesh.boundary_faces) == len(ref)
+    assert np.array_equal(mesh.faces.boundary,
+                          np.reshape([(f.element, f.local_face) for f in ref], (-1, 2)).T)
     for got, want in zip(mesh.boundary_faces, ref):
-        assert (got.element, got.local_face, got.tag) == (want.element, want.local_face, want.tag)
+        assert (got.element, got.local_face) == (want.element, want.local_face)
         e, lf = got.element, got.local_face
         assert np.abs(disc.fnormal[e, lf] - want.normal).max() <= 1e-15
         assert abs(np.linalg.norm(disc.snormal[e, lf]) - want.measure) <= 1e-15
 
 
 def test_dofmap_matches_reference(case):
-    mesh, _ = case
+    mesh = case
     got, ref = msh.build_dofmap(mesh), oracle_dofmap(mesh)
     assert np.array_equal(got.element_dofs, ref.element_dofs)
     assert np.array_equal(got.dof_coords, ref.dof_coords)
@@ -125,7 +128,7 @@ def test_dofmap_matches_reference(case):
 
 
 def test_neighbors_match_reference(case):
-    mesh, _ = case
+    mesh = case
     disc = Discretization(mesh, Burgers(dim=mesh.dim))
     ref = oracle_neighbors(mesh)
     nf = mesh.dim + 1
@@ -133,13 +136,10 @@ def test_neighbors_match_reference(case):
     for (e, lf), (e2, lf2) in ref.items():
         nbr[e, lf] = nf * e2 + lf2
     assert np.array_equal(disc.nbr, nbr)
-    assert disc._neighbors == ref
-    with pytest.raises(TypeError):
-        disc._neighbors[(0, 0)] = (0, 0)
 
 
 def test_entropy_audit_matches_reference(case):
-    mesh, _ = case
+    mesh = case
     disc = Discretization(mesh, Burgers(dim=mesh.dim))
     rng = np.random.default_rng(5)
     u = rng.uniform(-1.0, 2.0, size=(disc.dofmap.n_dofs, 1))
@@ -202,5 +202,38 @@ def test_face_table_is_built_once_and_read_only():
     assert faces.keys.shape == (16, 2) and faces.id.shape == (8, 3)
     # every interior face is owned twice, every boundary face once
     assert np.bincount(faces.id.ravel()).tolist().count(1) == len(mesh.boundary_faces)
-    with pytest.raises(ValueError):
-        faces.across[0, 0] = 0
+    assert mesh.boundary_faces is mesh.boundary_faces
+    for a in (faces.across, faces.boundary):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+@pytest.mark.parametrize("nx, ny, domain", [(1, 1, ((0.0, 0.0), (1.0, 1.0))), (5, 2, DOMAIN),
+                                            (3, 7, ((0.1, -2.0), (0.7, 3.0)))])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_structured_builder_matches_cell_loop(nx, ny, domain, degree):
+    mesh = msh.build_structured_tri_mesh(nx, ny, domain, degree=degree)
+    verts, tris = oracle_structured_tri_mesh(nx, ny, domain)
+    assert mesh.vertices.dtype == verts.dtype and mesh.elements.dtype == tris.dtype
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.elements, tris)
+    assert mesh.degree == degree
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_hand_built_mesh_has_the_builders_boundary(degree):
+    """Boundary faces are the faces owned by one element, however the mesh
+    was made, so weak boundary data reaches a hand-built mesh too."""
+    built = msh.build_structured_tri_mesh(2, 2, degree=degree)
+    by_hand = msh.Mesh(dim=2, vertices=built.vertices.copy(),
+                       elements=built.elements.copy(), degree=degree)
+    assert by_hand.boundary_faces == built.boundary_faces
+    assert len(by_hand.boundary_faces) == 8
+    law = Advection((1.0, 0.5))
+    disc, ref = Discretization(by_hand, law), Discretization(built, law)
+    assert np.array_equal(disc.boundary_dofs, ref.boundary_dofs)
+    u = np.zeros((disc.dofmap.n_dofs, 1))
+    R, _ = disc.assemble(u, Scheme(kind="rusanov"), u_b=1.0)
+    assert np.array_equal(R, ref.assemble(u, Scheme(kind="rusanov"), u_b=1.0)[0])
+    # inflow of the unit state through the left and bottom sides, 1 + 0.5
+    assert np.abs(R).sum() == pytest.approx(1.5, rel=1e-14)

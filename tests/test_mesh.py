@@ -14,7 +14,6 @@ def ref_triangle(degree=1):
         elements=np.array([[0, 1, 2]]),
         degree=degree,
     )
-    mesh.boundary_faces = msh._boundary_faces(mesh)
     return mesh
 
 
@@ -32,13 +31,12 @@ def test_element_measures_positive_and_sum_to_area():
     assert abs(sum(areas) - 4.0) < 1e-13
 
 
-def test_boundary_faces_outward_and_tagged():
+def test_boundary_faces_outward():
     mesh = msh.build_structured_tri_mesh(2, 2)
     fnormal = Discretization(mesh, Advection((1.0, 0.0))).fnormal
     for bf in mesh.boundary_faces:
         normal = fnormal[bf.element, bf.local_face]
         assert abs(np.linalg.norm(normal) - 1.0) < 1e-14
-        assert bf.tag in ("left", "right", "bottom", "top")
         v = mesh.vertices[mesh.elements[bf.element]]
         i, j = msh._TRI_FACES[bf.local_face]
         mid = 0.5 * (v[i] + v[j])
@@ -194,4 +192,4 @@ def test_text_io_roundtrip(tmp_path):
     back = msh.load_text(path)
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.elements, mesh.elements)
-    assert len(back.boundary_faces) == len(mesh.boundary_faces)
+    assert back.boundary_faces == mesh.boundary_faces

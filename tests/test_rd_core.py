@@ -207,7 +207,8 @@ def test_boundary_residuals_inflow():
     mesh = msh.build_structured_tri_mesh(1, 1)
     disc = Discretization(mesh, Advection((1.0, 0.0)))
     u = np.zeros((disc.dofmap.n_dofs, 1))
-    face = next(f for f in mesh.boundary_faces if f.tag == "left")
+    face = next(f for f in mesh.boundary_faces
+                if np.array_equal(disc.fnormal[f.element, f.local_face], [-1.0, 0.0]))
     dofs, psi = disc.boundary_residuals(face, u, 1.0)
     # inflow of a unit state through a unit edge: total flux difference is -1
     assert abs(psi.sum() + 1.0) < 1e-13
