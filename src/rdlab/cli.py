@@ -24,7 +24,7 @@ from . import mesh as msh
 from . import time_dec
 from .config import ConfigError, RunConfig
 from .conslaw import Euler, make_law
-from .errors import RdlabError, UnsupportedFeatureError
+from .errors import DegenerateGeometryError, RdlabError, UnsupportedFeatureError
 from .rd_core import Discretization, Scheme
 
 FMT = "%.17g"
@@ -58,16 +58,24 @@ def _initial_field(name, coords):
 
 @contextmanager
 def _config_values(prefix=""):
-    """Report a config value that a constructor rejects as a ConfigError."""
+    """Report a value a constructor rejects, or a degenerate mesh, as a ConfigError."""
     try:
         yield
-    except (ValueError, UnsupportedFeatureError) as err:
+    except (ValueError, UnsupportedFeatureError, DegenerateGeometryError) as err:
         raise ConfigError(f"{prefix}{err}") from err
 
 
 def _law(cfg, dim=1):
     with _config_values("[law] name: "):
         return make_law(cfg.get("law", "name"), dim=dim)
+
+
+def _time_value(cfg, key, positive=True):
+    """A finite [time] value, positive where ``positive``; None if unset."""
+    value = cfg.get_float("time", key)
+    if value is not None and not (np.isfinite(value) and (value > 0.0 or not positive)):
+        raise ConfigError(f"[time] {key}: {value} is not a finite{' positive' * positive} number")
+    return value
 
 
 def _setup(cfg):
@@ -97,11 +105,11 @@ def _scalar_setup(cfg):
         raise ConfigError(f"unknown mesh kind {kind!r}")
     degree = cfg.get_int("mesh", "degree")
     family = cfg.get("scheme", "kind")
-    with _config_values():
+    with _config_values("[scheme] "):
         scheme = Scheme(family, **{key: cfg.get_float("scheme", key)
                                    for key in Scheme.PARAMS.get(family, ())})
-    time = dict(method=cfg.get("time", "method"), cfl=cfg.get_float("time", "cfl"))
-    t_end, dt = cfg.get_float("time", "t_end"), cfg.get_float("time", "dt")
+    time = dict(method=cfg.get("time", "method"), cfl=_time_value(cfg, "cfl"))
+    t_end, dt = _time_value(cfg, "t_end", positive=False), _time_value(cfg, "dt")
     initial, out = cfg.get("run", "initial"), cfg.get("run", "out")
     cfg.check_all_read(f"a scalar run on {kind} meshes")
     with _config_values():
@@ -119,8 +127,8 @@ def _scalar_setup(cfg):
 def _sod_setup(cfg, gamma):
     """The Sod tube reads the keyword arguments of ``euler1d.run_sod`` and the
     output directory."""
-    sod = dict(n_cells=cfg.get_int("mesh", "n"), t_end=cfg.get_float("time", "t_end"),
-               gamma=gamma, cfl=cfg.get_float("time", "cfl"),
+    sod = dict(n_cells=cfg.get_int("mesh", "n"), t_end=_time_value(cfg, "t_end", positive=False),
+               gamma=gamma, cfl=_time_value(cfg, "cfl"),
                correct=cfg.get_bool("corrections", "correct_conservation"))
     out = cfg.get("run", "out")
     cfg.check_all_read("the 1D Euler Sod run")

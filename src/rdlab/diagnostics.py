@@ -58,7 +58,7 @@ def lipschitz_audit(disc, scheme, bound_M=1.0, n_samples=10000, seed=0):
         ue = rng.uniform(-bound_M, bound_M, size=(nloc, m))
         u = np.zeros((disc.dofmap.n_dofs, m))
         u[disc.dofmap.element_dofs[e]] = ue
-        phi = disc.element_residuals(e, u, scheme)
+        phi = disc.element_residuals([e], u, scheme)[0]
         denom = 0.0
         for i in range(nloc):
             for j in range(i + 1, nloc):
@@ -81,8 +81,10 @@ def maximum_principle_audit(history):
     for k, u in enumerate(history):
         u = np.asarray(u, dtype=float)
         d = max(float(u.max()) - hi, lo - float(u.min()), 0.0)
-        if d > worst:
+        if not d <= worst:              # d is NaN for a NaN state: FAIL there
             worst, where = d, ("step", k)
+            if np.isnan(d):
+                break
     return AuditReport("maximum_principle", worst, MAXIMUM_PRINCIPLE_TOL, where)
 
 

@@ -171,6 +171,8 @@ def run_sod(n_cells=400, t_end=0.2, gamma=1.4, cfl=0.3, correct=True):
     mass_hist = []
     while t < t_end - 1e-14:
         dt = min(cfl * h / wave_speed(w, gamma).max(), t_end - t)
+        if not dt > 0.0:
+            raise ValueError(f"time step {dt} is not positive")
         w, dm, de = step(w, dt, h, gamma, correct=correct)
         worst_m = max(worst_m, dm)
         worst_e = max(worst_e, de)

@@ -208,19 +208,22 @@ def element_geometry(mesh, e=slice(None)):
         if mesh.periodic:
             # the wrap-around cell runs from x0 to the image of x1
             h = np.where(x1 <= x0, x1 + mesh.period - x0, h)
-        return h, h, np.tile([[-1.0], [1.0]], (len(h), 1, 1))
-    # (k, 3, 2) face j, ccw; np.take keeps the element axis outermost in
-    # memory, and every table built from the normals inherits that layout
-    edge = np.take(v, [2, 0, 1], axis=1) - np.take(v, [1, 2, 0], axis=1)
-    # half the cross product of the edges v0 - v2 and v1 - v0
-    measure = 0.5 * (edge[:, 1, 0] * edge[:, 2, 1] - edge[:, 1, 1] * edge[:, 2, 0])
-    diameter = np.linalg.norm(edge, axis=-1).max(axis=1)
-    bad = measure <= DEGENERATE_REL_TOL * diameter * diameter
+        measure, diameter, snormal = h, h, np.tile([[-1.0], [1.0]], (len(h), 1, 1))
+        bad = ~(h > 0.0)
+    else:
+        # (k, 3, 2) face j, ccw; np.take keeps the element axis outermost in
+        # memory, and every table built from the normals inherits that layout
+        edge = np.take(v, [2, 0, 1], axis=1) - np.take(v, [1, 2, 0], axis=1)
+        # half the cross product of the edges v0 - v2 and v1 - v0
+        measure = 0.5 * (edge[:, 1, 0] * edge[:, 2, 1] - edge[:, 1, 1] * edge[:, 2, 0])
+        diameter = np.linalg.norm(edge, axis=-1).max(axis=1)
+        snormal = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
+        bad = measure <= DEGENERATE_REL_TOL * diameter * diameter
     if bad.any():
         k = int(np.argmax(bad))
         e = np.arange(mesh.n_elements)[e][k]                # the global element id
         raise DegenerateGeometryError(f"element {e} has measure {measure[k]}")
-    return measure, diameter, np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
+    return measure, diameter, snormal
 
 
 def reference_graph(dim, degree):

@@ -6,9 +6,9 @@ Rusanov dissipation, streamline (SUPG-type) stabilization, gradient-jump
 stabilization, and the nonlinear blend limiter.  Every family satisfies the
 conservation contract sum_sigma Phi_sigma = Phi^K by construction.
 
-Every family is the Galerkin split plus one stabilization term, evaluated
-for an index array of elements at once.  The per-element methods take one
-element index (and return its slice) or an index array.
+Every family is one Galerkin evaluation plus its stabilization terms, for
+an index array or slice of elements at once; only ``total_residual`` also
+takes one integer element and drops the element axis.
 """
 
 from __future__ import annotations
@@ -51,9 +51,11 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in self.PARAMS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        for key in ("tau_scale", "theta_e"):
-            if key in self.PARAMS[self.kind] and getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive")
+        for key in self.PARAMS[self.kind]:
+            value = getattr(self, key)          # alpha None: the computed bound
+            positive = key in ("tau_scale", "theta_e")
+            if value is not None and not (0.0 <= value < np.inf and (value > 0.0 or not positive)):
+                raise ValueError(f"{key} must be {'positive' if positive else '>= 0'} and finite")
 
 
 @dataclass
@@ -185,13 +187,11 @@ class Discretization:
         fn = self._face_flux(e, self.element_values(e, u))
         return np.einsum("kfq,kfqm->km", self.fw[e], fn)
 
-    @_per_element
     def boundary_flux(self, e, u):
         """Contour integral of phi_sigma f(u_h).n, (k, #K, m)."""
         fn = self._face_flux(e, self.element_values(e, u))
         return np.einsum("kfq,fqs,kfqm->ksm", self.fw[e], self.fphi, fn)
 
-    @_per_element
     def galerkin_residuals(self, e, u):
         """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
         fq = self.law.flux(self.vq_phi @ self.element_values(e, u))  # (k, nq, dim, m)
@@ -210,7 +210,6 @@ class Discretization:
         wq = self.vq_w * self.measure[e, None]
         return np.einsum("kq,qs,kqpij->kspij", wq, self.vq_phi, jg)
 
-    @_per_element
     def rusanov_alpha(self, e, u):
         """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
 
@@ -230,10 +229,6 @@ class Discretization:
             alpha = self.rusanov_alpha(e, u)
         return np.reshape(alpha, (-1, 1, 1)) * (ue - ue.mean(axis=1, keepdims=True))
 
-    @_per_element
-    def rusanov_residuals(self, e, u, alpha=None):
-        return self.galerkin_residuals(e, u) + self._rusanov_term(e, u, alpha)
-
     def _tau(self, e, ubar):
         """Streamline relaxation time from the element wave-speed budget, (k,)."""
         speed = self.law.max_wave_speed(ubar[:, None, :], self.snormal[e]).sum(axis=1)
@@ -250,10 +245,6 @@ class Discretization:
         tau = tau_scale * self._tau(e, ue.mean(axis=1))
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[:, None]
         return np.einsum("kq,kqsij,kqj->ksi", wq, jg, adu)
-
-    @_per_element
-    def supg_residuals(self, e, u, tau_scale=1.0):
-        return self.galerkin_residuals(e, u) + self._supg_term(e, u, tau_scale)
 
     def _jump_term(self, e, u, theta_e):
         if self.mesh.dim != 2:
@@ -272,30 +263,21 @@ class Discretization:
         coef = np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)
         return np.einsum("kf,kfq,kfqsd,kfqdm->ksm", coef, self.fw[e], g_in, jump)
 
-    @_per_element
-    def jump_residuals(self, e, u, theta_e=0.01):
-        return self.galerkin_residuals(e, u) + self._jump_term(e, u, theta_e)
-
-    @_per_element
     def element_residuals(self, e, u, scheme):
-        """Distribute the element residual per the scheme kind."""
+        """The Galerkin split plus the stabilization terms of the scheme kind."""
         k = scheme.kind
-        if k == "galerkin":
-            return self.galerkin_residuals(e, u)
-        if k == "rusanov":
-            return self.rusanov_residuals(e, u, alpha=scheme.alpha)
-        if k == "supg":
-            return self.supg_residuals(e, u, scheme.tau_scale)
-        if k == "jump":
-            return self.jump_residuals(e, u, scheme.theta_e)
-        # limited variants blend the Rusanov split, then add stabilization
-        phi_mono = self.rusanov_residuals(e, u, alpha=scheme.alpha)
-        _, limited = blend_limiter(phi_mono, phi_mono.sum(axis=1))
-        if k == "limited_supg":
-            return limited + scheme.gamma_jump * self._supg_term(e, u, scheme.tau_scale)
-        if k == "limited_jump":
-            return limited + scheme.gamma_jump * self._jump_term(e, u, scheme.theta_e)
-        return limited
+        phi = self.galerkin_residuals(e, u)
+        coef = 1.0
+        if k == "rusanov" or k.startswith("limited"):
+            phi = phi + self._rusanov_term(e, u, scheme.alpha)
+        if k.startswith("limited"):
+            _, phi = blend_limiter(phi, phi.sum(axis=1))
+            coef = scheme.gamma_jump
+        if k.endswith("supg"):
+            phi = phi + coef * self._supg_term(e, u, scheme.tau_scale)
+        elif k.endswith("jump"):
+            phi = phi + coef * self._jump_term(e, u, scheme.theta_e)
+        return phi
 
     # -- boundary ---------------------------------------------------------
 
@@ -366,7 +348,6 @@ class Discretization:
         return R, rset
 
 
-@_per_element
 def rusanov_coefficients(disc, e, u, alpha=None):
     """Monotone-form coefficients c[s, sp] of the scalar Rusanov split.
 

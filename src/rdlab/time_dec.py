@@ -131,6 +131,8 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     while t < t_end - 1e-14:
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
+        if not step > 0.0:
+            raise ValueError(f"time step {step} is not positive")
         if step > dtmax * (1.0 + 1e-12):
             warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
         u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)

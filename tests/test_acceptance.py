@@ -62,7 +62,7 @@ def test_criterion_01_element_conservation_all_families():
         total = disc.total_residual(e, u)
         scale = 1.0 + abs(float(total[0]))
         for scheme in schemes:
-            phi = disc.element_residuals(e, u, scheme)
+            phi = disc.element_residuals([e], u, scheme)[0]
             d = abs(float(phi.sum(axis=0)[0] - total[0]))
             worst = max(worst, d / scale)
             assert d <= 1e-12 * scale, scheme.kind
@@ -187,7 +187,7 @@ def _max_principle_overshoot(kind, n, t_end=0.2):
     coords = disc.dofmap.dof_coords
     u0 = np.exp(-40.0 * np.sum((coords - 0.5) ** 2, axis=1))[:, None]
     mass, _ = td.lumped_mass(disc)
-    alpha = max(disc.rusanov_alpha(e, u0) for e in range(mesh.n_elements))
+    alpha = max(disc.rusanov_alpha([e], u0)[0] for e in range(mesh.n_elements))
     scheme = Scheme(kind=kind, alpha=alpha)
     dt = monotone_dt(disc, u0, mass, alpha=alpha, safety=0.9)
     config = td.DecConfig(method="euler", cfl=1e6)  # dt is fixed explicitly

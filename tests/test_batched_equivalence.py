@@ -88,7 +88,7 @@ def test_families_match_reference(law_name, degree, kind):
     assert_close(phi, ref.residual_set(u, scheme).phi)
     # the per-element call is the same slice of the batch
     e = disc.mesh.n_elements // 2
-    assert np.array_equal(disc.element_residuals(e, u, scheme), phi[e])
+    assert np.array_equal(disc.element_residuals([e], u, scheme)[0], phi[e])
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -210,9 +210,31 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (SOD_INI.replace("n = 20", "n = 0"), "[mesh] n: cell count must be >= 1"),
     (INTERVAL_INI.replace("advection(1)", "advection(1, 0)"), "2-D advection law on a 1-D"),
     (with_key(TRI_INI, "law", "name = cubic"), "1-D cubic law on a 2-D mesh"),
+    # a step that is not positive never advances the clock, and a
+    # non-finite end time never stops it or is never reached
+    (with_key(TRI_INI, "time", "cfl = 0"), "[time] cfl: 0.0 is not a finite positive number"),
+    (with_key(TRI_INI, "time", "cfl = -0.3"), "[time] cfl: -0.3 is not a finite positive"),
+    (with_key(TRI_INI, "time", "cfl = nan"), "[time] cfl: nan is not a finite positive"),
+    (with_key(TRI_INI, "time", "dt = 0"), "[time] dt: 0.0 is not a finite positive number"),
+    (with_key(TRI_INI, "time", "dt = -0.01"), "[time] dt: -0.01 is not a finite positive"),
+    (with_key(INTERVAL_INI, "time", "dt = inf"), "[time] dt: inf is not a finite positive"),
+    (TRI_INI.replace("t_end = 0.01", "t_end = nan"), "[time] t_end: nan is not a finite number"),
+    (INTERVAL_INI.replace("t_end = 0.01", "t_end = inf"), "[time] t_end: inf is not a finite"),
+    (with_key(SOD_INI, "time", "cfl = 0"), "[time] cfl: 0.0 is not a finite positive number"),
+    (with_key(SOD_INI, "time", "cfl = -0.3"), "[time] cfl: -0.3 is not a finite positive"),
+    (SOD_INI.replace("t_end = 0.01", "t_end = nan"), "[time] t_end: nan is not a finite number"),
+    (with_key(TRI_INI, "scheme", "kind = limited\nalpha = nan"), "alpha must be >= 0 and finite"),
+    (with_key(TRI_INI, "scheme", "kind = limited\nalpha = -1"), "alpha must be >= 0 and finite"),
+    (with_key(TRI_INI, "scheme", "kind = limited_supg\ngamma_jump = inf"),
+     "gamma_jump must be >= 0 and finite"),
+    (with_key(INTERVAL_INI, "mesh", "x1 = -1"), "element 0 has measure -0.125"),
+    (with_key(INTERVAL_INI, "mesh", "x0 = nan"), "element 0 has measure nan"),
 ], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "tau_scale",
         "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
-        "law_dim_interval", "law_dim_triangle"])
+        "law_dim_interval", "law_dim_triangle", "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
+        "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
+        "sod_t_end_nan", "alpha_nan", "alpha_negative", "gamma_jump_inf",
+        "interval_reversed", "interval_nan"])
 def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
     assert main(["run", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -263,7 +285,7 @@ def _write_dump(path, disc, u, scheme):
     with open(path, "w") as fh:
         fh.write("element,dof,psi0\n")
         for e in range(disc.mesh.n_elements):
-            phi = disc.element_residuals(e, u, scheme)
+            phi = disc.element_residuals([e], u, scheme)[0]
             psi = phi - boundary_dof_flux(disc, e, u)
             for s in range(disc.nloc):
                 fh.write(f"{e},{s},{float(psi[s, 0]):.17g}\n")

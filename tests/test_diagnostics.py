@@ -62,6 +62,16 @@ def test_maximum_principle_audit():
     assert not report.passed
 
 
+def test_maximum_principle_audit_fails_a_nan_state_at_its_step():
+    good, nan = np.array([0.0, 1.0]), np.array([np.nan, 0.5])
+    report = diag.maximum_principle_audit([good, np.array([-0.1, 1.0]), nan, good, nan])
+    assert not report.passed
+    assert report.worst_location == ("step", 2)
+    assert report.line().startswith("FAIL maximum_principle: defect=nan")
+    report = diag.maximum_principle_audit([np.full(2, np.nan), good])
+    assert not report.passed and report.worst_location == ("step", 0)
+
+
 def test_lipschitz_audit_is_finite_and_scale_stable():
     mesh = msh.build_structured_tri_mesh(2, 2)
     disc = Discretization(mesh, Advection((1.0, 0.5)))

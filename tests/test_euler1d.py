@@ -93,6 +93,12 @@ def test_run_sod_short_history():
     assert np.ptp(masses) < 1e-10  # lumped density mass is constant in time
 
 
+@pytest.mark.parametrize("cfl", [0.0, -0.3])
+def test_run_sod_rejects_a_step_that_is_not_positive(cfl):
+    with pytest.raises(ValueError, match="is not positive"):
+        euler1d.run_sod(n_cells=20, t_end=0.01, cfl=cfl)
+
+
 def test_locate_shock_synthetic():
     x = np.linspace(0.0, 1.0, 101)
     rho = np.where(x < 0.8, 0.4, 0.125)

@@ -26,7 +26,7 @@ from rdlab import mesh as msh
 from rdlab.conslaw import Advection, Burgers
 from rdlab.diagnostics import entropy_inequality_audit
 from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
-from rdlab.rd_core import Discretization, Scheme
+from rdlab.rd_core import Discretization, ResidualSet, Scheme
 from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh
 
 DOMAIN = ((-1.0, 0.5), (2.0, 2.0))
@@ -146,9 +146,11 @@ def test_entropy_audit_matches_reference(case):
     # the 1D reference ignores boundary states
     states = [None] if mesh.dim == 1 else [None, 0.7, lambda x: x[..., :1] - x[..., 1:]]
     # with alpha < 0 the Rusanov split is anti-dissipative and violates the
-    # inequality in many elements
-    for alpha in (None, -1.0):
-        rset = disc.residual_set(u, Scheme(kind="rusanov", alpha=alpha))
+    # inequality in many elements; Scheme rejects a negative alpha, so that
+    # split is the Galerkin split plus the Rusanov term with alpha = -1
+    e = slice(None)
+    anti = ResidualSet(disc.galerkin_residuals(e, u) + disc._rusanov_term(e, u, -1.0))
+    for alpha, rset in ((None, disc.residual_set(u, Scheme(kind="rusanov"))), (-1.0, anti)):
         for u_b in states:
             report = entropy_inequality_audit(disc, u, rset, u_b)
             worst, where, count = oracle_entropy_inequality_audit(disc, u, rset, u_b)

@@ -136,7 +136,7 @@ def test_constant_state_consistency(degree):
     system = fr.build_incidence(msh.element_graph(mesh))
     u = np.full((disc.dofmap.n_dofs, 1), 1.3)
     for e in range(3):
-        phi = disc.galerkin_residuals(e, u)
+        phi = disc.galerkin_residuals([e], u)[0]
         fb = fr.boundary_dof_flux(disc, e, u)
         fluxes = fr.recover_fluxes(system, phi - fb)
         normals = fr.recover_normals(system, fr.trace_normal_weights(mesh, e))
@@ -156,7 +156,7 @@ def test_end_to_end_reassembly(kind, degree):
     u = rng.uniform(0.2, 1.0, size=(disc.dofmap.n_dofs, 1))
     scheme = Scheme(kind=kind)
     for e in range(mesh.n_elements):
-        phi = disc.element_residuals(e, u, scheme)
+        phi = disc.element_residuals([e], u, scheme)[0]
         fb = fr.boundary_dof_flux(disc, e, u)
         fluxes = fr.recover_fluxes(system, phi - fb)
         back = fr.reassemble_dof_residuals(system, fluxes, boundary_flux=fb)

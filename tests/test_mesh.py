@@ -64,6 +64,19 @@ def test_degenerate_triangle_raises():
         msh.element_geometry(mesh, 0)
 
 
+@pytest.mark.parametrize("elements, bad, measure", [
+    ([(0, 1), (2, 1), (2, 3), (3, 4)], 1, -0.25),      # one cell reversed
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], 3, -0.75),      # closed, without a period
+], ids=["reversed", "closed"])
+def test_interval_cell_measures_are_checked(elements, bad, measure):
+    mesh = msh.Mesh(dim=1, vertices=np.linspace(0.0, 1.0, 5)[:, None],
+                    elements=np.array(elements))
+    for e in (np.arange(4), slice(bad, None), np.array([0, bad]), bad):
+        with pytest.raises(DegenerateGeometryError, match=f"element {bad} has measure {measure}"):
+            msh.element_geometry(mesh, e)
+    assert np.array_equal(msh.element_geometry(mesh, np.array([0, 2]))[0], [0.25, 0.25])
+
+
 def test_p2_dofmap_midpoints():
     mesh = msh.build_structured_tri_mesh(2, 2, degree=2)
     dm = msh.build_dofmap(mesh)

@@ -32,6 +32,42 @@ def test_scheme_validation():
     Scheme(kind="limited")  # fine
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("supg", "tau_scale", np.nan),
+    ("jump", "theta_e", np.inf),
+    ("rusanov", "alpha", np.nan),
+    ("limited", "alpha", np.inf),
+    ("limited", "alpha", -1.0),
+    ("limited_supg", "gamma_jump", -0.1),
+    ("limited_jump", "gamma_jump", np.nan),
+])
+def test_scheme_rejects_non_finite_and_negative_parameters(kind, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        Scheme(kind=kind, **{key: value})
+
+
+def test_scheme_accepts_zero_alpha_and_gamma_jump():
+    Scheme(kind="limited_supg", alpha=0.0, gamma_jump=0.0)
+    Scheme(kind="galerkin", alpha=np.nan)    # galerkin does not read alpha
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dispatch_reads_exactly_the_parameters_of_its_kind(kind):
+    """Changing a parameter of ``Scheme.PARAMS[kind]`` changes phi; changing
+    any other leaves it bit for bit, on a jittered P2 Burgers state whose
+    interior faces carry gradient jumps."""
+    disc = Discretization(jittered_tri_mesh(3, 2, seed=11), Burgers(dim=2))
+    u = np.random.default_rng(6).uniform(0.2, 1.0, size=(disc.dofmap.n_dofs, 1))
+    phi = disc.element_residuals(slice(None), u, Scheme(kind=kind))
+    changed = {"tau_scale": 2.0, "theta_e": 0.05, "gamma_jump": 0.3, "alpha": 3.0}
+    for key, value in changed.items():
+        other = disc.element_residuals(slice(None), u, Scheme(kind=kind, **{key: value}))
+        if key in Scheme.PARAMS[kind]:
+            assert np.abs(other - phi).max() > 1e-8, key
+        else:
+            assert np.array_equal(other, phi), key
+
+
 def test_total_residual_linear_field():
     # u = x under advection a = (1, 0): the contour integral equals |K|
     disc = Discretization(ref_triangle(), Advection((1.0, 0.0)))
@@ -42,7 +78,7 @@ def test_total_residual_linear_field():
 def test_rusanov_alpha_reference_value():
     disc = Discretization(ref_triangle(), Advection((1.0, 0.0)))
     u = np.zeros((3, 1))
-    assert abs(disc.rusanov_alpha(0, u) - 0.5) < 1e-13
+    assert abs(disc.rusanov_alpha([0], u)[0] - 0.5) < 1e-13
 
 
 def conservation_mesh(name, degree, tmp_path):
@@ -113,7 +149,7 @@ def test_conservation_1d():
     u = rng.uniform(0.0, 1.0, size=(disc.dofmap.n_dofs, 1))
     for kind in ("galerkin", "rusanov", "supg", "limited"):
         for e in range(mesh.n_elements):
-            phi = disc.element_residuals(e, u, Scheme(kind=kind))
+            phi = disc.element_residuals([e], u, Scheme(kind=kind))[0]
             total = disc.total_residual(e, u)
             assert np.abs(phi.sum(axis=0) - total).max() < 1e-13
 
@@ -122,7 +158,7 @@ def test_jump_needs_2d():
     mesh = msh.build_interval_mesh(4)
     disc = Discretization(mesh, Burgers(dim=1))
     with pytest.raises(UnsupportedFeatureError):
-        disc.jump_residuals(0, np.zeros((5, 1)))
+        disc.element_residuals([0], np.zeros((5, 1)), Scheme(kind="jump"))
 
 
 def test_rusanov_coefficients_identity_and_sign():
@@ -131,7 +167,7 @@ def test_rusanov_coefficients_identity_and_sign():
     disc = Discretization(mesh, law)
     u = np.zeros((disc.dofmap.n_dofs, 1))
     for e in range(3):
-        c = rusanov_coefficients(disc, e, u)
+        c = rusanov_coefficients(disc, [e], u)[0]
         assert np.all(c >= -1e-14)
         # the skew part of the coefficient matrix recovers the advection term
         g = -msh.element_geometry(mesh, e)[2] / (2.0 * disc.measure[e])
@@ -146,12 +182,12 @@ def test_rusanov_coefficients_reproduce_residual():
     rng = np.random.default_rng(9)
     u = rng.uniform(-1, 1, size=(disc.dofmap.n_dofs, 1))
     for e in range(mesh.n_elements):
-        c = rusanov_coefficients(disc, e, u)
+        c = rusanov_coefficients(disc, [e], u)[0]
         ue = disc.element_values(e, u)[:, 0]
         phi_c = np.array(
             [np.sum(c[s] * (ue[s] - ue)) for s in range(3)]
         )
-        phi = disc.rusanov_residuals(e, u)[:, 0]
+        phi = disc.element_residuals([e], u, Scheme(kind="rusanov"))[0, :, 0]
         assert np.allclose(phi_c, phi, atol=1e-13)
 
 
@@ -286,7 +322,7 @@ def test_limited_scheme_is_a_convex_split_of_the_total():
     rng = np.random.default_rng(4)
     u = rng.uniform(0.1, 1.0, size=(disc.dofmap.n_dofs, 1))
     for e in range(mesh.n_elements):
-        phi = disc.element_residuals(e, u, Scheme(kind="limited"))
+        phi = disc.element_residuals([e], u, Scheme(kind="limited"))[0]
         total = disc.total_residual(e, u)
         if abs(total[0]) > 1e-10:
             beta = phi[:, 0] / total[0]
@@ -298,7 +334,7 @@ def test_coefficient_extraction_is_scalar_only():
     mesh = msh.build_structured_tri_mesh(1, 1)
     disc = Discretization(mesh, Euler(gamma=1.4, dim=2))
     with pytest.raises(UnsupportedFeatureError):
-        rusanov_coefficients(disc, 0, np.zeros((disc.dofmap.n_dofs, 4)))
+        rusanov_coefficients(disc, [0], np.zeros((disc.dofmap.n_dofs, 4)))
 
 
 def test_specnorm():

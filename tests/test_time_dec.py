@@ -89,6 +89,14 @@ def test_euler_step_is_lumped_forward_euler():
     assert np.array_equal(out, u - dt * R / mass[:, None])
 
 
+@pytest.mark.parametrize("cfl, dt", [(0.0, None), (-0.3, None), (0.3, 0.0), (0.3, -0.01)])
+def test_dec_run_rejects_a_step_that_is_not_positive(cfl, dt):
+    disc = make_disc(8)
+    u0 = np.ones((disc.dofmap.n_dofs, 1))
+    with pytest.raises(ValueError, match="is not positive"):
+        td.dec_run(disc, u0, 0.1, Scheme(kind="rusanov"), td.DecConfig("euler", cfl), dt=dt)
+
+
 def test_cfl_violation_warns():
     disc = make_disc(8)
     u = np.ones((disc.dofmap.n_dofs, 1))
