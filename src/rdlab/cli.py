@@ -299,6 +299,20 @@ def cmd_audit(args):
     return 0 if reports[0].passed else 3    # only conservation fails the audit
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: a finite ``kind`` at least ``low``, or above it if ``strict``."""
+
+    def parse(text):
+        value = kind(text)
+        if np.isfinite(value) and (value > low or (value == low and not strict)):
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a finite number {'>' if strict else '>='} {low}")
+
+    parse.__name__ = kind.__name__    # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="rdlab")
     p.add_argument("--version", action="version", version=__version__)
@@ -312,9 +326,9 @@ def build_parser():
 
     pb = sub.add_parser("burgers1d", help="1D Burgers counterexample lab")
     pb.add_argument("--scheme", choices=("cons", "noncons"), default="cons")
-    pb.add_argument("--n", type=int, default=100)
-    pb.add_argument("--tend", type=float, default=0.5)
-    pb.add_argument("--lam", type=float, default=0.25)
+    pb.add_argument("--n", type=_bounded(int, 3), default=100)
+    pb.add_argument("--tend", type=_bounded(float, 0), default=0.5)
+    pb.add_argument("--lam", type=_bounded(float, 0, strict=True), default=0.25)
     pb.add_argument("--periodic", action="store_true")
     pb.add_argument("--out", default="out")
     pb.set_defaults(func=cmd_burgers1d)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import mesh as msh
 from .errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
-from .rd_core import _per_element
 
 BALANCE_TOL = 1e-11
 COMPAT_TOL = 1e-10
@@ -114,10 +113,10 @@ def _columns(a):
 # boundary DOF fluxes and normal weights
 
 
-@_per_element
 def boundary_dof_flux(disc, e, u, flux_n=None):
     """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma fn,
-    (k, #K, m) for an index array or slice of elements, (#K, m) for one.
+    (k, #K, m) for an index array or slice of elements; one integer element
+    drops the element axis, as numpy indexing does.
 
     ``flux_n(uq, n, x)`` maps the traces (k, nf, nfq, m), unit outward normals
     and positions (k, nf, nfq, dim) of the face points to normal interface
@@ -125,10 +124,10 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
     """
     if flux_n is None:
         return disc.boundary_flux(e, u)
-    uq = np.einsum("fqs,ksm->kfqm", disc.fphi, disc.element_values(e, u))
-    n = np.broadcast_to(disc.fnormal[e][:, :, None], uq.shape[:-1] + (disc.mesh.dim,))
+    uq = np.einsum("fqs,...sm->...fqm", disc.fphi, disc.element_values(e, u))
+    n = np.broadcast_to(disc.fnormal[e][..., None, :], uq.shape[:-1] + (disc.mesh.dim,))
     x = disc.face_points(np.arange(disc.mesh.n_elements)[e, None], disc.flam)
-    return np.einsum("kfq,fqs,kfqm->ksm", disc.fw[e], disc.fphi, flux_n(uq, n, x))
+    return np.einsum("...fq,fqs,...fqm->...sm", disc.fw[e], disc.fphi, flux_n(uq, n, x))
 
 
 def _p2_normal_weights(mesh, e, mid):

@@ -25,15 +25,6 @@ DEGENERATE_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class BoundaryFace:
-    """One boundary face, a face owned by one element only: that element and
-    its local face."""
-
-    element: int
-    local_face: int
-
-
-@dataclass(frozen=True)
 class ElementGraph:
     """Oriented DOF graph of one element (tail, head) local index pairs."""
 
@@ -101,9 +92,10 @@ class Mesh:
 
     @functools.cached_property
     def boundary_faces(self):
-        """``faces.boundary`` as a tuple of ``BoundaryFace``, for callers that
-        take the faces one at a time."""
-        return tuple(BoundaryFace(*f) for f in zip(*self.faces.boundary.tolist()))
+        """``faces.boundary`` as a tuple of plain (element, local face) pairs,
+        for callers that take the faces one at a time: a pair indexes like an
+        integer, so it drops the face axis as numpy indexing does."""
+        return tuple(zip(*self.faces.boundary.tolist()))
 
 
 @dataclass
@@ -198,31 +190,29 @@ def build_dofmap(mesh):
 def element_geometry(mesh, e=slice(None)):
     """Measures (k,), diameters (k,) and outward face normals scaled by the
     face length (k, nf, dim) of the elements ``e``, an index array or slice;
-    an integer ``e`` returns that element's values."""
-    if isinstance(e, (int, np.integer)):
-        return tuple(a[0] for a in element_geometry(mesh, np.array([e])))
+    an integer ``e`` drops the element axis, as numpy indexing does."""
     v = mesh.vertices[mesh.elements[e]]                   # (k, dim+1, dim)
     if mesh.dim == 1:
-        x0, x1 = v[:, 0, 0], v[:, 1, 0]
+        x0, x1 = v[..., 0, 0], v[..., 1, 0]
         h = x1 - x0
         if mesh.periodic:
             # the wrap-around cell runs from x0 to the image of x1
             h = np.where(x1 <= x0, x1 + mesh.period - x0, h)
-        measure, diameter, snormal = h, h, np.tile([[-1.0], [1.0]], (len(h), 1, 1))
+        measure, diameter, snormal = h, h, np.tile([[-1.0], [1.0]], np.shape(h) + (1, 1))
         bad = ~(h > 0.0)
     else:
         # (k, 3, 2) face j, ccw; np.take keeps the element axis outermost in
         # memory, and every table built from the normals inherits that layout
-        edge = np.take(v, [2, 0, 1], axis=1) - np.take(v, [1, 2, 0], axis=1)
+        edge = np.take(v, [2, 0, 1], axis=-2) - np.take(v, [1, 2, 0], axis=-2)
         # half the cross product of the edges v0 - v2 and v1 - v0
-        measure = 0.5 * (edge[:, 1, 0] * edge[:, 2, 1] - edge[:, 1, 1] * edge[:, 2, 0])
-        diameter = np.linalg.norm(edge, axis=-1).max(axis=1)
+        measure = 0.5 * (edge[..., 1, 0] * edge[..., 2, 1] - edge[..., 1, 1] * edge[..., 2, 0])
+        diameter = np.linalg.norm(edge, axis=-1).max(axis=-1)
         snormal = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
         bad = measure <= DEGENERATE_REL_TOL * diameter * diameter
     if bad.any():
         k = int(np.argmax(bad))
-        e = np.arange(mesh.n_elements)[e][k]                # the global element id
-        raise DegenerateGeometryError(f"element {e} has measure {measure[k]}")
+        e = np.arange(mesh.n_elements)[e].flat[k]           # the global element id
+        raise DegenerateGeometryError(f"element {e} has measure {measure.flat[k]}")
     return measure, diameter, snormal
 
 

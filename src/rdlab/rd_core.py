@@ -7,8 +7,9 @@ stabilization, and the nonlinear blend limiter.  Every family satisfies the
 conservation contract sum_sigma Phi_sigma = Phi^K by construction.
 
 Every family is one Galerkin evaluation plus its stabilization terms, for
-an index array or slice of elements at once; only ``total_residual`` also
-takes one integer element and drops the element axis.
+an index array or slice of elements at once.  ``total_residual`` and
+``boundary_residuals`` also take one integer element or one (element, local
+face) pair, which drops that axis as numpy indexing does.
 """
 
 from __future__ import annotations
@@ -65,19 +66,6 @@ class ResidualSet:
     # in mesh.faces.boundary order, on the DOFs Discretization.boundary_dofs;
     # None without boundary data or on a mesh without boundary faces
     boundary: np.ndarray | None = None
-
-
-def _per_element(fn):
-    """Batched method over an index array or slice of elements; an integer
-    index returns that element's slice of the batch."""
-
-    @functools.wraps(fn)
-    def sliced(self, e, *args, **kwargs):
-        if isinstance(e, (int, np.integer)):
-            return fn(self, np.array([e]), *args, **kwargs)[0]
-        return fn(self, e, *args, **kwargs)
-
-    return sliced
 
 
 class Discretization:
@@ -178,19 +166,18 @@ class Discretization:
 
     def _face_flux(self, e, ue):
         """Normal flux f(u_h).n at the face points, (k, nf, nfq, m)."""
-        uf = np.einsum("fqs,ksm->kfqm", self.fphi, ue)
-        return np.einsum("kfqdm,kfd->kfqm", self.law.flux(uf), self.fnormal[e])
+        uf = np.einsum("fqs,...sm->...fqm", self.fphi, ue)
+        return np.einsum("...fqdm,...fd->...fqm", self.law.flux(uf), self.fnormal[e])
 
-    @_per_element
     def total_residual(self, e, u):
-        """Boundary quadrature of the normal flux, (k, m)."""
+        """Boundary quadrature of the normal flux, (k, m); (m,) for one integer."""
         fn = self._face_flux(e, self.element_values(e, u))
-        return np.einsum("kfq,kfqm->km", self.fw[e], fn)
+        return np.einsum("...fq,...fqm->...m", self.fw[e], fn)
 
     def boundary_flux(self, e, u):
         """Contour integral of phi_sigma f(u_h).n, (k, #K, m)."""
         fn = self._face_flux(e, self.element_values(e, u))
-        return np.einsum("kfq,fqs,kfqm->ksm", self.fw[e], self.fphi, fn)
+        return np.einsum("...fq,fqs,...fqm->...sm", self.fw[e], self.fphi, fn)
 
     def galerkin_residuals(self, e, u):
         """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
@@ -299,27 +286,25 @@ class Discretization:
         return 0.5 * (fh + fb) - 0.5 * (absA @ (ub - uh)[..., None])[..., 0]
 
     def boundary_residuals(self, face, u, u_b):
-        """Weak boundary contribution of one ``BoundaryFace``, or of the faces
-        given as (elements, local faces) index arrays like ``faces.boundary``.
+        """Weak boundary contribution of the faces ``e, lf = face``: index
+        arrays of elements and local faces like ``faces.boundary``, or one
+        (element, local face) pair like an entry of ``mesh.boundary_faces``.
 
-        Returns (local DOF ids on the face, per-DOF residuals (nfd, m)); for
-        index arrays, ids (nb, nfd) and residuals (nb, nfd, m).  ``u_b`` is a
-        constant state (m,) or a callable taking positions (..., dim) to
-        states (..., m), called once for all face points.
+        Returns local DOF ids on the faces (nb, nfd) and per-DOF residuals
+        (nb, nfd, m); one pair drops the face axis as numpy indexing does.
+        ``u_b`` is a constant state (m,) or a callable taking positions
+        (..., dim) to states (..., m), called once for all face points.
         """
-        single = isinstance(face, msh.BoundaryFace)
-        e, lf = ([face.element], [face.local_face]) if single else face
-        uq = np.einsum("bqs,bsm->bqm", self.bphi[lf], self.element_values(e, u))
+        e, lf = face
+        uq = np.einsum("...qs,...sm->...qm", self.bphi[lf], self.element_values(e, u))
         ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
         ub = np.broadcast_to(ub, uq.shape)
-        n = np.broadcast_to(self.fnormal[e, lf][:, None], uq.shape[:2] + (self.mesh.dim,))
+        n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         diff = self.upwind_flux(uq, ub, n) - np.einsum(
-            "bqdm,bqd->bqm", self.law.flux(uq), n)
+            "...qdm,...qd->...qm", self.law.flux(uq), n)
         dofs = self.face_dofs[lf]                             # (nb, nfd)
-        trace = np.take_along_axis(self.bphi[lf], dofs[:, None, :], axis=2)
-        psi = np.einsum("bq,bqs,bqm->bsm", self.bw[e, lf], trace, diff)
-        if single:
-            return tuple(int(s) for s in dofs[0]), psi[0]
+        trace = np.take_along_axis(self.bphi[lf], dofs[..., None, :], axis=-1)
+        psi = np.einsum("...q,...qs,...qm->...sm", self.bw[e, lf], trace, diff)
         return dofs, psi
 
     # -- assembly -----------------------------------------------------------

@@ -487,7 +487,7 @@ class OracleDiscretization:
         Returns (local DOF ids on the face, per-DOF residuals (nfd, m)).
         ``u_b`` is a constant state or a callable of position.
         """
-        e, lf = face.element, face.local_face
+        e, lf = face
         ue = self.element_values(e, u)
         if self.mesh.dim == 1:
             x = oracle_element_coords(self.mesh, e)[lf]
@@ -541,8 +541,9 @@ class OracleDiscretization:
                 R[dofs[s]] += rset.phi[e, s]
         if rset.boundary is not None:
             for face, psi in zip(self.mesh.boundary_faces, rset.boundary):
-                gdofs = self.dofmap.element_dofs[face.element]
-                local_dofs = msh.face_local_dofs(self.mesh, face.local_face)
+                e, lf = face
+                gdofs = self.dofmap.element_dofs[e]
+                local_dofs = msh.face_local_dofs(self.mesh, lf)
                 for k, s in enumerate(local_dofs):
                     R[gdofs[s]] += psi[k]
         return R, rset

@@ -307,3 +307,33 @@ def test_criterion_11_increment_matrix_identity():
     assert worst <= 1e-12
     report("criterion 11 increment matrix identity",
            f"worst relative defect {worst:.3e} over 100 random state pairs")
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_criterion_12_rd_accuracy_condition(degree):
+    """Every family meets the RD accuracy condition on a smooth steady state.
+
+    For a = (1, 0.5) and u = sin 2pi(x/2 - y), a.grad(u) = 0, so a scheme of
+    order k+1 has max|Phi_sigma^K(I_h u)| = O(h^(k+d)) (Abgrall and Roe,
+    J. Sci. Comput. 19, 2003); the first-order Rusanov split only O(h^d).
+    """
+    d = 2
+    law = Advection((1.0, 0.5))
+    ns = (8, 16, 32)
+    residuals = {kind: [] for kind in Scheme.KINDS}
+    t0 = time.perf_counter()
+    for n in ns:
+        disc = Discretization(msh.build_structured_tri_mesh(n, n, degree=degree), law)
+        x = disc.dofmap.dof_coords
+        u = np.sin(2.0 * np.pi * (0.5 * x[:, 0] - x[:, 1]))[:, None]
+        for kind in Scheme.KINDS:
+            phi = disc.element_residuals(slice(None), u, Scheme(kind=kind))
+            residuals[kind].append(float(np.abs(phi).max()))
+    elapsed = time.perf_counter() - t0
+    slopes = {kind: convergence_order(r, [1.0 / n for n in ns]) for kind, r in residuals.items()}
+    for kind, slope in slopes.items():
+        floor = d - 0.1 if kind == "rusanov" else degree + d - 0.1
+        assert slope >= floor, f"{kind}: slope {slope:.3f} < {floor}"
+    report(f"criterion 12 RD accuracy condition P{degree}",
+           ", ".join(f"{kind} {slope:.2f}" for kind, slope in slopes.items())
+           + f" over n = 8, 16, 32, {elapsed:.2f}s")

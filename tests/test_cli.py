@@ -281,6 +281,29 @@ def test_burgers1d_command(tmp_path):
     assert final.shape == (50, 2)
 
 
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--n", "2", "2 is not a finite number >= 3"),
+    ("--n", "3.5", "invalid int value: '3.5'"),
+    ("--lam", "0", "0 is not a finite number > 0"),
+    ("--lam", "nan", "nan is not a finite number > 0"),
+    ("--lam", "-0.5", "-0.5 is not a finite number > 0"),
+    ("--tend", "inf", "inf is not a finite number >= 0"),
+    ("--tend", "-1", "-1 is not a finite number >= 0"),
+])
+def test_burgers1d_bad_flag_exits_2(tmp_path, capsys, flag, value, problem):
+    with pytest.raises(SystemExit) as exit_:
+        main(["burgers1d", flag, value, "--out", str(tmp_path / "b")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_burgers1d_accepts_the_bounds(tmp_path):
+    out = tmp_path / "b"
+    assert main(["burgers1d", "--n", "3", "--tend", "0", "--out", str(out)]) == 0
+    assert np.loadtxt(out / "series.csv", delimiter=",", skiprows=1).shape == (4,)
+
+
 def _write_dump(path, disc, u, scheme):
     with open(path, "w") as fh:
         fh.write("element,dof,psi0\n")

@@ -113,8 +113,8 @@ def test_boundary_faces_match_reference(case):
     assert np.array_equal(mesh.faces.boundary,
                           np.reshape([(f.element, f.local_face) for f in ref], (-1, 2)).T)
     for got, want in zip(mesh.boundary_faces, ref):
-        assert (got.element, got.local_face) == (want.element, want.local_face)
-        e, lf = got.element, got.local_face
+        e, lf = got
+        assert (e, lf) == (want.element, want.local_face)
         assert np.abs(disc.fnormal[e, lf] - want.normal).max() <= 1e-15
         assert abs(np.linalg.norm(disc.snormal[e, lf]) - want.measure) <= 1e-15
 

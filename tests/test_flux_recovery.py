@@ -7,7 +7,12 @@ from rdlab.conslaw import Advection, Burgers, Euler
 from rdlab.errors import ConservationDefectError, InvalidGraphError, UnsupportedFeatureError
 from rdlab.mesh import ElementGraph
 from rdlab.rd_core import Discretization, Scheme
-from test_batched_equivalence import jittered_tri_mesh, random_state
+from test_batched_equivalence import (
+    boundary_state,
+    jittered_interval_mesh,
+    jittered_tri_mesh,
+    random_state,
+)
 from test_mesh import ref_triangle
 
 
@@ -252,6 +257,52 @@ def test_batched_recovery_matches_per_element_calls(euler_problem, kind):
         assert report.passed
         assert report.balance_defect == max(
             fr.certify(system, fluxes[e], psi[e]).balance_defect for e in range(ne))
+
+
+ROW_CASES = [(law, mesh) for law in ("burgers", "euler") for mesh in ("p1", "p2", "interval")]
+# np.linalg.eig returns a complex stack when any matrix in it has a complex
+# pair (Euler's double eigenvalue u.n can split into one), and the complex
+# inverse rounds differently: one face's system upwind flux then differs at
+# round-off from its row of a batch
+BATCH_DEPENDENT_UPWIND = pytest.mark.xfail(
+    strict=True, reason="2D Euler upwind flux depends on the other faces of its batch")
+
+
+def _row_problem(law_name, mesh_name):
+    """(disc, u) on a jittered mesh: P1 or P2 triangles, or an interval."""
+    if mesh_name == "interval":
+        mesh, dim = jittered_interval_mesh(6, False, seed=2), 1
+    else:
+        mesh, dim = jittered_tri_mesh(3, int(mesh_name[-1]), seed=23), 2
+    law = Euler(dim=dim) if law_name == "euler" else Burgers(dim=dim)
+    disc = Discretization(mesh, law)
+    return disc, random_state(law, disc.dofmap.dof_coords, seed=5)
+
+
+@pytest.mark.parametrize("law_name, mesh_name", ROW_CASES)
+def test_one_element_is_the_batch_row(law_name, mesh_name):
+    """An integer element gives the bits of that row of the batched call."""
+    disc, u = _row_problem(law_name, mesh_name)
+    total = disc.total_residual(slice(None), u)
+    for e in range(disc.mesh.n_elements):
+        assert np.array_equal(disc.total_residual(e, u), total[e])
+
+
+@pytest.mark.parametrize("law_name, mesh_name", [
+    pytest.param(*case, marks=BATCH_DEPENDENT_UPWIND)
+    if case in (("euler", "p1"), ("euler", "p2")) else case for case in ROW_CASES])
+def test_one_face_is_the_batch_row(law_name, mesh_name):
+    """One (element, local face) pair of ``mesh.boundary_faces`` gives the
+    bits of that row of the batched ``faces.boundary`` call."""
+    disc, u = _row_problem(law_name, mesh_name)
+    mesh = disc.mesh
+    for u_b in boundary_state(disc.law):
+        dofs, psi = disc.boundary_residuals(mesh.faces.boundary, u, u_b)
+        assert len(mesh.boundary_faces) == len(dofs)
+        for b, face in enumerate(mesh.boundary_faces):
+            one_dofs, one_psi = disc.boundary_residuals(face, u, u_b)
+            assert np.array_equal(one_dofs, dofs[b])
+            assert np.array_equal(one_psi, psi[b])
 
 
 def test_defect_in_a_batch_names_its_element(euler_problem):

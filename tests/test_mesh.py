@@ -34,11 +34,11 @@ def test_element_measures_positive_and_sum_to_area():
 def test_boundary_faces_outward():
     mesh = msh.build_structured_tri_mesh(2, 2)
     fnormal = Discretization(mesh, Advection((1.0, 0.0))).fnormal
-    for bf in mesh.boundary_faces:
-        normal = fnormal[bf.element, bf.local_face]
+    for e, lf in mesh.boundary_faces:
+        normal = fnormal[e, lf]
         assert abs(np.linalg.norm(normal) - 1.0) < 1e-14
-        v = mesh.vertices[mesh.elements[bf.element]]
-        i, j = msh._TRI_FACES[bf.local_face]
+        v = mesh.vertices[mesh.elements[e]]
+        i, j = msh._TRI_FACES[lf]
         mid = 0.5 * (v[i] + v[j])
         centroid = v.mean(axis=0)
         assert np.dot(normal, mid - centroid) > 0.0

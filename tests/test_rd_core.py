@@ -243,8 +243,8 @@ def test_boundary_residuals_inflow():
     mesh = msh.build_structured_tri_mesh(1, 1)
     disc = Discretization(mesh, Advection((1.0, 0.0)))
     u = np.zeros((disc.dofmap.n_dofs, 1))
-    face = next(f for f in mesh.boundary_faces
-                if np.array_equal(disc.fnormal[f.element, f.local_face], [-1.0, 0.0]))
+    face = next((e, lf) for e, lf in mesh.boundary_faces
+                if np.array_equal(disc.fnormal[e, lf], [-1.0, 0.0]))
     dofs, psi = disc.boundary_residuals(face, u, 1.0)
     # inflow of a unit state through a unit edge: total flux difference is -1
     assert abs(psi.sum() + 1.0) < 1e-13
@@ -275,9 +275,9 @@ def test_assemble_matches_residual_set():
     for e in range(mesh.n_elements):
         for s in range(3):
             manual[disc.dofmap.element_dofs[e][s]] += rset.phi[e, s]
-    for face, psi in zip(mesh.boundary_faces, rset.boundary, strict=True):
-        dofs = msh.face_local_dofs(mesh, face.local_face)
-        gd = disc.dofmap.element_dofs[face.element]
+    for (e, lf), psi in zip(mesh.boundary_faces, rset.boundary, strict=True):
+        dofs = msh.face_local_dofs(mesh, lf)
+        gd = disc.dofmap.element_dofs[e]
         for k, s in enumerate(dofs):
             manual[gd[s]] += psi[k]
     assert np.array_equal(R, manual)
