@@ -28,6 +28,7 @@ from .errors import DegenerateGeometryError, RdlabError, UnsupportedFeatureError
 from .rd_core import Discretization, Scheme
 
 FMT = "%.17g"
+MAX_BURGERS_STEPS = 10**6
 
 
 def _fmt(x):
@@ -193,8 +194,7 @@ def cmd_run(args):
 def _run_sod(cfg, run, args):
     os.makedirs(run.out, exist_ok=True)
     res = euler1d.run_sod(**run.sod)
-    rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1],
-               (res.gamma - 1.0) * res.w[:, 2])
+    rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
     _write_csv(os.path.join(run.out, "solution.csv"),
                ["node", "x", "rho", "u", "p"], rows)
     with open(os.path.join(run.out, "defects.txt"), "w") as fh:
@@ -208,14 +208,17 @@ def _run_sod(cfg, run, args):
 
 
 def cmd_burgers1d(args):
-    os.makedirs(args.out, exist_ok=True)
     grid = fv1d.Grid1D(args.n, periodic=args.periodic)
+    dt = args.lam * grid.dx
+    if args.tend > MAX_BURGERS_STEPS * dt:
+        raise ConfigError(f"--tend {args.tend} with --lam {args.lam} takes more than "
+                          f"{MAX_BURGERS_STEPS} steps of {dt}")
+    n_steps = int(np.ceil(args.tend / dt))
+    os.makedirs(args.out, exist_ok=True)
     if args.periodic:
         u0 = 1.0 + np.cos(2.0 * np.pi * (grid.x + 0.5))
     else:
         u0 = np.where(grid.x < 0.5, 1.0, 0.0)
-    dt = args.lam * grid.dx
-    n_steps = int(np.ceil(args.tend / dt))
     stepper = fv1d.STEPPERS[args.scheme]
     u = u0.copy()
     series = [(0, 0.0, fv1d.total_variation(u, args.periodic),

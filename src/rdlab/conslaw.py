@@ -33,11 +33,9 @@ class ConservationLaw:
         return np.ones(np.shape(u)[:-1], dtype=bool)
 
     def max_wave_speed(self, u, n):
-        """Spectral radius of the normal Jacobian, vectorised over states."""
-        a = self.jac_n(u, n)
-        if self.m == 1:
-            return np.abs(a[..., 0, 0])
-        return np.abs(np.linalg.eigvals(a)).max(axis=-1)
+        """Spectral radius of the normal Jacobian of a scalar law, vectorised
+        over states; systems override it with their closed form."""
+        return np.abs(self.jac_n(u, n)[..., 0, 0])
 
     # entropy pair interface (scalar laws with the square entropy)
     def entropy(self, u):
@@ -128,16 +126,6 @@ class CubicTransport(ConservationLaw):
 
 def burgers_flux(u):
     return 0.5 * np.asarray(u, dtype=float) ** 2
-
-
-def entropy_pair_burgers(u):
-    """Square-entropy quadruple (E, v, theta, g) for 1D Burgers."""
-    u = np.asarray(u, dtype=float)
-    E = 0.5 * u**2
-    v = u
-    theta = v**3 / 6.0
-    g = u**3 / 3.0
-    return E, v, theta, g
 
 
 def rh_shock_speed(uL, uR, law):

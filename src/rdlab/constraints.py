@@ -42,12 +42,6 @@ def conserved_increment_matrix(w_p, w_p1):
     return M
 
 
-def map_residuals_to_conserved(phi, w_p, w_p1):
-    """Per-DOF conserved residuals M_sigma @ phi_sigma; phi is (#K, 3)."""
-    M = conserved_increment_matrix(w_p, w_p1)
-    return np.einsum("...ij,...j->...i", M, np.asarray(phi, dtype=float))
-
-
 def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     """Uniform velocity-residual correction closing the momentum balance.
 

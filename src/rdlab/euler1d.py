@@ -47,9 +47,6 @@ class SodResult:
     def density(self):
         return self.w[:, 0]
 
-    def velocity(self):
-        return self.w[:, 1]
-
 
 def wave_speed(w, gamma):
     rho, u, e = w[..., 0], w[..., 1], w[..., 2]
@@ -66,10 +63,6 @@ def energy_flux(w, gamma):
     rho, u, e = w[..., 0], w[..., 1], w[..., 2]
     E = e + 0.5 * rho * u * u
     return u * (E + (gamma - 1.0) * e)
-
-
-def total_energy(w):
-    return w[..., 2] + 0.5 * w[..., 0] * w[..., 1] ** 2
 
 
 def _element_residuals(w, gamma, h):

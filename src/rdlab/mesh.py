@@ -165,10 +165,8 @@ def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
 
 def build_dofmap(mesh):
     """Global continuous Lagrange DOF numbering for the mesh degree."""
-    if mesh.dim == 1:
-        return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, 2)
-    if mesh.degree == 1:
-        return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, 3)
+    if mesh.dim == 1 or mesh.degree == 1:
+        return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, mesh.dim + 1)
     if mesh.degree == 2:
         # midpoint DOFs numbered in first-seen order over the edges 01, 12, 20
         edges = mesh.faces.id[:, [2, 0, 1]]

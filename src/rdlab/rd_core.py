@@ -280,9 +280,16 @@ class Discretization:
         A = self.law.jac_n(0.5 * (uh + ub), n)
         if self.m == 1:
             return np.where(A[..., 0] >= 0.0, fh, fb)
-        # systems: characteristic upwinding at the average state
+        # systems: characteristic upwinding at the average state.  eig returns
+        # the whole stack complex if one matrix has a complex pair, so the
+        # real ones are split off and kept in real arithmetic: no row then
+        # depends on the other rows of its batch
         lam, R = np.linalg.eig(A)
-        absA = np.real((R * np.abs(lam)[..., None, :]) @ np.linalg.inv(R))
+        real = ~np.iscomplex(lam).any(axis=-1)
+        absA = np.empty(A.shape)
+        for part, cast in ((real, np.real), (~real, np.asarray)):
+            lp, Rp = cast(lam[part]), cast(R[part])
+            absA[part] = np.real((Rp * np.abs(lp)[..., None, :]) @ np.linalg.inv(Rp))
         return 0.5 * (fh + fb) - 0.5 * (absA @ (ub - uh)[..., None])[..., 0]
 
     def boundary_residuals(self, face, u, u_b):
@@ -318,6 +325,10 @@ class Discretization:
             raise StepFailureError(
                 f"inadmissible state in element {e}: {err}", element=e
             ) from err
+        finite = np.isfinite(phi).all(axis=(1, 2))
+        if not finite.all():
+            e = int(np.argmin(finite))
+            raise StepFailureError(f"non-finite residual in element {e}", element=e)
         boundary = None
         if u_b is not None and len(self.boundary_dofs):
             _, boundary = self.boundary_residuals(self.mesh.faces.boundary, u, u_b)
@@ -390,8 +401,6 @@ def blend_limiter(phi_L, total):
 
 def _specnorm(a):
     """Spectral norms of the trailing (m, m) matrices."""
-    if a.shape[-2:] == (1, 1):
-        return np.abs(a[..., 0, 0])
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
@@ -399,7 +408,7 @@ def _max_specnorm(a):
     """Largest ``_specnorm`` of the trailing (m, m) blocks of each a[k], (k,),
     decomposing only blocks that can set it (see ``rusanov_alpha``)."""
     if a.shape[-2:] == (1, 1):
-        return _specnorm(a).reshape(len(a), -1).max(axis=1)
+        return np.abs(a).reshape(len(a), -1).max(axis=1)
     blocks = a.reshape((len(a), -1) + a.shape[-2:])      # (k, nb, m, m)
     sq = blocks * blocks
     col2 = sq.sum(axis=-2)                               # (k, nb, m)

@@ -83,11 +83,6 @@ def stable_dt(disc, u, cfl):
     return cfl * hmin / speed
 
 
-def _residual(disc, u, scheme, u_b):
-    R, _ = disc.assemble(u, scheme, u_b)
-    return R
-
-
 def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
     """One time slab of the deferred-correction iteration; ``dt`` is taken
     as given (``dec_run`` checks it against ``stable_dt``).
@@ -99,13 +94,13 @@ def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
     u_n = np.asarray(u_n, dtype=float)
     w0, w1 = config.weights
     if R_n is None:
-        R_n = _residual(disc, u_n, scheme, u_b)
+        R_n = disc.assemble(u_n, scheme, u_b)[0]
     if config.method == "euler":
         return u_n - dt * R_n / mass[:, None]
     u_p = u_n
     for sweep in range(config.iterations):
         # the first sweep starts at u_n, where the residual is R_n
-        R_p = R_n if sweep == 0 else _residual(disc, u_p, scheme, u_b)
+        R_p = R_n if sweep == 0 else disc.assemble(u_p, scheme, u_b)[0]
         A = dt * (w0 * R_n + w1 * R_p)
         rhs = mass[:, None] * u_p - mass_apply(disc, u_p - u_n) - A
         u_p = rhs / mass[:, None]
@@ -127,7 +122,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         u = u[:, None]
     t = 0.0
     times = [0.0]
-    R = _residual(disc, u, scheme, u_b)
+    R = disc.assemble(u, scheme, u_b)[0]
     while t < t_end - 1e-14:
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
@@ -138,7 +133,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)
         t += step
         times.append(t)
-        R = _residual(disc, u, scheme, u_b)
+        R = disc.assemble(u, scheme, u_b)[0]
         if log is not None:
             log(t, u, mass @ u, float(np.abs(R).max()))
     return u, times

@@ -304,6 +304,16 @@ def test_burgers1d_accepts_the_bounds(tmp_path):
     assert np.loadtxt(out / "series.csv", delimiter=",", skiprows=1).shape == (4,)
 
 
+def test_burgers1d_caps_the_step_count(tmp_path, capsys):
+    """--n 3 --lam 1e-12 would take 1.5e12 steps: it exits 2 before any
+    output is written."""
+    out = tmp_path / "b"
+    assert main(["burgers1d", "--n", "3", "--lam", "1e-12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tend 0.5 with --lam 1e-12 takes more than 1000000 steps")
+    assert not out.exists()
+
+
 def _write_dump(path, disc, u, scheme):
     with open(path, "w") as fh:
         fh.write("element,dof,psi0\n")
@@ -400,6 +410,13 @@ def test_audit_uses_the_runs_boundary_state(tmp_path, capsys):
     with_state = diag.entropy_inequality_audit(disc, u, rset, 0.0)
     assert f"entropy_inequality.defect={with_state.defect:.17g}" in printed
     assert with_state.defect != diag.entropy_inequality_audit(disc, u, rset).defect
+
+
+def test_audit_non_finite_state_exits_1(tmp_path, capsys):
+    state = tmp_path / "state.csv"
+    state.write_text("dof,u0\n" + "".join(f"{k},{'nan' if k == 12 else 1}\n" for k in range(25)))
+    assert main(["audit", write_config(tmp_path), str(state)]) == 1
+    assert capsys.readouterr().err.startswith("runtime error: non-finite residual in element")
 
 
 @pytest.mark.parametrize("state, problem", [

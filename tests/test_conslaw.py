@@ -33,11 +33,26 @@ def test_cubic_transport():
 
 
 def test_burgers_entropy_pair_identity():
-    u = np.linspace(-2.0, 2.0, 11)
-    E, v, theta, g = cl.entropy_pair_burgers(u)
-    assert np.allclose(E, 0.5 * u**2)
-    # Tadmor potential identity: theta = v f(v) - g(v)
-    assert np.allclose(theta, v * cl.burgers_flux(u) - g, atol=1e-14)
+    law = cl.Burgers()
+    u = np.linspace(-2.0, 2.0, 11)[:, None]
+    E, v, g = law.entropy(u), law.entropy_var(u)[:, 0], law.entropy_flux(u)[:, 0]
+    assert np.allclose(E, 0.5 * u[:, 0] ** 2)
+    # Tadmor potential identity: theta = v f(v) - g(v), theta = v^3/6
+    assert np.allclose(v**3 / 6.0, v * cl.burgers_flux(v) - g, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_euler_max_wave_speed_is_the_spectral_radius(dim):
+    """The closed form |v.n| + c|n| is the largest |eigenvalue| of jac_n."""
+    rng = np.random.default_rng(11 + dim)
+    k = 200
+    w = np.concatenate([rng.uniform(0.1, 2.0, (k, 1)), rng.uniform(-2.0, 2.0, (k, dim)),
+                        rng.uniform(0.1, 2.0, (k, 1))], axis=-1)
+    u = cl.conserved_from_primitive(w)
+    n = rng.normal(size=(k, dim)) * rng.uniform(0.1, 5.0, (k, 1))
+    law = cl.Euler(gamma=1.4, dim=dim)
+    radius = np.abs(np.linalg.eigvals(law.jac_n(u, n))).max(axis=-1)
+    assert np.all(np.abs(law.max_wave_speed(u, n) - radius) <= 1e-12 * radius)
 
 
 def test_rh_shock_speed():

@@ -260,12 +260,6 @@ def test_batched_recovery_matches_per_element_calls(euler_problem, kind):
 
 
 ROW_CASES = [(law, mesh) for law in ("burgers", "euler") for mesh in ("p1", "p2", "interval")]
-# np.linalg.eig returns a complex stack when any matrix in it has a complex
-# pair (Euler's double eigenvalue u.n can split into one), and the complex
-# inverse rounds differently: one face's system upwind flux then differs at
-# round-off from its row of a batch
-BATCH_DEPENDENT_UPWIND = pytest.mark.xfail(
-    strict=True, reason="2D Euler upwind flux depends on the other faces of its batch")
 
 
 def _row_problem(law_name, mesh_name):
@@ -288,9 +282,7 @@ def test_one_element_is_the_batch_row(law_name, mesh_name):
         assert np.array_equal(disc.total_residual(e, u), total[e])
 
 
-@pytest.mark.parametrize("law_name, mesh_name", [
-    pytest.param(*case, marks=BATCH_DEPENDENT_UPWIND)
-    if case in (("euler", "p1"), ("euler", "p2")) else case for case in ROW_CASES])
+@pytest.mark.parametrize("law_name, mesh_name", ROW_CASES)
 def test_one_face_is_the_batch_row(law_name, mesh_name):
     """One (element, local face) pair of ``mesh.boundary_faces`` gives the
     bits of that row of the batched ``faces.boundary`` call."""

@@ -316,6 +316,28 @@ def test_inadmissible_state_names_the_owning_element():
             assert err.value.element == element
 
 
+@pytest.mark.parametrize("law", [Advection((1.0, 0.5)), Burgers(dim=2)], ids=["advection", "burgers"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_scalar_state_names_the_first_element(law, value):
+    """A scalar law accepts every state, so a non-finite DOF is caught in its
+    residuals: the first element whose residual reads it is named."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), law)
+    dofs = disc.dofmap.element_dofs
+    u = np.random.default_rng(9).uniform(0.2, 1.0, (disc.dofmap.n_dofs, 1))
+    dof = 12
+    u[dof] = value
+    for kind in ALL_KINDS:
+        reads = (dofs == dof).any(axis=1)
+        if kind.endswith("jump"):                 # the jump term reads the neighbours
+            across = disc.nbr[reads]
+            reads[across[across >= 0] // 3] = True
+        element = int(np.flatnonzero(reads)[0])
+        # inf - inf warns on the way to the NaN residual
+        with pytest.raises(StepFailureError, match=f"non-finite residual in element {element}$"), \
+                np.errstate(invalid="ignore"):
+            disc.residual_set(u, Scheme(kind=kind), 0.0)
+
+
 def test_limited_scheme_is_a_convex_split_of_the_total():
     mesh = msh.build_structured_tri_mesh(2, 2)
     disc = Discretization(mesh, Burgers(dim=2))

@@ -6,6 +6,7 @@ import pytest
 from rdlab import mesh as msh
 from rdlab import time_dec as td
 from rdlab.conslaw import Advection, Burgers
+from rdlab.errors import StepFailureError
 from rdlab.rd_core import Discretization, Scheme
 
 
@@ -143,3 +144,15 @@ def test_dec_run_accepts_1d_initial_state():
     assert u.shape == (disc.dofmap.n_dofs, 1)
     # constant states are exact for periodic advection
     assert np.abs(u - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("law", [Advection((1.0, 0.5)), Burgers(dim=2)], ids=["advection", "burgers"])
+def test_non_finite_state_stops_the_run(law):
+    """One NaN DOF stops the run before its first step, where it used to run
+    on (advection) or take one step to t_end (Burgers, whose NaN wave speed
+    made the CFL step infinite)."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), law)
+    u0 = np.full(disc.dofmap.n_dofs, 0.5)
+    u0[12] = np.nan
+    with pytest.raises(StepFailureError, match="non-finite residual in element"):
+        td.dec_run(disc, u0, 0.2, Scheme(kind="limited"), td.DecConfig("cn"), u_b=0.0)
