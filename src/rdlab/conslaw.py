@@ -1,6 +1,9 @@
 """Conservation law descriptors: fluxes, Jacobian actions, entropy pairs.
 
-States are numpy arrays of shape (..., m). ``flux`` returns (..., d, m) and
+The scalar laws are one family, f(u) = a u^p / p: linear advection (p = 1),
+Burgers (p = 2) and the cubic transport of the non-conservative
+counterexample (p = 4), all with the square entropy u^2/2.  The system is
+perfect-gas Euler.  States are numpy arrays of shape (..., m). ``flux`` returns (..., d, m) and
 ``jac_n`` the m-by-m matrix of the normal-flux Jacobian, shape (..., m, m);
 its normals (..., d) broadcast against the leading axes of the states.
 """
@@ -37,35 +40,27 @@ class ConservationLaw:
         over states; systems override it with their closed form."""
         return np.abs(self.jac_n(u, n)[..., 0, 0])
 
-    # entropy pair interface (scalar laws with the square entropy)
-    def entropy(self, u):
-        raise NotImplementedError
 
-    def entropy_var(self, u):
-        raise NotImplementedError
-
-    def entropy_flux(self, u):
-        raise NotImplementedError
-
-
-class Advection(ConservationLaw):
-    """Linear transport with constant speed vector ``a``."""
+class ScalarLaw(ConservationLaw):
+    """f(u) = a u^p / p along a constant direction ``a``, with the square
+    entropy pair E = u^2/2, v = u and G = a u^(p+1) / (p+1)."""
 
     has_entropy = True
 
-    def __init__(self, a):
+    def __init__(self, a, p, name):
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
         self.dim = self.a.shape[0]
-        self.name = "advection"
+        self.p = p
+        self.name = name
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
-        return self.a.reshape((1,) * (u.ndim - 1) + (self.dim, 1)) * u[..., None, :]
+        return self.a[:, None] * (u[..., None, :] ** self.p / self.p)
 
     def jac_n(self, u, n):
         u = np.asarray(u, dtype=float)
         an = np.asarray(n, dtype=float) @ self.a
-        return (np.zeros(u.shape[:-1]) + an)[..., None, None]
+        return (u[..., 0] ** (self.p - 1) * an)[..., None, None]
 
     def entropy(self, u):
         return 0.5 * np.asarray(u)[..., 0] ** 2
@@ -74,54 +69,32 @@ class Advection(ConservationLaw):
         return np.asarray(u, dtype=float).copy()
 
     def entropy_flux(self, u):
-        e = self.entropy(u)
-        return self.a * e[..., None]
+        q = self.p + 1
+        return self.a * (np.asarray(u)[..., 0] ** q / q)[..., None]
 
 
-class Burgers(ConservationLaw):
+class Advection(ScalarLaw):
+    """Linear transport with constant speed vector ``a``."""
+
+    def __init__(self, a):
+        super().__init__(a, 1, "advection")
+
+
+class Burgers(ScalarLaw):
     """f(u) = u^2/2 along the x axis."""
 
-    has_entropy = True
-
     def __init__(self, dim=1):
-        self.dim = dim
-        self.d = np.eye(dim)[0]
-        self.name = "burgers"
-
-    def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        f = 0.5 * u[..., 0] ** 2
-        return self.d.reshape((1,) * (u.ndim - 1) + (self.dim, 1)) * f[..., None, None]
-
-    def jac_n(self, u, n):
-        u = np.asarray(u, dtype=float)
-        dn = np.asarray(n, dtype=float) @ self.d
-        return (u[..., 0] * dn)[..., None, None]
-
-    def entropy(self, u):
-        return 0.5 * np.asarray(u)[..., 0] ** 2
-
-    def entropy_var(self, u):
-        return np.asarray(u, dtype=float).copy()
-
-    def entropy_flux(self, u):
-        g = np.asarray(u)[..., 0] ** 3 / 3.0
-        return self.d * g[..., None]
+        super().__init__(np.eye(dim)[0], 2, "burgers")
 
 
-class CubicTransport(ConservationLaw):
-    """The v-form of Burgers under u = v^3: flux v^4/4, 1D only."""
+class CubicTransport(ScalarLaw):
+    """The v-form of Burgers under u = v^3: flux v^4/4, 1D only.  Its pair
+    is the square entropy of v, not of u, so the entropy audit skips it."""
+
+    has_entropy = False
 
     def __init__(self):
-        self.name = "cubic"
-
-    def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        return (0.25 * u[..., 0] ** 4)[..., None, None]
-
-    def jac_n(self, u, n):
-        u = np.asarray(u, dtype=float)
-        return (u[..., 0] ** 3 * np.asarray(n, dtype=float)[..., 0])[..., None, None]
+        super().__init__([1.0], 4, "cubic")
 
 
 def burgers_flux(u):
