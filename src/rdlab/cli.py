@@ -210,6 +210,8 @@ def _run_sod(cfg, run, args):
 def cmd_burgers1d(args):
     grid = fv1d.Grid1D(args.n, periodic=args.periodic)
     dt = args.lam * grid.dx
+    if not dt > 0.0:
+        raise ConfigError(f"--lam {args.lam} gives a step lam * dx = {dt} that is not > 0")
     if args.tend > MAX_BURGERS_STEPS * dt:
         raise ConfigError(f"--tend {args.tend} with --lam {args.lam} takes more than "
                           f"{MAX_BURGERS_STEPS} steps of {dt}")

@@ -64,15 +64,13 @@ def mass_apply(disc, w):
 
 
 def stable_dt(disc, u, cfl):
-    """CFL time step from the smallest element and largest wave speed;
-    ``u`` is (ndof, m), or (ndof,) for one component."""
+    """CFL time step from the smallest element and largest wave speed along
+    the coordinate axes; ``u`` is (ndof, m), or (ndof,) for one component.
+    A NaN state gives a NaN step."""
     u = np.asarray(u, dtype=float)
     u = u[:, None] if u.ndim == 1 else u
-    speed = 0.0
-    for k in range(disc.mesh.dim):
-        n = np.zeros(disc.mesh.dim)
-        n[k] = 1.0
-        speed = max(speed, float(np.max(disc.law.max_wave_speed(u, n))))
+    axes = np.eye(disc.mesh.dim)
+    speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], axes)))
     speed *= np.sqrt(disc.mesh.dim)
     if speed <= 0.0:
         return np.inf

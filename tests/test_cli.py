@@ -314,6 +314,17 @@ def test_burgers1d_caps_the_step_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_burgers1d_rejects_a_step_that_underflows(tmp_path, capsys):
+    """--lam 5e-324 is > 0 but lam * dx underflows to 0.0: exit 2 before any
+    output is written, not a ZeroDivisionError."""
+    out = tmp_path / "b"
+    assert main(["burgers1d", "--n", "3", "--lam", "5e-324", "--tend", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --lam 5e-324 gives a step lam * dx = 0.0 that is not > 0")
+    assert not out.exists()
+
+
 def _write_dump(path, disc, u, scheme):
     with open(path, "w") as fh:
         fh.write("element,dof,psi0\n")

@@ -77,6 +77,16 @@ def test_stable_dt_scaling():
     assert td.stable_dt(still, np.zeros((8, 1)), 0.5) == np.inf
 
 
+def test_stable_dt_of_a_nan_state_is_nan():
+    """A NaN wave speed gives a NaN step; folding the per-axis speeds with
+    Python ``max`` dropped it and returned an infinite step."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Burgers(dim=2))
+    u = np.full((disc.dofmap.n_dofs, 1), 0.5)
+    assert np.isfinite(td.stable_dt(disc, u, 0.3))
+    u[12] = np.nan
+    assert np.isnan(td.stable_dt(disc, u, 0.3))
+
+
 def test_euler_step_is_lumped_forward_euler():
     disc = make_disc(8)
     rng = np.random.default_rng(0)
