@@ -8,7 +8,9 @@ mass matrix is inverted.  Each correction sweep solves
 where <., .> is the consistent pairing and A collects the space residuals of
 the chosen time-average.  Two averages are built: the frozen flux at t_n
 (forward Euler, one sweep) and the arithmetic average of t_n and t_{n+1}
-(Crank-Nicholson, two sweeps for second order).
+(Crank-Nicholson, two sweeps for second order).  The first sweep starts at
+u^(0) = u^n, where the two mass terms cancel and both averages read R(u^n),
+so it is the forward-Euler step u^(1) = u^n - dt R(u^n) / C for either.
 """
 
 from __future__ import annotations
@@ -93,13 +95,10 @@ def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
     w0, w1 = config.weights
     if R_n is None:
         R_n = disc.assemble(u_n, scheme, u_b)[0]
-    if config.method == "euler":
-        return u_n - dt * R_n / mass[:, None]
-    u_p = u_n
-    for sweep in range(config.iterations):
-        # the first sweep starts at u_n, where the residual is R_n
-        R_p = R_n if sweep == 0 else disc.assemble(u_p, scheme, u_b)[0]
-        A = dt * (w0 * R_n + w1 * R_p)
+    # the first sweep, from u_n, is the forward-Euler step
+    u_p = u_n - dt * R_n / mass[:, None]
+    for _ in range(config.iterations - 1):
+        A = dt * (w0 * R_n + w1 * disc.assemble(u_p, scheme, u_b)[0])
         rhs = mass[:, None] * u_p - mass_apply(disc, u_p - u_n) - A
         u_p = rhs / mass[:, None]
     return u_p
