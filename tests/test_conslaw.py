@@ -32,13 +32,28 @@ def test_cubic_transport():
     assert abs(law.jac_n(u, np.array([1.0]))[0, 0, 0] - 8.0) < 1e-14
 
 
-def test_burgers_entropy_pair_identity():
-    law = cl.Burgers()
+SCALAR_LAWS = {"advection-1d": cl.Advection([1.3]), "advection-2d": cl.Advection((1.0, -0.5)),
+               "burgers-1d": cl.Burgers(1), "burgers-2d": cl.Burgers(2)}
+
+
+@pytest.mark.parametrize("law", SCALAR_LAWS.values(), ids=SCALAR_LAWS.keys())
+def test_scalar_entropy_pair_identity(law):
+    """The square entropy pair of every scalar law: E = u^2/2, v = u, and
+    d(G.n)/du = v f'(u).n by central differences on random states."""
     u = np.linspace(-2.0, 2.0, 11)[:, None]
     E, v, g = law.entropy(u), law.entropy_var(u)[:, 0], law.entropy_flux(u)[:, 0]
     assert np.allclose(E, 0.5 * u[:, 0] ** 2)
-    # Tadmor potential identity: theta = v f(v) - g(v), theta = v^3/6
-    assert np.allclose(v**3 / 6.0, v * cl.burgers_flux(v) - g, atol=1e-14)
+    assert np.array_equal(v, u[:, 0])
+    if law.name == "burgers":
+        # Tadmor potential identity: theta = v f(v) - g(v), theta = v^3/6
+        assert np.allclose(v**3 / 6.0, v * cl.burgers_flux(v) - g, atol=1e-14)
+    rng = np.random.default_rng(law.dim)
+    u = rng.uniform(-2.0, 2.0, (200, 1))
+    n = rng.normal(size=(200, law.dim))
+    h = 1e-6
+    dG = np.sum((law.entropy_flux(u + h) - law.entropy_flux(u - h)) * n, axis=-1) / (2.0 * h)
+    vA = law.entropy_var(u)[:, 0] * law.jac_n(u, n)[:, 0, 0]
+    assert np.all(np.abs(dG - vA) <= 1e-8)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

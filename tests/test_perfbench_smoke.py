@@ -1,7 +1,8 @@
 """The benchmark's workloads, each run once as a check of the calls they make.
 
-``perfbench/workloads.py`` is imported as it stands, from its directory; the
-timing, repetition and tracing of ``perfbench/run.py`` are left out.  Each
+``perfbench/workloads.py`` and ``perfbench/spans.py`` are imported as they
+stand, from their directory; the timing and repetition of
+``perfbench/run.py`` are left out.  Each
 workload's set-up, inputs, one solve and its boundary probe must run with
 no failed operation, so a change that breaks a call the benchmark makes
 into rdlab fails here rather than only in a benchmark run.
@@ -14,6 +15,7 @@ import pytest
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 # (faces tried, faces that raised) of each workload that probes its boundary:
@@ -30,3 +32,20 @@ def test_workload_runs_without_failures(name, tmp_path):
     assert outcome.attempted > 0
     assert outcome.failed == 0
     assert workload.boundary_probe(problem, inputs) == PROBES.get(name)
+
+
+@pytest.mark.parametrize("name", ["readme_run", "family_sweep_p2_euler"])
+def test_tracer_counts_the_law_calls(name, tmp_path):
+    """The tracer patches the law classes that define ``flux`` and ``jac_n``,
+    so a law class that defines them again out of its reach would read 0
+    calls and zero the benchmark's ``conslaw`` metrics."""
+    workload = workloads.WORKLOADS[name](0, str(tmp_path))
+    problem = workload.setup()
+    inputs = workload.inputs(problem)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        outcome = workload.solve(problem, inputs)
+    assert outcome.failed == 0
+    summary = tracer.summary()
+    for span in ("conslaw.flux", "conslaw.jac_n"):
+        assert summary.get(span, {}).get("calls", 0) > 0
