@@ -2,10 +2,11 @@
 
 The scalar laws are one family, f(u) = a u^p / p: linear advection (p = 1),
 Burgers (p = 2) and the cubic transport of the non-conservative
-counterexample (p = 4), all with the square entropy u^2/2.  The system is
-perfect-gas Euler.  States are numpy arrays of shape (..., m). ``flux`` returns (..., d, m) and
-``jac_n`` the m-by-m matrix of the normal-flux Jacobian, shape (..., m, m);
-its normals (..., d) broadcast against the leading axes of the states.
+counterexample (p = 4), all with the square entropy u^2/2; the system is
+perfect-gas Euler.  States are numpy arrays of shape (..., m). ``flux``
+returns (..., d, m) and ``jac_n`` the m-by-m matrix of the normal-flux
+Jacobian, shape (..., m, m); its normals (..., d) broadcast against the
+leading axes of the states.
 """
 
 from __future__ import annotations

@@ -71,8 +71,7 @@ def stable_dt(disc, u, cfl):
     A NaN state gives a NaN step."""
     u = np.asarray(u, dtype=float)
     u = u[:, None] if u.ndim == 1 else u
-    axes = np.eye(disc.mesh.dim)
-    speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], axes)))
+    speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
     speed *= np.sqrt(disc.mesh.dim)
     if speed <= 0.0:
         return np.inf
