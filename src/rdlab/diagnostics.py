@@ -97,11 +97,9 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
     own trace when ``u_b`` is None.  ``u_b`` is a constant state (m,) or a
     callable taking positions (..., dim) to states (..., m), called once.
     Violations are counted where the clamped defect exceeds ``ENTROPY_TOL``.
-    ``u`` is (ndof, m), or (ndof,) for one component.
+    ``u`` is (ndof, m).
     """
     law = disc.law
-    u = np.asarray(u, dtype=float)
-    u = u[:, None] if u.ndim == 1 else u
     ue = disc.element_values(slice(None), u)                      # (ne, #K, m)
     lhs = np.sum(law.entropy_var(ue) * rset.phi, axis=(1, 2))
     u_in = np.einsum("fqs,ksm->kfqm", disc.fphi, ue)              # (ne, nf, nfq, m)

@@ -28,7 +28,6 @@ CONNECTIVITY_TOL = 1e-10
 @dataclass
 class IncidenceSystem:
     A: np.ndarray       # (#nodes, #edges), +1 at the tail, -1 at the head
-    L: np.ndarray       # graph Laplacian A A^T
     Linv: np.ndarray    # pseudo-inverse of L on the zero-mean subspace
 
 
@@ -58,7 +57,7 @@ def build_incidence(graph):
             f"graph Laplacian has rank below {n - 1}; graph is disconnected"
         )
     Linv = np.linalg.inv(M) - np.outer(x0, x0) / (lam * n)
-    return IncidenceSystem(A=A, L=L, Linv=Linv)
+    return IncidenceSystem(A=A, Linv=Linv)
 
 
 def recover_fluxes(system, psi):
@@ -165,14 +164,3 @@ def split_normal_weights(mesh, e):
         raise ValueError("split weights are defined for P2 elements")
     return _p2_normal_weights(mesh, e, 1.0 / 3.0)
 
-
-def reassemble_dof_residuals(system, fluxes, boundary_flux=None):
-    """Per-DOF sums of incident edge fluxes (plus boundary fluxes if given).
-
-    Inverse direction of the recovery: returns Psi_sigma + f_sigma^b, which
-    reproduces the original distributed residuals Phi_sigma.
-    """
-    psi = system.A @ _columns(fluxes)
-    if boundary_flux is not None:
-        psi = psi + boundary_flux
-    return psi

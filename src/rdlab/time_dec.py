@@ -1,16 +1,17 @@
 """Deferred-correction time stepping with a lumped mass pairing.
 
 The pairing <<u, v>> lumps each element with the weight C_K = |K|/#K, so no
-mass matrix is inverted.  Each correction sweep solves
+mass matrix is inverted.  Two schemes are built.  Forward Euler is the lumped
+step
 
-    <<u^(p+1), v>> = <<u^(p), v>> - <u^(p) - u^n, v> - dt * A(u^(p), v),
+    u^(1) = u^n - dt R(u^n) / C.
 
-where <., .> is the consistent pairing and A collects the space residuals of
-the chosen time-average.  Two averages are built: the frozen flux at t_n
-(forward Euler, one sweep) and the arithmetic average of t_n and t_{n+1}
-(Crank-Nicholson, two sweeps for second order).  The first sweep starts at
-u^(0) = u^n, where the two mass terms cancel and both averages read R(u^n),
-so it is the forward-Euler step u^(1) = u^n - dt R(u^n) / C for either.
+Crank-Nicholson (second order) takes that step and then one correction
+towards the trapezoidal average of t_n and t_{n+1},
+
+    <<u^(2), v>> = <<u^(1), v>> - <u^(1) - u^n, v> - dt (R(u^n) + R(u^(1))) / 2,
+
+where <., .> is the consistent pairing.  Fields are (ndof, m).
 """
 
 from __future__ import annotations
@@ -27,38 +28,26 @@ class CflWarning(RuntimeWarning):
 
 @dataclass
 class DecConfig:
-    method: str                 # "euler" (weights 1,0) or "cn" (1/2,1/2)
+    method: str                 # "euler" or "cn"
     cfl: float = 0.3
 
     def __post_init__(self):
         if self.method not in ("euler", "cn"):
             raise ValueError(f"unknown time method {self.method!r}")
 
-    @property
-    def iterations(self):
-        """Correction sweeps: the time average fixes them, one for forward
-        Euler and two for the second-order trapezoidal average."""
-        return 1 if self.method == "euler" else 2
-
-    @property
-    def weights(self):
-        return (1.0, 0.0) if self.method == "euler" else (0.5, 0.5)
-
 
 def lumped_mass(disc):
-    """Per-DOF lumped mass and per-element C_K = |K|/#K."""
+    """Per-DOF lumped mass, the sum of C_K = |K|/#K over the elements."""
     C = disc.measure / disc.nloc
     dofs = disc.dofmap.element_dofs
     mass = np.zeros(disc.dofmap.n_dofs)
     np.add.at(mass, dofs, np.broadcast_to(C[:, None], dofs.shape))
-    return mass, C
+    return mass
 
 
 def mass_apply(disc, w):
-    """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m),
-    or (ndof,) for one component."""
+    """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m)."""
     w = np.asarray(w, dtype=float)
-    w = w[:, None] if w.ndim == 1 else w
     dofs = disc.dofmap.element_dofs
     out = np.zeros_like(w)
     np.add.at(out, dofs, disc.element_mass @ w[dofs])
@@ -67,10 +56,8 @@ def mass_apply(disc, w):
 
 def stable_dt(disc, u, cfl):
     """CFL time step from the smallest element and largest wave speed along
-    the coordinate axes; ``u`` is (ndof, m), or (ndof,) for one component.
-    A NaN state gives a NaN step."""
+    the coordinate axes; ``u`` is (ndof, m).  A NaN state gives a NaN step."""
     u = np.asarray(u, dtype=float)
-    u = u[:, None] if u.ndim == 1 else u
     speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
     speed *= np.sqrt(disc.mesh.dim)
     if speed <= 0.0:
@@ -82,24 +69,19 @@ def stable_dt(disc, u, cfl):
     return cfl * hmin / speed
 
 
-def dec_step(disc, u_n, dt, scheme, config, u_b=None, mass=None, R_n=None):
-    """One time slab of the deferred-correction iteration; ``dt`` is taken
-    as given (``dec_run`` checks it against ``stable_dt``).
+def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):
+    """One time step of ``config.method`` with the lumped ``mass``; ``dt`` is
+    taken as given (``dec_run`` checks it against ``stable_dt``).
 
     ``R_n``, if given, is the residual at ``u_n``; it is not recomputed.
     """
-    if mass is None:
-        mass, _ = lumped_mass(disc)
     u_n = np.asarray(u_n, dtype=float)
-    w0, w1 = config.weights
     if R_n is None:
         R_n = disc.assemble(u_n, scheme, u_b)[0]
-    # the first sweep, from u_n, is the forward-Euler step
     u_p = u_n - dt * R_n / mass[:, None]
-    for _ in range(config.iterations - 1):
-        A = dt * (w0 * R_n + w1 * disc.assemble(u_p, scheme, u_b)[0])
-        rhs = mass[:, None] * u_p - mass_apply(disc, u_p - u_n) - A
-        u_p = rhs / mass[:, None]
+    if config.method == "cn":
+        A = dt * (0.5 * R_n + 0.5 * disc.assemble(u_p, scheme, u_b)[0])
+        u_p = (mass[:, None] * u_p - mass_apply(disc, u_p - u_n) - A) / mass[:, None]
     return u_p
 
 
@@ -112,7 +94,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
     residual infinity norm).  The residual at the new state is computed once
     and serves both the log and the next step.
     """
-    mass, _ = lumped_mass(disc)
+    mass = lumped_mass(disc)
     u = np.array(u0, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
@@ -126,7 +108,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
             raise ValueError(f"time step {step} is not positive")
         if step > dtmax * (1.0 + 1e-12):
             warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
-        u = dec_step(disc, u, step, scheme, config, u_b=u_b, mass=mass, R_n=R)
+        u = dec_step(disc, u, step, scheme, config, mass, u_b=u_b, R_n=R)
         t += step
         times.append(t)
         R = disc.assemble(u, scheme, u_b)[0]

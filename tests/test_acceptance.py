@@ -186,7 +186,7 @@ def _max_principle_overshoot(kind, n, t_end=0.2):
     disc = Discretization(mesh, Advection((1.0, 0.5)))
     coords = disc.dofmap.dof_coords
     u0 = np.exp(-40.0 * np.sum((coords - 0.5) ** 2, axis=1))[:, None]
-    mass, _ = td.lumped_mass(disc)
+    mass = td.lumped_mass(disc)
     alpha = max(disc.rusanov_alpha([e], u0)[0] for e in range(mesh.n_elements))
     scheme = Scheme(kind=kind, alpha=alpha)
     dt = monotone_dt(disc, u0, mass, alpha=alpha, safety=0.9)

@@ -6,12 +6,15 @@ pre-batching per-element code kept in ``_oracles.py`` within 1e-14 of the
 largest reference entry.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from _oracles import (
     OracleDiscretization,
     oracle_dec_run,
+    oracle_dec_step,
     oracle_lumped_mass,
     oracle_mass_apply,
     oracle_monotone_dt,
@@ -76,6 +79,13 @@ def pair(mesh, law):
     return Discretization(mesh, law), OracleDiscretization(mesh, law)
 
 
+def oracle_config(method, cfl):
+    """The sweep table the reference DeC step reads: forward Euler is one
+    sweep of the frozen residual, CN two sweeps of the trapezoidal average."""
+    sweeps = {"euler": (1, (1.0, 0.0)), "cn": (2, (0.5, 0.5))}[method]
+    return SimpleNamespace(method=method, cfl=cfl, iterations=sweeps[0], weights=sweeps[1])
+
+
 @pytest.mark.parametrize("kind", Scheme.KINDS)
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("law_name", ["advection", "burgers", "euler"])
@@ -126,7 +136,7 @@ def test_coefficients_and_monotone_dt_match_reference(law_name, degree):
         assert_close(rusanov_coefficients(disc, np.arange(ne), u, alpha=alpha),
                      [oracle_rusanov_coefficients(ref, e, u, alpha=alpha)
                       for e in range(ne)])
-    mass, _ = td.lumped_mass(disc)
+    mass = td.lumped_mass(disc)
     assert np.array_equal(mass, oracle_lumped_mass(ref)[0])
     assert_close(monotone_dt(disc, u, mass), oracle_monotone_dt(ref, u, mass))
     assert_close(td.mass_apply(disc, u), oracle_mass_apply(ref, u))
@@ -168,16 +178,31 @@ def test_cn_dec_run_matches_reference_on_readme_problem():
     x = disc.dofmap.dof_coords
     u0 = np.exp(-40.0 * np.sum((x - 0.5) ** 2, axis=1))
     config = td.DecConfig(method="cn")
-    dt = td.stable_dt(disc, u0, config.cfl)
+    dt = td.stable_dt(disc, u0[:, None], config.cfl)
     scheme = Scheme(kind="limited")
     logs = [], []
     u, times = td.dec_run(disc, u0, 5 * dt, scheme, config, u_b=0.0, dt=dt,
                           log=lambda *row: logs[0].append(row))
-    u_ref, times_ref = oracle_dec_run(ref, u0, 5 * dt, scheme, config, u_b=0.0,
-                                      dt=dt, log=lambda *row: logs[1].append(row))
+    u_ref, times_ref = oracle_dec_run(ref, u0, 5 * dt, scheme, oracle_config("cn", config.cfl),
+                                      u_b=0.0, dt=dt, log=lambda *row: logs[1].append(row))
     assert times == times_ref and len(times) == 6
     assert_close(u, u_ref)
     for (t, _, mass, res), (t_ref, _, mass_ref, res_ref) in zip(*logs):
         assert t == t_ref
         assert_close(mass, mass_ref)
         assert_close(res, res_ref)
+
+
+@pytest.mark.parametrize("method", ["euler", "cn"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dec_step_matches_reference_with_weak_boundaries(degree, method):
+    """One step of either scheme, at P1 and P2, with the boundary state 0."""
+    law = make_law("advection")
+    disc, ref = pair(jittered_tri_mesh(4, degree, seed=11), law)
+    u = random_state(law, disc.dofmap.dof_coords, seed=12)
+    config = td.DecConfig(method)
+    dt = td.stable_dt(disc, u, config.cfl)
+    scheme = Scheme(kind="limited")
+    got = td.dec_step(disc, u, dt, scheme, config, td.lumped_mass(disc), u_b=0.0)
+    assert_close(got, oracle_dec_step(ref, u, dt, scheme, oracle_config(method, config.cfl),
+                                      u_b=0.0))

@@ -64,11 +64,12 @@ def test_disconnected_graph_raises():
 
 def test_p2_laplacian_rank():
     system = fr.build_incidence(msh.reference_graph(2, 2))
-    assert np.linalg.matrix_rank(system.L) == 5
-    assert np.allclose(system.L @ np.ones(6), 0.0, atol=1e-13)
+    L = system.A @ system.A.T
+    assert np.linalg.matrix_rank(L) == 5
+    assert np.allclose(L @ np.ones(6), 0.0, atol=1e-13)
     # Linv is the pseudo-inverse on the zero-mean subspace
     P = np.eye(6) - np.ones((6, 6)) / 6.0
-    assert np.allclose(system.Linv @ system.L, P, atol=1e-12)
+    assert np.allclose(system.Linv @ L, P, atol=1e-12)
 
 
 def test_certify_report():
@@ -164,7 +165,7 @@ def test_end_to_end_reassembly(kind, degree):
         phi = disc.element_residuals([e], u, scheme)[0]
         fb = fr.boundary_dof_flux(disc, e, u)
         fluxes = fr.recover_fluxes(system, phi - fb)
-        back = fr.reassemble_dof_residuals(system, fluxes, boundary_flux=fb)
+        back = system.A @ fluxes + fb
         assert np.abs(back - phi).max() < 1e-12
 
 
