@@ -28,7 +28,7 @@ from .errors import DegenerateGeometryError, RdlabError, UnsupportedFeatureError
 from .rd_core import Discretization, Scheme
 
 FMT = "%.17g"
-MAX_BURGERS_STEPS = 10**6
+MAX_STEPS = 10**6
 
 
 def _fmt(x):
@@ -69,6 +69,13 @@ def _config_values(prefix=""):
 def _law(cfg, dim=1):
     with _config_values("[law] name: "):
         return make_law(cfg.get("law", "name"), dim=dim)
+
+
+def _check_steps(t_end, step, what):
+    """Reject a run that takes more than ``MAX_STEPS`` steps of ``step`` to
+    reach ``t_end``; a step that is not > 0 takes more than any number."""
+    if t_end > MAX_STEPS * step:
+        raise ConfigError(f"{what} takes more than {MAX_STEPS} steps of {step}")
 
 
 def _time_value(cfg, key, positive=True):
@@ -153,6 +160,9 @@ def cmd_run(args):
     if run.sod is not None:
         return _run_sod(cfg, run, args)
     disc, scheme = run.disc, run.scheme
+    step = run.dt or time_dec.stable_dt(disc, run.u0[:, None], run.time.cfl)
+    key = f"dt {run.dt}" if run.dt else f"cfl {run.time.cfl}"
+    _check_steps(run.t_end, step, f"[time] t_end {run.t_end} with [time] {key}")
     os.makedirs(run.out, exist_ok=True)
     series = []
     history = [run.u0[:, None]]
@@ -192,6 +202,10 @@ def cmd_run(args):
 
 
 def _run_sod(cfg, run, args):
+    t_end, gamma, cfl = run.sod["t_end"], run.sod["gamma"], run.sod["cfl"]
+    x, w = euler1d.sod_initial(run.sod["n_cells"], gamma)
+    _check_steps(t_end, cfl * (x[1] - x[0]) / euler1d.wave_speed(w, gamma).max(),
+                 f"[time] t_end {t_end} with [time] cfl {cfl}")
     os.makedirs(run.out, exist_ok=True)
     res = euler1d.run_sod(**run.sod)
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
@@ -212,17 +226,11 @@ def cmd_burgers1d(args):
     dt = args.lam * grid.dx
     if not dt > 0.0:
         raise ConfigError(f"--lam {args.lam} gives a step lam * dx = {dt} that is not > 0")
-    if args.tend > MAX_BURGERS_STEPS * dt:
-        raise ConfigError(f"--tend {args.tend} with --lam {args.lam} takes more than "
-                          f"{MAX_BURGERS_STEPS} steps of {dt}")
+    _check_steps(args.tend, dt, f"--tend {args.tend} with --lam {args.lam}")
     n_steps = int(np.ceil(args.tend / dt))
     os.makedirs(args.out, exist_ok=True)
-    if args.periodic:
-        u0 = 1.0 + np.cos(2.0 * np.pi * (grid.x + 0.5))
-    else:
-        u0 = np.where(grid.x < 0.5, 1.0, 0.0)
     stepper = fv1d.STEPPERS[args.scheme]
-    u = u0.copy()
+    u = _initial_field("cosine" if args.periodic else "riemann", grid.x[:, None])
     series = [(0, 0.0, fv1d.total_variation(u, args.periodic),
                float(u.sum() * grid.dx))]
     for k in range(1, n_steps + 1):

@@ -50,6 +50,8 @@ class ScalarLaw(ConservationLaw):
 
     def __init__(self, a, p, name):
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
+        if not np.isfinite(self.a).all():
+            raise ValueError(f"{name} direction {self.a} is not finite")
         self.dim = self.a.shape[0]
         self.p = p
         self.name = name
@@ -185,6 +187,8 @@ class Euler(ConservationLaw):
 
     def __init__(self, gamma=1.4, dim=2):
         self.gamma = float(gamma)
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma {gamma} is not in (1, inf)")
         self.dim = dim
         self.m = dim + 2
         self.name = "euler"

@@ -202,6 +202,14 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (with_key(TRI_INI, "law", "name = warp"), "unknown conservation law: 'warp'"),
     (with_key(TRI_INI, "time", "method = rk4"), "unknown time method 'rk4'"),
     (SOD_INI.replace("euler(1.4)", "euler(abc)"), "[law] name: could not convert"),
+    # a gamma outside (1, inf) or a non-finite direction is no law
+    (SOD_INI.replace("euler(1.4)", "euler(1)"), "[law] name: gamma 1.0 is not in (1, inf)"),
+    (SOD_INI.replace("euler(1.4)", "euler(nan)"), "[law] name: gamma nan is not in (1, inf)"),
+    (SOD_INI.replace("euler(1.4)", "euler(-1)"), "[law] name: gamma -1.0 is not in (1, inf)"),
+    (SOD_INI.replace("euler(1.4)", "euler(inf)"), "[law] name: gamma inf is not in (1, inf)"),
+    (SOD_INI.replace("euler(1.4)", "euler(0.5)"), "[law] name: gamma 0.5 is not in (1, inf)"),
+    (with_key(TRI_INI, "law", "name = advection(nan, 0.5)"),
+     "[law] name: advection direction [nan 0.5] is not finite"),
     (with_key(TRI_INI, "scheme", "kind = supg\ntau_scale = -1"), "tau_scale must be positive"),
     (with_key(TRI_INI, "time", "dec_iterations = 2"), "unknown key 'dec_iterations' in section [time]"),
     (TRI_INI.replace("nx = 2", "nx = 0"), "cell counts must be >= 1"),
@@ -229,7 +237,8 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
      "gamma_jump must be >= 0 and finite"),
     (with_key(INTERVAL_INI, "mesh", "x1 = -1"), "element 0 has measure -0.125"),
     (with_key(INTERVAL_INI, "mesh", "x0 = nan"), "element 0 has measure nan"),
-], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "tau_scale",
+], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
+        "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
         "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
         "law_dim_interval", "law_dim_triangle", "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
         "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
@@ -240,6 +249,28 @@ def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert problem in err
+
+
+@pytest.mark.parametrize("ini, problem", [
+    (with_key(TRI_INI, "time", "dt = 1e-300"),
+     "[time] t_end 0.01 with [time] dt 1e-300 takes more than 1000000 steps of 1e-300"),
+    (with_key(TRI_INI, "time", "cfl = 1e-300"),
+     "[time] t_end 0.01 with [time] cfl 1e-300 takes more than 1000000 steps"),
+    (with_key(INTERVAL_INI, "time", "cfl = 5e-324"),
+     "[time] t_end 0.01 with [time] cfl 5e-324 takes more than 1000000 steps of 0.0"),
+    (with_key(SOD_INI, "time", "cfl = 1e-300"),
+     "[time] t_end 0.01 with [time] cfl 1e-300 takes more than 1000000 steps"),
+    (with_key(SOD_INI, "time", "cfl = 5e-324"),
+     "[time] t_end 0.01 with [time] cfl 5e-324 takes more than 1000000 steps of 0.0"),
+], ids=["dt", "cfl", "interval_cfl_underflows", "sod_cfl", "sod_cfl_underflows"])
+def test_run_caps_the_step_count(tmp_path, capsys, ini, problem):
+    """t_end over the first step, [time] dt or the CFL step of the initial
+    state, above 10^6 exits 2 before any output is written; a step that
+    underflows to 0 is above any count."""
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {problem}")
+    assert not out.exists()
 
 
 def test_bad_value_has_no_traceback(tmp_path):
