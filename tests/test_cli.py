@@ -237,21 +237,8 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
      "gamma_jump must be >= 0 and finite"),
     (with_key(INTERVAL_INI, "mesh", "x1 = -1"), "element 0 has measure -0.125"),
     (with_key(INTERVAL_INI, "mesh", "x0 = nan"), "element 0 has measure nan"),
-], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
-        "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
-        "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
-        "law_dim_interval", "law_dim_triangle", "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
-        "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
-        "sod_t_end_nan", "alpha_nan", "alpha_negative", "gamma_jump_inf",
-        "interval_reversed", "interval_nan"])
-def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
-    assert main(["run", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert problem in err
-
-
-@pytest.mark.parametrize("ini, problem", [
+    # t_end over the first step, [time] dt or the CFL step of the initial
+    # state, is capped at 10^6; a step that underflows to 0 is above any count
     (with_key(TRI_INI, "time", "dt = 1e-300"),
      "[time] t_end 0.01 with [time] dt 1e-300 takes more than 1000000 steps of 1e-300"),
     (with_key(TRI_INI, "time", "cfl = 1e-300"),
@@ -262,15 +249,20 @@ def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
      "[time] t_end 0.01 with [time] cfl 1e-300 takes more than 1000000 steps"),
     (with_key(SOD_INI, "time", "cfl = 5e-324"),
      "[time] t_end 0.01 with [time] cfl 5e-324 takes more than 1000000 steps of 0.0"),
-], ids=["dt", "cfl", "interval_cfl_underflows", "sod_cfl", "sod_cfl_underflows"])
-def test_run_caps_the_step_count(tmp_path, capsys, ini, problem):
-    """t_end over the first step, [time] dt or the CFL step of the initial
-    state, above 10^6 exits 2 before any output is written; a step that
-    underflows to 0 is above any count."""
-    out = tmp_path / "o"
-    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {problem}")
-    assert not out.exists()
+], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
+        "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
+        "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
+        "law_dim_interval", "law_dim_triangle", "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
+        "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
+        "sod_t_end_nan", "alpha_nan", "alpha_negative", "gamma_jump_inf",
+        "interval_reversed", "interval_nan", "steps_dt", "steps_cfl", "steps_cfl_underflows",
+        "sod_steps_cfl", "sod_steps_cfl_underflows"])
+def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
+    assert main(["run", write_config(tmp_path, ini), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert problem in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_value_has_no_traceback(tmp_path):

@@ -16,7 +16,6 @@ def make_disc(n=8):
 
 
 def test_dec_config_defaults():
-    assert td.DecConfig(method="euler").cfl == 0.3
     with pytest.raises(ValueError):
         td.DecConfig(method="rk4")
     with pytest.raises(TypeError):
