@@ -164,7 +164,7 @@ def cmd_run(args):
     key = f"dt {run.dt}" if run.dt else f"cfl {run.time.cfl}"
     _check_steps(run.t_end, step, f"[time] t_end {run.t_end} with [time] {key}")
     os.makedirs(run.out, exist_ok=True)
-    series = []
+    series, final = [], []
     history = [run.u0[:, None]]
 
     def log(t, u, mass_total, rnorm):
@@ -176,7 +176,7 @@ def cmd_run(args):
             warnings.simplefilter("error", time_dec.CflWarning)
         try:
             u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=run.u_b,
-                                    dt=run.dt, log=log)
+                                    dt=run.dt, log=log, final=final.append)
         except time_dec.CflWarning as err:
             print(f"step rejected: {err}", file=sys.stderr)
             return 3
@@ -188,7 +188,7 @@ def cmd_run(args):
     _write_csv(os.path.join(run.out, "series.csv"), ["t", "mass", "res_inf"],
                series)
     reports = [
-        diag.conservation_audit(disc, u, scheme),
+        diag.conservation_audit(disc, u, scheme, rset=final[0]),
         diag.maximum_principle_audit([h[:, 0] for h in history]),
     ]
     with open(os.path.join(run.out, "audit.txt"), "w") as fh:

@@ -62,7 +62,10 @@ class ScalarLaw(ConservationLaw):
 
     def jac_n(self, u, n):
         u = np.asarray(u, dtype=float)
-        an = np.asarray(n, dtype=float) @ self.a
+        n = np.asarray(n, dtype=float)
+        an = n[..., 0] * self.a[0]          # n . a, faster than n @ a for small dim
+        for i in range(1, self.dim):
+            an += n[..., i] * self.a[i]
         return (u[..., 0] ** (self.p - 1) * an)[..., None, None]
 
     def entropy(self, u):
@@ -98,10 +101,6 @@ class CubicTransport(ScalarLaw):
 
     def __init__(self):
         super().__init__([1.0], 4, "cubic")
-
-
-def burgers_flux(u):
-    return 0.5 * np.asarray(u, dtype=float) ** 2
 
 
 def rh_shock_speed(uL, uR, law):
@@ -249,6 +248,9 @@ def make_law(spec, dim=None):
         if body:
             args = [float(t) for t in body.split(",")]
     name = name.strip().lower()
+    most = {"burgers": 0, "cubic": 0, "euler": 1}.get(name, len(args))
+    if len(args) > most:
+        raise ValueError(f"{name} takes at most {most} parameter(s): {spec!r}")
     if name == "burgers":
         return Burgers(dim=dim or 1)
     if name == "cubic":

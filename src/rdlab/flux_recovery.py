@@ -123,10 +123,10 @@ def boundary_dof_flux(disc, e, u, flux_n=None):
     """
     if flux_n is None:
         return disc.boundary_flux(e, u)
-    uq = np.einsum("fqs,...sm->...fqm", disc.fphi, disc.element_values(e, u))
+    uq = disc.face_values(disc.element_values(e, u))
     n = np.broadcast_to(disc.fnormal[e][..., None, :], uq.shape[:-1] + (disc.mesh.dim,))
     x = disc.face_points(np.arange(disc.mesh.n_elements)[e, None], disc.flam)
-    return np.einsum("...fq,fqs,...fqm->...sm", disc.fw[e], disc.fphi, flux_n(uq, n, x))
+    return disc.contour(e, flux_n(uq, n, x))
 
 
 def _p2_normal_weights(mesh, e, mid):

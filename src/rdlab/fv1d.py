@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conslaw import burgers_flux
+from .conslaw import Burgers
 from .errors import DiagnosticError
 
 
@@ -58,7 +58,7 @@ def step_conservative(u, lam, periodic=True):
     """u_i - lam * (f(u_i) - f(u_{i-1})), f(u) = u^2/2."""
     u = np.asarray(u, dtype=float)
     _check_cfl(u, lam)
-    f = burgers_flux(u)
+    f = Burgers().flux(u[..., None])[..., 0, 0]
     return u - lam * (f - _shift(f, periodic))
 
 
@@ -83,7 +83,7 @@ def tadmor_cell_entropy(u_i, u_ip1):
     u_ip1 = np.asarray(u_ip1, dtype=float)
     vbar = 0.5 * (u_i + u_ip1)
     thetabar = 0.5 * (u_i**3 + u_ip1**3) / 6.0
-    return vbar * burgers_flux(u_i) - thetabar
+    return vbar * Burgers().flux(u_i[..., None])[..., 0, 0] - thetabar
 
 
 def cell_entropy_defect(u, u_next, lam, periodic=True):

@@ -96,6 +96,7 @@ class Discretization:
             self._triangle_rules(length)
         else:
             self._interval_rules()
+        self.ftrace = self.fphi.reshape(-1, self.nloc)   # (nf*nfq, #K) flat traces
         self.nbr = mesh.faces.across                     # (ne, nf), see FaceTable
         # (nf, nfd) local DOFs on each local face, in trace order
         self.face_dofs = np.array(
@@ -138,12 +139,45 @@ class Discretization:
         self.flam = self.fphi = self.blam = self.bphi = np.eye(2)[:, None, :]
         self.fw = self.bw = np.ones((len(h), 2, 1))
 
+    # operator tables, built on first use: the mesh-constant factors of each residual term
+
+    @functools.cached_property
+    def fphi_w(self):
+        """Face weight times the trace, (ne, #K, nf*nfq)."""
+        return np.einsum("kl,ls->ksl", self.fw.reshape(len(self.fw), -1), self.ftrace, order="C")
+
+    @functools.cached_property
+    def vphi_w(self):
+        """Volume weight times the basis, (ne, #K, nq)."""
+        return np.einsum("q,k,qs->ksq", self.vq_w, self.measure, self.vq_phi, order="C")
+
+    @functools.cached_property
+    def vgrad_w(self):
+        """Volume weight times the basis gradient, (ne, #K, nq*dim)."""
+        wg = np.einsum("q,k,kqsd->ksqd", self.vq_w, self.measure, self.vgrad, order="C")
+        return wg.reshape(len(wg), self.nloc, -1)
+
+    @functools.cached_property
+    def bphi_w(self):
+        """Boundary-rule weight times the trace of each face DOF, (ne, nf, nfd, nbq)."""
+        trace = np.take_along_axis(self.bphi, self.face_dofs[:, None, :], axis=-1)
+        return np.einsum("kfq,fqs->kfsq", self.bw, trace, order="C")
+
+    @functools.cached_property
+    def fgrad(self):
+        """Triangle basis gradients at the face points, (ne, 3, nfq, #K, 2)."""
+        return msh.tri_basis_grad(self.mesh.degree, self.flam, self.bgrad[:, None, None])
+
+    @functools.cached_property
+    def fgrad_w(self):
+        """Face weight times ``fgrad``, (ne, #K, 3*nfq*2)."""
+        wg = np.einsum("kfq,kfqsd->ksfqd", self.fw, self.fgrad, order="C")
+        return wg.reshape(len(wg), self.nloc, -1)
+
     @functools.cached_property
     def element_mass(self):
-        """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K);
-        built on first use, so runs that never step in time skip them."""
-        w = self.vq_w * self.measure[:, None]
-        return np.einsum("...q,qi,qj->...ij", w, self.vq_phi, self.vq_phi)
+        """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K)."""
+        return self.vphi_w @ self.vq_phi
 
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
@@ -158,16 +192,24 @@ class Discretization:
     def _admissible(self, e, u):
         """Per element: every state its residuals evaluate is admissible, (k,)."""
         ue = self.element_values(e, u)
-        ok = self.law.admissible(np.einsum("fqs,ksm->kfqm", self.fphi, ue)).all(axis=(1, 2))
+        ok = self.law.admissible(self.face_values(ue)).all(axis=(1, 2))
         ok &= self.law.admissible(self.vq_phi @ ue).all(axis=1)
         return ok & self.law.admissible(ue.mean(axis=1))
 
     # -- residual families -------------------------------------------------
 
+    def face_values(self, ue):
+        """Values at the face points (..., nf, nfq, m) of DOF values (..., #K, m)."""
+        return (self.ftrace @ ue).reshape(ue.shape[:-2] + self.fphi.shape[:2] + ue.shape[-1:])
+
     def _face_flux(self, e, ue):
         """Normal flux f(u_h).n at the face points, (k, nf, nfq, m)."""
-        uf = np.einsum("fqs,...sm->...fqm", self.fphi, ue)
-        return np.einsum("...fqdm,...fd->...fqm", self.law.flux(uf), self.fnormal[e])
+        flux = self.law.flux(self.face_values(ue))
+        return np.einsum("...fqdm,...fd->...fqm", flux, self.fnormal[e])
+
+    def contour(self, e, fn):
+        """Contour integral of phi_sigma fn, (k, #K, m), for fn (k, nf, nfq, m)."""
+        return self.fphi_w[e] @ fn.reshape(fn.shape[:-3] + (len(self.ftrace), fn.shape[-1]))
 
     def total_residual(self, e, u):
         """Boundary quadrature of the normal flux, (k, m); (m,) for one integer."""
@@ -176,15 +218,13 @@ class Discretization:
 
     def boundary_flux(self, e, u):
         """Contour integral of phi_sigma f(u_h).n, (k, #K, m)."""
-        fn = self._face_flux(e, self.element_values(e, u))
-        return np.einsum("...fq,fqs,...fqm->...sm", self.fw[e], self.fphi, fn)
+        return self.contour(e, self._face_flux(e, self.element_values(e, u)))
 
     def galerkin_residuals(self, e, u):
         """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
         fq = self.law.flux(self.vq_phi @ self.element_values(e, u))  # (k, nq, dim, m)
-        wq = self.vq_w * self.measure[e, None]
         return (self.boundary_flux(e, u)
-                - np.einsum("kq,kqsd,kqdm->ksm", wq, self.vgrad[e], fq))
+                - self.vgrad_w[e] @ fq.reshape(fq.shape[:-3] + (self.vgrad_w.shape[-1], self.m)))
 
     def _flux_jacobians(self, e, ue):
         """States u_q (k, nq, m) and J(u_q).grad(phi_s) (k, nq, #K, m, m)."""
@@ -194,8 +234,8 @@ class Discretization:
     def _rusanov_matrix(self, e, u):
         """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m)."""
         _, jg = self._flux_jacobians(e, self.element_values(e, u))
-        wq = self.vq_w * self.measure[e, None]
-        return np.einsum("kq,qs,kqpij->kspij", wq, self.vq_phi, jg)
+        k, nq, K = jg.shape[:3]
+        return (self.vphi_w[e] @ jg.reshape(k, nq, K * self.m**2)).reshape((k, K) + jg.shape[2:])
 
     def rusanov_alpha(self, e, u):
         """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
@@ -231,24 +271,21 @@ class Discretization:
         adu = np.einsum("kqdij,kqdj->kqi", jd, du)            # A.grad(u_h)
         tau = tau_scale * self._tau(e, ue.mean(axis=1))
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[:, None]
-        return np.einsum("kq,kqsij,kqj->ksi", wq, jg, adu)
+        return np.einsum("kqsij,kqj->ksi", jg, wq[..., None] * adu)
 
     def _jump_term(self, e, u, theta_e):
         if self.mesh.dim != 2:
             raise UnsupportedFeatureError("gradient-jump stabilization needs 2D")
         nbr = self.nbr[e]                                     # (k, 3)
         e2, f2 = nbr // 3, nbr % 3
-        deg = self.mesh.degree
-        # basis gradients at the face points, (k, 3, nfq, #K, 2)
-        g_in = msh.tri_basis_grad(deg, self.flam, self.bgrad[e][:, None, None])
-        g_out = msh.tri_basis_grad(deg, self.flam[f2], self.bgrad[e2][:, :, None])
         # ccw elements run a shared edge in opposite directions, so the
         # neighbour's face point nfq-1-q is this element's face point q
-        jump = (np.einsum("kfqsd,ksm->kfqdm", g_in, self.element_values(e, u))
-                - np.einsum("kfqsd,kfsm->kfqdm", g_out, self.element_values(e2, u))[:, :, ::-1])
+        jump = (np.einsum("kfqsd,ksm->kfqdm", self.fgrad[e], self.element_values(e, u))
+                - np.einsum("kfqsd,kfsm->kfqdm", self.fgrad[e2, f2],
+                            self.element_values(e2, u))[:, :, ::-1])
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
-        coef = np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)
-        return np.einsum("kf,kfq,kfqsd,kfqdm->ksm", coef, self.fw[e], g_in, jump)
+        jump *= np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
+        return self.fgrad_w[e] @ jump.reshape(len(jump), self.fgrad_w.shape[-1], self.m)
 
     def element_residuals(self, e, u, scheme):
         """The Galerkin split plus the stabilization terms of the scheme kind."""
@@ -309,10 +346,7 @@ class Discretization:
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         diff = self.upwind_flux(uq, ub, n) - np.einsum(
             "...qdm,...qd->...qm", self.law.flux(uq), n)
-        dofs = self.face_dofs[lf]                             # (nb, nfd)
-        trace = np.take_along_axis(self.bphi[lf], dofs[..., None, :], axis=-1)
-        psi = np.einsum("...q,...qs,...qm->...sm", self.bw[e, lf], trace, diff)
-        return dofs, psi
+        return self.face_dofs[lf], self.bphi_w[e, lf] @ diff
 
     # -- assembly -----------------------------------------------------------
 

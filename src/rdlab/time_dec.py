@@ -85,14 +85,14 @@ def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):
     return u_p
 
 
-def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
+def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=None):
     """March to ``t_end``; returns (final state, times list).
 
     Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
     a ``CflWarning`` where ``dt`` exceeds that bound.  ``log``, if given, is
     called after each step with (t, u, total lumped mass per component,
     residual infinity norm).  The residual at the new state is computed once
-    and serves both the log and the next step.
+    and serves the log, the next step and ``final`` (the returned state's ``ResidualSet``).
     """
     mass = lumped_mass(disc)
     u = np.array(u0, dtype=float)
@@ -100,7 +100,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         u = u[:, None]
     t = 0.0
     times = [0.0]
-    R = disc.assemble(u, scheme, u_b)[0]
+    R, rset = disc.assemble(u, scheme, u_b)
     while t < t_end - 1e-14:
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
@@ -111,7 +111,9 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None):
         u = dec_step(disc, u, step, scheme, config, mass, u_b=u_b, R_n=R)
         t += step
         times.append(t)
-        R = disc.assemble(u, scheme, u_b)[0]
+        R, rset = disc.assemble(u, scheme, u_b)
         if log is not None:
             log(t, u, mass @ u, float(np.abs(R).max()))
+    if final is not None:
+        final(rset)
     return u, times

@@ -218,6 +218,10 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (SOD_INI.replace("n = 20", "n = 0"), "[mesh] n: cell count must be >= 1"),
     (INTERVAL_INI.replace("advection(1)", "advection(1, 0)"), "2-D advection law on a 1-D"),
     (with_key(TRI_INI, "law", "name = cubic"), "1-D cubic law on a 2-D mesh"),
+    # a law parameter the law does not read is rejected, not dropped
+    (with_key(TRI_INI, "law", "name = burgers(7)"), "[law] name: burgers takes at most 0"),
+    (INTERVAL_INI.replace("advection(1)", "cubic(2,3)"), "[law] name: cubic takes at most 0"),
+    (SOD_INI.replace("euler(1.4)", "euler(1.4, 9)"), "[law] name: euler takes at most 1"),
     # a step that is not positive never advances the clock, and a
     # non-finite end time never stops it or is never reached
     (with_key(TRI_INI, "time", "cfl = 0"), "[time] cfl: 0.0 is not a finite positive number"),
@@ -252,7 +256,8 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
 ], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
         "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
         "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
-        "law_dim_interval", "law_dim_triangle", "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
+        "law_dim_interval", "law_dim_triangle", "burgers_args", "cubic_args", "euler_args",
+        "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
         "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
         "sod_t_end_nan", "alpha_nan", "alpha_negative", "gamma_jump_inf",
         "interval_reversed", "interval_nan", "steps_dt", "steps_cfl", "steps_cfl_underflows",

@@ -3,7 +3,9 @@ import pytest
 
 from _oracles import oracle_euler_flux
 from rdlab import conslaw as cl
+from rdlab import mesh as msh
 from rdlab.errors import InadmissibleStateError
+from rdlab.rd_core import Discretization
 
 
 def test_advection_flux_and_jacobian():
@@ -46,7 +48,7 @@ def test_scalar_entropy_pair_identity(law):
     assert np.array_equal(v, u[:, 0])
     if law.name == "burgers":
         # Tadmor potential identity: theta = v f(v) - g(v), theta = v^3/6
-        assert np.allclose(v**3 / 6.0, v * cl.burgers_flux(v) - g, atol=1e-14)
+        assert np.allclose(v**3 / 6.0, v * cl.Burgers().flux(v[:, None])[:, 0, 0] - g, atol=1e-14)
     rng = np.random.default_rng(law.dim)
     u = rng.uniform(-2.0, 2.0, (200, 1))
     n = rng.normal(size=(200, law.dim))
@@ -209,3 +211,27 @@ def test_make_law_parsing():
         cl.make_law("navier_stokes")
     with pytest.raises(ValueError):
         cl.make_law("advection(1,")
+
+
+@pytest.mark.parametrize("spec", ["burgers(7)", "cubic(2,3)", "euler(1.4, 9)"])
+def test_make_law_rejects_parameters_the_law_does_not_read(spec):
+    with pytest.raises(ValueError, match="takes at most"):
+        cl.make_law(spec)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scalar_jac_n_matches_matrix_product(dim, p):
+    """The componentwise n.a of ``ScalarLaw.jac_n`` against ``n @ a``, on
+    batched normals shaped like the basis gradients at the volume points
+    (ne, nq, #K, dim) and the scaled face normals (ne, nf, dim)."""
+    mesh = msh.build_interval_mesh(5) if dim == 1 else msh.build_structured_tri_mesh(3, 2)
+    law = cl.ScalarLaw((0.7, -1.3)[:dim], p, "scalar")
+    disc = Discretization(mesh, law)
+    rng = np.random.default_rng(p)
+    for n in (disc.vgrad, disc.snormal):
+        u = rng.uniform(-2.0, 2.0, size=n.shape[:-1] + (1,))
+        ref = (u[..., 0] ** (p - 1) * (n @ law.a))[..., None, None]
+        got = law.jac_n(u, n)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()

@@ -3,7 +3,7 @@ import pytest
 
 from rdlab import diagnostics as diag
 from rdlab import mesh as msh
-from rdlab.conslaw import Advection, Burgers
+from rdlab.conslaw import Burgers
 from rdlab.rd_core import Discretization, Scheme
 
 
@@ -70,19 +70,6 @@ def test_maximum_principle_audit_fails_a_nan_state_at_its_step():
     assert report.line().startswith("FAIL maximum_principle: defect=nan")
     report = diag.maximum_principle_audit([np.full(2, np.nan), good])
     assert not report.passed and report.worst_location == ("step", 0)
-
-
-def test_lipschitz_audit_is_finite_and_scale_stable():
-    mesh = msh.build_structured_tri_mesh(2, 2)
-    disc = Discretization(mesh, Advection((1.0, 0.5)))
-    r1 = diag.lipschitz_audit(disc, Scheme(kind="rusanov"), bound_M=1.0,
-                              n_samples=200, seed=1)
-    r2 = diag.lipschitz_audit(disc, Scheme(kind="rusanov"), bound_M=2.0,
-                              n_samples=200, seed=1)
-    assert np.isfinite(r1.defect) and r1.defect > 0.0
-    assert r1.passed  # tolerance defaults to infinity
-    # linear law: the constant does not grow with the data bound
-    assert r2.defect <= 1.2 * r1.defect
 
 
 def test_entropy_inequality_audit_rusanov_shock():
