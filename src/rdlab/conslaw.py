@@ -177,7 +177,7 @@ def euler_flux(u, gamma=1.4):
     f[..., 1:-1] = rv[..., :, None] * v[..., None, :]       # (rho v_k) v_i
     f[..., -1] = v * (u[..., -1] + p)[..., None]
     # the entries (k, 1 + k) are every (m + 1)-th of the flattened (d, m)
-    f.reshape(u.shape[:-1] + (-1,))[..., 1 :: m + 1] += p[..., None]
+    f.reshape(u.shape[:-1] + ((m - 2) * m,))[..., 1 :: m + 1] += p[..., None]
     return f
 
 

@@ -78,11 +78,6 @@ def recover_fluxes(system, psi):
     return system.A.T @ (system.Linv @ psi)
 
 
-def recover_normals(system, N):
-    """Equivalent control-volume normals from boundary weights N_sigma."""
-    return recover_fluxes(system, N)
-
-
 def certify(system, fluxes, psi):
     """Worst balance and compatibility defects over a batch of recovered
     ``fluxes`` (..., #edges, m) and residuals ``psi`` (..., #nodes, m), or 1-D
@@ -142,7 +137,7 @@ def trace_normal_weights(mesh, e):
 
     N_sigma = -(contour integral of phi_sigma n_out); with these weights the
     constant-state recovered fluxes satisfy f_hat = f(u).n_sigmasigma' for
-    n_sigmasigma' = recover_normals(system, N).  For P1 each vertex collects
+    n_sigmasigma' = recover_fluxes(system, N).  For P1 each vertex collects
     half of its two incident inward edge normals, i.e. N_sigma = -n_sigma/2;
     for P2 each midpoint takes 2/3 of the normal opposite its edge.
     """

@@ -175,6 +175,25 @@ class Discretization:
         return wg.reshape(len(wg), self.nloc, -1)
 
     @functools.cached_property
+    def ptrace(self):
+        """Face traces, then the volume basis, (nf*nfq + nq, #K)."""
+        return np.concatenate([self.ftrace, self.vq_phi])
+
+    @functools.cached_property
+    def gal_w(self):
+        """Galerkin split of the flux at the ``ptrace`` points: ``fphi_w`` times
+        the face points' unit normals, then ``-vgrad_w``, (ne, #K, (nf*nfq + nq)*dim)."""
+        fn = np.repeat(self.fnormal, self.fw.shape[-1], axis=1)       # (ne, nf*nfq, dim)
+        cw = (self.fphi_w[..., None] * fn[:, None]).reshape(len(fn), self.nloc, -1)
+        return np.concatenate([cw, -self.vgrad_w], axis=-1)
+
+    @functools.cached_property
+    def _slots(self):
+        """Flat (DOF, component) slots of the element, then the boundary entries."""
+        dofs = np.concatenate([self.dofmap.element_dofs.ravel(), self.boundary_dofs.ravel()])
+        return (dofs[:, None] * self.m + np.arange(self.m)).ravel()
+
+    @functools.cached_property
     def element_mass(self):
         """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K)."""
         return self.vphi_w @ self.vq_phi
@@ -221,10 +240,9 @@ class Discretization:
         return self.contour(e, self._face_flux(e, self.element_values(e, u)))
 
     def galerkin_residuals(self, e, u):
-        """Phi_sigma = boundary term with phi_sigma weight minus volume term."""
-        fq = self.law.flux(self.vq_phi @ self.element_values(e, u))  # (k, nq, dim, m)
-        return (self.boundary_flux(e, u)
-                - self.vgrad_w[e] @ fq.reshape(fq.shape[:-3] + (self.vgrad_w.shape[-1], self.m)))
+        """Phi_sigma = contour term of phi_sigma minus volume term, one flux call."""
+        fq = self.law.flux(self.ptrace @ self.element_values(e, u))  # (k, nf*nfq + nq, dim, m)
+        return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
     def _flux_jacobians(self, e, ue):
         """States u_q (k, nq, m) and J(u_q).grad(phi_s) (k, nq, #K, m, m)."""
@@ -295,7 +313,7 @@ class Discretization:
         if k == "rusanov" or k.startswith("limited"):
             phi = phi + self._rusanov_term(e, u, scheme.alpha)
         if k.startswith("limited"):
-            _, phi = blend_limiter(phi, phi.sum(axis=1))
+            _, phi = blend_limiter(phi)
             coef = scheme.gamma_jump
         if k.endswith("supg"):
             phi = phi + coef * self._supg_term(e, u, scheme.tau_scale)
@@ -305,14 +323,16 @@ class Discretization:
 
     # -- boundary ---------------------------------------------------------
 
-    def upwind_flux(self, uh, ub, n):
+    def upwind_flux(self, uh, ub, n, fh=None):
         """Normal interface flux; picks the boundary state on inflow.
 
         Batched over the leading axes of ``uh``, ``ub`` (..., m) and ``n`` (..., d).
+        ``fh``, if given, is f(uh).n; it is not recomputed.
         """
         uh, ub = np.atleast_1d(uh), np.atleast_1d(ub)
         n = np.asarray(n, dtype=float)
-        fh = np.einsum("...dm,...d->...m", self.law.flux(uh), n)
+        if fh is None:
+            fh = np.einsum("...dm,...d->...m", self.law.flux(uh), n)
         fb = np.einsum("...dm,...d->...m", self.law.flux(ub), n)
         A = self.law.jac_n(0.5 * (uh + ub), n)
         if self.m == 1:
@@ -344,9 +364,8 @@ class Discretization:
         ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
         ub = np.broadcast_to(ub, uq.shape)
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
-        diff = self.upwind_flux(uq, ub, n) - np.einsum(
-            "...qdm,...qd->...qm", self.law.flux(uq), n)
-        return self.face_dofs[lf], self.bphi_w[e, lf] @ diff
+        fh = np.einsum("...qdm,...qd->...qm", self.law.flux(uq), n)
+        return self.face_dofs[lf], self.bphi_w[e, lf] @ (self.upwind_flux(uq, ub, n, fh) - fh)
 
     # -- assembly -----------------------------------------------------------
 
@@ -368,14 +387,19 @@ class Discretization:
             _, boundary = self.boundary_residuals(self.mesh.faces.boundary, u, u_b)
         return ResidualSet(phi=phi, boundary=boundary)
 
+    def scatter(self, phi, boundary=None):
+        """Sum element entries phi (ne, #K, m), then boundary entries (nb,
+        nfd, m) if given, into their DOFs, (ndof, m): one ``bincount`` that
+        adds in the order of ``np.add.at`` over each in turn, so bit-stable."""
+        slots, w = self._slots[:self.dofmap.element_dofs.size * self.m], np.ravel(phi)
+        if boundary is not None:
+            slots, w = self._slots, np.concatenate([w, np.ravel(boundary)])
+        return np.bincount(slots, w, self.dofmap.n_dofs * self.m).reshape(-1, self.m)
+
     def assemble(self, u, scheme, u_b=None):
         """Per-DOF residual R_sigma; element-major scatter for bit stability."""
         rset = self.residual_set(u, scheme, u_b)
-        R = np.zeros((self.dofmap.n_dofs, self.m))
-        np.add.at(R, self.dofmap.element_dofs, rset.phi)
-        if rset.boundary is not None:
-            np.add.at(R, self.boundary_dofs, rset.boundary)
-        return R, rset
+        return self.scatter(rset.phi, rset.boundary), rset
 
 
 def rusanov_coefficients(disc, e, u, alpha=None):
@@ -402,30 +426,34 @@ def monotone_dt(disc, u, mass, alpha=None, safety=1.0):
     Bound: dt * sum_K sum_sp max(c_ssp, 0) <= mass_s for every DOF s.
     """
     c = rusanov_coefficients(disc, slice(None), u, alpha=alpha)
-    budget = np.zeros(disc.dofmap.n_dofs)
-    np.add.at(budget, disc.dofmap.element_dofs, np.maximum(c, 0.0).sum(axis=2))
+    budget = disc.scatter(np.maximum(c, 0.0).sum(axis=2)[..., None])[:, 0]
     positive = budget > 0.0
     if not positive.any():
         return np.inf
     return safety * float((mass[positive] / budget[positive]).min())
 
 
-def blend_limiter(phi_L, total):
+def blend_limiter(phi_L, total=None):
     """Convex reweighting of a monotone split; componentwise for systems.
 
     ``phi_L`` is (..., #K, m) and ``total`` (..., m), with any leading
     element axes.  Returns (beta, limited residuals beta_sigma * total).  The
     split must be conservative: sum(phi_L) == total within 1e-10 relative.
+    ``total`` defaults to that sum, which needs no check: a nonzero float sum
+    has a summand of its sign, so some ratio is positive.
     """
     phi_L = np.asarray(phi_L, dtype=float)
-    total = np.asarray(total, dtype=float)[..., None, :]
-    defect = np.abs(phi_L.sum(axis=-2, keepdims=True) - total)
-    if np.any(defect > 1e-10 * (1.0 + np.abs(total))):
-        raise ConservationDefectError("limiter input is not conservative", defect[..., 0, :])
+    given = total is not None
+    total = (np.asarray(total, dtype=float)[..., None, :] if given
+             else phi_L.sum(axis=-2, keepdims=True))
+    if given:
+        defect = np.abs(phi_L.sum(axis=-2, keepdims=True) - total)
+        if np.any(defect > 1e-10 * (1.0 + np.abs(total))):
+            raise ConservationDefectError("limiter input is not conservative", defect[..., 0, :])
     zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L).max(axis=-2, keepdims=True))
     num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
     den = num.sum(axis=-2, keepdims=True)
-    if np.any((den <= 0.0) & ~zero):
+    if given and np.any((den <= 0.0) & ~zero):
         raise InternalConsistencyError(
             "all limiter ratios clipped although the total is nonzero"
         )
@@ -441,9 +469,10 @@ def _specnorm(a):
 def _max_specnorm(a):
     """Largest ``_specnorm`` of the trailing (m, m) blocks of each a[k], (k,),
     decomposing only blocks that can set it (see ``rusanov_alpha``)."""
+    nb = int(np.prod(a.shape[1:-2]))                     # named: k may be 0
     if a.shape[-2:] == (1, 1):
-        return np.abs(a).reshape(len(a), -1).max(axis=1)
-    blocks = a.reshape((len(a), -1) + a.shape[-2:])      # (k, nb, m, m)
+        return np.abs(a).reshape(len(a), nb).max(axis=1)
+    blocks = a.reshape((len(a), nb) + a.shape[-2:])      # (k, nb, m, m)
     sq = blocks * blocks
     col2 = sq.sum(axis=-2)                               # (k, nb, m)
     line2 = np.maximum(col2.max(axis=(1, 2)), sq.sum(axis=-1).max(axis=(1, 2)))

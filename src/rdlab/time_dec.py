@@ -39,19 +39,14 @@ class DecConfig:
 def lumped_mass(disc):
     """Per-DOF lumped mass, the sum of C_K = |K|/#K over the elements."""
     C = disc.measure / disc.nloc
-    dofs = disc.dofmap.element_dofs
-    mass = np.zeros(disc.dofmap.n_dofs)
-    np.add.at(mass, dofs, np.broadcast_to(C[:, None], dofs.shape))
-    return mass
+    return np.bincount(disc.dofmap.element_dofs.ravel(), np.repeat(C, disc.nloc),
+                       disc.dofmap.n_dofs)
 
 
 def mass_apply(disc, w):
     """Consistent mass action <w, phi_sigma> for a DOF field w (ndof, m)."""
     w = np.asarray(w, dtype=float)
-    dofs = disc.dofmap.element_dofs
-    out = np.zeros_like(w)
-    np.add.at(out, dofs, disc.element_mass @ w[dofs])
-    return out
+    return disc.scatter(disc.element_mass @ w[disc.dofmap.element_dofs])
 
 
 def stable_dt(disc, u, cfl):

@@ -91,7 +91,7 @@ def test_criterion_02_p2_recovery_table():
         assert np.abs(N[:3] + n_in / 6.0).max() < 1e-13
         for k, opp in enumerate((2, 0, 1)):
             assert np.abs(N[3 + k] - n_in[opp] / 3.0).max() < 1e-13
-        normals = fr.recover_normals(system, N)
+        normals = fr.recover_fluxes(system, N)
         worst = max(worst, float(np.abs(system.A @ normals - N).max()))
     assert worst < 1e-13
     report("criterion 02 quadratic recovery table",

@@ -145,7 +145,7 @@ def test_constant_state_consistency(degree):
         phi = disc.galerkin_residuals([e], u)[0]
         fb = fr.boundary_dof_flux(disc, e, u)
         fluxes = fr.recover_fluxes(system, phi - fb)
-        normals = fr.recover_normals(system, fr.trace_normal_weights(mesh, e))
+        normals = fr.recover_fluxes(system, fr.trace_normal_weights(mesh, e))
         fu = law.flux(np.array([1.3]))[:, 0]  # (2,) flux vector of the state
         expect = normals @ fu
         assert np.abs(fluxes[:, 0] - expect).max() < 1e-13

@@ -228,6 +228,14 @@ def test_blend_limiter_rejects_nonconservative_input():
         blend_limiter(phi, np.array([1.0]))
 
 
+def test_blend_limiter_default_total_is_the_sum():
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((50, 6, 4))
+    phi[:5] -= phi[:5].mean(axis=1, keepdims=True)     # totals at round-off: the zero branch
+    for got, want in zip(blend_limiter(phi), blend_limiter(phi, phi.sum(axis=-2))):
+        assert np.array_equal(got, want)
+
+
 def test_upwind_flux_scalar():
     disc = Discretization(ref_triangle(), Advection((1.0, 0.0)))
     uh, ub = np.array([2.0]), np.array([5.0])
@@ -460,13 +468,50 @@ def test_discretization_tables_are_c_contiguous(dim, degree):
         mesh = jittered_tri_mesh(3, degree, seed=2)
     disc = Discretization(mesh, Euler(gamma=1.4, dim=dim))
     # the operator tables are built on first use, so set-up does not pay for them
-    lazy = {"element_mass", "fphi_w", "vphi_w", "vgrad_w", "bphi_w"}
+    lazy = {"element_mass", "fphi_w", "vphi_w", "vgrad_w", "bphi_w", "ptrace", "gal_w",
+            "_slots"}
     if dim == 2:                                          # the jump term's tables
         lazy |= {"fgrad", "fgrad_w"}
     assert not lazy & set(vars(disc))
     for name in lazy:
         getattr(disc, name)
     tables = {k: v for k, v in vars(disc).items()
-              if isinstance(v, np.ndarray) and v.ndim > 1}
+              if isinstance(v, np.ndarray) and (v.ndim > 1 or k in lazy)}
     assert {"snormal", "fnormal", "fw", "bw", "bgrad", "vgrad", "ftrace"} | lazy <= set(tables)
     assert [k for k, v in tables.items() if not v.flags.c_contiguous] == []
+
+
+def p1_advection_and_p2_euler():
+    """A P1 advection and a P2 Euler discretization, each with a state."""
+    mesh = msh.build_structured_tri_mesh(3, 3)
+    disc = Discretization(mesh, Advection((1.0, 0.5)))
+    yield disc, np.sin(3.0 * mesh.vertices[:, :1]) + 2.0
+    mesh = jittered_tri_mesh(3, 2, seed=4)
+    disc = Discretization(mesh, Euler(gamma=1.4, dim=2))
+    x = disc.dofmap.dof_coords
+    w = np.stack([1.0 + 0.1 * np.sin(3 * x[:, 0]), 0.5 + 0.1 * x[:, 1], 0.25 + 0.0 * x[:, 0],
+                  1.0 + 0.1 * np.cos(2 * x[:, 1])], axis=-1)
+    yield disc, conserved_from_primitive(w)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_empty_element_selection_gives_empty_residuals(kind):
+    for disc, u in p1_advection_and_p2_euler():
+        phi = disc.element_residuals(np.array([], dtype=int), u, Scheme(kind))
+        assert phi.shape == (0, disc.nloc, disc.m)
+
+
+def test_scatter_equals_add_at():
+    """One bincount adds in the order of np.add.at over the element entries,
+    then over the boundary entries, so the sums are bit-identical."""
+    for disc, u in p1_advection_and_p2_euler():
+        rset = disc.residual_set(u, Scheme("limited"), u_b=u[0])
+        rng = np.random.default_rng(5)
+        for phi, boundary in ((rset.phi, rset.boundary), (rset.phi, None),
+                              (rng.standard_normal(rset.phi.shape),
+                               rng.standard_normal(rset.boundary.shape))):
+            want = np.zeros((disc.dofmap.n_dofs, disc.m))
+            np.add.at(want, disc.dofmap.element_dofs, phi)
+            if boundary is not None:
+                np.add.at(want, disc.boundary_dofs, boundary)
+            assert np.array_equal(disc.scatter(phi, boundary), want)
