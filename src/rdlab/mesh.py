@@ -2,12 +2,14 @@
 
 Conventions used throughout the package:
 
+* an interval is the 1-simplex: points on either element type are barycentric
+  coordinates, which are also its P1 basis;
 * triangles are stored counter-clockwise, so all element measures are positive;
 * local face j of a triangle is the edge opposite vertex j, and local face j
-  of an interval is its vertex j;
+  of an interval is its vertex j, a point of weight 1;
 * ``element_geometry`` returns ``snormal``, the OUTWARD normal of each local
-  face scaled by the face length (1 in 1D), so for the P1 triangle basis
-  grad(phi_j) = -snormal_j / (2|K|);
+  face scaled by the face length (1 in 1D), so grad(phi_j) at P1 is
+  -snormal_j / (2|K|) on a triangle and snormal_j / |K| on an interval;
 * P2 local ordering is vertices 0,1,2 then midpoints 3 (edge 01), 4 (edge 12),
   5 (edge 20).
 """
@@ -145,18 +147,15 @@ def build_structured_tri_mesh(nx, ny, domain=((0.0, 0.0), (1.0, 1.0)), degree=1)
 
 
 def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
-    """Uniform 1D mesh of ``n`` cells on [a, b]."""
+    """Uniform 1D mesh of ``n`` cells on [a, b]; a periodic one drops vertex b."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     if degree != 1:
         raise UnsupportedFeatureError("1D meshes are built at degree 1 only")
-    if periodic:
-        verts = np.linspace(a, b, n + 1)[:-1].reshape(-1, 1)
-        elems = np.array([(i, (i + 1) % n) for i in range(n)], dtype=int)
-        return Mesh(dim=1, vertices=verts, elements=elems, degree=degree, period=b - a)
-    verts = np.linspace(a, b, n + 1).reshape(-1, 1)
-    elems = np.array([(i, i + 1) for i in range(n)], dtype=int)
-    return Mesh(dim=1, vertices=verts, elements=elems, degree=degree)
+    verts = np.linspace(a, b, n + 1)[:n + 1 - periodic].reshape(-1, 1)
+    elems = np.array([(i, (i + 1) % len(verts)) for i in range(n)], dtype=int)
+    return Mesh(dim=1, vertices=verts, elements=elems, degree=degree,
+                period=b - a if periodic else None)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +163,10 @@ def build_interval_mesh(n, a=0.0, b=1.0, periodic=False, degree=1):
 
 
 def build_dofmap(mesh):
-    """Global continuous Lagrange DOF numbering for the mesh degree."""
-    if mesh.dim == 1 or mesh.degree == 1:
+    """Global continuous Lagrange DOF numbering: P1 on any simplex, P2 on triangles."""
+    if mesh.degree == 1:
         return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, mesh.dim + 1)
-    if mesh.degree == 2:
+    if mesh.degree == 2 and mesh.dim == 2:
         # midpoint DOFs numbered in first-seen order over the edges 01, 12, 20
         edges = mesh.faces.id[:, [2, 0, 1]]
         order = np.argsort(np.unique(edges, return_index=True)[1])
@@ -178,7 +177,7 @@ def build_dofmap(mesh):
         coords = np.concatenate([mesh.vertices, mids])
         elem_dofs = np.concatenate([mesh.elements, mesh.n_vertices + rank[edges]], axis=1)
         return DofMap(elem_dofs, coords, coords.shape[0], 6)
-    raise UnsupportedFeatureError(f"degree {mesh.degree} not supported")
+    raise UnsupportedFeatureError(f"degree {mesh.degree} not supported on a {mesh.dim}-D mesh")
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +231,12 @@ def element_graph(mesh):
 
 
 def tri_basis(degree, lam):
-    """Basis values at barycentric points ``lam`` (..., 3) -> (..., #K)."""
+    """Basis values at barycentric points ``lam`` (..., dim + 1) -> (..., #K);
+    P1 is ``lam`` itself on any simplex, P2 needs a triangle."""
     lam = np.asarray(lam, dtype=float)
-    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     if degree == 1:
-        return np.stack([l1, l2, l3], axis=-1)
+        return lam.copy()
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     if degree == 2:
         return np.stack(
             [
@@ -253,15 +253,16 @@ def tri_basis(degree, lam):
 
 
 def tri_basis_grad(degree, lam, grad_lam):
-    """Physical gradients of basis functions; returns (..., #K, 2).
+    """Physical gradients of basis functions; returns (..., #K, dim).
 
-    ``grad_lam`` (..., 3, 2) broadcasts against the leading axes of ``lam``.
+    ``grad_lam`` (..., dim + 1, dim) broadcasts against the leading axes of
+    ``lam``; at P1 it is the result, on any simplex.
     """
     lam = np.asarray(lam, dtype=float)
     g = np.asarray(grad_lam, dtype=float)
     if degree == 1:
         lead = np.broadcast_shapes(lam.shape[:-1], g.shape[:-2])
-        return np.broadcast_to(g, lead + (3, 2)).copy()
+        return np.broadcast_to(g, lead + g.shape[-2:]).copy()
     if degree == 2:
         l1, l2, l3 = (lam[..., k, None] for k in range(3))
         g1, g2, g3 = (g[..., k, :] for k in range(3))
@@ -278,40 +279,20 @@ def tri_basis_grad(degree, lam, grad_lam):
 
 
 def interval_basis(lam):
-    """P1 basis on an interval at local coordinate(s) t in [0, 1]."""
+    """Barycentric coordinates (1 - t, t), the P1 basis, of t in [0, 1] on an interval."""
     t = np.asarray(lam, dtype=float)
     return np.stack([1.0 - t, t], axis=-1)
 
 
-# interior triangle rules (barycentric points, weights summing to 1)
+# triangle rule of each mesh degree k, exact for degree 2k polynomials:
+# barycentric points and weights summing to 1.  k = 2 is Dunavant's 6-point rule
 _TRI_RULES = {
-    2: (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
+    1: (np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
+        np.full(3, 1 / 3)),
+    2: (np.array([np.roll([1 - 2 * c, c, c], k)
+                  for c in (0.445948490915965, 0.091576213509771) for k in range(3)]),
+        np.repeat([0.223381589678011, 0.109951743655322], 3)),
 }
-
-
-def _dunavant6():
-    a, wa = 0.445948490915965, 0.223381589678011
-    b, wb = 0.091576213509771, 0.109951743655322
-    pts = []
-    wts = []
-    for c, w in ((a, wa), (b, wb)):
-        pts += [[1 - 2 * c, c, c], [c, 1 - 2 * c, c], [c, c, 1 - 2 * c]]
-        wts += [w, w, w]
-    return np.array(pts), np.array(wts)
-
-
-_TRI_RULES[4] = _dunavant6()
-
-
-def tri_quadrature(degree_exact):
-    """Return (barycentric points, weights); weights sum to 1 (scale by |K|)."""
-    for d in sorted(_TRI_RULES):
-        if d >= degree_exact:
-            return _TRI_RULES[d]
-    raise UnsupportedFeatureError(f"no triangle rule of degree {degree_exact}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,8 +305,15 @@ def gauss_01(npts):
 
 
 def volume_rule(mesh):
-    """Interior triangle rule exact for degree 2k polynomials."""
-    return tri_quadrature(2 * mesh.degree)
+    """Element rule: barycentric points (nq, dim + 1) and weights (nq,)
+    summing to 1 (scale by |K|).  Two Gauss points on an interval, exact for
+    cubics; ``_TRI_RULES`` of the mesh degree on a triangle."""
+    if mesh.dim == 1:
+        t, w = gauss_01(2)
+        return interval_basis(t), w
+    if mesh.degree not in _TRI_RULES:
+        raise UnsupportedFeatureError(f"no triangle rule for degree {mesh.degree}")
+    return _TRI_RULES[mesh.degree]
 
 
 def face_rule(mesh):
@@ -339,12 +327,8 @@ def face_rule(mesh):
 
 def face_local_dofs(mesh, local_face):
     """Local DOF indices lying on a local face, in trace order."""
-    if mesh.dim == 1:
-        return (local_face,)
-    i, j = _TRI_FACES[local_face]
-    if mesh.degree == 1:
-        return (i, j)
-    return (i, j, _FACE_MIDPOINTS[local_face])
+    ends = _LOCAL_FACES[mesh.dim][local_face]
+    return ends + (_FACE_MIDPOINTS[local_face],) if mesh.degree == 2 else ends
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class Discretization:
 
     Every element has ``nf`` local faces: the edges of a triangle (face j
     opposite vertex j) or the end points of an interval (face j at vertex j,
-    weight 1, normal -1 or +1), so 1D and 2D share one residual kernel.
+    weight 1, normal -1 or +1), so 1D and 2D share one set-up and one kernel.
     """
 
     def __init__(self, mesh, law):
@@ -87,57 +87,41 @@ class Discretization:
     # -- geometry / quadrature arrays ----------------------------------------
 
     def _setup(self):
-        mesh = self.mesh
+        mesh, dim = self.mesh, self.mesh.dim
         # (ne,), (ne,), (ne, nf, dim) outward normals scaled by the face length
         self.measure, self.diameter, self.snormal = msh.element_geometry(mesh)
         length = np.linalg.norm(self.snormal, axis=-1)    # (ne, nf)
         self.fnormal = self.snormal / length[..., None]   # (ne, nf, dim) unit outward
-        if mesh.dim == 2:
-            self._triangle_rules(length)
-        else:
-            self._interval_rules()
+        # (ne, nf, dim) P1 basis gradients: face j lies opposite vertex j of a
+        # triangle, and is vertex j of an interval
+        self.bgrad = (-self.snormal / 2 if dim == 2 else self.snormal) / self.measure[:, None, None]
+        self.vq_lam, self.vq_w = msh.volume_rule(mesh)    # (nq, dim + 1), (nq,)
+        self.vq_phi = msh.tri_basis(mesh.degree, self.vq_lam)  # (nq, #K)
+        # (ne, nq, #K, dim) basis gradients at the volume points
+        self.vgrad = msh.tri_basis_grad(mesh.degree, self.vq_lam, self.bgrad[:, None])
+        faces, rules = msh._LOCAL_FACES[dim], []
+        # face rule, and one more point (exact for the upwind product) on
+        # boundaries; the face of an interval is one point of weight 1
+        for npts in (mesh.degree + 1, mesh.degree + 2):
+            t, w = msh.gauss_01(npts) if dim == 2 else (np.zeros(1), np.ones(1))
+            lam = np.zeros((len(faces), len(t), dim + 1))
+            for f, ends in enumerate(faces):
+                lam[f, :, ends[0]] = 1.0 - t
+                lam[f, :, ends[-1]] += t
+            rules.append((w * length[..., None], lam))
+        # fw (ne, nf, nfq): weights times the face length; flam (nf, nfq, dim + 1):
+        # barycentric face points; bw, blam: the same for the boundary rule
+        (self.fw, self.flam), (self.bw, self.blam) = rules
+        self.fphi = msh.tri_basis(mesh.degree, self.flam)  # (nf, nfq, #K) traces
+        self.bphi = msh.tri_basis(mesh.degree, self.blam)  # (nf, nbq, #K)
         self.ftrace = self.fphi.reshape(-1, self.nloc)   # (nf*nfq, #K) flat traces
         self.nbr = mesh.faces.across                     # (ne, nf), see FaceTable
         # (nf, nfd) local DOFs on each local face, in trace order
-        self.face_dofs = np.array(
-            [msh.face_local_dofs(mesh, f) for f in range(self.snormal.shape[1])])
+        self.face_dofs = np.array([msh.face_local_dofs(mesh, f) for f in range(len(faces))])
         # (nb, nfd) global DOFs of each boundary face
         be, blf = mesh.faces.boundary
         self.boundary_dofs = np.take_along_axis(
             self.dofmap.element_dofs[be], self.face_dofs[blf], axis=1)
-
-    def _triangle_rules(self, length):
-        mesh = self.mesh
-        self.bgrad = -self.snormal / (2.0 * self.measure[:, None, None])  # (ne, 3, 2)
-        self.vq_lam, self.vq_w = msh.volume_rule(mesh)    # (nq, 3), (nq,)
-        self.vq_phi = msh.tri_basis(mesh.degree, self.vq_lam)  # (nq, #K)
-        # (ne, nq, #K, 2) basis gradients at the volume points
-        self.vgrad = msh.tri_basis_grad(mesh.degree, self.vq_lam, self.bgrad[:, None])
-        rules = []
-        # face rule, and one more point (exact for the upwind product) on boundaries
-        for npts in (mesh.degree + 1, mesh.degree + 2):
-            t, w = msh.gauss_01(npts)
-            lam = np.zeros((3, npts, 3))
-            for f, (i, j) in enumerate(msh._TRI_FACES):
-                lam[f, :, i] = 1.0 - t
-                lam[f, :, j] = t
-            rules.append((w * length[..., None], lam))
-        # fw (ne, 3, nfq): weights times the edge length; flam (3, nfq, 3):
-        # barycentric face points; bw, blam: the same for the boundary rule
-        (self.fw, self.flam), (self.bw, self.blam) = rules
-        self.fphi = msh.tri_basis(mesh.degree, self.flam)  # (3, nfq, #K) traces
-        self.bphi = msh.tri_basis(mesh.degree, self.blam)  # (3, nbq, #K)
-
-    def _interval_rules(self):
-        h = self.measure
-        self.bgrad = np.stack([-1.0 / h, 1.0 / h], axis=-1)[..., None]  # (ne, 2, 1)
-        t, self.vq_w = msh.gauss_01(2)                    # (nq,)
-        self.vq_phi = msh.interval_basis(t)               # (nq, 2)
-        self.vgrad = np.repeat(self.bgrad[:, None], len(t), axis=1)  # (ne, nq, 2, 1)
-        # each end point is a face with one point of weight 1: fw, bw
-        # (ne, 2, 1); flam, blam, fphi, bphi (2, 1, 2)
-        self.flam = self.fphi = self.blam = self.bphi = np.eye(2)[:, None, :]
-        self.fw = self.bw = np.ones((len(h), 2, 1))
 
     # operator tables, built on first use: the mesh-constant factors of each residual term
 
@@ -165,12 +149,12 @@ class Discretization:
 
     @functools.cached_property
     def fgrad(self):
-        """Triangle basis gradients at the face points, (ne, 3, nfq, #K, 2)."""
+        """Basis gradients at the face points, (ne, nf, nfq, #K, dim)."""
         return msh.tri_basis_grad(self.mesh.degree, self.flam, self.bgrad[:, None, None])
 
     @functools.cached_property
     def fgrad_w(self):
-        """Face weight times ``fgrad``, (ne, #K, 3*nfq*2)."""
+        """Face weight times ``fgrad``, (ne, #K, nf*nfq*dim)."""
         wg = np.einsum("kfq,kfqsd->ksfqd", self.fw, self.fgrad, order="C")
         return wg.reshape(len(wg), self.nloc, -1)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdlab import mesh as msh
-from rdlab.conslaw import Advection
+from rdlab.conslaw import Advection, Burgers
 from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
 from rdlab.rd_core import Discretization
 
@@ -123,14 +123,17 @@ def test_triangle_quadrature_exactness():
     mesh = ref_triangle()
     area = msh.element_geometry(mesh, 0)[0]
     # on the reference triangle x = lam_1 and y = lam_2
-    lam, w = msh.tri_quadrature(2)
+    lam, w = msh.volume_rule(mesh)
     val = area * np.sum(w * lam[:, 1] ** 2)
     assert abs(val - 1.0 / 12.0) < 1e-14
-    lam, w = msh.tri_quadrature(4)
+    lam, w = msh.volume_rule(ref_triangle(degree=2))
     val = area * np.sum(w * lam[:, 1] ** 2 * lam[:, 2] ** 2)
     assert abs(val - 1.0 / 180.0) < 1e-14
     with pytest.raises(UnsupportedFeatureError):
-        msh.tri_quadrature(9)
+        msh.volume_rule(ref_triangle(degree=3))
+    # the interval rule, two Gauss points: t = lam_1 on [0, 1]
+    lam, w = msh.volume_rule(msh.build_interval_mesh(1))
+    assert abs(np.sum(w * lam[:, 1] ** 3) - 0.25) < 1e-14
 
 
 def test_gauss_rule():
@@ -188,6 +191,32 @@ def test_interval_mesh_periodic():
 def test_interval_mesh_rejects_p2():
     with pytest.raises(UnsupportedFeatureError):
         msh.build_interval_mesh(4, degree=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_interval_mesh_vertices_and_cells(n, periodic):
+    mesh = msh.build_interval_mesh(n, -1.0, 2.0, periodic=periodic)
+    x = np.linspace(-1.0, 2.0, n + 1)
+    nv = n if periodic else n + 1
+    assert np.array_equal(mesh.vertices, x[:nv, None])
+    assert np.array_equal(mesh.elements, [(i, (i + 1) % nv) for i in range(n)])
+    assert mesh.elements.dtype == np.array([0]).dtype
+    assert mesh.period == (3.0 if periodic else None)
+
+
+def test_p2_interval_mesh_is_rejected(tmp_path):
+    """Only triangles carry P2: a degree-2 interval mesh, built by hand or
+    read back at degree 2, must not run as P1."""
+    path = tmp_path / "interval.txt"
+    msh.save_text(msh.build_interval_mesh(3), path)
+    by_hand = msh.Mesh(dim=1, vertices=np.array([[0.0], [0.4], [1.0]]),
+                       elements=np.array([[0, 1], [1, 2]]), degree=2)
+    for mesh in (by_hand, msh.load_text(path, degree=2)):
+        with pytest.raises(UnsupportedFeatureError, match="degree 2 not supported on a 1-D mesh"):
+            msh.build_dofmap(mesh)
+        with pytest.raises(UnsupportedFeatureError):
+            Discretization(mesh, Burgers(dim=1))
 
 
 def test_reference_graphs():

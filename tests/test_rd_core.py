@@ -154,6 +154,26 @@ def test_conservation_1d():
             assert np.abs(phi.sum(axis=0) - total).max() < 1e-13
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_interval_tables_are_the_end_point_rules(periodic):
+    """An interval is the 1-simplex: gradients +-1/h, two Gauss points, and
+    each end point a face of one point with weight 1."""
+    mesh = msh.build_interval_mesh(6, -1.0, 2.0, periodic=periodic)
+    mesh.vertices[1:-1, 0] += np.array([0.1, -0.05, 0.08, -0.1, 0.02][:len(mesh.vertices) - 2])
+    x = mesh.vertices[:, 0]
+    h = np.diff(np.append(x, x[0] + mesh.period) if periodic else x)
+    disc = Discretization(mesh, Burgers(dim=1))
+    bgrad = np.stack([-1.0 / h, 1.0 / h], axis=-1)[..., None]
+    t, w = msh.gauss_01(2)
+    ends, ones = np.eye(2)[:, None, :], np.ones((len(h), 2, 1))
+    expect = dict(bgrad=bgrad, vgrad=np.repeat(bgrad[:, None], len(t), axis=1), vq_w=w,
+                  vq_phi=msh.interval_basis(t), fw=ones, bw=ones, flam=ends, blam=ends,
+                  fphi=ends, bphi=ends)
+    for name, table in expect.items():
+        got = getattr(disc, name)
+        assert got.shape == table.shape and np.array_equal(got, table), name
+
+
 def test_jump_needs_2d():
     mesh = msh.build_interval_mesh(4)
     disc = Discretization(mesh, Burgers(dim=1))
