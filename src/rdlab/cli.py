@@ -26,9 +26,9 @@ from .config import ConfigError, RunConfig
 from .conslaw import Euler, make_law
 from .errors import DegenerateGeometryError, RdlabError, UnsupportedFeatureError
 from .rd_core import Discretization, Scheme
+from .time_dec import MAX_STEPS
 
 FMT = "%.17g"
-MAX_STEPS = 10**6
 
 
 def _fmt(x):

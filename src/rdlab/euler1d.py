@@ -13,20 +13,21 @@ Updated in that order, each element receives a uniform velocity correction
 and then a uniform energy correction so the conserved momentum and total
 energy balances close exactly (up to round-off); see the constraints module.
 
-``step`` takes and returns (n_nodes, 3) states but works on contiguous
-component-first arrays: the state (3, n_nodes), element residuals
-(3, 2, n_cells) and element node pairs (2, n_cells), side first.  B(W) dW is
-written out row by row, with no 3x3 matrix.
+``step`` takes and returns component-first states (3, n_nodes), the layout
+``run_sod`` marches in; element residuals are (3, 2, n_cells) and element
+node pairs (2, n_cells), side first.  B(W) dW is written out row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .constraints import DENSITY_TOL, energy_correction, energy_residuals, velocity_correction
 from .errors import InadmissibleStateError
+from .time_dec import check_step
 
 GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -65,65 +66,79 @@ def energy_flux(w, gamma):
     return u * (E + (gamma - 1.0) * e)
 
 
-def _element_residuals(w, gamma, h):
-    """Rusanov-distributed primitive residuals per element: ``w`` is the state
-    (3, n+1), phi is (3, 2, n), component, then left and right node, then
-    element."""
-    wl, wr = w[:, :-1], w[:, 1:]
-    drho, du, de = (wr - wl) / h                     # (3, n) gradient
-    k = gamma - 1.0
-    # total residual by two-point Gauss quadrature of B(W_h) dW/dx
-    total = np.zeros_like(wl)
-    for t in GAUSS_T:
-        rho, u, e = (1.0 - t) * wl + t * wr
-        total[0] += 0.5 * h * (u * drho + rho * du)
-        total[1] += 0.5 * h * (u * du + k / rho * de)
-        total[2] += 0.5 * h * ((e + k * e) * du + u * de)
-    ws = wave_speed(w.T, gamma)
-    alpha = np.maximum(ws[:-1], ws[1:])
-    wbar = 0.5 * (wl + wr)
-    phi = np.empty((3, 2, wl.shape[1]))
-    phi[:, 0] = 0.5 * total + alpha * (wl - wbar)
-    phi[:, 1] = 0.5 * total + alpha * (wr - wbar)
-    return phi
-
-
-def _pairs(a):
-    """Per-element node values (2, n) of a nodal array (n+1,), side first."""
-    return np.stack((a[:-1], a[1:]))
-
-
-def _scatter(phi):
-    """Per-node sums (n+1,) of element contributions (2, n), side first."""
-    out = np.zeros(phi.shape[1] + 1)
-    out[:-1] += phi[0]
-    out[1:] += phi[1]
-    return out
-
-
-def step(w, dt, h, gamma, correct=True):
-    """One forward-Euler step; returns (w_next, momentum defect, energy defect).
-
-    ``w`` and ``w_next`` are (n+1, 3).  The defects are the worst per-element
-    conserved-balance residuals after whatever corrections were applied.
-    """
-    wt = w.T.copy()                                  # component first, contiguous
-    rho, u, e = wt
+def checked_wave_speed(w, gamma):
+    """Nodal wave speeds (n+1,) of an admissible state (3, n+1)."""
+    rho, _, e = w
     ok = (rho >= DENSITY_TOL) & (e >= DENSITY_TOL)  # NaN fails
     if not ok.all():
         i = int(np.argmin(ok))
         name, value = ("internal energy", e[i]) if rho[i] >= DENSITY_TOL else ("density", rho[i])
         raise InadmissibleStateError(f"{name} {value} below {DENSITY_TOL} at node {i}")
-    mass = np.full(rho.shape[0], h)
-    mass[0] = mass[-1] = 0.5 * h
-    phi_rho, phi_u, phi_e = _element_residuals(wt, gamma, h)   # each (2, n)
+    return wave_speed(w.T, gamma)
+
+
+def _element_residuals(w, gamma, h, speed):
+    """Rusanov-distributed primitive residuals per element: ``w`` is the state
+    (3, n+1) and ``speed`` its nodal wave speeds, phi is (3, 2, n), component,
+    then left and right node, then element."""
+    wl, wr = w[:, :-1], w[:, 1:]
+    drho, du, de = (wr - wl) / h                     # (3, n) gradient
+    k, hh = gamma - 1.0, 0.5 * h
+    # total residual by two-point Gauss quadrature of B(W_h) dW/dx
+    total = np.zeros_like(wl)
+    for t in GAUSS_T:
+        rho, u, e = (1.0 - t) * wl + t * wr
+        total[0] += hh * (u * drho + rho * du)
+        total[1] += hh * (u * du + k / rho * de)
+        total[2] += hh * ((e + k * e) * du + u * de)
+    alpha = np.maximum(speed[:-1], speed[1:])
+    wbar, half = 0.5 * (wl + wr), 0.5 * total
+    phi = np.empty((3, 2, wl.shape[1]))
+    phi[:, 0] = half + alpha * (wl - wbar)
+    phi[:, 1] = half + alpha * (wr - wbar)
+    return phi
+
+
+def _pairs(a):
+    """Per-element node values (2, n) of a nodal array (n+1,), side first: a
+    view whose two rows overlap (of a contiguous copy if ``a`` is strided)."""
+    a = np.ascontiguousarray(a)
+    return np.ndarray((2, a.size - 1), a.dtype, a, 0, a.strides * 2)
+
+
+def _scatter(phi):
+    """Per-node sums (n+1,) of element contributions (2, n), side first."""
+    out = np.empty(phi.shape[1] + 1)
+    out[0], out[-1] = phi[0, 0], phi[1, -1]
+    np.add(phi[0, 1:], phi[1, :-1], out=out[1:-1])
+    return out
+
+
+@lru_cache(maxsize=1)
+def _lumped_mass(n_nodes, h):
+    """Lumped mass (n_nodes,) of cells of length ``h``, kept for the last mesh."""
+    return np.concatenate(([0.5 * h], np.full(n_nodes - 2, h), [0.5 * h]))
+
+
+def step(w, dt, h, gamma, correct=True, speed=None):
+    """One forward-Euler step; returns (w_next, momentum defect, energy defect).
+
+    ``w`` and ``w_next`` are (3, n+1), and ``speed`` is ``checked_wave_speed(w,
+    gamma)``.  The defects are the worst per-element conserved-balance
+    residuals after whatever corrections were applied.
+    """
+    speed = checked_wave_speed(w, gamma) if speed is None else speed
+    rho, u, e = w
+    mass = _lumped_mass(w.shape[1], h)
+    phi_rho, phi_u, phi_e = _element_residuals(w, gamma, h, speed)   # each (2, n)
 
     # density first: its residual needs no correction
     rho_new = rho - dt * _scatter(phi_rho) / mass
     rho_p1, u_p = _pairs(rho_new), _pairs(u)
 
     # velocity: uniform per-element correction closing the momentum balance
-    target_m = np.diff(momentum_flux(wt.T, gamma))
+    flux = momentum_flux(w.T, gamma)
+    target_m = flux[1:] - flux[:-1]
     if correct:
         phi_u += velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m)
     m = rho_p1 * phi_u + u_p * phi_rho
@@ -132,7 +147,8 @@ def step(w, dt, h, gamma, correct=True):
     u_p1 = _pairs(u_new)
 
     # energy: map residuals through the increment matrix, then correct
-    target_e = np.diff(energy_flux(wt.T, gamma))
+    flux = energy_flux(w.T, gamma)
+    target_e = flux[1:] - flux[:-1]
     mapped = energy_residuals(phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1)
     if correct:
         r_e = energy_correction(mapped, target_e)
@@ -141,8 +157,7 @@ def step(w, dt, h, gamma, correct=True):
     defect_e = np.abs(mapped[0] + mapped[1] - target_e)
     e_new = e - dt * _scatter(phi_e) / mass
 
-    w_next = np.stack((rho_new, u_new, e_new), axis=1)
-    return w_next, float(defect_m.max()), float(defect_e.max())
+    return np.stack((rho_new, u_new, e_new)), float(defect_m.max()), float(defect_e.max())
 
 
 def sod_initial(n_cells, gamma=1.4):
@@ -156,24 +171,27 @@ def sod_initial(n_cells, gamma=1.4):
 
 
 def run_sod(n_cells=400, t_end=0.2, gamma=1.4, cfl=0.3, correct=True):
-    """March Sod's shock tube to ``t_end``; reports worst conservation defects."""
+    """March Sod's shock tube to ``t_end``; reports worst conservation defects.
+    Every state, the last included, passes ``checked_wave_speed`` and every step ``check_step``."""
     x, w = sod_initial(n_cells, gamma)
+    w = w.T.copy()                                   # component first, for the march
     h = x[1] - x[0]
     t = 0.0
     worst_m = worst_e = 0.0
     mass_hist = []
+    speed = checked_wave_speed(w, gamma)
     while t < t_end - 1e-14:
-        dt = min(cfl * h / wave_speed(w, gamma).max(), t_end - t)
-        if not dt > 0.0:
-            raise ValueError(f"time step {dt} is not positive")
-        w, dm, de = step(w, dt, h, gamma, correct=correct)
+        dt = min(cfl * h / speed.max(), t_end - t)
+        check_step(dt, t_end - t)
+        w, dm, de = step(w, dt, h, gamma, correct=correct, speed=speed)
+        speed = checked_wave_speed(w, gamma)
         worst_m = max(worst_m, dm)
         worst_e = max(worst_e, de)
         t += dt
-        lumped_rho = h * (w[:, 0].sum() - 0.5 * (w[0, 0] + w[-1, 0]))
+        lumped_rho = h * (w[0].sum() - 0.5 * (w[0, 0] + w[0, -1]))
         mass_hist.append((t, float(lumped_rho)))
     return SodResult(
-        x=x, w=w, t=t, gamma=gamma,
+        x=x, w=w.T.copy(), t=t, gamma=gamma,
         defect_m=worst_m, defect_e=worst_e, mass_history=mass_hist,
     )
 

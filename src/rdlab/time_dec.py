@@ -21,6 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_STEPS = 10**6               # most steps a march may take
+
+
+def check_step(step, left):
+    """``ValueError`` for a step that is not > 0 or takes over ``MAX_STEPS`` to cover ``left``."""
+    if not step > 0.0:
+        raise ValueError(f"time step {step} is not positive")
+    if left > MAX_STEPS * step:
+        raise ValueError(f"{left} left to t_end takes more than {MAX_STEPS} steps of {step}")
+
 
 class CflWarning(RuntimeWarning):
     """A given time step exceeds the CFL bound ``stable_dt`` of the state."""
@@ -84,10 +94,10 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=
     """March to ``t_end``; returns (final state, times list).
 
     Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
-    a ``CflWarning`` where ``dt`` exceeds that bound.  ``log``, if given, is
-    called after each step with (t, u, total lumped mass per component,
-    residual infinity norm).  The residual at the new state is computed once
-    and serves the log, the next step and ``final`` (the returned state's ``ResidualSet``).
+    a ``CflWarning`` where ``dt`` exceeds that bound; each passes ``check_step``.
+    ``log``, if given, is called after each step with (t, u, total lumped mass
+    per component, residual infinity norm).  The residual at the new state is
+    computed once; it serves the log, the next step and ``final`` (its ``ResidualSet``).
     """
     mass = lumped_mass(disc)
     u = np.array(u0, dtype=float)
@@ -99,8 +109,7 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=
     while t < t_end - 1e-14:
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
-        if not step > 0.0:
-            raise ValueError(f"time step {step} is not positive")
+        check_step(step, t_end - t)
         if step > dtmax * (1.0 + 1e-12):
             warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
         u = dec_step(disc, u, step, scheme, config, mass, u_b=u_b, R_n=R)

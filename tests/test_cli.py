@@ -114,6 +114,28 @@ t_end = 0.02
     assert data.shape == (101, 5)
 
 
+def test_euler_run_rejects_an_inadmissible_final_state(tmp_path, capsys):
+    ini = """
+[law]
+name = euler(1.4)
+
+[mesh]
+n = 50
+
+[time]
+t_end = 0.2
+cfl = 50
+
+[corrections]
+correct_conservation = false
+"""
+    out = tmp_path / "sod"
+    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: density -4.17") and err.endswith("at node 24\n")
+    assert not (out / "solution.csv").exists()
+
+
 SOD_INI = """
 [law]
 name = euler(1.4)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -35,23 +37,23 @@ def test_step_rejects_inadmissible_states():
     w[3, 0] = -1.0
     w[5, 2] = -1.0
     with pytest.raises(InadmissibleStateError, match="density -1.0 below 1e-12 at node 3$"):
-        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+        euler1d.step(w.T, 1e-4, x[1] - x[0], 1.4)
     w[3, 0] = 1.0
     with pytest.raises(InadmissibleStateError,
                        match="internal energy -1.0 below 1e-12 at node 5$"):
-        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+        euler1d.step(w.T, 1e-4, x[1] - x[0], 1.4)
 
 
 def test_step_rejects_nan_states():
     x, w = euler1d.sod_initial(10)
     w[4, 0] = np.nan
     with pytest.raises(InadmissibleStateError, match="density nan below 1e-12 at node 4$"):
-        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+        euler1d.step(w.T, 1e-4, x[1] - x[0], 1.4)
     w[4, 0] = 1.0
     w[6, 2] = np.nan
     with pytest.raises(InadmissibleStateError,
                        match="internal energy nan below 1e-12 at node 6$"):
-        euler1d.step(w, 1e-4, x[1] - x[0], 1.4)
+        euler1d.step(w.T, 1e-4, x[1] - x[0], 1.4)
 
 
 def test_corrected_step_rejects_collapsed_new_density():
@@ -60,17 +62,17 @@ def test_corrected_step_rejects_collapsed_new_density():
     correction the step returns the state and the next step rejects it."""
     x, w = euler1d.sod_initial(8)
     h = x[1] - x[0]
-    w_next, _, _ = euler1d.step(w.copy(), 0.5, h, 1.4, correct=False)
+    w_next = euler1d.step(w.T.copy(), 0.5, h, 1.4, correct=False)[0].T
     sums = w_next[:-1, 0] + w_next[1:, 0]
     assert sums[2] < 0.0 and np.delete(sums, 2).min() > 0.0
     with pytest.raises(InadmissibleStateError, match=r"density sum \S+ below 1e-12 in element 2$"):
-        euler1d.step(w.copy(), 0.5, h, 1.4, correct=True)
+        euler1d.step(w.T.copy(), 0.5, h, 1.4, correct=True)
 
 
 def test_corrected_step_closes_balances():
     x, w = euler1d.sod_initial(50)
     h = x[1] - x[0]
-    _, dm, de = euler1d.step(w, 1e-4, h, 1.4, correct=True)
+    _, dm, de = euler1d.step(w.T, 1e-4, h, 1.4, correct=True)
     assert dm < 1e-13
     assert de < 1e-13
 
@@ -78,7 +80,7 @@ def test_corrected_step_closes_balances():
 def test_uncorrected_step_reports_defect():
     x, w = euler1d.sod_initial(50)
     h = x[1] - x[0]
-    _, dm, de = euler1d.step(w, 1e-4, h, 1.4, correct=False)
+    _, dm, de = euler1d.step(w.T, 1e-4, h, 1.4, correct=False)
     assert dm > 1e-8 or de > 1e-8
 
 
@@ -98,6 +100,39 @@ def test_run_sod_rejects_a_step_that_is_not_positive(cfl):
         euler1d.run_sod(n_cells=20, t_end=0.01, cfl=cfl)
 
 
+def test_run_sod_checks_its_final_state():
+    """One uncorrected step at CFL 50 reaches t_end with a negative density;
+    the returned state is checked like every other."""
+    with pytest.raises(InadmissibleStateError, match=r"density -4\.17\d* below 1e-12 at node 24$"):
+        euler1d.run_sod(n_cells=50, cfl=50.0, correct=False)
+
+
+def test_run_sod_caps_the_step_count():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+        euler1d.run_sod(50, cfl=1e-300)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_run_sod_evaluates_wave_speeds_once_per_state(monkeypatch):
+    """Each state's check and wave speeds serve both its step size and its
+    step's Rusanov bound: one evaluation per state, the last included."""
+    calls = {"step": 0, "speed": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(euler1d, "step", counted("step", euler1d.step))
+    monkeypatch.setattr(euler1d, "checked_wave_speed",
+                        counted("speed", euler1d.checked_wave_speed))
+    res = euler1d.run_sod(n_cells=40, t_end=0.02)
+    assert calls["step"] == len(res.mass_history) > 1
+    assert calls["speed"] == len(res.mass_history) + 1
+
+
 def test_locate_shock_synthetic():
     x = np.linspace(0.0, 1.0, 101)
     rho = np.where(x < 0.8, 0.4, 0.125)
@@ -113,10 +148,10 @@ def test_step_matches_inline_corrections_bit_for_bit(correct):
     x, w = euler1d.sod_initial(40)
     w = w * rng.uniform(0.8, 1.2, size=w.shape) + [0.0, 0.1, 0.0]
     for _ in range(5):
-        got = euler1d.step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
+        got = euler1d.step(w.T, 2e-3, x[1] - x[0], 1.4, correct=correct)
         ref = oracle_euler1d_step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
-        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
-        w = got[0]
+        assert np.array_equal(got[0].T, ref[0]) and got[1:] == ref[1:]
+        w = got[0].T
 
 
 @pytest.mark.parametrize("correct", [True, False])

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -127,6 +128,16 @@ def test_dec_run_rejects_a_step_that_is_not_positive(cfl, dt):
     u0 = np.ones((disc.dofmap.n_dofs, 1))
     with pytest.raises(ValueError, match="is not positive"):
         td.dec_run(disc, u0, 0.1, Scheme(kind="rusanov"), td.DecConfig("euler", cfl), dt=dt)
+
+
+def test_dec_run_caps_the_step_count():
+    mesh = msh.build_structured_tri_mesh(4, 4, ((0.0, 0.0), (1.0, 1.0)))
+    disc = Discretization(mesh, Advection((1.0, 0.5)))
+    u0 = np.ones((disc.dofmap.n_dofs, 1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="takes more than 1000000 steps of 1e-300"):
+        td.dec_run(disc, u0, 0.1, Scheme(kind="rusanov"), td.DecConfig("euler"), dt=1e-300)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cfl_violation_warns():
