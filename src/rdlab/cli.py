@@ -79,10 +79,11 @@ def _check_steps(t_end, step, what):
 
 
 def _time_value(cfg, key, positive=True):
-    """A finite [time] value, positive where ``positive``; None if unset."""
+    """A finite [time] value, > 0 where ``positive`` and >= 0 elsewhere; None if unset."""
     value = cfg.get_float("time", key)
-    if value is not None and not (np.isfinite(value) and (value > 0.0 or not positive)):
-        raise ConfigError(f"[time] {key}: {value} is not a finite{' positive' * positive} number")
+    if value is not None and not (0.0 <= value < np.inf and (value > 0.0 or not positive)):
+        raise ConfigError(f"[time] {key}: {value} is not a finite "
+                          + ("positive number" if positive else "number >= 0"))
     return value
 
 
@@ -126,6 +127,7 @@ def _scalar_setup(cfg):
         if law.dim != mesh.dim:
             raise ConfigError(f"[law] name: a {law.dim}-D {law.name} law on a {mesh.dim}-D mesh")
         disc = Discretization(mesh, law)
+        disc.check_kind(scheme.kind)
         return SimpleNamespace(disc=disc, scheme=scheme, u_b=0.0,
                                time=time_dec.DecConfig(**time), t_end=t_end, dt=dt,
                                u0=_initial_field(initial, disc.dofmap.dof_coords), out=out,
@@ -162,8 +164,8 @@ def cmd_run(args):
     disc, scheme = run.disc, run.scheme
     step = run.dt or time_dec.stable_dt(disc, run.u0[:, None], run.time.cfl)
     key = f"dt {run.dt}" if run.dt else f"cfl {run.time.cfl}"
-    _check_steps(run.t_end, step, f"[time] t_end {run.t_end} with [time] {key}")
-    os.makedirs(run.out, exist_ok=True)
+    what = f"[time] t_end {run.t_end} with [time] {key}"
+    _check_steps(run.t_end, step, what)
     series, final = [], []
     history = [run.u0[:, None]]
 
@@ -175,11 +177,13 @@ def cmd_run(args):
         if args.strict:
             warnings.simplefilter("error", time_dec.CflWarning)
         try:
-            u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time, u_b=run.u_b,
-                                    dt=run.dt, log=log, final=final.append)
+            with _config_values(f"{what}: "):     # a later step refused by check_step
+                u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time,
+                                        u_b=run.u_b, dt=run.dt, log=log, final=final.append)
         except time_dec.CflWarning as err:
             print(f"step rejected: {err}", file=sys.stderr)
             return 3
+    os.makedirs(run.out, exist_ok=True)
     coords = disc.dofmap.dof_coords
     rows = zip(range(len(coords)), *coords.T, *u.T)
     hdr = ["dof"] + [f"x{k}" for k in range(disc.mesh.dim)] + \
@@ -188,7 +192,7 @@ def cmd_run(args):
     _write_csv(os.path.join(run.out, "series.csv"), ["t", "mass", "res_inf"],
                series)
     reports = [
-        diag.conservation_audit(disc, u, scheme, rset=final[0]),
+        diag.conservation_audit(disc, u, final[0]),
         diag.maximum_principle_audit([h[:, 0] for h in history]),
     ]
     with open(os.path.join(run.out, "audit.txt"), "w") as fh:
@@ -204,10 +208,11 @@ def cmd_run(args):
 def _run_sod(cfg, run, args):
     t_end, gamma, cfl = run.sod["t_end"], run.sod["gamma"], run.sod["cfl"]
     x, w = euler1d.sod_initial(run.sod["n_cells"], gamma)
-    _check_steps(t_end, cfl * (x[1] - x[0]) / euler1d.wave_speed(w, gamma).max(),
-                 f"[time] t_end {t_end} with [time] cfl {cfl}")
+    what = f"[time] t_end {t_end} with [time] cfl {cfl}"
+    _check_steps(t_end, cfl * (x[1] - x[0]) / euler1d.wave_speed(w, gamma).max(), what)
+    with _config_values(f"{what}: "):             # a later step refused by check_step
+        res = euler1d.run_sod(**run.sod)
     os.makedirs(run.out, exist_ok=True)
-    res = euler1d.run_sod(**run.sod)
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
     _write_csv(os.path.join(run.out, "solution.csv"),
                ["node", "x", "rho", "u", "p"], rows)
@@ -302,7 +307,7 @@ def cmd_audit(args):
                           f"least {law.m} value columns; has {len(u)} rows of {u.shape[1]}")
     u = u[:, -law.m:]
     rset = disc.residual_set(u, scheme, run.u_b)
-    reports = [diag.conservation_audit(disc, u, scheme, rset=rset)]
+    reports = [diag.conservation_audit(disc, u, rset)]
     if law.has_entropy:
         reports.append(diag.entropy_inequality_audit(disc, u, rset, run.u_b))
     for r in reports:

@@ -32,11 +32,9 @@ class AuditReport:
         )
 
 
-def conservation_audit(disc, u, scheme, rset=None):
-    """Largest relative gap between an element's distributed residuals and its
-    total residual, the boundary integral of the flux (criterion 01's bound)."""
-    if rset is None:
-        rset = disc.residual_set(u, scheme)
+def conservation_audit(disc, u, rset):
+    """Largest relative gap between each element's split in ``rset``, a residual set
+    of ``u``, and its total residual, the flux's boundary integral (criterion 01's bound)."""
     total = disc.total_residual(slice(None), u)
     defect = (np.abs(rset.phi.sum(axis=1) - total) / (1.0 + np.abs(total))).max(axis=1)
     e = int(np.argmax(defect))

@@ -107,21 +107,11 @@ def _columns(a):
 # boundary DOF fluxes and normal weights
 
 
-def boundary_dof_flux(disc, e, u, flux_n=None):
-    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma fn,
-    (k, #K, m) for an index array or slice of elements; one integer element
-    drops the element axis, as numpy indexing does.
-
-    ``flux_n(uq, n, x)`` maps the traces (k, nf, nfq, m), unit outward normals
-    and positions (k, nf, nfq, dim) of the face points to normal interface
-    fluxes (k, nf, nfq, m); it defaults to the interior normal flux f(u_h).n.
-    """
-    if flux_n is None:
-        return disc.boundary_flux(e, u)
-    uq = disc.face_values(disc.element_values(e, u))
-    n = np.broadcast_to(disc.fnormal[e][..., None, :], uq.shape[:-1] + (disc.mesh.dim,))
-    x = disc.face_points(np.arange(disc.mesh.n_elements)[e, None], disc.flam)
-    return disc.contour(e, flux_n(uq, n, x))
+def boundary_dof_flux(disc, e, u):
+    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma
+    f(u_h).n, (k, #K, m) for an index array or slice of elements; one integer
+    element drops the element axis, as numpy indexing does."""
+    return disc.contour(e, disc.face_flux(e, disc.element_values(e, u)))
 
 
 def _p2_normal_weights(mesh, e, mid):

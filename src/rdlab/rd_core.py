@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as msh
-from .errors import (
-    ConservationDefectError,
-    InadmissibleStateError,
-    InternalConsistencyError,
-    StepFailureError,
-    UnsupportedFeatureError,
-)
+from .errors import InadmissibleStateError, StepFailureError, UnsupportedFeatureError
 
 BLEND_ZERO_TOL = 1e-13
 # relative and absolute (subnormal squares) slack of the pruning in rusanov_alpha
@@ -205,7 +199,7 @@ class Discretization:
         """Values at the face points (..., nf, nfq, m) of DOF values (..., #K, m)."""
         return (self.ftrace @ ue).reshape(ue.shape[:-2] + self.fphi.shape[:2] + ue.shape[-1:])
 
-    def _face_flux(self, e, ue):
+    def face_flux(self, e, ue):
         """Normal flux f(u_h).n at the face points, (k, nf, nfq, m)."""
         flux = self.law.flux(self.face_values(ue))
         return np.einsum("...fqdm,...fd->...fqm", flux, self.fnormal[e])
@@ -216,12 +210,8 @@ class Discretization:
 
     def total_residual(self, e, u):
         """Boundary quadrature of the normal flux, (k, m); (m,) for one integer."""
-        fn = self._face_flux(e, self.element_values(e, u))
+        fn = self.face_flux(e, self.element_values(e, u))
         return np.einsum("...fq,...fqm->...m", self.fw[e], fn)
-
-    def boundary_flux(self, e, u):
-        """Contour integral of phi_sigma f(u_h).n, (k, #K, m)."""
-        return self.contour(e, self._face_flux(e, self.element_values(e, u)))
 
     def galerkin_residuals(self, e, u):
         """Phi_sigma = contour term of phi_sigma minus volume term, one flux call."""
@@ -276,8 +266,6 @@ class Discretization:
         return np.einsum("kqsij,kqj->ksi", jg, wq[..., None] * adu)
 
     def _jump_term(self, e, u, theta_e):
-        if self.mesh.dim != 2:
-            raise UnsupportedFeatureError("gradient-jump stabilization needs 2D")
         nbr = self.nbr[e]                                     # (k, 3)
         e2, f2 = nbr // 3, nbr % 3
         # ccw elements run a shared edge in opposite directions, so the
@@ -289,9 +277,15 @@ class Discretization:
         jump *= np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
         return self.fgrad_w[e] @ jump.reshape(len(jump), self.fgrad_w.shape[-1], self.m)
 
+    def check_kind(self, kind):
+        """Refuse a scheme kind that this mesh cannot run."""
+        if kind.endswith("jump") and self.mesh.dim != 2:
+            raise UnsupportedFeatureError(f"kind {kind!r}: gradient-jump stabilization needs 2D")
+
     def element_residuals(self, e, u, scheme):
         """The Galerkin split plus the stabilization terms of the scheme kind."""
         k = scheme.kind
+        self.check_kind(k)
         phi = self.galerkin_residuals(e, u)
         coef = 1.0
         if k == "rusanov" or k.startswith("limited"):
@@ -417,30 +411,20 @@ def monotone_dt(disc, u, mass, alpha=None, safety=1.0):
     return safety * float((mass[positive] / budget[positive]).min())
 
 
-def blend_limiter(phi_L, total=None):
+def blend_limiter(phi_L):
     """Convex reweighting of a monotone split; componentwise for systems.
 
-    ``phi_L`` is (..., #K, m) and ``total`` (..., m), with any leading
-    element axes.  Returns (beta, limited residuals beta_sigma * total).  The
-    split must be conservative: sum(phi_L) == total within 1e-10 relative.
-    ``total`` defaults to that sum, which needs no check: a nonzero float sum
-    has a summand of its sign, so some ratio is positive.
+    ``phi_L`` is (..., #K, m), with any leading element axes.  Returns (beta,
+    limited residuals beta_sigma * Phi^K) with Phi^K the split's own sum and
+    sum_sigma beta_sigma = 1, so the limited split conserves by construction.
+    A nonzero float sum has a summand of its sign, so some ratio
+    phi_sigma / Phi^K is positive; a sum at round-off is spread evenly.
     """
     phi_L = np.asarray(phi_L, dtype=float)
-    given = total is not None
-    total = (np.asarray(total, dtype=float)[..., None, :] if given
-             else phi_L.sum(axis=-2, keepdims=True))
-    if given:
-        defect = np.abs(phi_L.sum(axis=-2, keepdims=True) - total)
-        if np.any(defect > 1e-10 * (1.0 + np.abs(total))):
-            raise ConservationDefectError("limiter input is not conservative", defect[..., 0, :])
+    total = phi_L.sum(axis=-2, keepdims=True)
     zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L).max(axis=-2, keepdims=True))
     num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
     den = num.sum(axis=-2, keepdims=True)
-    if given and np.any((den <= 0.0) & ~zero):
-        raise InternalConsistencyError(
-            "all limiter ratios clipped although the total is nonzero"
-        )
     beta = np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den))
     return beta, beta * total
 

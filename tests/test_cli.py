@@ -257,6 +257,13 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (with_key(SOD_INI, "time", "cfl = 0"), "[time] cfl: 0.0 is not a finite positive number"),
     (with_key(SOD_INI, "time", "cfl = -0.3"), "[time] cfl: -0.3 is not a finite positive"),
     (SOD_INI.replace("t_end = 0.01", "t_end = nan"), "[time] t_end: nan is not a finite number"),
+    (TRI_INI.replace("t_end = 0.01", "t_end = -1"), "[time] t_end: -1.0 is not a finite number >= 0"),
+    (SOD_INI.replace("t_end = 0.01", "t_end = -1"), "[time] t_end: -1.0 is not a finite number >= 0"),
+    # the gradient-jump term needs the neighbours across triangle faces
+    (with_key(INTERVAL_INI, "scheme", "kind = jump"),
+     "kind 'jump': gradient-jump stabilization needs 2D"),
+    (with_key(INTERVAL_INI, "scheme", "kind = limited_jump"),
+     "kind 'limited_jump': gradient-jump stabilization needs 2D"),
     (with_key(TRI_INI, "scheme", "kind = limited\nalpha = nan"), "alpha must be >= 0 and finite"),
     (with_key(TRI_INI, "scheme", "kind = limited\nalpha = -1"), "alpha must be >= 0 and finite"),
     (with_key(TRI_INI, "scheme", "kind = limited_supg\ngamma_jump = inf"),
@@ -281,7 +288,8 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
         "law_dim_interval", "law_dim_triangle", "burgers_args", "cubic_args", "euler_args",
         "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
         "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
-        "sod_t_end_nan", "alpha_nan", "alpha_negative", "gamma_jump_inf",
+        "sod_t_end_nan", "t_end_negative", "sod_t_end_negative", "interval_jump",
+        "interval_limited_jump", "alpha_nan", "alpha_negative", "gamma_jump_inf",
         "interval_reversed", "interval_nan", "steps_dt", "steps_cfl", "steps_cfl_underflows",
         "sod_steps_cfl", "sod_steps_cfl_underflows"])
 def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
@@ -292,16 +300,60 @@ def test_bad_value_exits_2(tmp_path, capsys, ini, problem):
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_value_has_no_traceback(tmp_path):
-    cfg = write_config(tmp_path, with_key(TRI_INI, "time", "method = rk4"))
+def run_cli(*argv):
+    """``rdlab`` run as a separate process, as from a shell."""
     src = os.path.dirname(os.path.dirname(rdlab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rdlab.cli", "run", cfg, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "rdlab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_bad_value_has_no_traceback(tmp_path):
+    cfg = write_config(tmp_path, with_key(TRI_INI, "time", "method = rk4"))
+    proc = run_cli("run", cfg, "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "config error: unknown time method 'rk4'\n"
+
+
+BURGERS_RIEMANN_INI = """
+[law]
+name = burgers
+
+[mesh]
+kind = structured_tri
+nx = 4
+ny = 4
+
+[scheme]
+kind = limited
+
+[time]
+method = cn
+t_end = 37499
+
+[run]
+initial = riemann
+"""
+
+
+@pytest.mark.parametrize("ini, message", [
+    # the CFL step falls from 0.0375 to 0.0369 after the first step
+    (BURGERS_RIEMANN_INI, "[time] t_end 37499.0 with [time] cfl 0.3: 37498.9625 left to t_end"),
+    # the CFL step falls from 0.01268 to 0.01087 after the first step
+    (SOD_INI.replace("t_end = 0.01", "t_end = 12677"),
+     "[time] t_end 12677.0 with [time] cfl 0.3: 12676.98732"),
+], ids=["burgers", "sod"])
+def test_step_cap_reached_mid_march_exits_2(tmp_path, ini, message):
+    """t_end passes the check on the first step, but the step shrinks, so a
+    later step leaves more than 10^6 steps: exit 2 naming t_end and the step
+    key, with no traceback, and no --out is created."""
+    out = tmp_path / "o"
+    proc = run_cli("run", write_config(tmp_path, ini), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {message}")
+    assert "takes more than 1000000 steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path, read, unread", [
@@ -453,7 +505,7 @@ def test_audit_uses_the_configured_scheme(tmp_path, capsys, scheme):
     full = Scheme(kind=kwargs.pop("kind"), **{k: float(v) for k, v in kwargs.items()})
     # the run's boundary state, 0 on every boundary face
     rset = disc.residual_set(u, full, 0.0)
-    for r in (diag.conservation_audit(disc, u, full, rset=rset),
+    for r in (diag.conservation_audit(disc, u, rset),
               diag.entropy_inequality_audit(disc, u, rset, 0.0)):
         assert f"{r.name}.defect={r.defect:.17g}" in printed
 
@@ -498,6 +550,16 @@ def test_audit_euler_config_exits_2(tmp_path, capsys):
     path.write_text("node,x,rho,u,p\n0,0,1,0,1\n")
     assert main(["audit", write_config(tmp_path, SOD_INI), str(path)]) == 2
     assert "Sod" in capsys.readouterr().err
+
+
+def test_audit_gradient_jump_on_intervals_exits_2(tmp_path, capsys):
+    """The audit reads the config through the run's set-up, so it refuses the
+    kind as the run does, before it evaluates a residual."""
+    path = tmp_path / "state.csv"
+    path.write_text("dof,x0,u0\n" + "".join(f"{k},{k / 8},1\n" for k in range(9)))
+    cfg = write_config(tmp_path, with_key(INTERVAL_INI, "scheme", "kind = jump"))
+    assert main(["audit", cfg, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: kind 'jump': gradient-jump")
 
 
 def test_recover_certifies_large_residuals(tmp_path):

@@ -12,7 +12,8 @@ def test_conservation_audit_passes_and_formats():
     disc = Discretization(mesh, Burgers(dim=2))
     rng = np.random.default_rng(0)
     u = rng.uniform(0.0, 1.0, size=(disc.dofmap.n_dofs, 1))
-    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"))
+    rset = disc.residual_set(u, Scheme(kind="rusanov"))
+    report = diag.conservation_audit(disc, u, rset)
     assert report.passed
     assert report.defect <= 1e-12
     line = report.line()
@@ -25,7 +26,7 @@ def test_conservation_audit_detects_tampering():
     u = np.full((disc.dofmap.n_dofs, 1), 0.7)
     rset = disc.residual_set(u, Scheme(kind="rusanov"))
     rset.phi[2, 0, 0] += 1e-3
-    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"), rset=rset)
+    report = diag.conservation_audit(disc, u, rset)
     assert not report.passed
     assert report.worst_location == ("element", 2)
     assert "FAIL" in report.line()
@@ -45,7 +46,7 @@ def test_conservation_audit_checks_the_boundary_integral_total(monkeypatch):
         return phi
 
     monkeypatch.setattr(disc, "element_residuals", shifted)
-    report = diag.conservation_audit(disc, u, Scheme(kind="rusanov"))
+    report = diag.conservation_audit(disc, u, disc.residual_set(u, Scheme(kind="rusanov")))
     assert not report.passed
     assert report.worst_location == ("element", 5)
     total = disc.total_residual(5, u)

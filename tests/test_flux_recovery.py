@@ -169,60 +169,12 @@ def test_end_to_end_reassembly(kind, degree):
         assert np.abs(back - phi).max() < 1e-12
 
 
-def test_boundary_dof_flux_custom_interface_flux():
-    mesh = msh.build_structured_tri_mesh(1, 1)
-    disc = Discretization(mesh, Advection((1.0, 0.0)))
-    u = np.ones((disc.dofmap.n_dofs, 1))
-
-    def flux_n(uq, n, x):
-        return 2.0 * n[..., :1]
-
-    out = fr.boundary_dof_flux(disc, 0, u, flux_n=flux_n)
-    # doubling the normal flux doubles every per-DOF boundary flux
-    base = fr.boundary_dof_flux(disc, 0, u)
-    assert np.allclose(out, 2.0 * base, atol=1e-13)
-
-
-@pytest.mark.parametrize("dim, degree", [(1, 1), (2, 1), (2, 2)])
-def test_boundary_dof_flux_callback_matches_default(dim, degree):
-    """With f(u_h).n as the callback the custom path reproduces the default,
-    and every point it passes lies on its face."""
-    if dim == 1:
-        mesh = msh.build_interval_mesh(4, 0.0, 1.0)
-    else:
-        mesh = msh.build_structured_tri_mesh(2, 2, degree=degree)
-    law = Burgers(dim=dim)
-    disc = Discretization(mesh, law)
-    u = np.random.default_rng(3).uniform(0.2, 1.0, size=(disc.dofmap.n_dofs, 1))
-    e = 1
-    v = mesh.vertices[mesh.elements[e]]
-    seen = []
-
-    def flux_n(uq, n, x):
-        seen.extend(np.reshape(x, (-1, dim)))
-        return np.einsum("...dm,...d->...m", law.flux(uq), n)
-
-    out = fr.boundary_dof_flux(disc, e, u, flux_n=flux_n)
-    assert np.abs(out - fr.boundary_dof_flux(disc, e, u)).max() < 1e-14
-    assert len(seen) == (dim + 1) * (degree + 1 if dim == 2 else 1)
-    faces = ((0, 0), (1, 1)) if dim == 1 else msh._TRI_FACES
-    for x in seen:
-        # on a face: the distances to its two end points add up to its length
-        dist = np.linalg.norm(v - x, axis=-1)
-        assert min(dist[i] + dist[j] - np.linalg.norm(v[i] - v[j]) for i, j in faces) < 1e-14
-
-
 def test_boundary_dof_flux_1d():
     mesh = msh.build_interval_mesh(4, 0.0, 1.0)
     disc = Discretization(mesh, Burgers(dim=1))
     u = np.full((disc.dofmap.n_dofs, 1), 2.0)
     fb = fr.boundary_dof_flux(disc, 0, u)
     assert np.allclose(fb[:, 0], [-2.0, 2.0])
-
-
-def euler_flux_n(uq, n, x):
-    """The interior normal flux f(u_h).n, through the callback."""
-    return np.einsum("...dm,...d->...m", Euler(dim=2).flux(uq), n)
 
 
 @pytest.fixture(scope="module", params=["structured_p1", "structured_p2",
@@ -242,22 +194,20 @@ def euler_problem(request):
 @pytest.mark.parametrize("kind", Scheme.KINDS)
 def test_batched_recovery_matches_per_element_calls(euler_problem, kind):
     """One call over many elements gives the bits of a stack of calls over
-    one element each, for index arrays and slices, with and without a
-    custom interface flux."""
+    one element each, for index arrays and slices."""
     disc, system, u = euler_problem
     ne = disc.mesh.n_elements
     phi = disc.residual_set(u, Scheme(kind=kind)).phi
-    for flux_n in (None, euler_flux_n):
-        fb = np.array([fr.boundary_dof_flux(disc, e, u, flux_n) for e in range(ne)])
-        psi = phi - fb
-        fluxes = np.array([fr.recover_fluxes(system, psi[e]) for e in range(ne)])
-        for e in (slice(None), np.arange(ne)[::-1], np.array([4, 1, 4])):
-            assert np.array_equal(fr.boundary_dof_flux(disc, e, u, flux_n), fb[e])
-            assert np.array_equal(fr.recover_fluxes(system, psi[e]), fluxes[e])
-        report = fr.certify(system, fluxes, psi)
-        assert report.passed
-        assert report.balance_defect == max(
-            fr.certify(system, fluxes[e], psi[e]).balance_defect for e in range(ne))
+    fb = np.array([fr.boundary_dof_flux(disc, e, u) for e in range(ne)])
+    psi = phi - fb
+    fluxes = np.array([fr.recover_fluxes(system, psi[e]) for e in range(ne)])
+    for e in (slice(None), np.arange(ne)[::-1], np.array([4, 1, 4])):
+        assert np.array_equal(fr.boundary_dof_flux(disc, e, u), fb[e])
+        assert np.array_equal(fr.recover_fluxes(system, psi[e]), fluxes[e])
+    report = fr.certify(system, fluxes, psi)
+    assert report.passed
+    assert report.balance_defect == max(
+        fr.certify(system, fluxes[e], psi[e]).balance_defect for e in range(ne))
 
 
 ROW_CASES = [(law, mesh) for law in ("burgers", "euler") for mesh in ("p1", "p2", "interval")]

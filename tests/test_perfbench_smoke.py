@@ -52,9 +52,9 @@ def test_traced_names_exist():
 def test_tracer_counts_the_law_calls(name, tmp_path):
     """The tracer patches the law classes that define ``flux`` and ``jac_n``,
     so a law class that defines them again out of its reach would read 0
-    calls and zero the benchmark's ``conslaw`` metrics.  The time layer's
-    traced names are pinned to their ``readme_run`` counts, so a time-stepping
-    change that bypasses one fails here rather than zeroing its metric."""
+    calls and zero the benchmark's ``conslaw`` metrics.  The traced names
+    that feed per-layer metrics are pinned to their counts, so a change that
+    bypasses one fails here rather than zeroing its metric."""
     workload = workloads.WORKLOADS[name](0, str(tmp_path))
     problem = workload.setup()
     inputs = workload.inputs(problem)
@@ -70,8 +70,21 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # conservation audit reads the final state's residual set, not a new
         # one.  Each assembly evaluates the flux once for the Galerkin split
         # and twice at the boundary points (f(u_h) and f(u_b)); the audit's
-        # total_residual makes one more call
-        for span, calls in (("time_dec.dec_step", 22), ("time_dec.mass_apply", 22),
-                            ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
-                            ("time_dec.lumped_mass", 1), ("conslaw.flux", 136)):
-            assert summary[span]["calls"] == calls, span
+        # total_residual makes one more call.  Every assembly limits its split once
+        pins = (("time_dec.dec_step", 22), ("time_dec.mass_apply", 22),
+                ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
+                ("rd_core.blend_limiter", 45), ("time_dec.lumped_mass", 1),
+                ("diagnostics.conservation_audit", 1), ("rd_core.total_residual", 1),
+                ("conslaw.flux", 136))
+    else:
+        # one residual set per family, three of them limited, then for each of
+        # the 72 elements of each family the boundary DOF flux, recovery,
+        # certification and total.  The flux is evaluated once by each
+        # Galerkin split, boundary DOF flux and total (7 + 504 + 504); jac_n
+        # once by each of the 4 Rusanov bounds and twice by each of the 2 SUPG terms
+        pins = (("flux_recovery.boundary_dof_flux", 504), ("flux_recovery.recover_fluxes", 504),
+                ("flux_recovery.certify", 504), ("rd_core.total_residual", 504),
+                ("rd_core.residual_set", 7), ("rd_core.blend_limiter", 3),
+                ("conslaw.flux", 1015), ("conslaw.jac_n", 8))
+    for span, calls in pins:
+        assert summary[span]["calls"] == calls, span

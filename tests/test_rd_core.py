@@ -4,11 +4,7 @@ import pytest
 from rdlab import mesh as msh
 from rdlab import rd_core
 from rdlab.conslaw import Advection, Burgers, Euler, conserved_from_primitive
-from rdlab.errors import (
-    ConservationDefectError,
-    StepFailureError,
-    UnsupportedFeatureError,
-)
+from rdlab.errors import StepFailureError, UnsupportedFeatureError
 from rdlab.rd_core import (
     Discretization,
     Scheme,
@@ -16,6 +12,7 @@ from rdlab.rd_core import (
     monotone_dt,
     rusanov_coefficients,
 )
+from _oracles import oracle_blend_limiter
 from test_batched_equivalence import jittered_tri_mesh
 from test_mesh import ref_triangle
 
@@ -229,7 +226,7 @@ def test_monotone_dt_scaling():
 
 def test_blend_limiter_example():
     phi = np.array([[3.0], [-1.0], [2.0]])
-    beta, limited = blend_limiter(phi, phi.sum(axis=0))
+    beta, limited = blend_limiter(phi)
     assert np.allclose(beta[:, 0], [0.6, 0.0, 0.4])
     assert np.allclose(limited.sum(axis=0), phi.sum(axis=0))
     assert np.allclose(limited[:, 0], [2.4, 0.0, 1.6])
@@ -237,23 +234,20 @@ def test_blend_limiter_example():
 
 def test_blend_limiter_zero_total():
     phi = np.array([[1.0], [-1.0], [0.0]])
-    beta, limited = blend_limiter(phi, np.zeros(1))
+    beta, limited = blend_limiter(phi)
     assert np.allclose(beta[:, 0], 1.0 / 3.0)
     assert np.allclose(limited, 0.0)
-
-
-def test_blend_limiter_rejects_nonconservative_input():
-    phi = np.array([[1.0], [1.0], [1.0]])
-    with pytest.raises(ConservationDefectError):
-        blend_limiter(phi, np.array([1.0]))
 
 
 def test_blend_limiter_default_total_is_the_sum():
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((50, 6, 4))
     phi[:5] -= phi[:5].mean(axis=1, keepdims=True)     # totals at round-off: the zero branch
-    for got, want in zip(blend_limiter(phi), blend_limiter(phi, phi.sum(axis=-2))):
-        assert np.array_equal(got, want)
+    beta, limited = blend_limiter(phi)
+    for e in range(len(phi)):
+        want_beta, want = oracle_blend_limiter(phi[e], phi[e].sum(axis=0))
+        assert np.array_equal(beta[e], want_beta)
+        assert np.array_equal(limited[e], want)
 
 
 def test_upwind_flux_scalar():
