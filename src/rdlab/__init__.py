@@ -15,7 +15,6 @@ from .conslaw import (  # noqa: F401
     CubicTransport,
     Euler,
     make_law,
-    rh_shock_speed,
 )
 from .errors import RdlabError  # noqa: F401
 from .mesh import (  # noqa: F401

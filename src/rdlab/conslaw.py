@@ -103,19 +103,6 @@ class CubicTransport(ScalarLaw):
         super().__init__([1.0], 4, "cubic")
 
 
-def rh_shock_speed(uL, uR, law):
-    """Jump speed (f(uR)-f(uL))/(uR-uL); characteristic speed if uL == uR."""
-    uL = np.atleast_1d(np.asarray(uL, dtype=float))
-    uR = np.atleast_1d(np.asarray(uR, dtype=float))
-    n = np.zeros(law.dim)
-    n[0] = 1.0
-    if np.array_equal(uL, uR):
-        return float(law.jac_n(uL, n)[0, 0])
-    fL = law.flux(uL)[0]  # first spatial direction
-    fR = law.flux(uR)[0]
-    return float((fR[0] - fL[0]) / (uR[0] - uL[0]))
-
-
 # ---------------------------------------------------------------------------
 # compressible Euler (perfect gas)
 

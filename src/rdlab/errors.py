@@ -44,9 +44,5 @@ class StepFailureError(RdlabError):
         self.element = element
 
 
-class InternalConsistencyError(RdlabError):
-    """An identity that should hold by construction failed."""
-
-
 class DiagnosticError(RdlabError):
     """A diagnostic could not extract the requested quantity."""

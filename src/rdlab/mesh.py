@@ -52,8 +52,8 @@ class FaceTable:
 class Mesh:
     """Vertices and element connectivity.  Faces, neighbours and the boundary
     are derived from the connectivity alone (``faces``), so a mesh built by
-    hand or read back has the same boundary as a builder's mesh: the faces
-    owned by one element."""
+    hand has the same boundary as a builder's mesh: the faces owned by one
+    element."""
 
     dim: int
     vertices: np.ndarray          # (nv, dim)
@@ -316,12 +316,6 @@ def volume_rule(mesh):
     return _TRI_RULES[mesh.degree]
 
 
-def face_rule(mesh):
-    """Face rule exact for degree 2k+1 polynomials."""
-    npts = mesh.degree + 1
-    return gauss_01(npts)
-
-
 # ---------------------------------------------------------------------------
 # faces
 
@@ -329,32 +323,3 @@ def face_local_dofs(mesh, local_face):
     """Local DOF indices lying on a local face, in trace order."""
     ends = _LOCAL_FACES[mesh.dim][local_face]
     return ends + (_FACE_MIDPOINTS[local_face],) if mesh.degree == 2 else ends
-
-
-# ---------------------------------------------------------------------------
-# text I/O
-
-
-def save_text(mesh, path):
-    """Simple text format: ``dim nvert nelem`` header, then the period of a
-    periodic interval mesh on the same line; vertices, elements."""
-    period = f" {mesh.period:.17g}" if mesh.periodic else ""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.dim} {mesh.n_vertices} {mesh.n_elements}{period}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
-        for el in mesh.elements:
-            fh.write(" ".join(str(int(i)) for i in el) + "\n")
-
-
-def load_text(path, degree=1):
-    with open(path) as fh:
-        dim, nv, ne, *period = fh.readline().split()
-        dim, nv, ne = int(dim), int(nv), int(ne)
-        verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
-        elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(ne)], dtype=int)
-    mesh = Mesh(dim=dim, vertices=verts, elements=elems, degree=degree,
-                period=float(period[0]) if period else None)
-    if dim == 1 and not mesh.faces.boundary.size and not period:
-        raise UnsupportedFeatureError(f"{path}: closed interval mesh without a period")
-    return mesh

@@ -301,16 +301,12 @@ class Discretization:
 
     # -- boundary ---------------------------------------------------------
 
-    def upwind_flux(self, uh, ub, n, fh=None):
+    def upwind_flux(self, uh, ub, n, fh):
         """Normal interface flux; picks the boundary state on inflow.
 
-        Batched over the leading axes of ``uh``, ``ub`` (..., m) and ``n`` (..., d).
-        ``fh``, if given, is f(uh).n; it is not recomputed.
+        Batched over the leading axes of the arrays ``uh``, ``ub`` (..., m)
+        and ``n`` (..., d); ``fh`` (..., m) is f(uh).n, which the caller has.
         """
-        uh, ub = np.atleast_1d(uh), np.atleast_1d(ub)
-        n = np.asarray(n, dtype=float)
-        if fh is None:
-            fh = np.einsum("...dm,...d->...m", self.law.flux(uh), n)
         fb = np.einsum("...dm,...d->...m", self.law.flux(ub), n)
         A = self.law.jac_n(0.5 * (uh + ub), n)
         if self.m == 1:

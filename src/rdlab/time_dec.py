@@ -6,12 +6,15 @@ step
 
     u^(1) = u^n - dt R(u^n) / C.
 
-Crank-Nicholson (second order) takes that step and then one correction
-towards the trapezoidal average of t_n and t_{n+1},
+Crank-Nicholson takes that step and then one correction towards the
+trapezoidal average of t_n and t_{n+1},
 
     <<u^(2), v>> = <<u^(1), v>> - <u^(1) - u^n, v> - dt (R(u^n) + R(u^(1))) / 2,
 
-where <., .> is the consistent pairing.  Fields are (ndof, m).
+where <., .> is the consistent pairing.  Fields are (ndof, m).  It is second
+order for the central ``galerkin`` split (acceptance criterion 08).  The
+limited kinds add the consistent-mass term unlimited to a limited split: on
+criterion 08's problem ``limited`` measures order 0.94 and ``limited_supg`` 0.93.
 """
 
 from __future__ import annotations

@@ -12,26 +12,36 @@ Euler flux assembled entry by entry from the primitive variables, and the
 1D Euler step on (n, 3) arrays with B(W) as (n, 3, 3) matrices and its
 corrections inline, kept as the references the current code must
 reproduce.
+
+The last section holds verbatim copies, frozen as of ``e731dd2``, of the
+package code those references call: the bases, quadrature rules, DOF map
+and local faces of ``rdlab.mesh``, the scalar and Euler laws of
+``rdlab.conslaw``, and the primitive fluxes and initial state of
+``rdlab.euler1d``.  A law a test passes in is read for its data only, and
+a mesh for its vertices, elements and face table, so a change to a package
+formula moves the code under test and not its reference.  From the package
+this module imports only ``rdlab.errors`` and ``rdlab.rd_core.ResidualSet``,
+the container the reference residual set is returned in.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from rdlab import mesh as msh
-from rdlab.conslaw import primitive_from_conserved
 from rdlab.errors import (
     ConservationDefectError,
     DegenerateGeometryError,
     InadmissibleStateError,
-    InternalConsistencyError,
+    RdlabError,
     StepFailureError,
     UnsupportedFeatureError,
 )
-from rdlab.rd_core import BLEND_ZERO_TOL, ResidualSet
+from rdlab.rd_core import ResidualSet
 
 
 def _sound(rho, p, gamma):
@@ -215,8 +225,8 @@ def oracle_face_geometry(mesh, e, local_face, npts):
     the edge length, outward unit normal, and barycentric coords (npts, 3).
     """
     v = oracle_element_coords(mesh, e)
-    i, j = msh._TRI_FACES[local_face]
-    t, w = msh.gauss_01(npts)
+    i, j = _TRI_FACES[local_face]
+    t, w = gauss_01(npts)
     p, q = v[i], v[j]
     x = p[None, :] + t[:, None] * (q - p)[None, :]
     length = float(np.linalg.norm(q - p))
@@ -231,9 +241,10 @@ def oracle_face_geometry(mesh, e, local_face, npts):
 # ---------------------------------------------------------------------------
 # Pre-batching reference: the per-element residual kernel and the
 # deferred-correction stepper as they were before the batched kernel, loops
-# over elements, quadrature points and DOF pairs included.  Only the P2
-# ``face_local_dofs`` lookup is taken from the package (the frozen copy
-# raised KeyError on local face 1).  Used by test_batched_equivalence.py.
+# over elements, quadrature points and DOF pairs included.  The P2
+# ``face_local_dofs`` lookup is the package one, frozen below (the copy
+# frozen with this kernel raised KeyError on local face 1).  Used by
+# test_batched_equivalence.py.
 
 
 class OracleDiscretization:
@@ -241,8 +252,8 @@ class OracleDiscretization:
 
     def __init__(self, mesh, law, dofmap=None):
         self.mesh = mesh
-        self.law = law
-        self.dofmap = dofmap if dofmap is not None else msh.build_dofmap(mesh)
+        self.law = frozen_law(law)
+        self.dofmap = dofmap if dofmap is not None else build_dofmap(mesh)
         self.m = law.m
         self.nloc = self.dofmap.dofs_per_element
         self._setup()
@@ -258,15 +269,15 @@ class OracleDiscretization:
             self.bgrad = np.array(
                 [oracle_barycentric_gradients(mesh, e) for e in range(ne)]
             )  # (ne, 3, 2)
-            lam, w = msh.volume_rule(mesh)
+            lam, w = volume_rule(mesh)
             self.vq_lam, self.vq_w = lam, w
-            self.vq_phi = msh.tri_basis(mesh.degree, lam)  # (nq, #K)
-            self.fq_t, self.fq_w = msh.face_rule(mesh)
+            self.vq_phi = tri_basis(mesh.degree, lam)  # (nq, #K)
+            self.fq_t, self.fq_w = face_rule(mesh)
             self._neighbors = self._build_neighbors()
         else:
-            t, w = msh.gauss_01(2)
+            t, w = gauss_01(2)
             self.vq_t, self.vq_w = t, w
-            self.vq_phi = msh.interval_basis(t)
+            self.vq_phi = interval_basis(t)
 
     def _build_neighbors(self):
         """Map (element, local_face) -> (neighbor element, its local face)."""
@@ -274,7 +285,7 @@ class OracleDiscretization:
         nbr = {}
         for e in range(self.mesh.n_elements):
             tri = self.mesh.elements[e]
-            for lf, (i, j) in enumerate(msh._TRI_FACES):
+            for lf, (i, j) in enumerate(_TRI_FACES):
                 key = tuple(sorted((tri[i], tri[j])))
                 if key in owners:
                     e2, lf2 = owners[key]
@@ -300,7 +311,7 @@ class OracleDiscretization:
         total = np.zeros(self.m)
         for lf in range(3):
             _, w, n, lam = oracle_face_geometry(self.mesh, e, lf, len(self.fq_t))
-            phi = msh.tri_basis(self.mesh.degree, lam)       # (nq, #K)
+            phi = tri_basis(self.mesh.degree, lam)           # (nq, #K)
             uq = phi @ ue                                     # (nq, m)
             fq = self.law.flux(uq)                            # (nq, 2, m)
             fn = np.einsum("qdm,d->qm", fq, n)
@@ -327,11 +338,11 @@ class OracleDiscretization:
             return phi
         for lf in range(3):
             _, w, n, lam = oracle_face_geometry(self.mesh, e, lf, len(self.fq_t))
-            tb = msh.tri_basis(self.mesh.degree, lam)
+            tb = tri_basis(self.mesh.degree, lam)
             uq = tb @ ue
             fn = np.einsum("qdm,d->qm", self.law.flux(uq), n)
             phi += np.einsum("q,qs,qm->sm", w, tb, fn)
-        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+        grads = tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
         uq = self.vq_phi @ ue
         fq = self.law.flux(uq)                                # (nq, 2, m)
         wq = self.vq_w * self.measure[e]
@@ -354,7 +365,7 @@ class OracleDiscretization:
                         acc += wq[q] * self.vq_phi[q, s] * self.law.jac_n(uq[q], grads[sp])
                     best = max(best, _specnorm(acc))
             return 2.0 * best
-        grads = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+        grads = tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
         uq = self.vq_phi @ ue
         wq = self.vq_w * self.measure[e]
         best = 0.0
@@ -394,7 +405,7 @@ class OracleDiscretization:
             grads = np.array([[-1.0 / h], [1.0 / h]])
             gq = np.broadcast_to(grads, (len(self.vq_w), 2, 1))
         else:
-            gq = msh.tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
+            gq = tri_basis_grad(self.mesh.degree, self.vq_lam, self.bgrad[e])
         uq = self.vq_phi @ ue
         wq = self.vq_w * self.measure[e]
         tau = tau_scale * self._tau(e, ue.mean(axis=0))
@@ -418,7 +429,7 @@ class OracleDiscretization:
         ue = self.element_values(e, u)
         v = oracle_element_coords(self.mesh, e)
         lam = _bary_coords(v, xq)
-        gq = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
+        gq = tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
         return np.einsum("qsd,sm->qdm", gq, ue)
 
     def jump_residuals(self, e, u, theta_e=0.01):
@@ -435,7 +446,7 @@ class OracleDiscretization:
             grad_in = self._edge_gradient(e, u, xq)           # (nq, 2, m)
             grad_out = self._edge_gradient(e2, u, xq)
             jump = grad_in - grad_out                         # (nq, 2, m)
-            gphi = msh.tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
+            gphi = tri_basis_grad(self.mesh.degree, lam, self.bgrad[e])
             coef = 0.5 * theta_e * he * he
             phi += coef * np.einsum("q,qsd,qdm->sm", w, gphi, jump)
         return phi
@@ -500,9 +511,9 @@ class OracleDiscretization:
             return dofs, (fn - fh)[None, :]
         nq = len(self.fq_t) + 1  # one extra point, exact for the upwind product
         xq, w, n, lam = oracle_face_geometry(self.mesh, e, lf, nq)
-        tb = msh.tri_basis(self.mesh.degree, lam)
+        tb = tri_basis(self.mesh.degree, lam)
         uq = tb @ ue
-        dofs = msh.face_local_dofs(self.mesh, lf)
+        dofs = face_local_dofs(self.mesh, lf)
         psi = np.zeros((len(dofs), self.m))
         for q in range(nq):
             ub = np.atleast_1d(u_b(xq[q])) if callable(u_b) else np.atleast_1d(u_b)
@@ -543,7 +554,7 @@ class OracleDiscretization:
             for face, psi in zip(self.mesh.boundary_faces, rset.boundary):
                 e, lf = face
                 gdofs = self.dofmap.element_dofs[e]
-                local_dofs = msh.face_local_dofs(self.mesh, lf)
+                local_dofs = face_local_dofs(self.mesh, lf)
                 for k, s in enumerate(local_dofs):
                     R[gdofs[s]] += psi[k]
         return R, rset
@@ -567,7 +578,7 @@ def oracle_rusanov_coefficients(disc, e, u, alpha=None):
             np.array([[-1.0 / h], [1.0 / h]]), (len(disc.vq_w), 2, 1)
         )
     else:
-        gq = msh.tri_basis_grad(disc.mesh.degree, disc.vq_lam, disc.bgrad[e])
+        gq = tri_basis_grad(disc.mesh.degree, disc.vq_lam, disc.bgrad[e])
     uq = disc.vq_phi @ ue
     wq = disc.vq_w * disc.measure[e]
     c = np.full((disc.nloc, disc.nloc), alpha / disc.nloc)
@@ -794,7 +805,7 @@ def oracle_boundary_faces(mesh):
     seen = {}
     for e in range(mesh.n_elements):
         tri = mesh.elements[e]
-        for lf, (i, j) in enumerate(msh._TRI_FACES):
+        for lf, (i, j) in enumerate(_TRI_FACES):
             key = tuple(sorted((tri[i], tri[j])))
             seen.setdefault(key, []).append((e, lf))
     faces = []
@@ -803,7 +814,7 @@ def oracle_boundary_faces(mesh):
             continue
         e, lf = owners[0]
         tri = mesh.elements[e]
-        i, j = msh._TRI_FACES[lf]
+        i, j = _TRI_FACES[lf]
         p, q = mesh.vertices[tri[i]], mesh.vertices[tri[j]]
         t = q - p
         length = float(np.hypot(*t))
@@ -816,7 +827,7 @@ def oracle_boundary_faces(mesh):
 def oracle_dofmap(mesh):
     """Global DOF numbering; P2 midpoints in first-seen order over edges."""
     if mesh.dim == 1 or mesh.degree == 1:
-        return msh.DofMap(mesh.elements.copy(), mesh.vertices.copy(),
+        return DofMap(mesh.elements.copy(), mesh.vertices.copy(),
                           mesh.n_vertices, mesh.dim + 1)
     edge_ids = {}
     coords = [mesh.vertices[i] for i in range(mesh.n_vertices)]
@@ -831,7 +842,7 @@ def oracle_dofmap(mesh):
                 coords.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
             elem_dofs[e, 3 + k] = edge_ids[key]
     coords = np.array(coords)
-    return msh.DofMap(elem_dofs, coords, coords.shape[0], 6)
+    return DofMap(elem_dofs, coords, coords.shape[0], 6)
 
 
 def oracle_neighbors(mesh):
@@ -850,7 +861,7 @@ def oracle_neighbors(mesh):
     owners = {}
     for e in range(mesh.n_elements):
         tri = mesh.elements[e]
-        for lf, (i, j) in enumerate(msh._TRI_FACES):
+        for lf, (i, j) in enumerate(_TRI_FACES):
             key = tuple(sorted((tri[i], tri[j])))
             if key in owners:
                 e2, lf2 = owners[key]
@@ -861,18 +872,18 @@ def oracle_neighbors(mesh):
     return nbr
 
 
-def _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b=None):
+def _oracle_face_average_trace(mesh, dofs, neighbors, e, lf, u, u_b=None):
     """Quadrature points, weights, normal, and the two-sided average state."""
-    mesh = disc.mesh
     nq = mesh.degree + 1
     xq, w, n, lam = oracle_face_geometry(mesh, e, lf, nq)
-    tb = msh.tri_basis(mesh.degree, lam)
-    u_in = tb @ disc.element_values(e, u)
+    tb = tri_basis(mesh.degree, lam)
+    u_in = tb @ u[dofs[e]]
     key = (e, lf)
     if key in neighbors:
         e2, lf2 = neighbors[key]
+        lam2 = oracle_face_geometry(mesh, e2, lf2, nq)[3]
         # the neighbour runs the shared edge the other way round
-        u_out = (disc.fphi[lf2] @ disc.element_values(e2, u))[::-1]
+        u_out = (tri_basis(mesh.degree, lam2) @ u[dofs[e2]])[::-1]
     elif u_b is not None:
         if callable(u_b):
             u_out = np.array([np.atleast_1d(u_b(x)) for x in xq])
@@ -885,18 +896,21 @@ def _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b=None):
 
 def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
     """(worst defect, worst location, violation count) of the entropy audit;
-    the 1D branch ignores ``u_b``."""
-    law = disc.law
+    the 1D branch ignores ``u_b``.  Of ``disc`` it reads the mesh and the
+    law's data."""
+    law = frozen_law(disc.law)
     mesh = disc.mesh
+    dofmap = build_dofmap(mesh)
+    dofs = dofmap.element_dofs
     neighbors = oracle_neighbors(mesh)
     worst = 0.0
     where = None
     count = 0
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] != disc.dofmap.n_dofs:
+    if u.shape[0] != dofmap.n_dofs:
         u = u.T
     for e in range(mesh.n_elements):
-        ue = disc.element_values(e, u)
+        ue = u[dofs[e]]
         v = law.entropy_var(ue)
         lhs = float(np.sum(v * rset.phi[e]))
         if mesh.dim == 1:
@@ -906,7 +920,7 @@ def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
                 if mesh.periodic:
                     nbr %= mesh.n_elements
                 if 0 <= nbr < mesh.n_elements and nbr != e:
-                    u2 = disc.element_values(nbr, u)[1 - lf]
+                    u2 = u[dofs[nbr]][1 - lf]
                 else:
                     u2 = ue[lf]
                 avg = 0.5 * (ue[lf] + u2)
@@ -915,7 +929,7 @@ def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
         else:
             outflux = 0.0
             for lf in range(3):
-                w, n, uavg = _oracle_face_average_trace(disc, neighbors, e, lf, u, u_b)
+                w, n, uavg = _oracle_face_average_trace(mesh, dofs, neighbors, e, lf, u, u_b)
                 g = law.entropy_flux(uavg)       # (nq, dim)
                 outflux += float(w @ (g @ n))
         d = max(0.0, outflux - lhs)
@@ -930,8 +944,8 @@ def oracle_entropy_inequality_audit(disc, u, rset, u_b=None, tol=1e-12):
 # The 1D Euler step as it was before it worked on component-first arrays and
 # called the ``constraints`` functions: the quasi-linear matrix B(W), the
 # element residuals as an einsum over (n, 3, 3) matrices, the scatter and the
-# velocity and energy corrections written inline.  Only the wave speed, the
-# fluxes and the initial state are taken from the package.
+# velocity and energy corrections written inline.  The wave speed, the
+# fluxes and the initial state are the package ones, frozen below.
 
 ORACLE_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -954,8 +968,6 @@ def oracle_primitive_matrix(w, gamma):
 def oracle_euler1d_element_residuals(w, gamma, h):
     """Rusanov-distributed primitive residuals; ``w`` is (n+1, 3), phi is
     (n, 2, 3)."""
-    from rdlab import euler1d as eu
-
     wl, wr = w[:-1], w[1:]
     dw = (wr - wl) / h
     total = np.zeros_like(wl)
@@ -963,7 +975,7 @@ def oracle_euler1d_element_residuals(w, gamma, h):
         wq = (1.0 - t) * wl + t * wr
         B = oracle_primitive_matrix(wq, gamma)
         total += 0.5 * h * np.einsum("eij,ej->ei", B, dw)
-    alpha = np.maximum(eu.wave_speed(wl, gamma), eu.wave_speed(wr, gamma))
+    alpha = np.maximum(wave_speed(wl, gamma), wave_speed(wr, gamma))
     wbar = 0.5 * (wl + wr)
     phi = np.empty((wl.shape[0], 2, 3))
     phi[:, 0] = 0.5 * total + alpha[:, None] * (wl - wbar)
@@ -980,8 +992,6 @@ def oracle_euler1d_scatter(phi, n_nodes):
 
 
 def oracle_euler1d_step(w, dt, h, gamma, correct=True):
-    from rdlab import euler1d as eu
-
     scatter = oracle_euler1d_scatter
     n_nodes = w.shape[0]
     mass = np.full(n_nodes, h)
@@ -990,7 +1000,7 @@ def oracle_euler1d_step(w, dt, h, gamma, correct=True):
     rho_new = w[:, 0] - dt * scatter(phi[..., 0:1], n_nodes)[:, 0] / mass
     rho_p1 = np.stack([rho_new[:-1], rho_new[1:]], axis=1)
     u_p = np.stack([w[:-1, 1], w[1:, 1]], axis=1)
-    target_m = eu.momentum_flux(w[1:], gamma) - eu.momentum_flux(w[:-1], gamma)
+    target_m = momentum_flux(w[1:], gamma) - momentum_flux(w[:-1], gamma)
     current_m = np.sum(rho_p1 * phi[..., 1] + u_p * phi[..., 0], axis=1)
     if correct:
         r_u = (target_m - current_m) / rho_p1.sum(axis=1)
@@ -1002,7 +1012,7 @@ def oracle_euler1d_step(w, dt, h, gamma, correct=True):
         defect_m = np.abs(current_m - target_m)
     u_new = w[:, 1] - dt * scatter(phi[..., 1:2], n_nodes)[:, 0] / mass
     u_p1 = np.stack([u_new[:-1], u_new[1:]], axis=1)
-    target_e = eu.energy_flux(w[1:], gamma) - eu.energy_flux(w[:-1], gamma)
+    target_e = energy_flux(w[1:], gamma) - energy_flux(w[:-1], gamma)
     mapped = (
         phi[..., 2]
         + 0.5 * (u_p * u_p) * phi[..., 0]
@@ -1021,15 +1031,13 @@ def oracle_euler1d_step(w, dt, h, gamma, correct=True):
 def oracle_run_sod(n_cells, t_end, correct, gamma=1.4, cfl=0.3):
     """The shock-tube loop of ``euler1d.run_sod`` over ``oracle_euler1d_step``;
     returns (w, t, defect_m, defect_e, mass_history)."""
-    from rdlab import euler1d as eu
-
-    x, w = eu.sod_initial(n_cells, gamma)
+    x, w = sod_initial(n_cells, gamma)
     h = x[1] - x[0]
     t = 0.0
     worst_m = worst_e = 0.0
     mass_hist = []
     while t < t_end - 1e-14:
-        dt = min(cfl * h / eu.wave_speed(w, gamma).max(), t_end - t)
+        dt = min(cfl * h / wave_speed(w, gamma).max(), t_end - t)
         w, dm, de = oracle_euler1d_step(w, dt, h, gamma, correct=correct)
         worst_m = max(worst_m, dm)
         worst_e = max(worst_e, de)
@@ -1037,3 +1045,328 @@ def oracle_run_sod(n_cells, t_end, correct, gamma=1.4, cfl=0.3):
         lumped_rho = h * (w[:, 0].sum() - 0.5 * (w[0, 0] + w[-1, 0]))
         mass_hist.append((t, float(lumped_rho)))
     return w, t, worst_m, worst_e, mass_hist
+
+
+# ---------------------------------------------------------------------------
+# Frozen package code: the package functions, constants and law methods the
+# references below call, copied verbatim as of ``e731dd2`` with their module
+# prefixes dropped, so that a change to a live formula does not move the
+# reference with it.  Only the methods the references call are kept.  A law
+# a test passes in is read for its data (``frozen_law``), never called.
+
+# rd_core.py
+BLEND_ZERO_TOL = 1e-13
+
+
+# errors.py
+class InternalConsistencyError(RdlabError):
+    """An identity that should hold by construction failed."""
+
+
+# mesh.py
+
+@dataclass
+class DofMap:
+    element_dofs: np.ndarray      # (ne, #K) global DOF ids
+    dof_coords: np.ndarray        # (ndof, dim)
+    n_dofs: int
+    dofs_per_element: int
+
+
+# local faces of a triangle: face j is the edge opposite local vertex j
+_TRI_FACES = ((1, 2), (2, 0), (0, 1))
+# local faces of each element type, as local vertex tuples
+_LOCAL_FACES = {1: ((0,), (1,)), 2: _TRI_FACES}
+# P2 midpoint DOF on each local face
+_FACE_MIDPOINTS = (4, 5, 3)
+
+
+def build_dofmap(mesh):
+    """Global continuous Lagrange DOF numbering: P1 on any simplex, P2 on triangles."""
+    if mesh.degree == 1:
+        return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, mesh.dim + 1)
+    if mesh.degree == 2 and mesh.dim == 2:
+        # midpoint DOFs numbered in first-seen order over the edges 01, 12, 20
+        edges = mesh.faces.id[:, [2, 0, 1]]
+        order = np.argsort(np.unique(edges, return_index=True)[1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = mesh.faces.keys[order]
+        mids = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+        coords = np.concatenate([mesh.vertices, mids])
+        elem_dofs = np.concatenate([mesh.elements, mesh.n_vertices + rank[edges]], axis=1)
+        return DofMap(elem_dofs, coords, coords.shape[0], 6)
+    raise UnsupportedFeatureError(f"degree {mesh.degree} not supported on a {mesh.dim}-D mesh")
+
+
+def tri_basis(degree, lam):
+    """Basis values at barycentric points ``lam`` (..., dim + 1) -> (..., #K);
+    P1 is ``lam`` itself on any simplex, P2 needs a triangle."""
+    lam = np.asarray(lam, dtype=float)
+    if degree == 1:
+        return lam.copy()
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    if degree == 2:
+        return np.stack(
+            [
+                l1 * (2 * l1 - 1),
+                l2 * (2 * l2 - 1),
+                l3 * (2 * l3 - 1),
+                4 * l1 * l2,
+                4 * l2 * l3,
+                4 * l3 * l1,
+            ],
+            axis=-1,
+        )
+    raise UnsupportedFeatureError(f"degree {degree} not supported")
+
+
+def tri_basis_grad(degree, lam, grad_lam):
+    """Physical gradients of basis functions; returns (..., #K, dim).
+
+    ``grad_lam`` (..., dim + 1, dim) broadcasts against the leading axes of
+    ``lam``; at P1 it is the result, on any simplex.
+    """
+    lam = np.asarray(lam, dtype=float)
+    g = np.asarray(grad_lam, dtype=float)
+    if degree == 1:
+        lead = np.broadcast_shapes(lam.shape[:-1], g.shape[:-2])
+        return np.broadcast_to(g, lead + g.shape[-2:]).copy()
+    if degree == 2:
+        l1, l2, l3 = (lam[..., k, None] for k in range(3))
+        g1, g2, g3 = (g[..., k, :] for k in range(3))
+        rows = [
+            (4 * l1 - 1) * g1,
+            (4 * l2 - 1) * g2,
+            (4 * l3 - 1) * g3,
+            4 * l2 * g1 + 4 * l1 * g2,
+            4 * l3 * g2 + 4 * l2 * g3,
+            4 * l1 * g3 + 4 * l3 * g1,
+        ]
+        return np.stack(rows, axis=-2)
+    raise UnsupportedFeatureError(f"degree {degree} not supported")
+
+
+def interval_basis(lam):
+    """Barycentric coordinates (1 - t, t), the P1 basis, of t in [0, 1] on an interval."""
+    t = np.asarray(lam, dtype=float)
+    return np.stack([1.0 - t, t], axis=-1)
+
+
+# triangle rule of each mesh degree k, exact for degree 2k polynomials:
+# barycentric points and weights summing to 1.  k = 2 is Dunavant's 6-point rule
+_TRI_RULES = {
+    1: (np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
+        np.full(3, 1 / 3)),
+    2: (np.array([np.roll([1 - 2 * c, c, c], k)
+                  for c in (0.445948490915965, 0.091576213509771) for k in range(3)]),
+        np.repeat([0.223381589678011, 0.109951743655322], 3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_01(npts):
+    """Gauss-Legendre nodes/weights on [0, 1], cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def volume_rule(mesh):
+    """Element rule: barycentric points (nq, dim + 1) and weights (nq,)
+    summing to 1 (scale by |K|).  Two Gauss points on an interval, exact for
+    cubics; ``_TRI_RULES`` of the mesh degree on a triangle."""
+    if mesh.dim == 1:
+        t, w = gauss_01(2)
+        return interval_basis(t), w
+    if mesh.degree not in _TRI_RULES:
+        raise UnsupportedFeatureError(f"no triangle rule for degree {mesh.degree}")
+    return _TRI_RULES[mesh.degree]
+
+
+def face_rule(mesh):
+    """Face rule exact for degree 2k+1 polynomials."""
+    npts = mesh.degree + 1
+    return gauss_01(npts)
+
+
+def face_local_dofs(mesh, local_face):
+    """Local DOF indices lying on a local face, in trace order."""
+    ends = _LOCAL_FACES[mesh.dim][local_face]
+    return ends + (_FACE_MIDPOINTS[local_face],) if mesh.degree == 2 else ends
+
+
+# conslaw.py
+ADMISSIBLE_TOL = 1e-12
+
+
+class ScalarLaw:
+    """f(u) = a u^p / p along a constant direction ``a``, with the square
+    entropy pair E = u^2/2, v = u and G = a u^(p+1) / (p+1)."""
+
+    m = 1
+
+    def __init__(self, a, p, name):
+        self.a = np.atleast_1d(np.asarray(a, dtype=float))
+        if not np.isfinite(self.a).all():
+            raise ValueError(f"{name} direction {self.a} is not finite")
+        self.dim = self.a.shape[0]
+        self.p = p
+        self.name = name
+
+    def flux(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.a[:, None] * (u[..., None, :] ** self.p / self.p)
+
+    def jac_n(self, u, n):
+        u = np.asarray(u, dtype=float)
+        n = np.asarray(n, dtype=float)
+        an = n[..., 0] * self.a[0]          # n . a, faster than n @ a for small dim
+        for i in range(1, self.dim):
+            an += n[..., i] * self.a[i]
+        return (u[..., 0] ** (self.p - 1) * an)[..., None, None]
+
+    def max_wave_speed(self, u, n):
+        """Spectral radius of the normal Jacobian of a scalar law, vectorised
+        over states; systems override it with their closed form."""
+        return np.abs(self.jac_n(u, n)[..., 0, 0])
+
+    def entropy_var(self, u):
+        return np.asarray(u, dtype=float).copy()
+
+    def entropy_flux(self, u):
+        q = self.p + 1
+        return self.a * (np.asarray(u)[..., 0] ** q / q)[..., None]
+
+
+def _decode(u, gamma):
+    """Density, velocity and pressure of conserved states (..., m),
+    unchecked: a zero density gives inf or NaN."""
+    u = np.asarray(u, dtype=float)
+    rho = u[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = u[..., 1:-1] / rho[..., None]
+        ke = 0.5 * rho * (v * v).sum(axis=-1)
+    return rho, v, (gamma - 1.0) * (u[..., -1] - ke)
+
+
+def _admissible(rho, p):
+    """Where density and pressure reach ``ADMISSIBLE_TOL``; NaN fails."""
+    return (np.asarray(rho) >= ADMISSIBLE_TOL) & (np.asarray(p) >= ADMISSIBLE_TOL)
+
+
+def _check_admissible(rho, p):
+    ok = _admissible(rho, p)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rho, p = (a.flat[i] for a in np.broadcast_arrays(rho, p))
+        raise InadmissibleStateError(f"density {rho} or pressure {p} below {ADMISSIBLE_TOL}")
+
+
+def primitive_from_conserved(u, gamma=1.4):
+    """(rho, m, E) -> (rho, v, p); vectorised over leading axes."""
+    rho, v, p = _decode(u, gamma)
+    _check_admissible(rho, p)
+    return np.concatenate([rho[..., None], v, p[..., None]], axis=-1)
+
+
+def euler_flux(u, gamma=1.4):
+    """Flux tensor of conserved Euler state(s) (..., m), shape (..., d, m)."""
+    u = np.asarray(u, dtype=float)
+    rho, v, p = _decode(u, gamma)
+    _check_admissible(rho, p)
+    m = u.shape[-1]
+    rv = rho[..., None] * v                                 # momentum rho v_k
+    f = np.empty(u.shape[:-1] + (m - 2, m))
+    f[..., 0] = rv
+    f[..., 1:-1] = rv[..., :, None] * v[..., None, :]       # (rho v_k) v_i
+    f[..., -1] = v * (u[..., -1] + p)[..., None]
+    # the entries (k, 1 + k) are every (m + 1)-th of the flattened (d, m)
+    f.reshape(u.shape[:-1] + ((m - 2) * m,))[..., 1 :: m + 1] += p[..., None]
+    return f
+
+
+class Euler:
+    """Conserved-variable perfect-gas Euler system in ``dim`` dimensions."""
+
+    def __init__(self, gamma=1.4, dim=2):
+        self.gamma = float(gamma)
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma {gamma} is not in (1, inf)")
+        self.dim = dim
+        self.m = dim + 2
+        self.name = "euler"
+
+    def flux(self, u):
+        return euler_flux(u, self.gamma)
+
+    def jac_n(self, u, n):
+        u = np.asarray(u, dtype=float)
+        d = self.dim
+        g = self.gamma
+        k = g - 1.0
+        rho, v, p = _decode(u, g)
+        _check_admissible(rho, p)
+        n = np.asarray(n, dtype=float)
+        vn = np.sum(v * n, axis=-1)
+        q2 = np.sum(v * v, axis=-1)
+        H = (u[..., -1] + p) / rho
+        A = np.zeros(np.broadcast_shapes(u.shape[:-1], n.shape[:-1]) + (self.m, self.m))
+        A[..., 0, 1 : 1 + d] = n
+        for i in range(d):
+            A[..., 1 + i, 0] = 0.5 * k * q2 * n[..., i] - v[..., i] * vn
+            for j in range(d):
+                A[..., 1 + i, 1 + j] = v[..., i] * n[..., j] - k * v[..., j] * n[..., i]
+            A[..., 1 + i, 1 + i] += vn
+            A[..., 1 + i, -1] = k * n[..., i]
+        A[..., -1, 0] = (0.5 * k * q2 - H) * vn
+        A[..., -1, 1 : 1 + d] = H[..., None] * n - k * v * vn[..., None]
+        A[..., -1, -1] = g * vn
+        return A
+
+    def max_wave_speed(self, u, n):
+        rho, v, p = _decode(u, self.gamma)
+        _check_admissible(rho, p)
+        vn = np.sum(v * np.asarray(n), axis=-1)
+        a = np.sqrt(self.gamma * p / rho)
+        return np.abs(vn) + a * np.linalg.norm(n, axis=-1)
+
+
+def frozen_law(law):
+    """The frozen copy of a package law, rebuilt from its data (``name``, and
+    ``a`` and ``p`` of a scalar law, ``gamma`` and ``dim`` of Euler)."""
+    if law.name == "euler":
+        return Euler(law.gamma, law.dim)
+    if law.name in ("advection", "burgers"):
+        return ScalarLaw(law.a, law.p, law.name)
+    raise UnsupportedFeatureError(f"no frozen copy of the law {law.name!r}")
+
+
+# euler1d.py
+
+def wave_speed(w, gamma):
+    rho, u, e = w[..., 0], w[..., 1], w[..., 2]
+    p = (gamma - 1.0) * e
+    return np.abs(u) + np.sqrt(gamma * p / rho)
+
+
+def momentum_flux(w, gamma):
+    rho, u, e = w[..., 0], w[..., 1], w[..., 2]
+    return rho * u * u + (gamma - 1.0) * e
+
+
+def energy_flux(w, gamma):
+    rho, u, e = w[..., 0], w[..., 1], w[..., 2]
+    E = e + 0.5 * rho * u * u
+    return u * (E + (gamma - 1.0) * e)
+
+
+def sod_initial(n_cells, gamma=1.4):
+    """Node coordinates and primitive states of Sod's shock tube on [0, 1]:
+    (rho, u, p) = (1, 0, 1) left of x = 0.5 and (0.125, 0, 0.1) from it on."""
+    x = np.linspace(0.0, 1.0, n_cells + 1)
+    w = np.empty((n_cells + 1, 3))
+    for (rho, u, p), mask in (((1.0, 0.0, 1.0), x < 0.5), ((0.125, 0.0, 0.1), x >= 0.5)):
+        w[mask] = (rho, u, p / (gamma - 1.0))
+    return x, w

@@ -6,6 +6,8 @@ pre-batching per-element code kept in ``_oracles.py`` within 1e-14 of the
 largest reference entry.
 """
 
+import ast
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +24,7 @@ from _oracles import (
 )
 from rdlab import mesh as msh
 from rdlab import time_dec as td
-from rdlab.conslaw import Advection, Burgers, Euler, conserved_from_primitive
+from rdlab.conslaw import Advection, Burgers, Euler, ScalarLaw, conserved_from_primitive
 from rdlab.errors import UnsupportedFeatureError
 from rdlab.rd_core import Discretization, Scheme, monotone_dt, rusanov_coefficients
 
@@ -206,3 +208,36 @@ def test_dec_step_matches_reference_with_weak_boundaries(degree, method):
     got = td.dec_step(disc, u, dt, scheme, config, td.lumped_mass(disc), u_b=0.0)
     assert_close(got, oracle_dec_step(ref, u, dt, scheme, oracle_config(method, config.cfl),
                                       u_b=0.0))
+
+
+def test_reference_does_not_move_with_the_package(monkeypatch):
+    """A scalar Jacobian scaled by 1 + 1e-10, or a P2 basis shifted by
+    1e-10, moves the batched residuals away from the frozen reference."""
+    jac_n, tri_basis = ScalarLaw.jac_n, msh.tri_basis
+    patches = [(ScalarLaw, "jac_n", lambda law, u, n: jac_n(law, u, n) * (1.0 + 1e-10)),
+               (msh, "tri_basis", lambda degree, lam: tri_basis(degree, lam) + 1e-10 * (degree == 2))]
+    law = make_law("advection")
+    mesh = jittered_tri_mesh(3, 2, seed=17)
+    u = random_state(law, msh.build_dofmap(mesh).dof_coords, seed=3)
+    scheme = Scheme(kind="rusanov")
+    for target, name, patched in patches:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, patched)
+            disc, ref = pair(mesh, law)
+            phi, want = disc.residual_set(u, scheme).phi, ref.residual_set(u, scheme).phi
+        assert np.abs(phi - want).max() > RTOL * np.abs(want).max(), name
+
+
+def test_reference_imports_no_package_code_under_test():
+    """From the package, ``_oracles.py`` imports its exception types and the
+    container of a residual set, at module level or inside a function."""
+    tree = ast.parse(Path(__file__).with_name("_oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    package = {(module, name) for module, name in imported
+               if module.split(".")[0] == "rdlab" and module != "rdlab.errors"}
+    assert package == {("rdlab.rd_core", "ResidualSet")}

@@ -72,13 +72,6 @@ def test_euler_max_wave_speed_is_the_spectral_radius(dim):
     assert np.all(np.abs(law.max_wave_speed(u, n) - radius) <= 1e-12 * radius)
 
 
-def test_rh_shock_speed():
-    assert abs(cl.rh_shock_speed([1.0], [0.0], cl.Burgers()) - 0.5) < 1e-14
-    assert abs(cl.rh_shock_speed([1.0], [0.0], cl.CubicTransport()) - 0.25) < 1e-14
-    # degenerate jump falls back to the characteristic speed
-    assert abs(cl.rh_shock_speed([2.0], [2.0], cl.Burgers()) - 2.0) < 1e-14
-
-
 def test_euler_conversion_roundtrip():
     rng = np.random.default_rng(3)
     w = np.stack(

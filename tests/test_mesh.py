@@ -205,18 +205,15 @@ def test_interval_mesh_vertices_and_cells(n, periodic):
     assert mesh.period == (3.0 if periodic else None)
 
 
-def test_p2_interval_mesh_is_rejected(tmp_path):
-    """Only triangles carry P2: a degree-2 interval mesh, built by hand or
-    read back at degree 2, must not run as P1."""
-    path = tmp_path / "interval.txt"
-    msh.save_text(msh.build_interval_mesh(3), path)
-    by_hand = msh.Mesh(dim=1, vertices=np.array([[0.0], [0.4], [1.0]]),
-                       elements=np.array([[0, 1], [1, 2]]), degree=2)
-    for mesh in (by_hand, msh.load_text(path, degree=2)):
-        with pytest.raises(UnsupportedFeatureError, match="degree 2 not supported on a 1-D mesh"):
-            msh.build_dofmap(mesh)
-        with pytest.raises(UnsupportedFeatureError):
-            Discretization(mesh, Burgers(dim=1))
+def test_p2_interval_mesh_is_rejected():
+    """Only triangles carry P2: a degree-2 interval mesh built by hand must
+    not run as P1."""
+    mesh = msh.Mesh(dim=1, vertices=np.array([[0.0], [0.4], [1.0]]),
+                    elements=np.array([[0, 1], [1, 2]]), degree=2)
+    with pytest.raises(UnsupportedFeatureError, match="degree 2 not supported on a 1-D mesh"):
+        msh.build_dofmap(mesh)
+    with pytest.raises(UnsupportedFeatureError):
+        Discretization(mesh, Burgers(dim=1))
 
 
 def test_reference_graphs():
@@ -225,13 +222,3 @@ def test_reference_graphs():
     assert msh.reference_graph(1, 1).n_nodes == 2
     with pytest.raises(UnsupportedFeatureError):
         msh.reference_graph(3, 1)
-
-
-def test_text_io_roundtrip(tmp_path):
-    mesh = msh.build_structured_tri_mesh(2, 2)
-    path = tmp_path / "mesh.txt"
-    msh.save_text(mesh, path)
-    back = msh.load_text(path)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.elements, mesh.elements)
-    assert back.boundary_faces == mesh.boundary_faces
