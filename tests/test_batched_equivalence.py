@@ -48,6 +48,16 @@ def jittered_tri_mesh(n, degree, seed):
     return mesh
 
 
+def read_back(mesh, tmp_path):
+    """The mesh written as text with ``np.savetxt`` and built by hand from
+    what ``np.loadtxt`` reads back: its vertices, elements, degree and period."""
+    np.savetxt(tmp_path / "vertices.txt", mesh.vertices, fmt="%.17g")
+    np.savetxt(tmp_path / "elements.txt", mesh.elements, fmt="%d")
+    return msh.Mesh(dim=mesh.dim, vertices=np.loadtxt(tmp_path / "vertices.txt", ndmin=2),
+                    elements=np.loadtxt(tmp_path / "elements.txt", dtype=int, ndmin=2),
+                    degree=mesh.degree, period=mesh.period)
+
+
 def make_law(name, dim=2):
     return {"advection": lambda: Advection((1.0, 0.5)[:dim]),
             "burgers": lambda: Burgers(dim=dim),

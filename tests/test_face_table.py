@@ -4,7 +4,7 @@
 Boundary faces, the P2 midpoint DOFs, the neighbour table and the entropy
 audit are all derived from ``Mesh.faces``, and measures, diameters and
 scaled face normals from ``element_geometry``; on structured,
-vertex-jittered and interval meshes they must reproduce the
+vertex-jittered, read-back and interval meshes they must reproduce the
 dictionary loops and per-element functions they replaced.  The structured
 builder must reproduce its cell loop.
 """
@@ -27,7 +27,7 @@ from rdlab.conslaw import Advection, Burgers
 from rdlab.diagnostics import entropy_inequality_audit
 from rdlab.errors import DegenerateGeometryError
 from rdlab.rd_core import Discretization, ResidualSet, Scheme
-from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh
+from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh, read_back
 
 DOMAIN = ((-1.0, 0.5), (2.0, 2.0))
 
@@ -50,9 +50,13 @@ NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
          "interval", "periodic_interval", "periodic_interval_jittered"]
 
 
-@pytest.fixture(params=NAMES)
-def case(request):
-    return build(request.param)
+@pytest.fixture(params=[(n, rt) for n in NAMES for rt in (False, True)],
+                ids=lambda p: p[0] + ("_read_back" if p[1] else ""))
+def case(request, tmp_path):
+    """A mesh, or the same mesh written as text and built by hand from the files."""
+    name, read_back_ = request.param
+    mesh = build(name)
+    return read_back(mesh, tmp_path) if read_back_ else mesh
 
 
 def test_element_geometry_matches_reference(case):
@@ -165,6 +169,16 @@ def test_1d_entropy_audit_uses_boundary_state(u_b):
     assert report.defect == pytest.approx(1.0 / 24.0, rel=1e-15)
     assert report.worst_location == ("element", 4)
     assert report.extra["violations"] == 1
+
+
+def test_periodic_interval_survives_read_back(tmp_path):
+    mesh = msh.build_interval_mesh(8, periodic=True)
+    back = read_back(mesh, tmp_path)
+    assert back.periodic and not back.boundary_faces
+    assert back.period == mesh.period == 1.0
+    measure = Discretization(back, Burgers(dim=1)).measure
+    assert np.array_equal(measure, Discretization(mesh, Burgers(dim=1)).measure)
+    assert np.allclose(measure, 0.125, rtol=1e-14)
 
 
 def test_face_table_is_built_once_and_read_only():

@@ -5,6 +5,7 @@ from rdlab import mesh as msh
 from rdlab.conslaw import Advection, Burgers
 from rdlab.errors import DegenerateGeometryError, UnsupportedFeatureError
 from rdlab.rd_core import Discretization
+from test_batched_equivalence import read_back
 
 
 def ref_triangle(degree=1):
@@ -222,3 +223,11 @@ def test_reference_graphs():
     assert msh.reference_graph(1, 1).n_nodes == 2
     with pytest.raises(UnsupportedFeatureError):
         msh.reference_graph(3, 1)
+
+
+def test_text_io_roundtrip(tmp_path):
+    mesh = msh.build_structured_tri_mesh(2, 2)
+    back = read_back(mesh, tmp_path)
+    assert np.allclose(back.vertices, mesh.vertices)
+    assert np.array_equal(back.elements, mesh.elements)
+    assert back.boundary_faces == mesh.boundary_faces

@@ -13,7 +13,7 @@ from rdlab.rd_core import (
     rusanov_coefficients,
 )
 from _oracles import oracle_blend_limiter
-from test_batched_equivalence import jittered_tri_mesh
+from test_batched_equivalence import jittered_tri_mesh, read_back
 from test_mesh import ref_triangle
 
 ALL_KINDS = Scheme.KINDS
@@ -78,11 +78,15 @@ def test_rusanov_alpha_reference_value():
     assert abs(disc.rusanov_alpha([0], u)[0] - 0.5) < 1e-13
 
 
-def conservation_mesh(name, degree):
-    """The 2x2 structured mesh or a 3x3 mesh with jittered interior vertices."""
+def conservation_mesh(name, degree, tmp_path):
+    """The 2x2 structured mesh, a 3x3 mesh with jittered interior vertices,
+    or that jittered mesh written as text and built by hand from the files."""
     if name == "structured":
         return msh.build_structured_tri_mesh(2, 2, degree=degree)
-    return jittered_tri_mesh(3, degree, seed=3)
+    mesh = jittered_tri_mesh(3, degree, seed=3)
+    if name == "text":
+        mesh = read_back(mesh, tmp_path)
+    return mesh
 
 
 def assert_element_conservation(disc, u, scheme, tol):
@@ -94,7 +98,7 @@ def assert_element_conservation(disc, u, scheme, tol):
     assert np.all(defect <= tol * (1.0 + np.abs(total).max(axis=1)))
 
 
-IRREGULAR = ("jittered",)
+IRREGULAR = ("jittered", "text")
 
 
 @pytest.mark.parametrize("kind, degree, mesh_name", [
@@ -104,8 +108,8 @@ IRREGULAR = ("jittered",)
     pytest.param(kind, degree, name, id=f"{kind}-{degree}-{name}")
     for name in IRREGULAR for kind in ALL_KINDS for degree in (1, 2)
 ])
-def test_conservation_all_families_scalar(kind, degree, mesh_name):
-    mesh = conservation_mesh(mesh_name, degree)
+def test_conservation_all_families_scalar(kind, degree, mesh_name, tmp_path):
+    mesh = conservation_mesh(mesh_name, degree, tmp_path)
     disc = Discretization(mesh, Burgers(dim=2))
     scheme = Scheme(kind=kind)
     rng = np.random.default_rng(11)
@@ -120,8 +124,8 @@ def test_conservation_all_families_scalar(kind, degree, mesh_name):
     pytest.param(kind, degree, name, id=f"{kind}-{degree}-{name}")
     for name in IRREGULAR for kind in ALL_KINDS for degree in (1, 2)
 ])
-def test_conservation_euler_system(kind, degree, mesh_name):
-    mesh = conservation_mesh(mesh_name, degree)
+def test_conservation_euler_system(kind, degree, mesh_name, tmp_path):
+    mesh = conservation_mesh(mesh_name, degree, tmp_path)
     law = Euler(gamma=1.4, dim=2)
     disc = Discretization(mesh, law)
     rng = np.random.default_rng(5)
