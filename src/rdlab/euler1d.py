@@ -14,8 +14,11 @@ and then a uniform energy correction so the conserved momentum and total
 energy balances close exactly (up to round-off); see the constraints module.
 
 ``step`` takes and returns component-first states (3, n_nodes), the layout
-``run_sod`` marches in; element residuals are (3, 2, n_cells) and element
-node pairs (2, n_cells), side first.  B(W) dW is written out row by row.
+``run_sod`` marches in, and never writes into its arguments.  It copies each
+cell's two node states into a (2, 3, n_cells) buffer, side first, that becomes
+the element residuals in place; its numpy operations run on contiguous rows
+and blocks of the few buffers a step allocates, and each update is written
+straight into its row of the new state.  B(W) dW is written out row by row.
 """
 
 from __future__ import annotations
@@ -79,23 +82,42 @@ def checked_wave_speed(w, gamma):
 
 def _element_residuals(w, gamma, h, speed):
     """Rusanov-distributed primitive residuals per element: ``w`` is the state
-    (3, n+1) and ``speed`` its nodal wave speeds, phi is (3, 2, n), component,
-    then left and right node, then element."""
-    wl, wr = w[:, :-1], w[:, 1:]
-    drho, du, de = (wr - wl) / h                     # (3, n) gradient
+    (3, n+1) and ``speed`` its nodal wave speeds, phi is (2, 3, n), left and
+    right node, then component, then element.  phi starts as the cells' node
+    states and is overwritten with the residuals."""
+    n = w.shape[1] - 1
+    phi = np.empty((2, 3, n))
+    wl, wr = phi
+    wl[...], wr[...] = w[:, :-1], w[:, 1:]
+    grad = np.subtract(wr, wl)
+    grad /= h
+    drho, du, de = grad
     k, hh = gamma - 1.0, 0.5 * h
-    # total residual by two-point Gauss quadrature of B(W_h) dW/dx
-    total = np.zeros_like(wl)
+    # total residual by two-point Gauss quadrature of B(W_h) dW/dx: per point
+    # hh * (a + b), a = u (drho, du, de) and b = (rho du, k / rho de, (e + k e) du)
+    total = np.zeros((3, n))
+    wq, a, b = np.empty((3, 3, n))
     for t in GAUSS_T:
-        rho, u, e = (1.0 - t) * wl + t * wr
-        total[0] += hh * (u * drho + rho * du)
-        total[1] += hh * (u * du + k / rho * de)
-        total[2] += hh * ((e + k * e) * du + u * de)
+        np.multiply(wl, 1.0 - t, out=wq)
+        wq += np.multiply(wr, t, out=a)
+        rho, u, e = wq
+        np.multiply(grad, u, out=a)
+        np.multiply(rho, du, out=b[0])
+        np.multiply(np.divide(k, rho, out=b[1]), de, out=b[1])
+        np.multiply(e, k, out=b[2])
+        b[2] += e
+        b[2] *= du
+        a += b
+        a *= hh
+        total += a
     alpha = np.maximum(speed[:-1], speed[1:])
-    wbar, half = 0.5 * (wl + wr), 0.5 * total
-    phi = np.empty((3, 2, wl.shape[1]))
-    phi[:, 0] = half + alpha * (wl - wbar)
-    phi[:, 1] = half + alpha * (wr - wbar)
+    wbar = np.add(wl, wr, out=a)
+    wbar *= 0.5
+    total *= 0.5
+    # half + alpha * (w - wbar), both sides at once
+    phi -= wbar
+    phi *= alpha
+    phi += total
     return phi
 
 
@@ -106,12 +128,14 @@ def _pairs(a):
     return np.ndarray((2, a.size - 1), a.dtype, a, 0, a.strides * 2)
 
 
-def _scatter(phi):
-    """Per-node sums (n+1,) of element contributions (2, n), side first."""
-    out = np.empty(phi.shape[1] + 1)
+def _update(out, a, phi, dt, mass):
+    """Writes ``a - dt * S / mass`` into ``out`` (n+1,), S the per-node sums of
+    the element contributions ``phi`` (2, n), side first."""
     out[0], out[-1] = phi[0, 0], phi[1, -1]
     np.add(phi[0, 1:], phi[1, :-1], out=out[1:-1])
-    return out
+    out *= dt
+    out /= mass
+    np.subtract(a, out, out=out)
 
 
 @lru_cache(maxsize=1)
@@ -125,15 +149,18 @@ def step(w, dt, h, gamma, correct=True, speed=None):
 
     ``w`` and ``w_next`` are (3, n+1), and ``speed`` is ``checked_wave_speed(w,
     gamma)``.  The defects are the worst per-element conserved-balance
-    residuals after whatever corrections were applied.
+    residuals after whatever corrections were applied.  Nothing is written
+    into the arguments.
     """
     speed = checked_wave_speed(w, gamma) if speed is None else speed
     rho, u, e = w
     mass = _lumped_mass(w.shape[1], h)
-    phi_rho, phi_u, phi_e = _element_residuals(w, gamma, h, speed)   # each (2, n)
+    phi_rho, phi_u, phi_e = _element_residuals(w, gamma, h, speed).transpose(1, 0, 2)
+    w_next = np.empty(w.shape)
+    rho_new, u_new, e_new = w_next
 
     # density first: its residual needs no correction
-    rho_new = rho - dt * _scatter(phi_rho) / mass
+    _update(rho_new, rho, phi_rho, dt, mass)
     rho_p1, u_p = _pairs(rho_new), _pairs(u)
 
     # velocity: uniform per-element correction closing the momentum balance
@@ -141,9 +168,9 @@ def step(w, dt, h, gamma, correct=True, speed=None):
     target_m = flux[1:] - flux[:-1]
     if correct:
         phi_u += velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m)
-    m = rho_p1 * phi_u + u_p * phi_rho
+    m = [r * p + up * pr for r, p, up, pr in zip(rho_p1, phi_u, u_p, phi_rho)]
     defect_m = np.abs(m[0] + m[1] - target_m)
-    u_new = u - dt * _scatter(phi_u) / mass
+    _update(u_new, u, phi_u, dt, mass)
     u_p1 = _pairs(u_new)
 
     # energy: map residuals through the increment matrix, then correct
@@ -155,9 +182,9 @@ def step(w, dt, h, gamma, correct=True, speed=None):
         phi_e += r_e
         mapped += r_e
     defect_e = np.abs(mapped[0] + mapped[1] - target_e)
-    e_new = e - dt * _scatter(phi_e) / mass
+    _update(e_new, e, phi_e, dt, mass)
 
-    return np.stack((rho_new, u_new, e_new)), float(defect_m.max()), float(defect_e.max())
+    return w_next, float(defect_m.max()), float(defect_e.max())
 
 
 def sod_initial(n_cells, gamma=1.4):

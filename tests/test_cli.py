@@ -7,7 +7,6 @@ import pytest
 
 import rdlab
 from rdlab import diagnostics as diag
-from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import time_dec
 from rdlab.cli import main

@@ -161,3 +161,58 @@ def test_run_sod_matches_frozen_step_loop_bit_for_bit(correct):
     assert np.array_equal(res.w, w)
     assert (res.defect_m, res.defect_e) == (defect_m, defect_e)
     assert res.mass_history == mass_history and res.t == t
+
+
+@pytest.mark.parametrize("n_cells", [1, 2])
+@pytest.mark.parametrize("correct", [True, False])
+def test_step_matches_inline_corrections_on_one_and_two_cells(n_cells, correct):
+    """The scatter's edge rows: with one cell both end nodes take a single
+    contribution and no node takes two."""
+    rng = np.random.default_rng(12)
+    x, w = euler1d.sod_initial(n_cells)
+    w = w * rng.uniform(0.8, 1.2, size=w.shape) + [0.0, 0.1, 0.0]
+    for _ in range(5):
+        got = euler1d.step(w.T, 2e-3, x[1] - x[0], 1.4, correct=correct)
+        ref = oracle_euler1d_step(w, 2e-3, x[1] - x[0], 1.4, correct=correct)
+        assert np.array_equal(got[0].T, ref[0]) and got[1:] == ref[1:]
+        w = got[0].T
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_step_writes_nothing_into_its_arguments(correct):
+    """The step works in buffers of its own: the state, the wave speeds and
+    the cached lumped mass come back byte for byte, and the new state shares
+    no memory with the old."""
+    rng = np.random.default_rng(11)
+    x, w = euler1d.sod_initial(40)
+    w = (w * rng.uniform(0.8, 1.2, size=w.shape) + [0.0, 0.1, 0.0]).T.copy()
+    h = x[1] - x[0]
+    sp = euler1d.checked_wave_speed(w, 1.4)
+    mass = euler1d._lumped_mass(w.shape[1], h)
+    before = [a.tobytes() for a in (w, sp, mass)]
+    w_next, _, _ = euler1d.step(w, 2e-3, h, 1.4, correct=correct, speed=sp)
+    assert euler1d._lumped_mass(w.shape[1], h) is mass
+    assert [a.tobytes() for a in (w, sp, mass)] == before
+    assert not np.shares_memory(w_next, w)
+
+
+def test_run_sod_calls_each_correction_once_per_step(monkeypatch):
+    """The corrections stay in ``constraints``: one velocity and one energy
+    correction per step, and none without corrections."""
+    calls = {"velocity_correction": 0, "energy_correction": 0}
+
+    def counted(name):
+        fn = getattr(euler1d, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(euler1d, name, counted(name))
+    res = euler1d.run_sod(n_cells=40, t_end=0.02)
+    assert calls == dict.fromkeys(calls, len(res.mass_history)) and len(res.mass_history) > 1
+    calls.update(dict.fromkeys(calls, 0))
+    euler1d.run_sod(n_cells=40, t_end=0.02, correct=False)
+    assert calls == dict.fromkeys(calls, 0)
