@@ -19,12 +19,14 @@ ADMISSIBLE_TOL = 1e-12
 
 
 class ConservationLaw:
-    """Base descriptor; subclasses set ``m`` (components) and ``dim``."""
+    """Base descriptor; subclasses set ``m`` (components) and ``dim``.
+    ``linear`` laws have a ``jac_n`` that reads the normal, not the state."""
 
     m = 1
     dim = 1
     name = "abstract"
     has_entropy = False
+    linear = False
 
     def flux(self, u):
         raise NotImplementedError
@@ -54,6 +56,7 @@ class ScalarLaw(ConservationLaw):
             raise ValueError(f"{name} direction {self.a} is not finite")
         self.dim = self.a.shape[0]
         self.p = p
+        self.linear = p == 1
         self.name = name
 
     def flux(self, u):

@@ -7,9 +7,9 @@ stabilization, and the nonlinear blend limiter.  Every family satisfies the
 conservation contract sum_sigma Phi_sigma = Phi^K by construction.
 
 Every family is one Galerkin evaluation plus its stabilization terms, for
-an index array or slice of elements at once.  ``total_residual`` and
-``boundary_residuals`` also take one integer element or one (element, local
-face) pair, which drops that axis as numpy indexing does.
+an index array or slice of elements at once.  One integer element
+(``total_residual``, ``rusanov_alpha``) or face pair (``boundary_residuals``)
+drops that axis, as numpy indexing does.
 """
 
 from __future__ import annotations
@@ -176,6 +176,14 @@ class Discretization:
         """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K)."""
         return self.vphi_w @ self.vq_phi
 
+    @functools.cached_property
+    def linear_alpha(self):
+        """``rusanov_alpha`` of a linear law on every element, read-only, (ne,)."""
+        u0 = np.zeros((self.dofmap.n_dofs, self.m))
+        alpha = self.nloc * _max_specnorm(self._rusanov_matrix(slice(None), u0))
+        alpha.flags.writeable = False
+        return alpha
+
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
         dim + 1) on the elements ``e``, whose index shape broadcasts against
@@ -221,13 +229,13 @@ class Discretization:
     def _flux_jacobians(self, e, ue):
         """States u_q (k, nq, m) and J(u_q).grad(phi_s) (k, nq, #K, m, m)."""
         uq = self.vq_phi @ ue
-        return uq, self.law.jac_n(uq[:, :, None, :], self.vgrad[e])
+        return uq, self.law.jac_n(uq[..., None, :], self.vgrad[e])
 
     def _rusanov_matrix(self, e, u):
-        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m)."""
+        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m); no k for one integer."""
         _, jg = self._flux_jacobians(e, self.element_values(e, u))
-        k, nq, K = jg.shape[:3]
-        return (self.vphi_w[e] @ jg.reshape(k, nq, K * self.m**2)).reshape((k, K) + jg.shape[2:])
+        mat = self.vphi_w[e] @ jg.reshape(jg.shape[:-3] + (self.nloc * self.m**2,))
+        return mat.reshape(mat.shape[:-1] + jg.shape[-3:])
 
     def rusanov_alpha(self, e, u):
         """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
@@ -238,14 +246,16 @@ class Discretization:
         decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
         ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
         block that sets the maximum always gets its own SVD, and alpha is the
-        float that decomposing every block gives.
+        float that decomposing every block gives.  A linear law's Jacobian does
+        not read the state, so its bound is read from the per-mesh ``linear_alpha``.
         """
+        if self.law.linear:
+            return self.linear_alpha[e]
         return self.nloc * _max_specnorm(self._rusanov_matrix(e, u))
 
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
-        if alpha is None:
-            alpha = self.rusanov_alpha(e, u)
+        alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
         return np.reshape(alpha, (-1, 1, 1)) * (ue - ue.mean(axis=1, keepdims=True))
 
     def _tau(self, e, ubar):
@@ -385,10 +395,9 @@ def rusanov_coefficients(disc, e, u, alpha=None):
     """
     if disc.m != 1:
         raise UnsupportedFeatureError("coefficient extraction is scalar-only")
-    adv = disc._rusanov_matrix(e, u)[..., 0, 0]           # (k, #K, #K)
-    if alpha is None:
-        alpha = disc.nloc * np.abs(adv).max(axis=(1, 2))
-    c = np.reshape(alpha, (-1, 1, 1)) / disc.nloc - adv
+    mat = disc._rusanov_matrix(e, u)                      # (k, #K, #K, 1, 1)
+    alpha = disc.nloc * _max_specnorm(mat) if alpha is None else alpha
+    c = np.reshape(alpha, (-1, 1, 1)) / disc.nloc - mat[..., 0, 0]
     diag = np.arange(disc.nloc)
     c[:, diag, diag] = 0.0
     return c
@@ -431,12 +440,12 @@ def _specnorm(a):
 
 
 def _max_specnorm(a):
-    """Largest ``_specnorm`` of the trailing (m, m) blocks of each a[k], (k,),
-    decomposing only blocks that can set it (see ``rusanov_alpha``)."""
-    nb = int(np.prod(a.shape[1:-2]))                     # named: k may be 0
+    """Largest ``_specnorm`` of the (m, m) blocks of ``a`` (..., #K, #K, m, m),
+    shape (...), decomposing only blocks that can set it (see ``rusanov_alpha``)."""
+    lead, nb = a.shape[:-4], a.shape[-4] * a.shape[-3]   # nb named: k may be 0
     if a.shape[-2:] == (1, 1):
-        return np.abs(a).reshape(len(a), nb).max(axis=1)
-    blocks = a.reshape((len(a), nb) + a.shape[-2:])      # (k, nb, m, m)
+        return np.abs(a).reshape(lead + (nb,)).max(axis=-1)
+    blocks = a.reshape((int(np.prod(lead)), nb) + a.shape[-2:])   # (k, nb, m, m)
     sq = blocks * blocks
     col2 = sq.sum(axis=-2)                               # (k, nb, m)
     line2 = np.maximum(col2.max(axis=(1, 2)), sq.sum(axis=-1).max(axis=(1, 2)))
@@ -444,4 +453,4 @@ def _max_specnorm(a):
     keep = ~(col2.sum(axis=-1) < lower[:, None])         # NaN is kept
     norms = np.zeros(keep.shape)
     norms[keep] = _specnorm(blocks[keep])
-    return norms.max(axis=1)
+    return norms.max(axis=1).reshape(lead)

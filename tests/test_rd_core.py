@@ -3,7 +3,7 @@ import pytest
 
 from rdlab import mesh as msh
 from rdlab import rd_core
-from rdlab.conslaw import Advection, Burgers, Euler, conserved_from_primitive
+from rdlab.conslaw import Advection, Burgers, CubicTransport, Euler, conserved_from_primitive
 from rdlab.errors import StepFailureError, UnsupportedFeatureError
 from rdlab.rd_core import (
     Discretization,
@@ -472,6 +472,76 @@ def test_rusanov_alpha_decomposes_only_candidate_blocks(monkeypatch):
     alpha = disc.rusanov_alpha(slice(None), u)
     assert np.array_equal(alpha, disc.nloc * full_max_specnorm(a))
     assert sum(decomposed) < 0.1 * a[..., 0, 0].size
+
+
+def advection_disc(name):
+    """Advection on jittered P1 or P2 triangles, or on an interval."""
+    if name == "interval":
+        return Discretization(msh.build_interval_mesh(7), Advection((0.7,)))
+    return Discretization(jittered_tri_mesh(3, int(name[1]), seed=4), Advection((0.8, -0.5)))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "interval"])
+def test_linear_alpha_is_the_bound_on_any_state(name):
+    """A linear law reads alpha from a read-only per-mesh table; it equals the
+    bound evaluated on the state, bit for bit, for two states and for each kind
+    of element selection."""
+    disc = advection_disc(name)
+    ne = disc.mesh.n_elements
+    for u in np.random.default_rng(12).standard_normal((2, disc.dofmap.n_dofs, 1)):
+        for e in (slice(1, None, 2), np.arange(ne)[::-1], [ne - 1, 0, 0], []):
+            got = disc.rusanov_alpha(e, u)
+            ref = disc.nloc * rd_core._max_specnorm(disc._rusanov_matrix(e, u))
+            assert got.shape == ref.shape and np.array_equal(got, ref), e
+    with pytest.raises(ValueError, match="read-only"):
+        disc.rusanov_alpha(slice(None), u)[0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "interval"])
+def test_linear_alpha_is_built_once(name, monkeypatch):
+    """Five limited residual sets evaluate the Rusanov matrix once, for the table."""
+    disc = advection_disc(name)
+    u = np.random.default_rng(13).standard_normal((disc.dofmap.n_dofs, 1))
+    calls = []
+    matrix = Discretization._rusanov_matrix
+
+    def counting(self, e, u):
+        calls.append(e)
+        return matrix(self, e, u)
+
+    monkeypatch.setattr(Discretization, "_rusanov_matrix", counting)
+    for _ in range(5):
+        disc.residual_set(u, Scheme(kind="limited"))
+    assert len(calls) == 1
+
+
+def test_only_linear_advection_is_flagged_linear():
+    assert Advection((1.0, 0.0)).linear and Advection((0.5,)).linear
+    for law in (Burgers(dim=1), Burgers(dim=2), CubicTransport(), Euler(dim=1), Euler(dim=2)):
+        assert not law.linear, law.name
+
+
+def test_nonlinear_alpha_reads_the_state():
+    """Burgers' alpha is linear in u, so doubling the state doubles it exactly;
+    a table that ignored the state would not, unless it were zero."""
+    disc = Discretization(jittered_tri_mesh(3, 2, seed=4), Burgers(dim=2))
+    u = np.random.default_rng(14).uniform(0.5, 2.0, (disc.dofmap.n_dofs, 1))
+    alpha = disc.rusanov_alpha(slice(None), u)
+    assert alpha.min() > 0.0
+    assert np.array_equal(disc.rusanov_alpha(slice(None), 2.0 * u), 2.0 * alpha)
+
+
+@pytest.mark.parametrize("law", ["advection", "burgers", "euler"])
+def test_rusanov_alpha_of_one_integer_element(law):
+    """An integer element drops the element axis, as numpy indexing does."""
+    mesh = jittered_tri_mesh(3, 2, seed=4)
+    disc = Discretization(mesh, {"advection": Advection((0.8, -0.5)), "burgers": Burgers(dim=2),
+                                 "euler": Euler(gamma=1.4, dim=2)}[law])
+    w = np.random.default_rng(15).uniform(0.8, 1.2, (disc.dofmap.n_dofs, disc.m))
+    u = conserved_from_primitive(w) if law == "euler" else w
+    for e in (0, 7, mesh.n_elements - 1):
+        got = disc.rusanov_alpha(e, u)
+        assert np.shape(got) == () and got == disc.rusanov_alpha([e], u)[0], e
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (2, 1), (2, 2)])
