@@ -1,7 +1,10 @@
-"""Command line entry point: run experiments, recover fluxes, audit states.
+"""Command line entry point: run experiments and audit states.
 
-Exit codes: 0 success, 1 runtime failure, 2 bad arguments or config,
-3 audit failure or a time step above the CFL bound under --strict.
+A scalar run writes its conservation, flux-form and maximum-principle audits
+to ``audit.txt``; ``rdlab audit`` prints the conservation, flux-form and
+entropy audits of a state.  Exit codes: 0 success, 1 runtime failure, 2 bad
+arguments or config, 3 audit failure (conservation or flux form for ``audit``,
+any audit under --strict) or a time step above the CFL bound under --strict.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from . import __version__
 from . import diagnostics as diag
 from . import euler1d, fv1d
-from . import flux_recovery as fr
 from . import mesh as msh
 from . import time_dec
 from .config import ConfigError, RunConfig
@@ -193,6 +195,7 @@ def cmd_run(args):
                series)
     reports = [
         diag.conservation_audit(disc, u, final[0]),
+        diag.flux_form_audit(disc, u, final[0]),
         diag.maximum_principle_audit([h[:, 0] for h in history]),
     ]
     with open(os.path.join(run.out, "audit.txt"), "w") as fh:
@@ -249,72 +252,28 @@ def cmd_burgers1d(args):
     return 0
 
 
-def _read_table(path):
-    """The rows of a CSV file with a header line, as a 2-D float array."""
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _read_dump(path, n_nodes):
-    """Element ids and psi (ne, n_nodes, m) of a residual dump with rows
-    ``element,dof,psi0,...``: one row per DOF of every element."""
-    table = _read_table(path)
-    ids = table[:, :2].astype(int)
-    if (len(table) == 0 or table.shape[1] < 3 or np.any(ids != table[:, :2])
-            or np.any(ids < 0) or np.any(ids[:, 1] >= n_nodes)):
-        raise ConfigError(f"{path}: rows must be element,dof,psi0,... with integer "
-                          f"element ids >= 0 and DOF ids in [0, {n_nodes})")
-    elements, e = np.unique(ids[:, 0], return_inverse=True)
-    count = np.zeros((len(elements), n_nodes), dtype=int)
-    np.add.at(count, (e, ids[:, 1]), 1)
-    if np.any(count != 1):
-        k, s = np.argwhere(count != 1)[0]
-        raise ConfigError(f"{path}: element {elements[k]} has {count[k, s]} rows for DOF {s}")
-    psi = np.empty((len(elements), n_nodes, table.shape[1] - 2))
-    psi[e, ids[:, 1]] = table[:, 2:]
-    return elements, psi
-
-
-def cmd_recover(args):
-    graph = msh.reference_graph(2, args.degree)
-    elements, psi = _read_dump(args.dump, graph.n_nodes)
-    system = fr.build_incidence(graph)
-    fluxes = fr.recover_fluxes(system, psi)                # (ne, #edges, m)
-    report = fr.certify(system, fluxes, psi)
-    os.makedirs(args.out, exist_ok=True)
-    ne, nedges, ncomp = fluxes.shape
-    rows = zip(np.repeat(elements, nedges).tolist(), *np.tile(graph.edges, (ne, 1)).T.tolist(),
-               *fluxes.reshape(-1, ncomp).T)
-    hdr = ["element", "tail", "head"] + [f"f{k}" for k in range(ncomp)]
-    _write_csv(os.path.join(args.out, "edge_fluxes.csv"), hdr, rows)
-    with open(os.path.join(args.out, "certification.txt"), "w") as fh:
-        fh.write(f"balance_defect={_fmt(report.balance_defect)}\n")
-        fh.write(f"compat_defect={_fmt(report.compat_defect)}\n")
-        fh.write(f"passed={report.passed}\n")
-    return 0 if report.passed else 1
-
-
 def cmd_audit(args):
     run = _setup(RunConfig.load(args.config))
     if run.sod is not None:
         raise ConfigError("euler is run as the 1D Sod tube, which rdlab audit does not check")
     disc, scheme, law = run.disc, run.scheme, run.disc.law
-    u = _read_table(args.state)
+    try:
+        u = np.loadtxt(args.state, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{args.state}: {err}") from err
     if u.shape[0] != disc.dofmap.n_dofs or u.shape[1] < law.m:
         raise ConfigError(f"{args.state}: needs one row per DOF ({disc.dofmap.n_dofs}) with at "
                           f"least {law.m} value columns; has {len(u)} rows of {u.shape[1]}")
     u = u[:, -law.m:]
     rset = disc.residual_set(u, scheme, run.u_b)
-    reports = [diag.conservation_audit(disc, u, rset)]
+    reports = [diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset)]
     if law.has_entropy:
         reports.append(diag.entropy_inequality_audit(disc, u, rset, run.u_b))
     for r in reports:
         print(f"{r.name}.defect={_fmt(r.defect)}")
         print(f"{r.name}.tolerance={_fmt(r.tolerance)}")
         print(f"{r.name}.passed={r.passed}")
-    return 0 if reports[0].passed else 3    # only conservation fails the audit
+    return 0 if reports[0].passed and reports[1].passed else 3    # entropy is only reported
 
 
 def _bounded(kind, low, strict=False):
@@ -350,12 +309,6 @@ def build_parser():
     pb.add_argument("--periodic", action="store_true")
     pb.add_argument("--out", default="out")
     pb.set_defaults(func=cmd_burgers1d)
-
-    pc = sub.add_parser("recover", help="flux recovery from a residual dump")
-    pc.add_argument("dump")
-    pc.add_argument("--degree", type=int, choices=(1, 2), default=1)
-    pc.add_argument("--out", default="out")
-    pc.set_defaults(func=cmd_recover)
 
     pa = sub.add_parser("audit", help="audit a solution state")
     pa.add_argument("config")

@@ -24,12 +24,12 @@ class InvalidGraphError(RdlabError):
 class ConservationDefectError(RdlabError):
     """Residuals handed to flux recovery do not sum to zero.
 
-    Carries the offending per-component defect vector in ``defect``.
+    Carries the per-component ``defect`` vector and, if known, the ``element``.
     """
 
-    def __init__(self, message, defect):
+    def __init__(self, message, defect, element=None):
         super().__init__(message)
-        self.defect = defect
+        self.defect, self.element = defect, element
 
 
 class InfeasibleCorrectionError(RdlabError):

@@ -74,7 +74,7 @@ def recover_fluxes(system, psi):
     if np.any(bad):
         e = int(np.argmax(np.any(bad, axis=-1)))
         raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
-                                      defect.reshape(-1, defect.shape[-1])[e])
+                                      defect.reshape(-1, defect.shape[-1])[e], e)
     return system.A.T @ (system.Linv @ psi)
 
 

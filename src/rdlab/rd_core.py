@@ -7,9 +7,8 @@ stabilization, and the nonlinear blend limiter.  Every family satisfies the
 conservation contract sum_sigma Phi_sigma = Phi^K by construction.
 
 Every family is one Galerkin evaluation plus its stabilization terms, for
-an index array or slice of elements at once.  One integer element
-(``total_residual``, ``rusanov_alpha``) or face pair (``boundary_residuals``)
-drops that axis, as numpy indexing does.
+an index array or slice of elements at once.  One integer element, or one
+face pair of ``boundary_residuals``, drops that axis, as numpy indexing does.
 """
 
 from __future__ import annotations
@@ -256,11 +255,11 @@ class Discretization:
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
         alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
-        return np.reshape(alpha, (-1, 1, 1)) * (ue - ue.mean(axis=1, keepdims=True))
+        return np.asarray(alpha)[..., None, None] * (ue - ue.mean(axis=-2, keepdims=True))
 
     def _tau(self, e, ubar):
         """Streamline relaxation time from the element wave-speed budget, (k,)."""
-        speed = self.law.max_wave_speed(ubar[:, None, :], self.snormal[e]).sum(axis=1)
+        speed = self.law.max_wave_speed(ubar[..., None, :], self.snormal[e]).sum(axis=-1)
         speed /= 2.0 * self.measure[e]
         hk = speed * self.diameter[e]
         return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
@@ -268,24 +267,24 @@ class Discretization:
     def _supg_term(self, e, u, tau_scale):
         ue = self.element_values(e, u)
         uq, jg = self._flux_jacobians(e, ue)                  # A.grad(phi_s)
-        jd = self.law.jac_n(uq[:, :, None, :], np.eye(self.mesh.dim))  # (k, nq, dim, m, m)
-        du = np.einsum("kqsd,ksm->kqdm", self.vgrad[e], ue)   # grad(u_h)
-        adu = np.einsum("kqdij,kqdj->kqi", jd, du)            # A.grad(u_h)
-        tau = tau_scale * self._tau(e, ue.mean(axis=1))
-        wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[:, None]
-        return np.einsum("kqsij,kqj->ksi", jg, wq[..., None] * adu)
+        jd = self.law.jac_n(uq[..., None, :], np.eye(self.mesh.dim))  # (k, nq, dim, m, m)
+        du = np.einsum("...qsd,...sm->...qdm", self.vgrad[e], ue)   # grad(u_h)
+        adu = np.einsum("...qdij,...qdj->...qi", jd, du)            # A.grad(u_h)
+        tau = tau_scale * self._tau(e, ue.mean(axis=-2))
+        wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[..., None]
+        return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * adu)
 
     def _jump_term(self, e, u, theta_e):
         nbr = self.nbr[e]                                     # (k, 3)
         e2, f2 = nbr // 3, nbr % 3
         # ccw elements run a shared edge in opposite directions, so the
         # neighbour's face point nfq-1-q is this element's face point q
-        jump = (np.einsum("kfqsd,ksm->kfqdm", self.fgrad[e], self.element_values(e, u))
-                - np.einsum("kfqsd,kfsm->kfqdm", self.fgrad[e2, f2],
-                            self.element_values(e2, u))[:, :, ::-1])
+        jump = (np.einsum("...fqsd,...sm->...fqdm", self.fgrad[e], self.element_values(e, u))
+                - np.einsum("...fqsd,...fsm->...fqdm", self.fgrad[e2, f2],
+                            self.element_values(e2, u))[..., ::-1, :, :])
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
         jump *= np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
-        return self.fgrad_w[e] @ jump.reshape(len(jump), self.fgrad_w.shape[-1], self.m)
+        return self.fgrad_w[e] @ jump.reshape(jump.shape[:-4] + (self.fgrad_w.shape[-1], self.m))
 
     def check_kind(self, kind):
         """Refuse a scheme kind that this mesh cannot run."""
@@ -397,9 +396,9 @@ def rusanov_coefficients(disc, e, u, alpha=None):
         raise UnsupportedFeatureError("coefficient extraction is scalar-only")
     mat = disc._rusanov_matrix(e, u)                      # (k, #K, #K, 1, 1)
     alpha = disc.nloc * _max_specnorm(mat) if alpha is None else alpha
-    c = np.reshape(alpha, (-1, 1, 1)) / disc.nloc - mat[..., 0, 0]
+    c = np.asarray(alpha)[..., None, None] / disc.nloc - mat[..., 0, 0]
     diag = np.arange(disc.nloc)
-    c[:, diag, diag] = 0.0
+    c[..., diag, diag] = 0.0
     return c
 
 

@@ -7,11 +7,11 @@ import pytest
 
 import rdlab
 from rdlab import diagnostics as diag
+from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import time_dec
 from rdlab.cli import main
 from rdlab.conslaw import Advection, Burgers
-from rdlab.flux_recovery import boundary_dof_flux
 from rdlab.rd_core import Discretization, Scheme
 
 RUN_INI = """
@@ -426,56 +426,93 @@ def test_burgers1d_rejects_a_step_that_underflows(tmp_path, capsys):
     assert not out.exists()
 
 
-def _write_dump(path, disc, u, scheme):
-    with open(path, "w") as fh:
-        fh.write("element,dof,psi0\n")
-        for e in range(disc.mesh.n_elements):
-            phi = disc.element_residuals([e], u, scheme)[0]
-            psi = phi - boundary_dof_flux(disc, e, u)
-            for s in range(disc.nloc):
-                fh.write(f"{e},{s},{float(psi[s, 0]):.17g}\n")
+# the README config on a 4x4 grid, P2 triangles, Burgers at P2 with the
+# gradient-jump kind, and the interval with and without periodic wrap
+FLUX_FORM_RUNS = {
+    "readme": RUN_INI.replace("rusanov", "limited").replace("euler", "cn"),
+    "p2": with_key(RUN_INI.replace("rusanov", "limited_supg"), "mesh", "degree = 2"),
+    "p2_burgers_jump": with_key(RUN_INI.replace("advection(1, 0.5)", "burgers")
+                                .replace("rusanov", "jump"), "mesh", "degree = 2"),
+    "interval": INTERVAL_INI,
+    "periodic_interval": with_key(INTERVAL_INI, "mesh", "periodic = true"),
+}
 
 
-def test_recover_command(tmp_path):
-    mesh = msh.build_structured_tri_mesh(2, 2)
-    disc = Discretization(mesh, Burgers(dim=2))
-    rng = np.random.default_rng(0)
-    u = rng.uniform(0.2, 1.0, size=(disc.dofmap.n_dofs, 1))
-    dump = tmp_path / "dump.csv"
-    _write_dump(dump, disc, u, Scheme(kind="rusanov"))
-    out = tmp_path / "rec"
-    assert main(["recover", str(dump), "--degree", "1", "--out", str(out)]) == 0
-    cert = (out / "certification.txt").read_text()
-    assert "passed=True" in cert
-    fluxes = np.loadtxt(out / "edge_fluxes.csv", delimiter=",", skiprows=1)
-    assert fluxes.shape == (mesh.n_elements * 3, 4)
+@pytest.mark.parametrize("path", sorted(FLUX_FORM_RUNS))
+def test_run_certifies_its_flux_form(tmp_path, path):
+    """Every path ``rdlab run`` takes writes a passing flux-form line, from
+    the final state's residual set, between the conservation and
+    maximum-principle lines."""
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, FLUX_FORM_RUNS[path]), "--out", str(out)]) == 0
+    audit = (out / "audit.txt").read_text().splitlines()
+    assert [line.split(":")[0].split()[1] for line in audit] == \
+        ["conservation", "flux_form", "maximum_principle"]
+    assert audit[1].startswith("PASS flux_form: defect=")
 
 
-def test_recover_incompatible_dump_exits_1(tmp_path):
-    dump = tmp_path / "bad.csv"
-    dump.write_text("element,dof,psi0\n0,0,1.0\n0,1,1.0\n0,2,1.0\n")
-    assert main(["recover", str(dump), "--out", str(tmp_path / "r")]) == 1
+def test_flux_form_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """``certify`` reads ``BALANCE_TOL`` when called; at 0 no round-off
+    passes, so ``run --strict`` and ``audit`` both fail on the flux form."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    monkeypatch.setattr(fr, "BALANCE_TOL", 0.0)
+    assert main(["run", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 3
+    assert "FAIL flux_form" in (tmp_path / "strict" / "audit.txt").read_text()
+    capsys.readouterr()
+    assert main(["audit", cfg, str(out / "solution.csv")]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert "conservation.passed=True" in printed
+    assert "flux_form.passed=False" in printed
+    assert "flux_form.tolerance=0" in printed
 
 
-def test_recover_nan_dump_exits_1(tmp_path):
-    dump = tmp_path / "nan.csv"
-    dump.write_text("element,dof,psi0\n0,0,0.5\n0,1,nan\n0,2,-0.3\n")
-    out = tmp_path / "r"
-    assert main(["recover", str(dump), "--out", str(out)]) == 1
-    assert "passed=False" in (out / "certification.txt").read_text()
+def test_flux_form_verdict_is_the_certificates(tmp_path, capsys):
+    """On a Burgers state near 1e5 the balance defect is far above
+    ``BALANCE_TOL``, yet within the per-element tolerance that ``certify``
+    scales by 1 + max|psi|: the audit passes exactly when ``certify`` does."""
+    cfg = write_config(tmp_path, RUN_INI.replace("advection(1, 0.5)", "burgers"))
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Burgers(dim=2))
+    u = 1e5 * np.random.default_rng(7).uniform(0.5, 1.0, (disc.dofmap.n_dofs, 1))
+    state = tmp_path / "state.csv"
+    state.write_text("dof,u0\n" + "".join(f"{k},{v:.17g}\n" for k, v in enumerate(u[:, 0])))
+    assert main(["audit", cfg, str(state)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    psi = disc.residual_set(u, Scheme(kind="rusanov"), 0.0).phi - \
+        fr.boundary_dof_flux(disc, slice(None), u)
+    system = fr.build_incidence(msh.element_graph(disc.mesh))
+    cert = fr.certify(system, fr.recover_fluxes(system, psi), psi)
+    assert cert.passed and cert.balance_defect > fr.BALANCE_TOL
+    assert f"flux_form.defect={cert.balance_defect:.17g}" in printed
+    assert f"flux_form.passed={cert.passed}" in printed
 
 
-@pytest.mark.parametrize("rows, problem", [
-    ("0,0,1.0\n0,1,-1.0\n", "element 0 has 0 rows for DOF 2"),
-    ("0,0,1.0\n0,1,-0.5\n0,2,-0.5\n0,3,5.0\n", "DOF ids in [0, 3)"),
-    ("0,0,1.0\n0,1,-0.5\n0,2,-0.5\n0,2,-0.5\n", "element 0 has 2 rows for DOF 2"),
-    ("0,0,1.0\n0,1,-0.5\n0,2,half\n", "'half'"),
-], ids=["missing_row", "dof_out_of_range", "duplicate_row", "non_numeric"])
-def test_recover_malformed_dump_exits_2(tmp_path, capsys, rows, problem):
-    dump = tmp_path / "bad.csv"
-    dump.write_text("element,dof,psi0\n" + rows)
-    assert main(["recover", str(dump), "--out", str(tmp_path / "r")]) == 2
-    assert problem in capsys.readouterr().err
+def test_non_conservative_split_fails_the_flux_form(tmp_path, capsys, monkeypatch):
+    """A split that does not sum to its element's boundary flux has no flux
+    form: ``run`` still writes its audit, FAILing conservation and flux_form at
+    that element, and ``run --strict`` and ``audit`` exit 3."""
+    exact = Discretization.element_residuals
+
+    def shifted(self, e, u, scheme):
+        phi = exact(self, e, u, scheme).copy()
+        phi[2, 0] += 1e-3
+        return phi
+
+    monkeypatch.setattr(Discretization, "element_residuals", shifted)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    audit = (out / "audit.txt").read_text().splitlines()
+    assert audit[0].startswith("FAIL conservation:") and audit[0].endswith("('element', 2)")
+    assert audit[1].startswith("FAIL flux_form: defect=inf")
+    assert audit[1].endswith("at=('element', 2)")
+    assert main(["run", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 3
+    capsys.readouterr()
+    assert main(["audit", cfg, str(out / "solution.csv")]) == 3
+    printed = capsys.readouterr().out.splitlines()
+    assert "flux_form.defect=inf" in printed
+    assert "flux_form.passed=False" in printed
 
 
 def test_audit_command(tmp_path, capsys):
@@ -486,6 +523,8 @@ def test_audit_command(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert "conservation.passed=True" in captured
+    for field in ("defect", "tolerance", "passed"):
+        assert f"\nflux_form.{field}=" in captured
 
 
 @pytest.mark.parametrize("scheme", ["kind = rusanov\nalpha = 0", "kind = supg\ntau_scale = 3",
@@ -504,7 +543,7 @@ def test_audit_uses_the_configured_scheme(tmp_path, capsys, scheme):
     full = Scheme(kind=kwargs.pop("kind"), **{k: float(v) for k, v in kwargs.items()})
     # the run's boundary state, 0 on every boundary face
     rset = disc.residual_set(u, full, 0.0)
-    for r in (diag.conservation_audit(disc, u, rset),
+    for r in (diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset),
               diag.entropy_inequality_audit(disc, u, rset, 0.0)):
         assert f"{r.name}.defect={r.defect:.17g}" in printed
 
@@ -559,19 +598,6 @@ def test_audit_gradient_jump_on_intervals_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, with_key(INTERVAL_INI, "scheme", "kind = jump"))
     assert main(["audit", cfg, str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: kind 'jump': gradient-jump")
-
-
-def test_recover_certifies_large_residuals(tmp_path):
-    """A dump that recovery accepts is certified however large its values."""
-    rng = np.random.default_rng(14)
-    psi = 1e5 * rng.normal(size=(100, 6))
-    psi -= psi.mean(axis=1, keepdims=True)
-    dump = tmp_path / "dump.csv"
-    dump.write_text("element,dof,psi0\n" + "".join(
-        f"{e},{s},{psi[e, s]:.17g}\n" for e in range(100) for s in range(6)))
-    out = tmp_path / "rec"
-    assert main(["recover", str(dump), "--degree", "2", "--out", str(out)]) == 0
-    assert "passed=True" in (out / "certification.txt").read_text()
 
 
 def test_console_script_version():

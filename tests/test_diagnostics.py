@@ -32,6 +32,18 @@ def test_conservation_audit_detects_tampering():
     assert "FAIL" in report.line()
 
 
+def test_flux_form_audit_fails_a_nan_residual():
+    mesh = msh.build_structured_tri_mesh(2, 2)
+    disc = Discretization(mesh, Burgers(dim=2))
+    u = np.full((disc.dofmap.n_dofs, 1), 0.7)
+    rset = disc.residual_set(u, Scheme(kind="rusanov"))
+    assert diag.flux_form_audit(disc, u, rset).passed
+    rset.phi[3, 1, 0] = np.nan
+    report = diag.flux_form_audit(disc, u, rset)
+    assert not report.passed
+    assert report.line().startswith("FAIL flux_form: defect=nan")
+
+
 def test_conservation_audit_checks_the_boundary_integral_total(monkeypatch):
     """A split shifted off its element's total FAILs even when it is
     self-consistent, i.e. re-summing it gives the totals stored with it."""

@@ -544,6 +544,33 @@ def test_rusanov_alpha_of_one_integer_element(law):
         assert np.shape(got) == () and got == disc.rusanov_alpha([e], u)[0], e
 
 
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in ALL_KINDS
+                                         for name in ("p1", "p2", "interval")
+                                         if not (kind.endswith("jump") and name == "interval")])
+def test_element_residuals_of_one_integer_element(kind, name):
+    """An integer element drops the element axis for every kind, with the
+    bits of the one-element batch, for a scalar law and a system."""
+    scalar = advection_disc(name)
+    euler = Discretization(scalar.mesh, Euler(gamma=1.4, dim=scalar.mesh.dim))
+    rng = np.random.default_rng(16)
+    for disc in (scalar, euler):
+        w = rng.uniform(0.8, 1.2, (disc.dofmap.n_dofs, disc.m))
+        u = conserved_from_primitive(w) if disc is euler else w
+        for e in range(disc.mesh.n_elements):
+            got = disc.element_residuals(e, u, Scheme(kind=kind))
+            assert np.array_equal(got, disc.element_residuals([e], u, Scheme(kind=kind))[0]), e
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "interval"])
+def test_rusanov_coefficients_of_one_integer_element(name):
+    disc = advection_disc(name)
+    u = np.random.default_rng(17).uniform(0.8, 1.2, (disc.dofmap.n_dofs, 1))
+    for alpha in (None, 0.9):
+        for e in range(disc.mesh.n_elements):
+            got = rusanov_coefficients(disc, e, u, alpha)
+            assert np.array_equal(got, rusanov_coefficients(disc, [e], u, alpha)[0]), e
+
+
 @pytest.mark.parametrize("dim,degree", [(1, 1), (2, 1), (2, 2)])
 def test_discretization_tables_are_c_contiguous(dim, degree):
     """Per-element tables keep the element axis outermost in memory."""
