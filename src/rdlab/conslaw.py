@@ -20,7 +20,8 @@ ADMISSIBLE_TOL = 1e-12
 
 class ConservationLaw:
     """Base descriptor; subclasses set ``m`` (components) and ``dim``.
-    ``linear`` laws have a ``jac_n`` that reads the normal, not the state."""
+    A ``linear`` law's flux is linear in u and its ``jac_n`` reads the normal,
+    not the state; the per-mesh tables ``rd_core`` builds for it rely on both."""
 
     m = 1
     dim = 1

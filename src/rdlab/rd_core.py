@@ -183,6 +183,20 @@ class Discretization:
         alpha.flags.writeable = False
         return alpha
 
+    @functools.cached_property
+    def linear_galerkin(self):
+        """``galerkin_residuals`` of a scalar linear law as a matrix, read-only, (ne, #K, #K)."""
+        table = self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def linear_inflow_w(self):
+        """``bphi_w`` times min(a.n, 0) of a scalar linear law, read-only, (ne, nf, nfd, nbq)."""
+        table = self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
+        table.flags.writeable = False
+        return table
+
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
         dim + 1) on the elements ``e``, whose index shape broadcasts against
@@ -221,7 +235,9 @@ class Discretization:
         return np.einsum("...fq,...fqm->...m", self.fw[e], fn)
 
     def galerkin_residuals(self, e, u):
-        """Phi_sigma = contour term of phi_sigma minus volume term, one flux call."""
+        """Phi_sigma = contour minus volume term: one flux call, or ``linear_galerkin``."""
+        if self.law.linear:
+            return self.linear_galerkin[e] @ self.element_values(e, u)
         fq = self.law.flux(self.ptrace @ self.element_values(e, u))  # (k, nf*nfq + nq, dim, m)
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
@@ -245,8 +261,7 @@ class Discretization:
         decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
         ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
         block that sets the maximum always gets its own SVD, and alpha is the
-        float that decomposing every block gives.  A linear law's Jacobian does
-        not read the state, so its bound is read from the per-mesh ``linear_alpha``.
+        float that decomposing every block gives.  A linear law reads ``linear_alpha``.
         """
         if self.law.linear:
             return self.linear_alpha[e]
@@ -340,12 +355,14 @@ class Discretization:
         Returns local DOF ids on the faces (nb, nfd) and per-DOF residuals
         (nb, nfd, m); one pair drops the face axis as numpy indexing does.
         ``u_b`` is a constant state (m,) or a callable taking positions
-        (..., dim) to states (..., m), called once for all face points.
-        """
+        (..., dim) to states (..., m), called once for all face points.  A
+        linear law applies the per-mesh ``linear_inflow_w`` to u_b - u_h."""
         e, lf = face
         uq = np.einsum("...qs,...sm->...qm", self.bphi[lf], self.element_values(e, u))
         ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
         ub = np.broadcast_to(ub, uq.shape)
+        if self.law.linear:
+            return self.face_dofs[lf], self.linear_inflow_w[e, lf] @ (ub - uq)
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         fh = np.einsum("...qdm,...qd->...qm", self.law.flux(uq), n)
         return self.face_dofs[lf], self.bphi_w[e, lf] @ (self.upwind_flux(uq, ub, n, fh) - fh)

@@ -63,8 +63,8 @@ def mass_apply(disc, w):
 
 
 def stable_dt(disc, u, cfl):
-    """CFL time step from the smallest element and largest wave speed along
-    the coordinate axes; ``u`` is (ndof, m).  A NaN state gives a NaN step."""
+    """CFL time step from the smallest element and largest axis wave speed;
+    ``u`` is (ndof, m).  A NaN state gives a NaN step unless the law is ``linear``."""
     u = np.asarray(u, dtype=float)
     speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
     speed *= np.sqrt(disc.mesh.dim)

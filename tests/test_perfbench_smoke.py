@@ -68,20 +68,20 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
     if name == "readme_run":
         # 22 CN steps of two assemblies each, plus the residual at t = 0; the
         # conservation and flux-form audits read the final state's residual
-        # set, not a new one.  Each assembly evaluates the flux once for the
-        # Galerkin split and twice at the boundary points (f(u_h) and f(u_b));
-        # the conservation audit's total_residual and the flux-form audit's
-        # boundary_dof_flux make one more call each.  Every assembly limits
-        # its split once and reads the Rusanov bound once; advection is
-        # linear, so jac_n builds the per-mesh bound table once, then runs
-        # once in each assembly's boundary upwind sign and once in each of the
-        # 23 stable_dt calls (1 + 45 + 23)
+        # set, not a new one.  Every assembly limits its split once and reads
+        # the Rusanov bound once.  Advection is linear, so its Galerkin split,
+        # Rusanov bound and boundary inflow weights are per-mesh tables: the
+        # flux runs once to build the Galerkin table, then once each in the
+        # conservation audit's total_residual and the flux-form audit's
+        # boundary_dof_flux (1 + 1 + 1); jac_n runs once to build each of the
+        # bound and inflow tables, then once in each of the 23 stable_dt
+        # calls (1 + 1 + 23)
         pins = (("time_dec.dec_step", 22), ("time_dec.mass_apply", 22),
                 ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
                 ("rd_core.blend_limiter", 45), ("time_dec.lumped_mass", 1),
                 ("diagnostics.conservation_audit", 1), ("rd_core.total_residual", 1),
-                ("conslaw.flux", 137), ("rd_core.rusanov_alpha", 45),
-                ("conslaw.jac_n", 69), ("flux_recovery.boundary_dof_flux", 1),
+                ("conslaw.flux", 3), ("rd_core.rusanov_alpha", 45),
+                ("conslaw.jac_n", 25), ("flux_recovery.boundary_dof_flux", 1),
                 ("flux_recovery.recover_fluxes", 1), ("flux_recovery.certify", 1))
     else:
         # one residual set per family, three of them limited, then for each of

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from rdlab.rd_core import (
     rusanov_coefficients,
 )
 from _oracles import oracle_blend_limiter
-from test_batched_equivalence import jittered_tri_mesh, read_back
+from test_batched_equivalence import assert_close, jittered_tri_mesh, read_back
 from test_mesh import ref_triangle
 
 ALL_KINDS = Scheme.KINDS
@@ -499,20 +501,69 @@ def test_linear_alpha_is_the_bound_on_any_state(name):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
 def test_linear_alpha_is_built_once(name, monkeypatch):
-    """Five limited residual sets evaluate the Rusanov matrix once, for the table."""
+    """Five limited residual sets with boundary data evaluate the Rusanov
+    matrix once and the law's flux once and ``jac_n`` twice: each builds one
+    per-mesh table (flux: the Galerkin split; jac_n: the bound and the inflow weights)."""
     disc = advection_disc(name)
     u = np.random.default_rng(13).standard_normal((disc.dofmap.n_dofs, 1))
-    calls = []
-    matrix = Discretization._rusanov_matrix
+    calls = {"_rusanov_matrix": 0, "flux": 0, "jac_n": 0}
 
-    def counting(self, e, u):
-        calls.append(e)
-        return matrix(self, e, u)
+    def count(owner, attr):
+        method = getattr(owner, attr)
 
-    monkeypatch.setattr(Discretization, "_rusanov_matrix", counting)
+        def counting(*args):
+            calls[attr] += 1
+            return method(*args)
+        monkeypatch.setattr(owner, attr, counting)
+
+    count(Discretization, "_rusanov_matrix")
+    count(disc.law, "flux")
+    count(disc.law, "jac_n")
     for _ in range(5):
-        disc.residual_set(u, Scheme(kind="limited"))
-    assert len(calls) == 1
+        disc.residual_set(u, Scheme(kind="limited"), u_b=0.0)
+    assert calls == {"_rusanov_matrix": 1, "flux": 1, "jac_n": 2}
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "interval"])
+def test_linear_tables_match_the_flux_path(name):
+    """A linear law's Galerkin and inflow tables give the residuals that the
+    flux path computes for a copy of the law flagged nonlinear, within 1e-14
+    relative, for every kind, element selection and boundary state.  Both
+    tables are read-only, and nonlinear laws never build the linear tables."""
+    disc = advection_disc(name)
+    law = copy.copy(disc.law)
+    law.linear = False
+    flux_path = Discretization(disc.mesh, law)
+    ne = disc.mesh.n_elements
+    u = np.random.default_rng(18).standard_normal((disc.dofmap.n_dofs, 1))
+    kinds = [k for k in ALL_KINDS if not (k.endswith("jump") and name == "interval")]
+
+    def check(got, want):
+        assert got.shape == want.shape
+        if want.size:
+            assert_close(got, want)
+
+    for kind in kinds:
+        for e in (slice(None), np.arange(ne)[::-1], [ne - 1, 0, 0], [], 2):
+            check(disc.element_residuals(e, u, Scheme(kind)),
+                  flux_path.element_residuals(e, u, Scheme(kind)))
+    for u_b in (0.4, lambda x: np.sin(3.0 * x[..., :1]) + x[..., -1:]):
+        for face in [disc.mesh.faces.boundary] + list(zip(*disc.mesh.faces.boundary)):
+            dofs, psi = disc.boundary_residuals(face, u, u_b)
+            want_dofs, want = flux_path.boundary_residuals(face, u, u_b)
+            assert np.array_equal(dofs, want_dofs)
+            check(psi, want)
+    for table in (disc.linear_galerkin, disc.linear_inflow_w):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    dim = disc.mesh.dim
+    for law in (Burgers(dim=dim), Euler(gamma=1.4, dim=dim)):
+        nonlinear = Discretization(disc.mesh, law)
+        w = np.random.default_rng(19).uniform(0.8, 1.2, (nonlinear.dofmap.n_dofs, law.m))
+        v = conserved_from_primitive(w) if law.m > 1 else w
+        for kind in kinds:
+            nonlinear.residual_set(v, Scheme(kind), u_b=v[0])
+        assert not {"linear_alpha", "linear_galerkin", "linear_inflow_w"} & set(vars(nonlinear))
 
 
 def test_only_linear_advection_is_flagged_linear():
