@@ -1,10 +1,13 @@
-"""Command line entry point: run experiments and audit states.
+"""Command line entry point: run experiments.
 
-A scalar run writes its conservation, flux-form and maximum-principle audits
-to ``audit.txt``; ``rdlab audit`` prints the conservation, flux-form and
-entropy audits of a state.  Exit codes: 0 success, 1 runtime failure, 2 bad
-arguments or config, 3 audit failure (conservation or flux form for ``audit``,
-any audit under --strict) or a time step above the CFL bound under --strict.
+Every ``rdlab run`` writes its audits as ``AuditReport`` lines to
+``audit.txt``: a scalar run conservation, flux_form and maximum_principle,
+which gate --strict, then entropy_inequality where the law has an entropy
+pair, which is reported only; the Sod tube momentum_balance and
+energy_balance, which gate --strict with corrections on and are reported
+with them off.  Exit codes: 0 success, 1 runtime failure, 2 bad arguments
+or config, 3 (``run --strict`` only) a gating audit that fails or a time
+step above the CFL bound.
 """
 
 from __future__ import annotations
@@ -33,15 +36,11 @@ from .time_dec import MAX_STEPS
 FMT = "%.17g"
 
 
-def _fmt(x):
-    return FMT % float(x)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c)
+            fh.write(",".join(str(c) if isinstance(c, (int, str)) else FMT % float(c)
                               for c in row) + "\n")
 
 
@@ -149,11 +148,18 @@ def _sod_setup(cfg, gamma):
     return SimpleNamespace(sod=sod, out=out)
 
 
-def _write_manifest(cfg, outdir):
+def _write_audits(cfg, outdir, strict, gating, reported):
+    """Write the audit lines, gating then reported, to ``audit.txt``, and the
+    manifest; the one --strict audit rule: exit 3 if a gating report fails."""
+    with open(os.path.join(outdir, "audit.txt"), "w") as fh:
+        fh.writelines(r.line() + "\n" for r in [*gating, *reported])
     lines = [f"rdlab.version={__version__}", f"numpy.version={np.__version__}"]
-    lines += cfg.manifest_lines()
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + cfg.manifest_lines()) + "\n")
+    if strict and not all(r.passed for r in gating):
+        print("audit failed", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_run(args):
@@ -169,11 +175,11 @@ def cmd_run(args):
     what = f"[time] t_end {run.t_end} with [time] {key}"
     _check_steps(run.t_end, step, what)
     series, final = [], []
-    history = [run.u0[:, None]]
+    extrema = [np.array([run.u0.min(), run.u0.max()])]
 
     def log(t, u, mass_total, rnorm):
         series.append((t, mass_total[0], rnorm))
-        history.append(u.copy())
+        extrema.append(np.array([u.min(), u.max()]))
 
     with warnings.catch_warnings():
         if args.strict:
@@ -193,19 +199,12 @@ def cmd_run(args):
     _write_csv(os.path.join(run.out, "solution.csv"), hdr, rows)
     _write_csv(os.path.join(run.out, "series.csv"), ["t", "mass", "res_inf"],
                series)
-    reports = [
-        diag.conservation_audit(disc, u, final[0]),
-        diag.flux_form_audit(disc, u, final[0]),
-        diag.maximum_principle_audit([h[:, 0] for h in history]),
-    ]
-    with open(os.path.join(run.out, "audit.txt"), "w") as fh:
-        for r in reports:
-            fh.write(r.line() + "\n")
-    _write_manifest(cfg, run.out)
-    if args.strict and not all(r.passed for r in reports):
-        print("audit failed", file=sys.stderr)
-        return 3
-    return 0
+    rset = final[0]
+    gating = [diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset),
+              diag.maximum_principle_audit(extrema)]
+    reported = [diag.entropy_inequality_audit(disc, u, rset, run.u_b)] \
+        if disc.law.has_entropy else []
+    return _write_audits(cfg, run.out, args.strict, gating, reported)
 
 
 def _run_sod(cfg, run, args):
@@ -219,14 +218,12 @@ def _run_sod(cfg, run, args):
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
     _write_csv(os.path.join(run.out, "solution.csv"),
                ["node", "x", "rho", "u", "p"], rows)
-    with open(os.path.join(run.out, "defects.txt"), "w") as fh:
-        fh.write(f"momentum_defect={_fmt(res.defect_m)}\n")
-        fh.write(f"energy_defect={_fmt(res.defect_e)}\n")
-        fh.write(f"corrections={'on' if run.sod['correct'] else 'off'}\n")
-    _write_manifest(cfg, run.out)
-    if args.strict and run.sod["correct"] and max(res.defect_m, res.defect_e) > 1e-10:
-        return 3
-    return 0
+    correct = run.sod["correct"]
+    reports = [diag.AuditReport(f"{name}_balance", defect, diag.SOD_BALANCE_TOL,
+                                None if correct else ("corrections", "off"))
+               for name, defect in (("momentum", res.defect_m), ("energy", res.defect_e))]
+    gating, reported = (reports, []) if correct else ([], reports)
+    return _write_audits(cfg, run.out, args.strict, gating, reported)
 
 
 def cmd_burgers1d(args):
@@ -250,30 +247,6 @@ def cmd_burgers1d(args):
     _write_csv(os.path.join(args.out, "series.csv"),
                ["step", "t", "tv", "mass"], series)
     return 0
-
-
-def cmd_audit(args):
-    run = _setup(RunConfig.load(args.config))
-    if run.sod is not None:
-        raise ConfigError("euler is run as the 1D Sod tube, which rdlab audit does not check")
-    disc, scheme, law = run.disc, run.scheme, run.disc.law
-    try:
-        u = np.loadtxt(args.state, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"{args.state}: {err}") from err
-    if u.shape[0] != disc.dofmap.n_dofs or u.shape[1] < law.m:
-        raise ConfigError(f"{args.state}: needs one row per DOF ({disc.dofmap.n_dofs}) with at "
-                          f"least {law.m} value columns; has {len(u)} rows of {u.shape[1]}")
-    u = u[:, -law.m:]
-    rset = disc.residual_set(u, scheme, run.u_b)
-    reports = [diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset)]
-    if law.has_entropy:
-        reports.append(diag.entropy_inequality_audit(disc, u, rset, run.u_b))
-    for r in reports:
-        print(f"{r.name}.defect={_fmt(r.defect)}")
-        print(f"{r.name}.tolerance={_fmt(r.tolerance)}")
-        print(f"{r.name}.passed={r.passed}")
-    return 0 if reports[0].passed and reports[1].passed else 3    # entropy is only reported
 
 
 def _bounded(kind, low, strict=False):
@@ -309,11 +282,6 @@ def build_parser():
     pb.add_argument("--periodic", action="store_true")
     pb.add_argument("--out", default="out")
     pb.set_defaults(func=cmd_burgers1d)
-
-    pa = sub.add_parser("audit", help="audit a solution state")
-    pa.add_argument("config")
-    pa.add_argument("state")
-    pa.set_defaults(func=cmd_audit)
     return p
 
 

@@ -14,6 +14,7 @@ from .errors import ConservationDefectError
 CONSERVATION_TOL = 1e-12
 MAXIMUM_PRINCIPLE_TOL = 1e-10
 ENTROPY_TOL = 1e-12
+SOD_BALANCE_TOL = 1e-10     # the Sod tube's worst momentum and energy balance defects
 
 
 @dataclass

@@ -9,9 +9,10 @@ import rdlab
 from rdlab import diagnostics as diag
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
-from rdlab import time_dec
+from rdlab import cli, time_dec
 from rdlab.cli import main
-from rdlab.conslaw import Advection, Burgers
+from rdlab.config import RunConfig
+from rdlab.conslaw import Advection
 from rdlab.rd_core import Discretization, Scheme
 
 RUN_INI = """
@@ -106,9 +107,10 @@ t_end = 0.02
     cfg = write_config(tmp_path, ini)
     out = tmp_path / "sod"
     assert main(["run", cfg, "--out", str(out), "--strict"]) == 0
-    text = (out / "defects.txt").read_text()
-    assert "momentum_defect=" in text
-    assert "corrections=on" in text
+    audit = (out / "audit.txt").read_text()
+    assert "PASS momentum_balance" in audit
+    assert "PASS energy_balance" in audit
+    assert not (out / "defects.txt").exists()
     data = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
     assert data.shape == (101, 5)
 
@@ -442,56 +444,45 @@ FLUX_FORM_RUNS = {
 def test_run_certifies_its_flux_form(tmp_path, path):
     """Every path ``rdlab run`` takes writes a passing flux-form line, from
     the final state's residual set, between the conservation and
-    maximum-principle lines."""
+    maximum-principle lines; the entropy line of these laws comes last."""
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, FLUX_FORM_RUNS[path]), "--out", str(out)]) == 0
     audit = (out / "audit.txt").read_text().splitlines()
     assert [line.split(":")[0].split()[1] for line in audit] == \
-        ["conservation", "flux_form", "maximum_principle"]
+        ["conservation", "flux_form", "maximum_principle", "entropy_inequality"]
     assert audit[1].startswith("PASS flux_form: defect=")
 
 
-def test_flux_form_failure_exits_3(tmp_path, capsys, monkeypatch):
-    """``certify`` reads ``BALANCE_TOL`` when called; at 0 no round-off
-    passes, so ``run --strict`` and ``audit`` both fail on the flux form."""
-    cfg = write_config(tmp_path)
+def test_maximum_principle_line_is_the_audit_of_every_state(tmp_path):
+    """The run keeps each state's minimum and maximum, not the state: its
+    maximum-principle line is the audit of the march's full state history,
+    on a CN run that leaves its initial range mid-march."""
+    cfg = write_config(tmp_path, FLUX_FORM_RUNS["readme"])
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
+    run = cli._setup(RunConfig.load(cfg))
+    history = [run.u0]
+    time_dec.dec_run(run.disc, run.u0, run.t_end, run.scheme, run.time, u_b=run.u_b,
+                     log=lambda t, u, *_: history.append(u[:, 0].copy()))
+    expected = diag.maximum_principle_audit(history)
+    assert not expected.passed and expected.worst_location[1] not in (0, len(history) - 1)
+    assert (out / "audit.txt").read_text().splitlines()[2] == expected.line()
+
+
+def test_flux_form_failure_exits_3(tmp_path, monkeypatch):
+    """``certify`` reads ``BALANCE_TOL`` when called; at 0 no round-off
+    passes, so ``run --strict`` fails on the flux form."""
+    cfg = write_config(tmp_path)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     monkeypatch.setattr(fr, "BALANCE_TOL", 0.0)
     assert main(["run", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 3
     assert "FAIL flux_form" in (tmp_path / "strict" / "audit.txt").read_text()
-    capsys.readouterr()
-    assert main(["audit", cfg, str(out / "solution.csv")]) == 3
-    printed = capsys.readouterr().out.splitlines()
-    assert "conservation.passed=True" in printed
-    assert "flux_form.passed=False" in printed
-    assert "flux_form.tolerance=0" in printed
 
 
-def test_flux_form_verdict_is_the_certificates(tmp_path, capsys):
-    """On a Burgers state near 1e5 the balance defect is far above
-    ``BALANCE_TOL``, yet within the per-element tolerance that ``certify``
-    scales by 1 + max|psi|: the audit passes exactly when ``certify`` does."""
-    cfg = write_config(tmp_path, RUN_INI.replace("advection(1, 0.5)", "burgers"))
-    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Burgers(dim=2))
-    u = 1e5 * np.random.default_rng(7).uniform(0.5, 1.0, (disc.dofmap.n_dofs, 1))
-    state = tmp_path / "state.csv"
-    state.write_text("dof,u0\n" + "".join(f"{k},{v:.17g}\n" for k, v in enumerate(u[:, 0])))
-    assert main(["audit", cfg, str(state)]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    psi = disc.residual_set(u, Scheme(kind="rusanov"), 0.0).phi - \
-        fr.boundary_dof_flux(disc, slice(None), u)
-    system = fr.build_incidence(msh.element_graph(disc.mesh))
-    cert = fr.certify(system, fr.recover_fluxes(system, psi), psi)
-    assert cert.passed and cert.balance_defect > fr.BALANCE_TOL
-    assert f"flux_form.defect={cert.balance_defect:.17g}" in printed
-    assert f"flux_form.passed={cert.passed}" in printed
-
-
-def test_non_conservative_split_fails_the_flux_form(tmp_path, capsys, monkeypatch):
+def test_non_conservative_split_fails_the_flux_form(tmp_path, monkeypatch):
     """A split that does not sum to its element's boundary flux has no flux
     form: ``run`` still writes its audit, FAILing conservation and flux_form at
-    that element, and ``run --strict`` and ``audit`` exit 3."""
+    that element, and ``run --strict`` exits 3."""
     exact = Discretization.element_residuals
 
     def shifted(self, e, u, scheme):
@@ -508,96 +499,101 @@ def test_non_conservative_split_fails_the_flux_form(tmp_path, capsys, monkeypatc
     assert audit[1].startswith("FAIL flux_form: defect=inf")
     assert audit[1].endswith("at=('element', 2)")
     assert main(["run", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 3
-    capsys.readouterr()
-    assert main(["audit", cfg, str(out / "solution.csv")]) == 3
-    printed = capsys.readouterr().out.splitlines()
-    assert "flux_form.defect=inf" in printed
-    assert "flux_form.passed=False" in printed
-
-
-def test_audit_command(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 0
-    rc = main(["audit", cfg, str(out / "solution.csv")])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "conservation.passed=True" in captured
-    for field in ("defect", "tolerance", "passed"):
-        assert f"\nflux_form.{field}=" in captured
 
 
 @pytest.mark.parametrize("scheme", ["kind = rusanov\nalpha = 0", "kind = supg\ntau_scale = 3",
                                     "kind = jump\ntheta_e = 0.5"],
                          ids=["alpha", "tau_scale", "theta_e"])
-def test_audit_uses_the_configured_scheme(tmp_path, capsys, scheme):
+def test_audit_uses_the_configured_scheme(tmp_path, scheme):
+    """The audit lines that read the final residual set are the library
+    audits of the run's ``solution.csv`` under the fully configured scheme
+    and the run's boundary state, 0 on every boundary face; the family's
+    default parameters give other lines."""
     cfg = write_config(tmp_path, RUN_INI.replace("kind = rusanov", scheme))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["audit", cfg, str(out / "solution.csv")]) == 0
-    printed = capsys.readouterr().out.splitlines()
+    audit = (out / "audit.txt").read_text().splitlines()
     disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection((1.0, 0.5)))
     u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)[:, -1:]
     kwargs = dict(line.split(" = ") for line in scheme.splitlines())
-    full = Scheme(kind=kwargs.pop("kind"), **{k: float(v) for k, v in kwargs.items()})
-    # the run's boundary state, 0 on every boundary face
-    rset = disc.residual_set(u, full, 0.0)
-    for r in (diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset),
-              diag.entropy_inequality_audit(disc, u, rset, 0.0)):
-        assert f"{r.name}.defect={r.defect:.17g}" in printed
+    kind = kwargs.pop("kind")
+
+    def lines(scheme):
+        rset = disc.residual_set(u, scheme, 0.0)
+        return [r.line() for r in (diag.conservation_audit(disc, u, rset),
+                                   diag.flux_form_audit(disc, u, rset),
+                                   diag.entropy_inequality_audit(disc, u, rset, 0.0))]
+
+    written = [audit[0], audit[1], audit[3]]
+    assert written == lines(Scheme(kind=kind, **{k: float(v) for k, v in kwargs.items()}))
+    assert written != lines(Scheme(kind=kind))
 
 
-def test_audit_uses_the_runs_boundary_state(tmp_path, capsys):
-    """On u = 1 the boundary trace and the boundary state 0 differ, so the
-    entropy audit reads the boundary faces' face-average state."""
-    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection((1.0, 0.5)))
-    u = np.ones((disc.dofmap.n_dofs, 1))
-    state = tmp_path / "state.csv"
-    state.write_text("dof,u0\n" + "".join(f"{k},1\n" for k in range(len(u))))
-    assert main(["audit", write_config(tmp_path), str(state)]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    rset = disc.residual_set(u, Scheme(kind="rusanov"), 0.0)
-    with_state = diag.entropy_inequality_audit(disc, u, rset, 0.0)
-    assert f"entropy_inequality.defect={with_state.defect:.17g}" in printed
-    assert with_state.defect != diag.entropy_inequality_audit(disc, u, rset).defect
+def test_run_non_finite_state_exits_1(tmp_path, capsys, monkeypatch):
+    """A NaN in the initial field stops the run at its first residual, naming
+    the element, before ``--out`` is created."""
+    field = cli._initial_field
 
+    def with_nan(name, coords):
+        u = field(name, coords)
+        u[12] = np.nan
+        return u
 
-def test_audit_non_finite_state_exits_1(tmp_path, capsys):
-    state = tmp_path / "state.csv"
-    state.write_text("dof,u0\n" + "".join(f"{k},{'nan' if k == 12 else 1}\n" for k in range(25)))
-    assert main(["audit", write_config(tmp_path), str(state)]) == 1
+    monkeypatch.setattr(cli, "_initial_field", with_nan)
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("runtime error: non-finite residual in element")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("state, problem", [
-    ("dof,x0,x1,u0\n0,0,0,1\n", "has 1 rows"),
-    ("dof,x0,x1,u0\n0,0,0,one\n", "'one'"),
-], ids=["rows", "non_numeric"])
-def test_audit_malformed_state_exits_2(tmp_path, capsys, state, problem):
-    path = tmp_path / "state.csv"
-    path.write_text(state)
-    assert main(["audit", write_config(tmp_path), str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert problem in err
+def test_entropy_failure_alone_passes_strict(tmp_path, monkeypatch):
+    """The entropy line is reported only: FAILing it alone leaves ``run
+    --strict`` at exit 0, with the three gating lines passing."""
+    monkeypatch.setattr(diag, "ENTROPY_TOL", -1.0)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path), "--out", str(out), "--strict"]) == 0
+    audit = (out / "audit.txt").read_text().splitlines()
+    assert [line.split()[0] for line in audit] == ["PASS", "PASS", "PASS", "FAIL"]
+    assert audit[3].startswith("FAIL entropy_inequality:")
 
 
-def test_audit_euler_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "state.csv"
-    path.write_text("node,x,rho,u,p\n0,0,1,0,1\n")
-    assert main(["audit", write_config(tmp_path, SOD_INI), str(path)]) == 2
-    assert "Sod" in capsys.readouterr().err
+@pytest.mark.parametrize("correct, code", [("true", 3), ("false", 0)], ids=["on", "off"])
+def test_sod_balance_lines_gate_strict_with_corrections_on(tmp_path, capsys, monkeypatch,
+                                                           correct, code):
+    """At a tolerance of 0 the Sod tube's momentum balance FAILs: with
+    corrections on that exits 3 under --strict; with them off the lines are
+    reported only, and say so."""
+    monkeypatch.setattr(diag, "SOD_BALANCE_TOL", 0.0)
+    cfg = write_config(tmp_path, with_key(SOD_INI, "corrections",
+                                          f"correct_conservation = {correct}"))
+    out = tmp_path / "sod"
+    assert main(["run", cfg, "--out", str(out), "--strict"]) == code
+    audit = (out / "audit.txt").read_text().splitlines()
+    assert [line.split(":")[0].split()[1] for line in audit] == \
+        ["momentum_balance", "energy_balance"]
+    assert audit[0].startswith("FAIL momentum_balance:")
+    at = "None" if correct == "true" else "('corrections', 'off')"
+    assert all(line.endswith(f"at={at}") for line in audit)
+    assert ("audit failed" in capsys.readouterr().err) == (code == 3)
 
 
 def test_audit_gradient_jump_on_intervals_exits_2(tmp_path, capsys):
-    """The audit reads the config through the run's set-up, so it refuses the
-    kind as the run does, before it evaluates a residual."""
-    path = tmp_path / "state.csv"
-    path.write_text("dof,x0,u0\n" + "".join(f"{k},{k / 8},1\n" for k in range(9)))
+    """The run's set-up refuses the kind before it evaluates a residual, so
+    no audit is written and ``--out`` is not created."""
     cfg = write_config(tmp_path, with_key(INTERVAL_INI, "scheme", "kind = jump"))
-    assert main(["audit", cfg, str(path)]) == 2
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: kind 'jump': gradient-jump")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "recover"])
+def test_removed_command_exits_2(tmp_path, capsys, command):
+    """Every run writes its own audits, so no command re-reads a state."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, write_config(tmp_path), str(tmp_path / "solution.csv")])
+    assert exit_.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_console_script_version():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rdlab import diagnostics as diag
+from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
-from rdlab.conslaw import Burgers
+from rdlab.conslaw import Advection, Burgers
 from rdlab.rd_core import Discretization, Scheme
 
 
@@ -42,6 +43,22 @@ def test_flux_form_audit_fails_a_nan_residual():
     report = diag.flux_form_audit(disc, u, rset)
     assert not report.passed
     assert report.line().startswith("FAIL flux_form: defect=nan")
+
+
+def test_flux_form_verdict_is_the_certificates():
+    """On a Burgers state near 1e5 the balance defect is far above
+    ``BALANCE_TOL``, yet within the per-element tolerance that ``certify``
+    scales by 1 + max|psi|: the audit passes exactly when ``certify`` does."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Burgers(dim=2))
+    u = 1e5 * np.random.default_rng(7).uniform(0.5, 1.0, (disc.dofmap.n_dofs, 1))
+    rset = disc.residual_set(u, Scheme(kind="rusanov"), 0.0)
+    psi = rset.phi - fr.boundary_dof_flux(disc, slice(None), u)
+    system = fr.build_incidence(msh.element_graph(disc.mesh))
+    cert = fr.certify(system, fr.recover_fluxes(system, psi), psi)
+    assert cert.passed and cert.balance_defect > fr.BALANCE_TOL
+    report = diag.flux_form_audit(disc, u, rset)
+    assert report.defect == cert.balance_defect
+    assert report.passed == cert.passed
 
 
 def test_conservation_audit_checks_the_boundary_integral_total(monkeypatch):
@@ -104,6 +121,17 @@ def test_entropy_inequality_audit_2d():
     rset = disc.residual_set(u, Scheme(kind="rusanov"))
     report = diag.entropy_inequality_audit(disc, u, rset)
     assert report.extra["violations"] == 0
+
+
+def test_entropy_audit_uses_the_boundary_state():
+    """On u = 1 the boundary trace and the boundary state 0 differ, so the
+    entropy audit with ``u_b = 0`` reads the boundary faces' face-average
+    state, and without it their own trace."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection((1.0, 0.5)))
+    u = np.ones((disc.dofmap.n_dofs, 1))
+    rset = disc.residual_set(u, Scheme(kind="rusanov"), 0.0)
+    with_state = diag.entropy_inequality_audit(disc, u, rset, 0.0)
+    assert with_state.defect != diag.entropy_inequality_audit(disc, u, rset).defect
 
 
 def test_convergence_order():
