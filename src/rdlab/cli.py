@@ -59,12 +59,12 @@ def _initial_field(name, coords):
 
 
 @contextmanager
-def _config_values(prefix=""):
+def _config_values(prefix="", suffix=""):
     """Report a value a constructor rejects, or a degenerate mesh, as a ConfigError."""
     try:
         yield
     except (ValueError, UnsupportedFeatureError, DegenerateGeometryError) as err:
-        raise ConfigError(f"{prefix}{err}") from err
+        raise ConfigError(f"{prefix}{err}{suffix}") from err
 
 
 def _law(cfg, dim=1):
@@ -185,7 +185,8 @@ def cmd_run(args):
         if args.strict:
             warnings.simplefilter("error", time_dec.CflWarning)
         try:
-            with _config_values(f"{what}: "):     # a later step refused by check_step
+            # check_step refuses a later step: the CFL step shrank from the first
+            with _config_values(f"{what}: ", f", down from a first step of {step}"):
                 u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time,
                                         u_b=run.u_b, dt=run.dt, log=log, final=final.append)
         except time_dec.CflWarning as err:
@@ -211,8 +212,9 @@ def _run_sod(cfg, run, args):
     t_end, gamma, cfl = run.sod["t_end"], run.sod["gamma"], run.sod["cfl"]
     x, w = euler1d.sod_initial(run.sod["n_cells"], gamma)
     what = f"[time] t_end {t_end} with [time] cfl {cfl}"
-    _check_steps(t_end, cfl * (x[1] - x[0]) / euler1d.wave_speed(w, gamma).max(), what)
-    with _config_values(f"{what}: "):             # a later step refused by check_step
+    step = cfl * (x[1] - x[0]) / euler1d.wave_speed(w, gamma).max()
+    _check_steps(t_end, step, what)
+    with _config_values(f"{what}: ", f", down from a first step of {step}"):  # see cmd_run
         res = euler1d.run_sod(**run.sod)
     os.makedirs(run.out, exist_ok=True)
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())

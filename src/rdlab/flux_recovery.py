@@ -111,7 +111,7 @@ def boundary_dof_flux(disc, e, u):
     """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma
     f(u_h).n, (k, #K, m) for an index array or slice of elements; one integer
     element drops the element axis, as numpy indexing does."""
-    return disc.contour(e, disc.face_flux(e, disc.element_values(e, u)))
+    return disc.contour(e, disc.face_flux(e, u))
 
 
 def _p2_normal_weights(mesh, e, mid):

@@ -9,6 +9,11 @@ conservation contract sum_sigma Phi_sigma = Phi^K by construction.
 Every family is one Galerkin evaluation plus its stabilization terms, for
 an index array or slice of elements at once.  One integer element, or one
 face pair of ``boundary_residuals``, drops that axis, as numpy indexing does.
+
+Tables of the mesh alone are built once per mesh, on first use.  The flux
+at the face and volume points, the normal face flux and a nonlinear law's
+Rusanov bound are memoised for the last state seen, over every element, so
+the families and per-element queries of one state share one flux evaluation.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ class Discretization:
         self.dofmap = msh.build_dofmap(mesh)
         self.m = law.m
         self.nloc = self.dofmap.dofs_per_element
+        self._memo_key, self._memo_tables = None, {}
         self._setup()
 
     # -- geometry / quadrature arrays ----------------------------------------
@@ -178,8 +184,7 @@ class Discretization:
     @functools.cached_property
     def linear_alpha(self):
         """``rusanov_alpha`` of a linear law on every element, read-only, (ne,)."""
-        u0 = np.zeros((self.dofmap.n_dofs, self.m))
-        alpha = self.nloc * _max_specnorm(self._rusanov_matrix(slice(None), u0))
+        alpha = self._alpha(slice(None), np.zeros((self.dofmap.n_dofs, self.m)))
         alpha.flags.writeable = False
         return alpha
 
@@ -196,6 +201,23 @@ class Discretization:
         table = self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
         table.flags.writeable = False
         return table
+
+    def _memo(self, build, e, u):
+        """Rows ``e`` of ``build(slice(None), u)``, read-only, kept for the last state
+        only, keyed on its shape, dtype and bytes; if the state is inadmissible
+        somewhere, the rows ``e`` are evaluated alone and nothing is kept."""
+        u = np.asarray(u)
+        key = (u.shape, u.dtype.str, u.tobytes())
+        if key != self._memo_key:
+            self._memo_key, self._memo_tables = key, {}
+        if build.__name__ not in self._memo_tables:
+            try:
+                table = build(slice(None), u)
+            except InadmissibleStateError:
+                return build(e, u)
+            table.flags.writeable = False
+            self._memo_tables[build.__name__] = table
+        return self._memo_tables[build.__name__][e]
 
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
@@ -220,10 +242,18 @@ class Discretization:
         """Values at the face points (..., nf, nfq, m) of DOF values (..., #K, m)."""
         return (self.ftrace @ ue).reshape(ue.shape[:-2] + self.fphi.shape[:2] + ue.shape[-1:])
 
-    def face_flux(self, e, ue):
-        """Normal flux f(u_h).n at the face points, (k, nf, nfq, m)."""
-        flux = self.law.flux(self.face_values(ue))
-        return np.einsum("...fqdm,...fd->...fqm", flux, self.fnormal[e])
+    def _point_flux(self, e, u):
+        """f(u_h) at the ``ptrace`` points, (k, nf*nfq + nq, dim, m)."""
+        return self.law.flux(self.ptrace @ self.element_values(e, u))
+
+    def _face_flux(self, e, u):
+        fq = self._memo(self._point_flux, e, u)[..., :len(self.ftrace), :, :]
+        fq = fq.reshape(fq.shape[:-3] + self.fphi.shape[:2] + fq.shape[-2:])
+        return np.einsum("...fqdm,...fd->...fqm", fq, self.fnormal[e])
+
+    def face_flux(self, e, u):
+        """Normal flux f(u_h).n at the face points, (k, nf, nfq, m), from the state memo."""
+        return self._memo(self._face_flux, e, u)
 
     def contour(self, e, fn):
         """Contour integral of phi_sigma fn, (k, #K, m), for fn (k, nf, nfq, m)."""
@@ -231,14 +261,13 @@ class Discretization:
 
     def total_residual(self, e, u):
         """Boundary quadrature of the normal flux, (k, m); (m,) for one integer."""
-        fn = self.face_flux(e, self.element_values(e, u))
-        return np.einsum("...fq,...fqm->...m", self.fw[e], fn)
+        return np.einsum("...fq,...fqm->...m", self.fw[e], self.face_flux(e, u))
 
     def galerkin_residuals(self, e, u):
-        """Phi_sigma = contour minus volume term: one flux call, or ``linear_galerkin``."""
+        """Phi_sigma = contour minus volume term: the memoised flux, or ``linear_galerkin``."""
         if self.law.linear:
             return self.linear_galerkin[e] @ self.element_values(e, u)
-        fq = self.law.flux(self.ptrace @ self.element_values(e, u))  # (k, nf*nfq + nq, dim, m)
+        fq = self._memo(self._point_flux, e, u)               # (k, nf*nfq + nq, dim, m)
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
     def _flux_jacobians(self, e, ue):
@@ -261,10 +290,13 @@ class Discretization:
         decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
         ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
         block that sets the maximum always gets its own SVD, and alpha is the
-        float that decomposing every block gives.  A linear law reads ``linear_alpha``.
+        float that decomposing every block gives; read from ``linear_alpha`` or the memo.
         """
         if self.law.linear:
             return self.linear_alpha[e]
+        return self._memo(self._alpha, e, u)
+
+    def _alpha(self, e, u):
         return self.nloc * _max_specnorm(self._rusanov_matrix(e, u))
 
     def _rusanov_term(self, e, u, alpha=None):

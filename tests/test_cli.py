@@ -357,6 +357,39 @@ def test_step_cap_reached_mid_march_exits_2(tmp_path, ini, message):
     assert not out.exists()
 
 
+def test_step_cap_message_names_the_first_step(tmp_path, capsys):
+    """P1 Galerkin Burgers from a Riemann state grows until its CFL step
+    falls from 1.5e-3 to 6.4e-8: the refusal names the first step as well,
+    so it does not read as a t_end misconfiguration; exit 2, no --out."""
+    ini = """
+[law]
+name = burgers
+
+[mesh]
+kind = interval
+n = 200
+periodic = true
+
+[scheme]
+kind = galerkin
+
+[time]
+method = euler
+t_end = 0.3
+
+[run]
+initial = riemann
+"""
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [time] t_end 0.3 with [time] cfl 0.3: ")
+    last, first = err.split("takes more than 1000000 steps of ")[1].split(
+        ", down from a first step of ")
+    assert float(first) == pytest.approx(1.5e-3) and float(last) < 1e-4 * float(first)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path, read, unread", [
     ("triangle", "mesh.nx=2", "mesh.n="),
     ("interval", "mesh.periodic=false", "mesh.nx="),

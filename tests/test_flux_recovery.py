@@ -226,11 +226,24 @@ def _row_problem(law_name, mesh_name):
 
 @pytest.mark.parametrize("law_name, mesh_name", ROW_CASES)
 def test_one_element_is_the_batch_row(law_name, mesh_name):
-    """An integer element gives the bits of that row of the batched call."""
-    disc, u = _row_problem(law_name, mesh_name)
-    total = disc.total_residual(slice(None), u)
-    for e in range(disc.mesh.n_elements):
-        assert np.array_equal(disc.total_residual(e, u), total[e])
+    """An integer element gives the bits of that row of the batched call, for
+    each query that reads the state memo, whether the batch or the rows come
+    first on a fresh discretization."""
+    queries = {"total_residual": Discretization.total_residual,
+               "boundary_dof_flux": fr.boundary_dof_flux,
+               "rusanov_alpha": Discretization.rusanov_alpha}
+    for name, query in queries.items():
+        for batch_first in (True, False):
+            disc, u = _row_problem(law_name, mesh_name)
+            ne = disc.mesh.n_elements
+            if batch_first:
+                batch = query(disc, slice(None), u)
+            rows = [query(disc, e, u) for e in range(ne)]
+            if not batch_first:
+                batch = query(disc, slice(None), u)
+            assert len(batch) == ne
+            for e in range(ne):
+                assert np.array_equal(rows[e], batch[e]), (name, batch_first, e)
 
 
 @pytest.mark.parametrize("law_name, mesh_name", ROW_CASES)

@@ -3,10 +3,11 @@ import copy
 import numpy as np
 import pytest
 
+from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import rd_core
 from rdlab.conslaw import Advection, Burgers, CubicTransport, Euler, conserved_from_primitive
-from rdlab.errors import StepFailureError, UnsupportedFeatureError
+from rdlab.errors import InadmissibleStateError, StepFailureError, UnsupportedFeatureError
 from rdlab.rd_core import (
     Discretization,
     Scheme,
@@ -580,6 +581,90 @@ def test_nonlinear_alpha_reads_the_state():
     alpha = disc.rusanov_alpha(slice(None), u)
     assert alpha.min() > 0.0
     assert np.array_equal(disc.rusanov_alpha(slice(None), 2.0 * u), 2.0 * alpha)
+
+
+# the per-element queries that read the state memo, each with the direct
+# evaluation whose error an inadmissible element raises
+MEMO_QUERIES = {
+    "total_residual": (Discretization.total_residual, Discretization._point_flux),
+    "boundary_dof_flux": (fr.boundary_dof_flux, Discretization._point_flux),
+    "galerkin_residuals": (Discretization.galerkin_residuals, Discretization._point_flux),
+    "rusanov_alpha": (Discretization.rusanov_alpha, Discretization._alpha),
+}
+
+
+def euler_memo_problem(seed):
+    """(disc, u): 2D Euler on jittered P2 triangles, a smooth admissible state."""
+    disc = Discretization(jittered_tri_mesh(3, 2, seed=4), Euler(gamma=1.4, dim=2))
+    w = np.array([1.0, 0.5, 0.25, 1.0]) + np.random.default_rng(seed).uniform(
+        -0.2, 0.2, (disc.dofmap.n_dofs, 4))
+    return disc, conserved_from_primitive(w)
+
+
+def test_memo_reads_a_state_changed_in_place():
+    """The memo is keyed on the state's bytes, not on the array object: a
+    state changed in place after a call gives the new state's results, the
+    bits of a fresh Discretization."""
+    disc, u = euler_memo_problem(20)
+    for name, (query, _) in MEMO_QUERIES.items():
+        before = query(disc, slice(None), u)
+        u[5] *= 1.1
+        fresh = Discretization(disc.mesh, disc.law)
+        for e in (slice(None), 7, [7, 2]):
+            assert np.array_equal(query(disc, e, u), query(fresh, e, u)), (name, e)
+        assert not np.array_equal(query(disc, slice(None), u), before), name
+
+
+def test_memo_tells_minus_zero_from_zero(monkeypatch):
+    """States that differ only in the sign of a zero have different bytes, so
+    each fills its own memo entry; a repeated state does not."""
+    disc = Discretization(jittered_tri_mesh(3, 2, seed=4), Burgers(dim=2))
+    u = np.random.default_rng(21).uniform(0.5, 2.0, (disc.dofmap.n_dofs, 1))
+    u[3] = 0.0
+    v = u.copy()
+    v[3] = -0.0
+    calls = []
+    flux = disc.law.flux
+    monkeypatch.setattr(disc.law, "flux", lambda x: calls.append(x.shape) or flux(x))
+    for state in (u, v, v, u):
+        for query, _ in MEMO_QUERIES.values():
+            query(disc, slice(None), state)
+            query(disc, 2, state)
+    assert len(calls) == 3
+
+
+def test_memo_per_element_query_beside_an_inadmissible_element():
+    """A state inadmissible in some elements fills no memo: each query of an
+    admissible element evaluates it alone, with the bits of the admissible
+    state, and an inadmissible element raises the error of its own direct
+    evaluation."""
+    disc, u0 = euler_memo_problem(22)
+    dofs = disc.dofmap.element_dofs
+    u = u0.copy()
+    u[dofs[4, 0], 0] = -1.0
+    bad = np.flatnonzero((dofs == dofs[4, 0]).any(axis=1))
+    good = np.setdiff1d(np.arange(disc.mesh.n_elements), bad)
+    for name, (query, direct) in MEMO_QUERIES.items():
+        fresh = Discretization(disc.mesh, disc.law)
+        for e in (int(good[0]), good[::-1]):
+            assert np.array_equal(query(disc, e, u), query(fresh, e, u0)), (name, e)
+        for e in (int(bad[-1]), slice(None)):
+            with pytest.raises(InadmissibleStateError) as want:
+                direct(disc, e, u)
+            with pytest.raises(InadmissibleStateError, match="density") as err:
+                query(disc, e, u)
+            assert str(err.value) == str(want.value), (name, e)
+
+
+def test_memo_tables_are_read_only():
+    """A whole-mesh query may return a view of a memo table, so writing into
+    it raises instead of changing what later queries of the state read."""
+    disc, u = euler_memo_problem(23)
+    for table in (disc.rusanov_alpha(slice(None), u), disc.face_flux(slice(None), u)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    fresh = Discretization(disc.mesh, disc.law)
+    assert np.array_equal(disc.rusanov_alpha(slice(None), u), fresh.rusanov_alpha(slice(None), u))
 
 
 @pytest.mark.parametrize("law", ["advection", "burgers", "euler"])
