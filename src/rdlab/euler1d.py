@@ -198,18 +198,21 @@ def sod_initial(n_cells, gamma=1.4):
 
 
 def run_sod(n_cells=400, t_end=0.2, gamma=1.4, cfl=0.3, correct=True):
-    """March Sod's shock tube to ``t_end``; reports worst conservation defects.
+    """March Sod's shock tube to a finite ``t_end`` >= 0; reports worst conservation defects.
     Every state, the last included, passes ``checked_wave_speed`` and every step ``check_step``."""
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end {t_end} is not a finite number >= 0")
     x, w = sod_initial(n_cells, gamma)
     w = w.T.copy()                                   # component first, for the march
     h = x[1] - x[0]
-    t = 0.0
+    t, first = 0.0, None
     worst_m = worst_e = 0.0
     mass_hist = []
     speed = checked_wave_speed(w, gamma)
     while t < t_end - 1e-14:
         dt = min(cfl * h / speed.max(), t_end - t)
-        check_step(dt, t_end - t)
+        check_step(dt, t_end - t, first)
+        first = first or dt
         w, dm, de = step(w, dt, h, gamma, correct=correct, speed=speed)
         speed = checked_wave_speed(w, gamma)
         worst_m = max(worst_m, dm)

@@ -75,6 +75,8 @@ class Discretization:
     """
 
     def __init__(self, mesh, law):
+        if law.dim != mesh.dim:
+            raise ValueError(f"a {law.dim}-D {law.name} law on a {mesh.dim}-D mesh")
         self.mesh = mesh
         self.law = law
         self.dofmap = msh.build_dofmap(mesh)
@@ -204,8 +206,8 @@ class Discretization:
 
     def _memo(self, build, e, u):
         """Rows ``e`` of ``build(slice(None), u)``, read-only, kept for the last state
-        only, keyed on its shape, dtype and bytes; if the state is inadmissible
-        somewhere, the rows ``e`` are evaluated alone and nothing is kept."""
+        only, keyed on its shape, dtype and bytes; a state inadmissible somewhere keeps
+        its error, which a whole-mesh request re-raises; other rows are evaluated alone."""
         u = np.asarray(u)
         key = (u.shape, u.dtype.str, u.tobytes())
         if key != self._memo_key:
@@ -213,11 +215,14 @@ class Discretization:
         if build.__name__ not in self._memo_tables:
             try:
                 table = build(slice(None), u)
-            except InadmissibleStateError:
-                return build(e, u)
-            table.flags.writeable = False
+                table.flags.writeable = False
+            except InadmissibleStateError as err:
+                table = err
             self._memo_tables[build.__name__] = table
-        return self._memo_tables[build.__name__][e]
+        table = self._memo_tables[build.__name__]
+        if isinstance(table, Exception) and isinstance(e, slice) and e == slice(None):
+            raise table
+        return table[e] if isinstance(table, np.ndarray) else build(e, u)
 
     def face_points(self, e, lam):
         """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,

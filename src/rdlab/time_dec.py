@@ -27,12 +27,14 @@ import numpy as np
 MAX_STEPS = 10**6               # most steps a march may take
 
 
-def check_step(step, left):
-    """``ValueError`` for a step that is not > 0 or takes over ``MAX_STEPS`` to cover ``left``."""
+def check_step(step, left, first=None):
+    """``ValueError`` for a step that is not > 0 or takes over ``MAX_STEPS`` to cover
+    ``left``, naming the march's ``first`` step if the step shrank from it."""
     if not step > 0.0:
         raise ValueError(f"time step {step} is not positive")
     if left > MAX_STEPS * step:
-        raise ValueError(f"{left} left to t_end takes more than {MAX_STEPS} steps of {step}")
+        down = f", down from a first step of {first}" if first and step < first else ""
+        raise ValueError(f"{left} left to t_end takes more than {MAX_STEPS} steps of {step}{down}")
 
 
 class CflWarning(RuntimeWarning):
@@ -94,7 +96,7 @@ def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):
 
 
 def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=None):
-    """March to ``t_end``; returns (final state, times list).
+    """March to a finite ``t_end`` >= 0; returns (final state, times list).
 
     Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
     a ``CflWarning`` where ``dt`` exceeds that bound; each passes ``check_step``.
@@ -102,17 +104,20 @@ def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=
     per component, residual infinity norm).  The residual at the new state is
     computed once; it serves the log, the next step and ``final`` (its ``ResidualSet``).
     """
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end {t_end} is not a finite number >= 0")
     mass = lumped_mass(disc)
     u = np.array(u0, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    t = 0.0
+    t, first = 0.0, None
     times = [0.0]
     R, rset = disc.assemble(u, scheme, u_b)
     while t < t_end - 1e-14:
         dtmax = stable_dt(disc, u, config.cfl)
         step = min(dtmax if dt is None else dt, t_end - t)
-        check_step(step, t_end - t)
+        check_step(step, t_end - t, first)
+        first = first or step
         if step > dtmax * (1.0 + 1e-12):
             warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
         u = dec_step(disc, u, step, scheme, config, mass, u_b=u_b, R_n=R)

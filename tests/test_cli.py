@@ -271,18 +271,19 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
      "gamma_jump must be >= 0 and finite"),
     (with_key(INTERVAL_INI, "mesh", "x1 = -1"), "element 0 has measure -0.125"),
     (with_key(INTERVAL_INI, "mesh", "x0 = nan"), "element 0 has measure nan"),
-    # t_end over the first step, [time] dt or the CFL step of the initial
-    # state, is capped at 10^6; a step that underflows to 0 is above any count
+    # the march refuses a first step, [time] dt or the CFL step of the
+    # initial state, that takes over 10^6 steps to t_end, or that underflows to 0
     (with_key(TRI_INI, "time", "dt = 1e-300"),
-     "[time] t_end 0.01 with [time] dt 1e-300 takes more than 1000000 steps of 1e-300"),
+     "[time] t_end 0.01 with [time] dt 1e-300: 0.01 left to t_end takes more than 1000000 "
+     "steps of 1e-300"),
     (with_key(TRI_INI, "time", "cfl = 1e-300"),
-     "[time] t_end 0.01 with [time] cfl 1e-300 takes more than 1000000 steps"),
+     "[time] t_end 0.01 with [time] cfl 1e-300: 0.01 left to t_end takes more than 1000000 steps"),
     (with_key(INTERVAL_INI, "time", "cfl = 5e-324"),
-     "[time] t_end 0.01 with [time] cfl 5e-324 takes more than 1000000 steps of 0.0"),
+     "[time] t_end 0.01 with [time] cfl 5e-324: time step 0.0 is not positive"),
     (with_key(SOD_INI, "time", "cfl = 1e-300"),
-     "[time] t_end 0.01 with [time] cfl 1e-300 takes more than 1000000 steps"),
+     "[time] t_end 0.01 with [time] cfl 1e-300: 0.01 left to t_end takes more than 1000000 steps"),
     (with_key(SOD_INI, "time", "cfl = 5e-324"),
-     "[time] t_end 0.01 with [time] cfl 5e-324 takes more than 1000000 steps of 0.0"),
+     "[time] t_end 0.01 with [time] cfl 5e-324: time step 0.0 is not positive"),
 ], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
         "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
         "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
@@ -390,6 +391,18 @@ initial = riemann
     assert not out.exists()
 
 
+def test_run_computes_each_step_once(tmp_path, monkeypatch):
+    """The march's own stable_dt calls are the only ones: one per step, and
+    none more to check the first step before the march."""
+    calls = []
+    stable_dt = time_dec.stable_dt
+    monkeypatch.setattr(time_dec, "stable_dt", lambda *a: calls.append(a) or stable_dt(*a))
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path), "--out", str(out)]) == 0
+    steps = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(calls) == len(steps) > 1
+
+
 @pytest.mark.parametrize("path, read, unread", [
     ("triangle", "mesh.nx=2", "mesh.n="),
     ("interval", "mesh.periodic=false", "mesh.nx="),
@@ -446,7 +459,8 @@ def test_burgers1d_caps_the_step_count(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["burgers1d", "--n", "3", "--lam", "1e-12", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: --tend 0.5 with --lam 1e-12 takes more than 1000000 steps")
+    assert err.startswith("config error: --tend 0.5 with --lam 1e-12: 0.5 left to t_end takes "
+                          "more than 1000000 steps")
     assert not out.exists()
 
 
@@ -457,7 +471,7 @@ def test_burgers1d_rejects_a_step_that_underflows(tmp_path, capsys):
     assert main(["burgers1d", "--n", "3", "--lam", "5e-324", "--tend", "0",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: --lam 5e-324 gives a step lam * dx = 0.0 that is not > 0")
+    assert err.startswith("config error: --tend 0.0 with --lam 5e-324: time step 0.0 is not positive")
     assert not out.exists()
 
 

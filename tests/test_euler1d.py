@@ -100,6 +100,12 @@ def test_run_sod_rejects_a_step_that_is_not_positive(cfl):
         euler1d.run_sod(n_cells=20, t_end=0.01, cfl=cfl)
 
 
+@pytest.mark.parametrize("t_end", [np.nan, -0.1])
+def test_run_sod_rejects_a_t_end_that_is_not_a_number_at_least_0(t_end):
+    with pytest.raises(ValueError, match=f"t_end {t_end} is not a finite number >= 0"):
+        euler1d.run_sod(20, t_end=t_end)
+
+
 def test_run_sod_checks_its_final_state():
     """One uncorrected step at CFL 50 reaches t_end with a negative density;
     the returned state is checked like every other."""

@@ -75,13 +75,13 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # final state's memo, which the conservation audit's total_residual
         # and the flux-form audit's boundary_dof_flux both read (1 + 1);
         # jac_n runs once to build each of the bound and inflow tables, then
-        # once in each of the 23 stable_dt calls (1 + 1 + 23)
+        # once in each of the 22 stable_dt calls (1 + 1 + 22)
         pins = (("time_dec.dec_step", 22), ("time_dec.mass_apply", 22),
                 ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
                 ("rd_core.blend_limiter", 45), ("time_dec.lumped_mass", 1),
                 ("diagnostics.conservation_audit", 1), ("rd_core.total_residual", 1),
                 ("conslaw.flux", 2), ("rd_core.rusanov_alpha", 45),
-                ("conslaw.jac_n", 25), ("flux_recovery.boundary_dof_flux", 1),
+                ("conslaw.jac_n", 24), ("flux_recovery.boundary_dof_flux", 1),
                 ("flux_recovery.recover_fluxes", 1), ("flux_recovery.certify", 1))
     else:
         # one residual set per family, three of them limited, then for each of

@@ -22,6 +22,16 @@ from test_mesh import ref_triangle
 ALL_KINDS = Scheme.KINDS
 
 
+@pytest.mark.parametrize("mesh, law, message", [
+    (msh.build_interval_mesh(4), Advection((1.0, 0.5)), "a 2-D advection law on a 1-D mesh"),
+    (msh.build_structured_tri_mesh(2, 2, ((0.0, 0.0), (1.0, 1.0))), CubicTransport(),
+     "a 1-D cubic law on a 2-D mesh"),
+], ids=["interval", "triangle"])
+def test_discretization_refuses_a_law_of_another_dimension(mesh, law, message):
+    with pytest.raises(ValueError, match=message):
+        Discretization(mesh, law)
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         Scheme(kind="upwind")
@@ -654,6 +664,35 @@ def test_memo_per_element_query_beside_an_inadmissible_element():
             with pytest.raises(InadmissibleStateError, match="density") as err:
                 query(disc, e, u)
             assert str(err.value) == str(want.value), (name, e)
+
+
+def test_memo_tries_an_inadmissible_whole_mesh_once(monkeypatch):
+    """A state inadmissible somewhere keeps its whole-mesh error: residual_set
+    evaluates the flux once, and per-element totals make one whole-mesh
+    attempt, then evaluate each element alone."""
+    mesh = msh.build_structured_tri_mesh(3, 3, ((0.0, 0.0), (1.0, 1.0)), degree=2)
+    calls = []
+
+    def counted():
+        disc = Discretization(mesh, Euler(gamma=1.4, dim=2))
+        flux = disc.law.flux
+        monkeypatch.setattr(disc.law, "flux", lambda x: calls.append(x.shape[:-2]) or flux(x))
+        return disc
+
+    disc = counted()
+    u = conserved_from_primitive(np.tile([1.0, 0.5, 0.25, 1.0], (disc.dofmap.n_dofs, 1)))
+    u[5, 0] = -5.0
+    with pytest.raises(StepFailureError, match="inadmissible state"):
+        disc.residual_set(u, Scheme(kind="rusanov"))
+    assert calls == [(18,)]                  # the element axes of each evaluation
+    calls.clear()
+    disc = counted()
+    for e in range(18):
+        try:
+            disc.total_residual(e, u)
+        except InadmissibleStateError:
+            pass
+    assert calls == [(18,)] + [()] * 18
 
 
 def test_memo_tables_are_read_only():

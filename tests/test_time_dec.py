@@ -140,6 +140,14 @@ def test_dec_run_caps_the_step_count():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("t_end", [np.nan, -0.1])
+def test_dec_run_rejects_a_t_end_that_is_not_a_number_at_least_0(t_end):
+    disc = make_disc(8)
+    u0 = np.ones((disc.dofmap.n_dofs, 1))
+    with pytest.raises(ValueError, match=f"t_end {t_end} is not a finite number >= 0"):
+        td.dec_run(disc, u0, t_end, Scheme(kind="rusanov"), td.DecConfig("euler"))
+
+
 def test_cfl_violation_warns():
     disc = make_disc(8)
     u = np.ones((disc.dofmap.n_dofs, 1))
