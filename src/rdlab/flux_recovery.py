@@ -67,14 +67,16 @@ def recover_fluxes(system, psi):
     (#nodes,) for one component; returns (..., #edges, m).  The residuals of
     every element must sum to zero; the error names the first element that
     fails, as a flat index over the leading axes, and carries its defect.
+    A defect within ``COMPAT_TOL`` itself passes before the scale is built.
     """
     psi = _columns(psi)
     defect = np.abs(psi.sum(axis=-2))
-    bad = defect > COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))
-    if np.any(bad):
-        e = int(np.argmax(np.any(bad, axis=-1)))
-        raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
-                                      defect.reshape(-1, defect.shape[-1])[e], e)
+    if not defect.max(initial=0.0) <= COMPAT_TOL:       # NaN goes on to fail
+        bad = defect > COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))
+        if np.any(bad):
+            e = int(np.argmax(np.any(bad, axis=-1)))
+            raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
+                                          defect.reshape(-1, defect.shape[-1])[e], e)
     return system.A.T @ (system.Linv @ psi)
 
 
@@ -85,16 +87,19 @@ def certify(system, fluxes, psi):
     so the reverse flux is its negation by data layout: no antisymmetry defect.
     The report passes when, for every element and component, both defects
     are within their tolerance (``BALANCE_TOL``, ``COMPAT_TOL``) times
-    1 + max|psi|, as ``recover_fluxes``
-    scales its compatibility check; a NaN defect fails.
+    1 + max|psi|, as ``recover_fluxes`` scales its compatibility check; the
+    scale is built only if a defect exceeds the tolerance itself.  A NaN
+    defect fails; an empty batch has defects 0 and passes.
     """
     psi, fluxes = _columns(psi), _columns(fluxes)
     balance = np.abs(system.A @ fluxes - psi).max(axis=-2)
     compat = np.abs(psi.sum(axis=-2))
-    scale = 1.0 + np.abs(psi).max(axis=-2)
-    return BalanceReport(float(balance.max()), float(compat.max()),
-                         passed=bool((balance <= BALANCE_TOL * scale).all()
-                                     and (compat <= COMPAT_TOL * scale).all()))
+    worst = float(balance.max(initial=0.0)), float(compat.max(initial=0.0))
+    passed = worst[0] <= BALANCE_TOL and worst[1] <= COMPAT_TOL
+    if not passed:
+        scale = 1.0 + np.abs(psi).max(axis=-2)
+        passed = bool(((balance <= BALANCE_TOL * scale) & (compat <= COMPAT_TOL * scale)).all())
+    return BalanceReport(*worst, passed=passed)
 
 
 def _columns(a):
@@ -110,8 +115,9 @@ def _columns(a):
 def boundary_dof_flux(disc, e, u):
     """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma
     f(u_h).n, (k, #K, m) for an index array or slice of elements; one integer
-    element drops the element axis, as numpy indexing does."""
-    return disc.contour(e, disc.face_flux(e, u))
+    element drops the element axis, as numpy indexing does; rows of a
+    read-only whole-mesh table in the state memo."""
+    return disc._memo(disc._boundary_dof_flux, e, u)
 
 
 def _p2_normal_weights(mesh, e, mid):

@@ -10,10 +10,14 @@ Every family is one Galerkin evaluation plus its stabilization terms, for
 an index array or slice of elements at once.  One integer element, or one
 face pair of ``boundary_residuals``, drops that axis, as numpy indexing does.
 
-Tables of the mesh alone are built once per mesh, on first use.  The flux
-at the face and volume points, the normal face flux and a nonlinear law's
-Rusanov bound are memoised for the last state seen, over every element, so
-the families and per-element queries of one state share one flux evaluation.
+Tables of the mesh alone are built once per mesh, on first use.  Every
+quantity of the state alone is memoised for the last state seen, over every
+element, so the families and per-element queries of one state evaluate it
+once: the flux at the face and volume points, the normal face flux, the
+total residual, the boundary DOF flux, a nonlinear law's Rusanov bound, the
+volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), SUPG's
+A.grad(u_h) and unscaled tau, and the gradient jumps before theta_e.  Each
+scheme parameter is applied to the memo's rows on every call.
 """
 
 from __future__ import annotations
@@ -185,8 +189,9 @@ class Discretization:
 
     @functools.cached_property
     def linear_alpha(self):
-        """``rusanov_alpha`` of a linear law on every element, read-only, (ne,)."""
-        alpha = self._alpha(slice(None), np.zeros((self.dofmap.n_dofs, self.m)))
+        """``rusanov_alpha`` of a linear law on every element, read-only, (ne,);
+        its zero state stays out of the state memo, whose entry it would replace."""
+        alpha = self._alpha(slice(None), np.zeros((self.dofmap.n_dofs, self.m)), False)
         alpha.flags.writeable = False
         return alpha
 
@@ -196,6 +201,11 @@ class Discretization:
         table = self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
         table.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def linear_speed(self):
+        """Largest axis wave speed of a linear law, which reads no state."""
+        return float(np.max(self.law.max_wave_speed(np.zeros(self.m), np.eye(self.mesh.dim))))
 
     @functools.cached_property
     def linear_inflow_w(self):
@@ -265,8 +275,15 @@ class Discretization:
         return self.fphi_w[e] @ fn.reshape(fn.shape[:-3] + (len(self.ftrace), fn.shape[-1]))
 
     def total_residual(self, e, u):
-        """Boundary quadrature of the normal flux, (k, m); (m,) for one integer."""
+        """Boundary quadrature of the normal flux, (k, m); (m,) for one integer;
+        rows of a read-only whole-mesh table in the state memo."""
+        return self._memo(self._total_residual, e, u)
+
+    def _total_residual(self, e, u):
         return np.einsum("...fq,...fqm->...m", self.fw[e], self.face_flux(e, u))
+
+    def _boundary_dof_flux(self, e, u):
+        return self.contour(e, self.face_flux(e, u))
 
     def galerkin_residuals(self, e, u):
         """Phi_sigma = contour minus volume term: the memoised flux, or ``linear_galerkin``."""
@@ -275,14 +292,15 @@ class Discretization:
         fq = self._memo(self._point_flux, e, u)               # (k, nf*nfq + nq, dim, m)
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
-    def _flux_jacobians(self, e, ue):
-        """States u_q (k, nq, m) and J(u_q).grad(phi_s) (k, nq, #K, m, m)."""
-        uq = self.vq_phi @ ue
-        return uq, self.law.jac_n(uq[..., None, :], self.vgrad[e])
+    def _jacobians(self, e, u):
+        """J(u_q).grad(phi_s) at the volume points, (k, nq, #K, m, m)."""
+        uq = self.vq_phi @ self.element_values(e, u)
+        return self.law.jac_n(uq[..., None, :], self.vgrad[e])
 
-    def _rusanov_matrix(self, e, u):
-        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m); no k for one integer."""
-        _, jg = self._flux_jacobians(e, self.element_values(e, u))
+    def _rusanov_matrix(self, e, u, memo=True):
+        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m); no k for one integer;
+        the Jacobians are read from the state memo if ``memo``."""
+        jg = self._memo(self._jacobians, e, u) if memo else self._jacobians(e, u)
         mat = self.vphi_w[e] @ jg.reshape(jg.shape[:-3] + (self.nloc * self.m**2,))
         return mat.reshape(mat.shape[:-1] + jg.shape[-3:])
 
@@ -301,41 +319,52 @@ class Discretization:
             return self.linear_alpha[e]
         return self._memo(self._alpha, e, u)
 
-    def _alpha(self, e, u):
-        return self.nloc * _max_specnorm(self._rusanov_matrix(e, u))
+    def _alpha(self, e, u, memo=True):
+        return self.nloc * _max_specnorm(self._rusanov_matrix(e, u, memo))
 
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
         alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
         return np.asarray(alpha)[..., None, None] * (ue - ue.mean(axis=-2, keepdims=True))
 
-    def _tau(self, e, ubar):
+    def _tau(self, e, u):
         """Streamline relaxation time from the element wave-speed budget, (k,)."""
+        ubar = self.element_values(e, u).mean(axis=-2)
         speed = self.law.max_wave_speed(ubar[..., None, :], self.snormal[e]).sum(axis=-1)
         speed /= 2.0 * self.measure[e]
         hk = speed * self.diameter[e]
         return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
 
-    def _supg_term(self, e, u, tau_scale):
+    def _streamline(self, e, u):
+        """A(u_h).grad(u_h) at the volume points, (k, nq, m)."""
         ue = self.element_values(e, u)
-        uq, jg = self._flux_jacobians(e, ue)                  # A.grad(phi_s)
-        jd = self.law.jac_n(uq[..., None, :], np.eye(self.mesh.dim))  # (k, nq, dim, m, m)
+        jd = self.law.jac_n((self.vq_phi @ ue)[..., None, :], np.eye(self.mesh.dim))
         du = np.einsum("...qsd,...sm->...qdm", self.vgrad[e], ue)   # grad(u_h)
-        adu = np.einsum("...qdij,...qdj->...qi", jd, du)            # A.grad(u_h)
-        tau = tau_scale * self._tau(e, ue.mean(axis=-2))
+        return np.einsum("...qdij,...qdj->...qi", jd, du)
+
+    def _supg_term(self, e, u, tau_scale):
+        jg = self._memo(self._jacobians, e, u)                # A.grad(phi_s)
+        adu = self._memo(self._streamline, e, u)
+        tau = tau_scale * self._memo(self._tau, e, u)
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[..., None]
         return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * adu)
 
-    def _jump_term(self, e, u, theta_e):
+    def _jumps(self, e, u):
+        """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); a
+        boundary face's entry is left for ``_jump_term`` to zero."""
         nbr = self.nbr[e]                                     # (k, 3)
         e2, f2 = nbr // 3, nbr % 3
         # ccw elements run a shared edge in opposite directions, so the
         # neighbour's face point nfq-1-q is this element's face point q
-        jump = (np.einsum("...fqsd,...sm->...fqdm", self.fgrad[e], self.element_values(e, u))
+        return (np.einsum("...fqsd,...sm->...fqdm", self.fgrad[e], self.element_values(e, u))
                 - np.einsum("...fqsd,...fsm->...fqdm", self.fgrad[e2, f2],
                             self.element_values(e2, u))[..., ::-1, :, :])
+
+    def _jump_term(self, e, u, theta_e):
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
-        jump *= np.where(nbr >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
+        # out of place: the memo's table is read-only
+        jump = self._memo(self._jumps, e, u) * np.where(
+            self.nbr[e] >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
         return self.fgrad_w[e] @ jump.reshape(jump.shape[:-4] + (self.fgrad_w.shape[-1], self.m))
 
     def check_kind(self, kind):

@@ -66,9 +66,11 @@ def mass_apply(disc, w):
 
 def stable_dt(disc, u, cfl):
     """CFL time step from the smallest element and largest axis wave speed;
-    ``u`` is (ndof, m).  A NaN state gives a NaN step unless the law is ``linear``."""
+    ``u`` is (ndof, m).  A ``linear`` law reads the per-mesh ``linear_speed``,
+    so only its NaN state does not give a NaN step."""
     u = np.asarray(u, dtype=float)
-    speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
+    speed = disc.linear_speed if disc.law.linear else float(
+        np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
     speed *= np.sqrt(disc.mesh.dim)
     if speed <= 0.0:
         return np.inf

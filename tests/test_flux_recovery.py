@@ -109,6 +109,64 @@ def test_certify_fails_nan_defects(where):
     assert not fr.certify(system, fluxes, psi).passed
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_empty_batch(m):
+    """A batch of no elements recovers no fluxes and certifies with defects 0."""
+    system = fr.build_incidence(msh.reference_graph(2, 2))
+    psi = np.zeros((0, 6, m))
+    fluxes = fr.recover_fluxes(system, psi)
+    assert fluxes.shape == (0, system.A.shape[1], m)
+    report = fr.certify(system, fluxes, psi)
+    assert (report.balance_defect, report.compat_defect, report.passed) == (0.0, 0.0, True)
+
+
+def scaled_rule(system, fluxes, psi):
+    """(certify passes, recover_fluxes accepts) by the per-element rule of
+    their docstrings: each defect within its tolerance times 1 + max|psi|."""
+    scale = 1.0 + np.abs(psi).max(axis=-2)
+    balance = np.abs(system.A @ fluxes - psi).max(axis=-2)
+    compat = np.abs(psi.sum(axis=-2))
+    accepts = bool(np.all(compat <= fr.COMPAT_TOL * scale))
+    return accepts and bool(np.all(balance <= fr.BALANCE_TOL * scale)), accepts
+
+
+def test_unscaled_check_gives_the_scaled_verdict():
+    """Balance and compatibility defects just under and just over the
+    unscaled and the scaled tolerance, on zero-sum residuals of magnitude
+    1e-3 to 1e5: certify passes and recover_fluxes accepts exactly when the
+    scaled rule does, element by element and as one batch."""
+    system = fr.build_incidence(msh.reference_graph(2, 2))
+    rng = np.random.default_rng(32)
+    cases = []
+    for size in (1e-3, 1.0, 1e2, 1e5):
+        base = size * rng.uniform(-1.0, 1.0, (6, 1))
+        base -= base.mean()
+        scale = 1.0 + np.abs(base).max()
+        for tol, where in ((fr.BALANCE_TOL, "fluxes"), (fr.COMPAT_TOL, "psi")):
+            for level in (tol, tol * scale):
+                for factor in (0.9, 1.1):
+                    psi = base.copy()
+                    fluxes = system.A.T @ (system.Linv @ psi)
+                    {"fluxes": fluxes, "psi": psi}[where][0, 0] += factor * level
+                    cases.append((fluxes, psi))
+    verdicts = set()
+    for fluxes, psi in cases + [tuple(np.stack(arrays) for arrays in zip(*cases))]:
+        passes, accepts = scaled_rule(system, fluxes, psi)
+        report = fr.certify(system, fluxes, psi)
+        assert report.passed == passes
+        try:
+            fr.recover_fluxes(system, psi)
+        except ConservationDefectError:
+            assert not accepts
+        else:
+            assert accepts
+        verdicts.add((passes, accepts, report.balance_defect > fr.BALANCE_TOL
+                      or report.compat_defect > fr.COMPAT_TOL))
+    # passes by the unscaled check, by the scale alone, and fails both ways
+    assert {(True, True, False), (True, True, True), (False, True, True),
+            (False, False, True)} <= verdicts
+
+
 def test_trace_weights_p1():
     mesh = ref_triangle()
     N = fr.trace_normal_weights(mesh, 0)

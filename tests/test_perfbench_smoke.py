@@ -74,26 +74,27 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # flux runs once to build the Galerkin table, then once to fill the
         # final state's memo, which the conservation audit's total_residual
         # and the flux-form audit's boundary_dof_flux both read (1 + 1);
-        # jac_n runs once to build each of the bound and inflow tables, then
-        # once in each of the 22 stable_dt calls (1 + 1 + 22)
+        # jac_n runs once to build each of the bound, inflow and CFL wave
+        # speed tables, which the 22 stable_dt calls read (1 + 1 + 1)
         pins = (("time_dec.dec_step", 22), ("time_dec.mass_apply", 22),
                 ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
                 ("rd_core.blend_limiter", 45), ("time_dec.lumped_mass", 1),
                 ("diagnostics.conservation_audit", 1), ("rd_core.total_residual", 1),
                 ("conslaw.flux", 2), ("rd_core.rusanov_alpha", 45),
-                ("conslaw.jac_n", 24), ("flux_recovery.boundary_dof_flux", 1),
+                ("conslaw.jac_n", 3), ("flux_recovery.boundary_dof_flux", 1),
                 ("flux_recovery.recover_fluxes", 1), ("flux_recovery.certify", 1))
     else:
         # one residual set per family, three of them limited, then for each of
         # the 72 elements of each family the boundary DOF flux, recovery,
         # certification and total.  All of them read one state, so the flux
         # is evaluated once, to fill the state memo that every Galerkin
-        # split, boundary DOF flux and total reads; jac_n once for the
-        # Rusanov bound, which the memo keeps for the 4 kinds that read it,
-        # and twice by each of the 2 SUPG terms (1 + 4)
+        # split, boundary DOF flux and total reads; jac_n once for the volume
+        # Jacobians, which the memo keeps for the Rusanov bound of the 4 kinds
+        # that read it and for the 2 SUPG terms, and once for the SUPG terms'
+        # A.grad(u_h), also kept (1 + 1)
         pins = (("flux_recovery.boundary_dof_flux", 504), ("flux_recovery.recover_fluxes", 504),
                 ("flux_recovery.certify", 504), ("rd_core.total_residual", 504),
                 ("rd_core.residual_set", 7), ("rd_core.blend_limiter", 3),
-                ("conslaw.flux", 1), ("conslaw.jac_n", 5))
+                ("conslaw.flux", 1), ("conslaw.jac_n", 2))
     for span, calls in pins:
         assert summary[span]["calls"] == calls, span

@@ -535,6 +535,20 @@ def test_linear_alpha_is_built_once(name, monkeypatch):
     assert calls == {"_rusanov_matrix": 1, "flux": 1, "jac_n": 2}
 
 
+def test_linear_alpha_keeps_the_state_memo(monkeypatch):
+    """``linear_alpha`` is built from the zero state outside the state memo,
+    so building it between two queries of a state does not evict that state."""
+    disc = advection_disc("p2")
+    u = np.random.default_rng(18).standard_normal((disc.dofmap.n_dofs, 1))
+    calls = []
+    flux = disc.law.flux
+    monkeypatch.setattr(disc.law, "flux", lambda x: calls.append(1) or flux(x))
+    disc.total_residual(slice(None), u)
+    disc.rusanov_alpha(slice(None), u)
+    disc.total_residual(0, u)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
 def test_linear_tables_match_the_flux_path(name):
     """A linear law's Galerkin and inflow tables give the residuals that the
@@ -600,6 +614,11 @@ MEMO_QUERIES = {
     "boundary_dof_flux": (fr.boundary_dof_flux, Discretization._point_flux),
     "galerkin_residuals": (Discretization.galerkin_residuals, Discretization._point_flux),
     "rusanov_alpha": (Discretization.rusanov_alpha, Discretization._alpha),
+    # the volume Jacobians; with A.grad(u_h) and tau; the gradient jumps,
+    # which read DOF values alone, so no state is inadmissible to them
+    "rusanov_matrix": (Discretization._rusanov_matrix, Discretization._jacobians),
+    "supg_term": (lambda disc, e, u: disc._supg_term(e, u, 2.0), Discretization._jacobians),
+    "jump_term": (lambda disc, e, u: disc._jump_term(e, u, 0.05), None),
 }
 
 
@@ -656,6 +675,10 @@ def test_memo_per_element_query_beside_an_inadmissible_element():
     good = np.setdiff1d(np.arange(disc.mesh.n_elements), bad)
     for name, (query, direct) in MEMO_QUERIES.items():
         fresh = Discretization(disc.mesh, disc.law)
+        if direct is None:
+            for e in (int(bad[-1]), slice(None)):
+                assert np.array_equal(query(disc, e, u), query(fresh, e, u)), (name, e)
+            continue
         for e in (int(good[0]), good[::-1]):
             assert np.array_equal(query(disc, e, u), query(fresh, e, u0)), (name, e)
         for e in (int(bad[-1]), slice(None)):
@@ -699,11 +722,30 @@ def test_memo_tables_are_read_only():
     """A whole-mesh query may return a view of a memo table, so writing into
     it raises instead of changing what later queries of the state read."""
     disc, u = euler_memo_problem(23)
-    for table in (disc.rusanov_alpha(slice(None), u), disc.face_flux(slice(None), u)):
+    for table in (disc.rusanov_alpha(slice(None), u), disc.face_flux(slice(None), u),
+                  disc.total_residual(slice(None), u), fr.boundary_dof_flux(disc, slice(None), u)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
     fresh = Discretization(disc.mesh, disc.law)
     assert np.array_equal(disc.rusanov_alpha(slice(None), u), fresh.rusanov_alpha(slice(None), u))
+
+
+def test_scheme_parameters_survive_the_memo():
+    """tau_scale and theta_e are applied to the memo's rows on every call:
+    one Discretization gives a fresh one's bits for each value, batched and
+    for one element, in either order of the calls."""
+    disc, u = euler_memo_problem(24)
+    schemes = [Scheme(kind=kind, **{key: value})
+               for kind, key, values in (("supg", "tau_scale", (0.5, 2.0)),
+                                         ("limited_supg", "tau_scale", (0.5, 2.0)),
+                                         ("jump", "theta_e", (0.01, 0.05)),
+                                         ("limited_jump", "theta_e", (0.01, 0.05)))
+               for value in values]
+    for order in (schemes, schemes[::-1]):
+        for scheme in order:
+            for e in (slice(None), 5):
+                want = Discretization(disc.mesh, disc.law).element_residuals(e, u, scheme)
+                assert np.array_equal(disc.element_residuals(e, u, scheme), want), (scheme, e)
 
 
 @pytest.mark.parametrize("law", ["advection", "burgers", "euler"])

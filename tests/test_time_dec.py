@@ -79,6 +79,28 @@ def test_stable_dt_of_a_nan_state_is_nan():
     assert np.isfinite(td.stable_dt(disc, u, 0.3))
     u[12] = np.nan
     assert np.isnan(td.stable_dt(disc, u, 0.3))
+    linear = Discretization(disc.mesh, Advection((1.0, 0.5)))   # reads no state
+    assert td.stable_dt(linear, u, 0.3) == td.stable_dt(linear, np.zeros_like(u), 0.3) > 0.0
+
+
+@pytest.mark.parametrize("a", [(1.0, 0.5), (-0.3, 0.0), (0.0, 0.0)])
+def test_linear_stable_dt_reads_a_per_mesh_speed(a, monkeypatch):
+    """A linear law's CFL step reads the per-mesh ``linear_speed``: the bits
+    of the law's wave speed on the state, with one ``jac_n`` call for any
+    number of steps."""
+    disc = Discretization(msh.build_structured_tri_mesh(4, 4), Advection(a))
+    calls = []
+    jac_n = disc.law.jac_n
+    monkeypatch.setattr(disc.law, "jac_n", lambda *args: calls.append(1) or jac_n(*args))
+    states = np.random.default_rng(31).standard_normal((3, disc.dofmap.n_dofs, 1))
+    hmin = float((2.0 * disc.measure / disc.diameter).min())
+    want = []
+    for u in states:
+        speed = float(np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(2)))) * np.sqrt(2)
+        want.append(np.inf if speed <= 0.0 else 0.3 * hmin / speed)
+    calls.clear()
+    assert [td.stable_dt(disc, u, 0.3) for u in states] == want
+    assert len(calls) == 1
 
 
 def test_euler_step_is_lumped_forward_euler():
