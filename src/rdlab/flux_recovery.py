@@ -64,15 +64,15 @@ def recover_fluxes(system, psi):
     """Minimum-norm edge fluxes solving A f = Psi, componentwise.
 
     ``psi`` has shape (..., #nodes, m) with any leading element axes, or
-    (#nodes,) for one component; returns (..., #edges, m).  The residuals of
-    every element must sum to zero; the error names the first element that
+    (#nodes,) for one component; returns (..., #edges, m).  The residuals of every
+    element must be finite and sum to zero; the error names the first element that
     fails, as a flat index over the leading axes, and carries its defect.
     A defect within ``COMPAT_TOL`` itself passes before the scale is built.
     """
     psi = _columns(psi)
     defect = np.abs(psi.sum(axis=-2))
     if not defect.max(initial=0.0) <= COMPAT_TOL:       # NaN goes on to fail
-        bad = defect > COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))
+        bad = ~(np.isfinite(defect) & (defect <= COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))))
         if np.any(bad):
             e = int(np.argmax(np.any(bad, axis=-1)))
             raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",

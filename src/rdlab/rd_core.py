@@ -208,6 +208,12 @@ class Discretization:
         return float(np.max(self.law.max_wave_speed(np.zeros(self.m), np.eye(self.mesh.dim))))
 
     @functools.cached_property
+    def hmin(self):
+        """Smallest element size of the CFL step: an interval's length, or 2|K|/diam."""
+        h = self.measure if self.mesh.dim == 1 else 2.0 * self.measure / self.diameter
+        return float(h.min())
+
+    @functools.cached_property
     def linear_inflow_w(self):
         """``bphi_w`` times min(a.n, 0) of a scalar linear law, read-only, (ne, nf, nfd, nbq)."""
         table = self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
@@ -325,7 +331,7 @@ class Discretization:
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
         alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
-        return np.asarray(alpha)[..., None, None] * (ue - ue.mean(axis=-2, keepdims=True))
+        return np.asarray(alpha)[..., None, None] * (ue - _ksum(ue) / self.nloc)
 
     def _tau(self, e, u):
         """Streamline relaxation time from the element wave-speed budget, (k,)."""
@@ -426,9 +432,9 @@ class Discretization:
         e, lf = face
         uq = np.einsum("...qs,...sm->...qm", self.bphi[lf], self.element_values(e, u))
         ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
-        ub = np.broadcast_to(ub, uq.shape)
         if self.law.linear:
             return self.face_dofs[lf], self.linear_inflow_w[e, lf] @ (ub - uq)
+        ub = np.broadcast_to(ub, uq.shape)
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         fh = np.einsum("...qdm,...qd->...qm", self.law.flux(uq), n)
         return self.face_dofs[lf], self.bphi_w[e, lf] @ (self.upwind_flux(uq, ub, n, fh) - fh)
@@ -444,9 +450,9 @@ class Discretization:
             raise StepFailureError(
                 f"inadmissible state in element {e}: {err}", element=e
             ) from err
-        finite = np.isfinite(phi).all(axis=(1, 2))
+        finite = np.isfinite(phi)
         if not finite.all():
-            e = int(np.argmin(finite))
+            e = int(np.argmin(finite.all(axis=(1, 2))))
             raise StepFailureError(f"non-finite residual in element {e}", element=e)
         boundary = None
         if u_b is not None and len(self.boundary_dofs):
@@ -508,12 +514,23 @@ def blend_limiter(phi_L):
     phi_sigma / Phi^K is positive; a sum at round-off is spread evenly.
     """
     phi_L = np.asarray(phi_L, dtype=float)
-    total = phi_L.sum(axis=-2, keepdims=True)
-    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(phi_L).max(axis=-2, keepdims=True))
-    num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
-    den = num.sum(axis=-2, keepdims=True)
-    beta = np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den))
+    total = _ksum(phi_L)
+    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + _ksum(np.abs(phi_L), np.maximum))
+    some = zero.any()                   # the np.where guards only if a total is at round-off
+    num = np.maximum(0.0, phi_L / (np.where(zero, 1.0, total) if some else total))
+    den = _ksum(num)
+    beta = (np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den)) if some
+            else num / den)
     return beta, beta * total
+
+
+def _ksum(a, op=np.add):
+    """``op`` over the #K axis of ``a`` (..., #K, m), kept, in order from 0.0: numpy's own sum
+    for up to 7 terms without its reduction overhead, and its max for ``np.maximum`` of a >= 0."""
+    out = op(a[..., 0, :], 0.0)
+    for s in range(1, a.shape[-2]):
+        op(out, a[..., s, :], out=out)
+    return out[..., None, :]
 
 
 def _specnorm(a):

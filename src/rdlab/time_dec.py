@@ -72,13 +72,7 @@ def stable_dt(disc, u, cfl):
     speed = disc.linear_speed if disc.law.linear else float(
         np.max(disc.law.max_wave_speed(u[:, None, :], np.eye(disc.mesh.dim))))
     speed *= np.sqrt(disc.mesh.dim)
-    if speed <= 0.0:
-        return np.inf
-    if disc.mesh.dim == 1:
-        hmin = float(disc.measure.min())
-    else:
-        hmin = float((2.0 * disc.measure / disc.diameter).min())
-    return cfl * hmin / speed
+    return np.inf if speed <= 0.0 else cfl * disc.hmin / speed
 
 
 def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):

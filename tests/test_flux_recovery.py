@@ -43,6 +43,21 @@ def test_incompatible_residuals_raise():
     assert np.max(err.value.defect) > 1.0
 
 
+@pytest.mark.parametrize("psi", [[[0.5], [np.nan], [-0.3]], [[np.inf], [-0.2], [-0.3]],
+                                 [[np.inf], [-np.inf], [0.0]]], ids=["nan", "inf", "inf-inf"])
+def test_non_finite_residuals_raise(psi):
+    """A NaN or infinite residual has no defect within any tolerance."""
+    system = fr.build_incidence(msh.reference_graph(2, 1))
+    batch = np.zeros((3, 3, 1))
+    batch[2] = psi
+    for residuals, element in ((psi, 0), (batch, 2)):
+        # inf - inf warns on the way to the NaN defect
+        with pytest.raises(ConservationDefectError, match=f"element {element} ") as err, \
+                np.errstate(invalid="ignore"):
+            fr.recover_fluxes(system, residuals)
+        assert err.value.element == element
+
+
 def test_residual_shape_is_not_guessed():
     """1-D input is one column; (m, #nodes) input is used as given, and
     with m = 4 its column sums (the DOFs) are not zero."""

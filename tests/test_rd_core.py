@@ -16,7 +16,13 @@ from rdlab.rd_core import (
     rusanov_coefficients,
 )
 from _oracles import oracle_blend_limiter
-from test_batched_equivalence import assert_close, jittered_tri_mesh, read_back
+from test_batched_equivalence import (
+    assert_close,
+    jittered_interval_mesh,
+    jittered_tri_mesh,
+    random_state,
+    read_back,
+)
 from test_mesh import ref_triangle
 
 ALL_KINDS = Scheme.KINDS
@@ -262,6 +268,72 @@ def test_blend_limiter_default_total_is_the_sum():
         assert np.array_equal(limited[e], want)
 
 
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("nloc", [2, 3, 6])
+def test_blend_limiter_matches_the_oracle_bit_for_bit(nloc, m):
+    """Each #K of an interval, a P1 and a P2 triangle, for a scalar law and a
+    system, with totals at round-off, exactly 0 and summed from -0.0 only, and
+    rows where a single ratio survives the clip: every element's beta and
+    limited split are the oracle's floats, signed zeros included."""
+    rng = np.random.default_rng(10 * nloc + m)
+    phi = rng.standard_normal((40, nloc, m)) * np.exp(rng.uniform(-20.0, 20.0, (40, 1, m)))
+    phi[:5] -= phi[:5].mean(axis=1, keepdims=True)     # totals at round-off
+    phi[5] = 0.0
+    phi[5, 0], phi[5, 1] = 1.0, -1.0                    # a total of exactly 0
+    phi[6] = -0.0
+    one = slice(7, 17)                                  # one ratio of each sign of total
+    phi[one] = -np.abs(phi[one])
+    phi[one, 0] = 1.5 * np.abs(phi[one]).sum(axis=1)
+    phi[12:17] *= -1.0
+    ratios = phi[one] / phi[one].sum(axis=1, keepdims=True)
+    assert np.array_equal((ratios > 0.0).sum(axis=1), np.ones((10, m)))
+    beta, limited = blend_limiter(phi)
+    for e in range(len(phi)):
+        want_beta, want = oracle_blend_limiter(phi[e], phi[e].sum(axis=0))
+        assert beta[e].tobytes() == want_beta.tobytes()
+        assert limited[e].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("nloc", range(1, 8))
+def test_numpy_sums_up_to_7_terms_in_order_from_zero(nloc, m):
+    """``rd_core`` replaces numpy's #K-axis sums by in-order slice adds from
+    0.0, which match numpy's own sum to the bit only while numpy adds up to 7
+    terms that way (from 8 it adds pairwise).  A numpy that changes this order
+    fails here, before the limited kinds' floats move; rdlab's #K is 2, 3 or 6."""
+    rng = np.random.default_rng(nloc + 10 * m)
+    a = rng.standard_normal((300, nloc, m)) * np.exp(rng.uniform(-30.0, 30.0, (300, nloc, m)))
+    a[0] = -0.0
+    ordered = np.zeros((300, 1, m))
+    for s in range(nloc):
+        ordered = ordered + a[:, s:s + 1]
+    for got in (a.sum(axis=-2, keepdims=True), rd_core._ksum(a)):
+        assert got.tobytes() == ordered.tobytes()
+    assert a.mean(axis=-2, keepdims=True).tobytes() == (ordered / nloc).tobytes()
+    if nloc > 2:                                        # the data tells the orders apart
+        assert not np.array_equal(ordered[:, 0], a[:, ::-1].cumsum(axis=1)[:, -1])
+    assert np.array_equal(rd_core._ksum(np.abs(a), np.maximum), np.abs(a).max(axis=-2, keepdims=True))
+
+
+@pytest.mark.parametrize("mesh, law", [
+    (jittered_interval_mesh(7, False, 2), Burgers(dim=1)),
+    (jittered_tri_mesh(3, 1, 5), Burgers(dim=2)),
+    (jittered_tri_mesh(3, 2, 5), Euler(gamma=1.4, dim=2)),
+], ids=["interval", "p1", "p2-euler"])
+def test_rusanov_term_is_alpha_times_the_deviation_from_the_mean(mesh, law):
+    """The Rusanov term is alpha * (u - mean u) of each element, to the bit; an
+    element of -0.0 values has the mean +0.0 that numpy's sum from 0.0 gives."""
+    disc = Discretization(mesh, law)
+    u = random_state(law, disc.dofmap.dof_coords, seed=6)
+    if law.m == 1:
+        u[disc.dofmap.element_dofs[1]] = -0.0
+    term = disc._rusanov_term(slice(None), u)
+    alpha = disc.rusanov_alpha(slice(None), u)
+    for e in range(mesh.n_elements):
+        ue = u[disc.dofmap.element_dofs[e]]
+        assert term[e].tobytes() == (alpha[e] * (ue - ue.mean(axis=0))).tobytes()
+
+
 def test_upwind_flux_scalar():
     disc = Discretization(ref_triangle(), Advection((1.0, 0.0)))
     uh, ub = np.array([2.0]), np.array([5.0])
@@ -372,6 +444,16 @@ def test_non_finite_scalar_state_names_the_first_element(law, value):
         with pytest.raises(StepFailureError, match=f"non-finite residual in element {element}$"), \
                 np.errstate(invalid="ignore"):
             disc.residual_set(u, Scheme(kind=kind), 0.0)
+
+
+def test_finite_residuals_whose_sum_overflows_are_not_refused(monkeypatch):
+    """The finiteness check reads each residual, not a grand total of them."""
+    disc = Discretization(msh.build_structured_tri_mesh(2, 2), Burgers(dim=2))
+    phi = np.full((disc.mesh.n_elements, disc.nloc, 1), 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(phi.sum())
+    monkeypatch.setattr(disc, "element_residuals", lambda e, u, scheme: phi)
+    assert disc.residual_set(np.zeros((disc.dofmap.n_dofs, 1)), Scheme()).phi is phi
 
 
 def test_limited_scheme_is_a_convex_split_of_the_total():

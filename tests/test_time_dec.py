@@ -9,6 +9,8 @@ from rdlab import time_dec as td
 from rdlab.conslaw import Advection, Burgers
 from rdlab.errors import StepFailureError
 from rdlab.rd_core import Discretization, Scheme
+from _oracles import oracle_stable_dt
+from test_batched_equivalence import jittered_tri_mesh
 
 
 def make_disc(n=8):
@@ -69,6 +71,19 @@ def test_stable_dt_scaling():
     still = Discretization(msh.build_interval_mesh(8, periodic=True),
                            Burgers(dim=1))
     assert td.stable_dt(still, np.zeros((8, 1)), 0.5) == np.inf
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 1), (2, 1), (2, 2)])
+def test_stable_dt_is_the_oracles_from_a_per_mesh_hmin(dim, degree):
+    """The smallest element size is built once per mesh; the step is the
+    oracle's float, which recomputes it on every call."""
+    mesh = msh.build_interval_mesh(9, degree=degree) if dim == 1 else jittered_tri_mesh(4, degree, 4)
+    disc = Discretization(mesh, Burgers(dim=dim))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u = rng.uniform(-1.0, 2.0, (disc.dofmap.n_dofs, 1))
+        assert td.stable_dt(disc, u, 0.3) == oracle_stable_dt(disc, u, 0.3)
+    assert "hmin" in vars(disc)                         # kept with the other mesh tables
 
 
 def test_stable_dt_of_a_nan_state_is_nan():
