@@ -60,8 +60,8 @@ def flux_form_audit(disc, u, rset):
     try:
         fluxes = fr.recover_fluxes(system, psi)
     except ConservationDefectError as err:
-        return AuditReport("flux_form", np.inf + np.max(err.defect), fr.BALANCE_TOL,
-                           ("element", err.element))
+        defect = np.nan if np.isnan(err.defect).any() else np.inf
+        return AuditReport("flux_form", defect, fr.BALANCE_TOL, ("element", err.element))
     report = fr.certify(system, fluxes, psi)
     return AuditReport("flux_form", report.balance_defect, fr.BALANCE_TOL, passed=report.passed)
 

@@ -88,8 +88,8 @@ def certify(system, fluxes, psi):
     The report passes when, for every element and component, both defects
     are within their tolerance (``BALANCE_TOL``, ``COMPAT_TOL``) times
     1 + max|psi|, as ``recover_fluxes`` scales its compatibility check; the
-    scale is built only if a defect exceeds the tolerance itself.  A NaN
-    defect fails; an empty batch has defects 0 and passes.
+    scale is built only if a defect exceeds the tolerance itself.  A NaN or
+    infinite defect fails; an empty batch has defects 0 and passes.
     """
     psi, fluxes = _columns(psi), _columns(fluxes)
     balance = np.abs(system.A @ fluxes - psi).max(axis=-2)
@@ -98,7 +98,8 @@ def certify(system, fluxes, psi):
     passed = worst[0] <= BALANCE_TOL and worst[1] <= COMPAT_TOL
     if not passed:
         scale = 1.0 + np.abs(psi).max(axis=-2)
-        passed = bool(((balance <= BALANCE_TOL * scale) & (compat <= COMPAT_TOL * scale)).all())
+        passed = bool((np.isfinite(balance) & np.isfinite(compat) & (balance <= BALANCE_TOL * scale)
+                       & (compat <= COMPAT_TOL * scale)).all())
     return BalanceReport(*worst, passed=passed)
 
 

@@ -516,11 +516,9 @@ def blend_limiter(phi_L):
     phi_L = np.asarray(phi_L, dtype=float)
     total = _ksum(phi_L)
     zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + _ksum(np.abs(phi_L), np.maximum))
-    some = zero.any()                   # the np.where guards only if a total is at round-off
-    num = np.maximum(0.0, phi_L / (np.where(zero, 1.0, total) if some else total))
+    num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
     den = _ksum(num)
-    beta = (np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den)) if some
-            else num / den)
+    beta = np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den))
     return beta, beta * total
 
 

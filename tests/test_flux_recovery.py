@@ -117,11 +117,14 @@ def test_certify_scales_tolerances_with_the_residuals():
 
 @pytest.mark.parametrize("where", ["psi", "fluxes"])
 def test_certify_fails_nan_defects(where):
+    """And infinite ones: no tolerance scaled by 1 + max|psi| admits them."""
     system = fr.build_incidence(msh.reference_graph(2, 1))
-    psi = np.array([[0.5], [-0.2], [-0.3]])
-    fluxes = fr.recover_fluxes(system, psi)
-    {"psi": psi, "fluxes": fluxes}[where][1, 0] = np.nan
-    assert not fr.certify(system, fluxes, psi).passed
+    for value in (np.nan, np.inf):
+        psi = np.array([[0.5], [-0.2], [-0.3]])
+        fluxes = fr.recover_fluxes(system, psi)
+        {"psi": psi, "fluxes": fluxes}[where][1, 0] = value
+        with np.errstate(invalid="ignore"):             # 0 * inf in A @ fluxes
+            assert not fr.certify(system, fluxes, psi).passed
 
 
 @pytest.mark.parametrize("m", [1, 4])
