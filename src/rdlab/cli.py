@@ -35,12 +35,13 @@ from .rd_core import Discretization, Scheme
 FMT = "%.17g"
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows, ints=0):
+    """Write ``rows`` of tuples under ``header``: the first ``ints`` columns as
+    integers, the others as ``FMT``."""
+    fmt = ",".join(["%d"] * ints + [FMT] * (len(header) - ints)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, str)) else FMT % float(c)
-                              for c in row) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def _initial_field(name, coords):
@@ -160,20 +161,13 @@ def cmd_run(args):
         return _run_sod(cfg, run, args)
     disc, scheme = run.disc, run.scheme
     key = f"dt {run.dt}" if run.dt else f"cfl {run.time.cfl}"
-    series, final = [], []
-    extrema = [np.array([run.u0.min(), run.u0.max()])]
-
-    def log(t, u, mass_total, rnorm):
-        series.append((t, mass_total[0], rnorm))
-        extrema.append(np.array([u.min(), u.max()]))
-
     with warnings.catch_warnings():
         if args.strict:
             warnings.simplefilter("error", time_dec.CflWarning)
         try:
             with _config_values(f"[time] t_end {run.t_end} with [time] {key}: "):
-                u, _ = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time,
-                                        u_b=run.u_b, dt=run.dt, log=log, final=final.append)
+                u, records, rset = time_dec.dec_run(disc, run.u0, run.t_end, scheme, run.time,
+                                                    u_b=run.u_b, dt=run.dt)
         except time_dec.CflWarning as err:
             print(f"step rejected: {err}", file=sys.stderr)
             return 3
@@ -182,12 +176,11 @@ def cmd_run(args):
     rows = zip(range(len(coords)), *coords.T, *u.T)
     hdr = ["dof"] + [f"x{k}" for k in range(disc.mesh.dim)] + \
           [f"u{k}" for k in range(disc.law.m)]
-    _write_csv(os.path.join(run.out, "solution.csv"), hdr, rows)
+    _write_csv(os.path.join(run.out, "solution.csv"), hdr, rows, ints=1)
     _write_csv(os.path.join(run.out, "series.csv"), ["t", "mass", "res_inf"],
-               series)
-    rset = final[0]
+               ((t, mass[0], rnorm) for t, mass, rnorm, *_ in records))
     gating = [diag.conservation_audit(disc, u, rset), diag.flux_form_audit(disc, u, rset),
-              diag.maximum_principle_audit(extrema)]
+              diag.maximum_principle_audit([run.u0, *(r[3:] for r in records)])]
     reported = [diag.entropy_inequality_audit(disc, u, rset, run.u_b)] \
         if disc.law.has_entropy else []
     return _write_audits(cfg, run.out, args.strict, gating, reported)
@@ -199,7 +192,7 @@ def _run_sod(cfg, run, args):
     os.makedirs(run.out, exist_ok=True)
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
     _write_csv(os.path.join(run.out, "solution.csv"),
-               ["node", "x", "rho", "u", "p"], rows)
+               ["node", "x", "rho", "u", "p"], rows, ints=1)
     correct = run.sod["correct"]
     reports = [diag.AuditReport(f"{name}_balance", defect, diag.SOD_BALANCE_TOL,
                                 None if correct else ("corrections", "off"))
@@ -219,14 +212,14 @@ def cmd_burgers1d(args):
     u = _initial_field("cosine" if args.periodic else "riemann", grid.x[:, None])
     series = [(0, 0.0, fv1d.total_variation(u, args.periodic),
                float(u.sum() * grid.dx))]
+    # a fixed lam over ceil(tend / dt) steps: time_dec.march would clip the last one
     for k in range(1, n_steps + 1):
         u = stepper(u, args.lam, args.periodic)
         series.append((k, k * dt, fv1d.total_variation(u, args.periodic),
                        float(u.sum() * grid.dx)))
-    _write_csv(os.path.join(args.out, "final.csv"), ["x", "u"],
-               list(zip(grid.x, u)))
+    _write_csv(os.path.join(args.out, "final.csv"), ["x", "u"], zip(grid.x, u))
     _write_csv(os.path.join(args.out, "series.csv"),
-               ["step", "t", "tv", "mass"], series)
+               ["step", "t", "tv", "mass"], series, ints=1)
     return 0
 
 

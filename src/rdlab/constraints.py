@@ -29,17 +29,11 @@ def conserved_increment_matrix(w_p, w_p1):
     """
     w_p = np.asarray(w_p, dtype=float)
     w_p1 = np.asarray(w_p1, dtype=float)
-    u_p = w_p[..., 1]
-    u_p1 = w_p1[..., 1]
-    rho_p1 = w_p1[..., 0]
-    M = np.zeros(w_p.shape[:-1] + (3, 3))
-    M[..., 0, 0] = 1.0
-    M[..., 1, 0] = u_p
-    M[..., 1, 1] = rho_p1
-    M[..., 2, 0] = 0.5 * u_p * u_p
-    M[..., 2, 1] = 0.5 * rho_p1 * (u_p + u_p1)
-    M[..., 2, 2] = 1.0
-    return M
+    u_p, rho_p1, u_p1 = w_p[..., 1], w_p1[..., 0], w_p1[..., 1]
+    e = np.eye(3).reshape((3, 3) + (1,) * u_p.ndim)    # unit (delta rho, delta u, delta e)
+    rows = np.broadcast_arrays(e[0], momentum_residuals(e[0], e[1], rho_p1, u_p),
+                               energy_residuals(*e, u_p, rho_p1, u_p1))
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
@@ -55,8 +49,14 @@ def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
         i = int(np.argmin(ok))
         raise InadmissibleStateError(f"density sum {np.ravel(denom)[i]} below "
                                      f"{DENSITY_TOL} in element {i}")
-    current = (rho_p1 * phi_u + np.asarray(u_p) * phi_rho).sum(axis=0)
+    current = momentum_residuals(phi_rho, phi_u, rho_p1, np.asarray(u_p)).sum(axis=0)
     return (target_m - current) / denom
+
+
+def momentum_residuals(phi_rho, phi_u, rho_p1, u_p):
+    """Conserved momentum residual of each DOF: the second row of the
+    increment matrix applied to (phi_rho, phi_u)."""
+    return rho_p1 * phi_u + u_p * phi_rho
 
 
 def energy_residuals(phi_rho, phi_u, phi_e, u_p, rho_p1, u_p1):

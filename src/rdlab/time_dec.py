@@ -77,7 +77,7 @@ def stable_dt(disc, u, cfl):
 
 def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):
     """One time step of ``config.method`` with the lumped ``mass``; ``dt`` is
-    taken as given (``dec_run`` checks it against ``stable_dt``).
+    taken as given (``march`` checks it against ``stable_dt``).
 
     ``R_n``, if given, is the residual at ``u_n``; it is not recomputed.
     """
@@ -91,37 +91,47 @@ def dec_step(disc, u_n, dt, scheme, config, mass, u_b=None, R_n=None):
     return u_p
 
 
-def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None, log=None, final=None):
-    """March to a finite ``t_end`` >= 0; returns (final state, times list).
+def march(t_end, state, bound, advance, dt=None):
+    """March ``state`` to a finite ``t_end`` >= 0; returns (final state, records).
 
-    Each step is ``stable_dt`` of the current state, or ``dt`` if given, with
-    a ``CflWarning`` where ``dt`` exceeds that bound; each passes ``check_step``.
-    ``log``, if given, is called after each step with (t, u, total lumped mass
-    per component, residual infinity norm).  The residual at the new state is
-    computed once; it serves the log, the next step and ``final`` (its ``ResidualSet``).
+    Each step is ``bound(state)``, or ``dt`` if given, clipped to ``t_end - t``;
+    it passes ``check_step`` and warns ``CflWarning`` where it exceeds the bound.
+    ``advance(state, step)`` returns the next state and a tuple of values the
+    step computed; each step's record is ``(t, *that tuple)``.
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end {t_end} is not a finite number >= 0")
-    mass = lumped_mass(disc)
-    u = np.array(u0, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    t, first = 0.0, None
-    times = [0.0]
-    R, rset = disc.assemble(u, scheme, u_b)
+    t, first, records = 0.0, None, []
     while t < t_end - 1e-14:
-        dtmax = stable_dt(disc, u, config.cfl)
+        dtmax = bound(state)
         step = min(dtmax if dt is None else dt, t_end - t)
         check_step(step, t_end - t, first)
         first = first or step
         if step > dtmax * (1.0 + 1e-12):
             warnings.warn(f"time step {step} exceeds the CFL bound {dtmax}", CflWarning)
-        u = dec_step(disc, u, step, scheme, config, mass, u_b=u_b, R_n=R)
+        state, record = advance(state, step)
         t += step
-        times.append(t)
+        records.append((t, *record))
+    return state, records
+
+
+def dec_run(disc, u0, t_end, scheme, config, u_b=None, dt=None):
+    """``march`` with the ``stable_dt`` bound; returns (final state, records,
+    final ``ResidualSet``).  Each record is ``(t, mass @ u, max |R|, u.min(),
+    u.max())`` at the step's new state ``u``: the total lumped mass per
+    component, the residual infinity norm and the extrema.  The residual at
+    each state is computed once; it serves the record, the next step and the
+    returned set."""
+    mass = lumped_mass(disc)
+    u = np.array(u0, dtype=float)
+    u = u[:, None] if u.ndim == 1 else u
+
+    def advance(state, step):
+        u = dec_step(disc, state[0], step, scheme, config, mass, u_b=u_b, R_n=state[1])
         R, rset = disc.assemble(u, scheme, u_b)
-        if log is not None:
-            log(t, u, mass @ u, float(np.abs(R).max()))
-    if final is not None:
-        final(rset)
-    return u, times
+        return (u, R, rset), (mass @ u, float(np.abs(R).max()), u.min(), u.max())
+
+    (u, _, rset), records = march(t_end, (u, *disc.assemble(u, scheme, u_b)),
+                                  lambda state: stable_dt(disc, state[0], config.cfl),
+                                  advance, dt)
+    return u, records, rset

@@ -232,8 +232,8 @@ def test_criterion_08_dec_second_order():
         u0 = np.sin(2.0 * np.pi * x)[:, None]
         h = 1.0 / n
         config = td.DecConfig(method="cn")
-        u, _ = td.dec_run(disc, u0, 0.5, Scheme(kind="galerkin"), config,
-                          dt=0.25 * h)
+        u, *_ = td.dec_run(disc, u0, 0.5, Scheme(kind="galerkin"), config,
+                           dt=0.25 * h)
         exact = np.sin(2.0 * np.pi * (x - 0.5))
         errors.append(float(np.sqrt(h * np.sum((u[:, 0] - exact) ** 2))))
         hs.append(h)

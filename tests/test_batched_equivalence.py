@@ -192,9 +192,9 @@ def test_cn_dec_run_matches_reference_on_readme_problem():
     config = td.DecConfig(method="cn")
     dt = td.stable_dt(disc, u0[:, None], config.cfl)
     scheme = Scheme(kind="limited")
-    logs = [], []
-    u, times = td.dec_run(disc, u0, 5 * dt, scheme, config, u_b=0.0, dt=dt,
-                          log=lambda *row: logs[0].append(row))
+    u, records, _ = td.dec_run(disc, u0, 5 * dt, scheme, config, u_b=0.0, dt=dt)
+    times = [0.0, *(t for t, *_ in records)]
+    logs = [(t, None, mass, res) for t, mass, res, *_ in records], []
     u_ref, times_ref = oracle_dec_run(ref, u0, 5 * dt, scheme, oracle_config("cn", config.cfl),
                                       u_b=0.0, dt=dt, log=lambda *row: logs[1].append(row))
     assert times == times_ref and len(times) == 6

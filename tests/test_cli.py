@@ -500,7 +500,7 @@ def test_run_certifies_its_flux_form(tmp_path, path):
     assert audit[1].startswith("PASS flux_form: defect=")
 
 
-def test_maximum_principle_line_is_the_audit_of_every_state(tmp_path):
+def test_maximum_principle_line_is_the_audit_of_every_state(tmp_path, monkeypatch):
     """The run keeps each state's minimum and maximum, not the state: its
     maximum-principle line is the audit of the march's full state history,
     on a CN run that leaves its initial range mid-march."""
@@ -509,8 +509,15 @@ def test_maximum_principle_line_is_the_audit_of_every_state(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     run = cli._setup(RunConfig.load(cfg))
     history = [run.u0]
-    time_dec.dec_run(run.disc, run.u0, run.t_end, run.scheme, run.time, u_b=run.u_b,
-                     log=lambda t, u, *_: history.append(u[:, 0].copy()))
+    dec_step = time_dec.dec_step
+
+    def recorded(*args, **kwargs):
+        u = dec_step(*args, **kwargs)
+        history.append(u[:, 0].copy())
+        return u
+
+    monkeypatch.setattr(time_dec, "dec_step", recorded)
+    time_dec.dec_run(run.disc, run.u0, run.t_end, run.scheme, run.time, u_b=run.u_b)
     expected = diag.maximum_principle_audit(history)
     assert not expected.passed and expected.worst_location[1] not in (0, len(history) - 1)
     assert (out / "audit.txt").read_text().splitlines()[2] == expected.line()

@@ -193,6 +193,36 @@ def test_cfl_violation_warns():
         td.dec_run(disc, u, dt, Scheme(kind="rusanov"), td.DecConfig(method="euler"), dt=dt)
 
 
+def test_cfl_warning_judges_the_clipped_step():
+    """A ``dt`` ten times the bound is clipped to ``t_end``: a clipped step
+    within the bound takes one step without a warning, one above it warns."""
+    disc = make_disc(8)
+    u = np.ones((disc.dofmap.n_dofs, 1))
+    bound = td.stable_dt(disc, u, 0.3)
+    scheme, config = Scheme(kind="rusanov"), td.DecConfig(method="euler")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, records, _ = td.dec_run(disc, u, 0.5 * bound, scheme, config, dt=10.0 * bound)
+    assert [t for t, *_ in records] == [0.5 * bound]
+    with pytest.warns(td.CflWarning, match="exceeds the CFL bound"):
+        td.dec_run(disc, u, 2.5 * bound, scheme, config, dt=10.0 * bound)
+
+
+def test_march_records_each_step():
+    """``march`` clips the last step to ``t_end`` and stores ``(t, *record)``
+    per step; a ``t_end`` of 0 takes no step."""
+    steps = []
+
+    def advance(state, step):
+        steps.append(step)
+        return state + 1, (state, step)
+
+    state, records = td.march(1.0, 0, lambda state: 0.4, advance)
+    assert state == 3 and steps == [0.4, 0.4, 1.0 - 0.8]
+    assert records == [(0.4, 0, 0.4), (0.8, 1, 0.4), (0.8 + steps[2], 2, steps[2])]
+    assert td.march(0.0, 0, lambda state: 0.4, advance) == (0, [])
+
+
 def test_dec_run_computes_the_cfl_bound_once_per_step(monkeypatch):
     disc = make_disc(8)
     u0 = np.ones((disc.dofmap.n_dofs, 1))
@@ -200,8 +230,9 @@ def test_dec_run_computes_the_cfl_bound_once_per_step(monkeypatch):
     monkeypatch.setattr(td, "stable_dt", lambda *a: calls.append(1) or 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # the default step never warns
-        _, times = td.dec_run(disc, u0, 0.05, Scheme(kind="rusanov"), td.DecConfig(method="cn"))
-    assert len(times) - 1 == len(calls) == 5
+        _, records, _ = td.dec_run(disc, u0, 0.05, Scheme(kind="rusanov"),
+                                   td.DecConfig(method="cn"))
+    assert len(records) == len(calls) == 5
 
 
 def test_dec_run_conserves_mass_periodic():
@@ -211,11 +242,9 @@ def test_dec_run_conserves_mass_periodic():
     u0 = (1.0 + 0.5 * np.sin(2 * np.pi * x))[:, None]
     mass = td.lumped_mass(disc)
     m0 = float(mass @ u0[:, 0])
-    logged = []
-    u, times = td.dec_run(
-        disc, u0, 0.2, Scheme(kind="rusanov"), td.DecConfig(method="cn"),
-        log=lambda t, u, m, r: logged.append((t, m[0], r)),
-    )
+    u, records, _ = td.dec_run(disc, u0, 0.2, Scheme(kind="rusanov"), td.DecConfig(method="cn"))
+    times = [0.0, *(t for t, *_ in records)]
+    logged = [(t, m[0], r) for t, m, r, *_ in records]
     assert abs(times[-1] - 0.2) < 1e-12
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
     m1 = float(mass @ u[:, 0])
@@ -226,8 +255,8 @@ def test_dec_run_conserves_mass_periodic():
 def test_dec_run_accepts_1d_initial_state():
     disc = make_disc(8)
     u0 = np.ones(disc.dofmap.n_dofs)
-    u, _ = td.dec_run(disc, u0, 0.05, Scheme(kind="rusanov"),
-                      td.DecConfig(method="euler"))
+    u, *_ = td.dec_run(disc, u0, 0.05, Scheme(kind="rusanov"),
+                       td.DecConfig(method="euler"))
     assert u.shape == (disc.dofmap.n_dofs, 1)
     # constant states are exact for periodic advection
     assert np.abs(u - 1.0).max() < 1e-13
