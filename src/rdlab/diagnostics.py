@@ -88,8 +88,8 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
     The numerical entropy flux is the law's entropy flux at the face-average
     state: the average of the two traces on interior faces, and of the trace
     and ``u_b`` on boundary faces (``mesh.faces.boundary``), which keep their
-    own trace when ``u_b`` is None.  ``u_b`` is a constant state (m,) or a
-    callable taking positions (..., dim) to states (..., m), called once.
+    own trace when ``u_b`` is None.  The neighbour's trace is read through
+    ``Discretization.across`` and ``u_b`` through ``boundary_state``.
     Violations are counted where the clamped defect exceeds ``ENTROPY_TOL``.
     ``u`` is (ndof, m).
     """
@@ -97,15 +97,9 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
     ue = disc.element_values(slice(None), u)                      # (ne, #K, m)
     lhs = np.sum(law.entropy_var(ue) * rset.phi, axis=(1, 2))
     u_in = disc.face_values(ue)                                   # (ne, nf, nfq, m)
-    # the neighbour runs a shared face the other way round
-    u_out = u_in.reshape((-1,) + u_in.shape[2:])[disc.nbr][:, :, ::-1]
+    u_out = disc.across(u_in)
     e, lf = disc.mesh.faces.boundary
-    if u_b is None:
-        u_out[e, lf] = u_in[e, lf]
-    elif callable(u_b):
-        u_out[e, lf] = u_b(disc.face_points(e, disc.flam[lf]))
-    else:
-        u_out[e, lf] = np.atleast_1d(u_b)
+    u_out[e, lf] = u_in[e, lf] if u_b is None else disc.boundary_state(u_b, e, disc.flam[lf])
     g = law.entropy_flux(0.5 * (u_in + u_out))                    # (ne, nf, nfq, dim)
     gn = np.einsum("kfqd,kfd->kfq", g, disc.fnormal)[..., None]
     outflux = disc.contour(slice(None), gn).sum(axis=(1, 2))      # the basis sums to 1

@@ -125,8 +125,7 @@ def _p2_normal_weights(mesh, e, mid):
     """-n_l/6 at the vertices and ``mid`` times the scaled inward normal
     opposite each midpoint's edge at the midpoints, shape (..., 6, 2)."""
     n_in = -msh.element_geometry(mesh, e)[2]
-    # midpoint 3+k sits on the edge opposite vertex (2, 0, 1)[k]
-    return np.concatenate([-n_in / 6.0, mid * n_in[..., [2, 0, 1], :]], axis=-2)
+    return np.concatenate([-n_in / 6.0, mid * n_in[..., msh.MIDPOINT_FACES, :]], axis=-2)
 
 
 def trace_normal_weights(mesh, e):

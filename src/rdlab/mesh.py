@@ -44,7 +44,7 @@ class FaceTable:
 
     keys: np.ndarray      # (n_faces, 2) lowest and highest vertex id of each face
     id: np.ndarray        # (ne, nf) face id of each (element, local face)
-    across: np.ndarray    # (ne, nf) flat index nf*e2 + lf2 of the face across, -1 on the boundary
+    across: np.ndarray    # (ne, nf) nf*e2+lf2 across, -1 on the boundary; see Discretization.across
     boundary: np.ndarray  # (2, nb) element and local face of each boundary face, in flat order
 
 
@@ -112,8 +112,8 @@ class DofMap:
 _TRI_FACES = ((1, 2), (2, 0), (0, 1))
 # local faces of each element type, as local vertex tuples
 _LOCAL_FACES = {1: ((0,), (1,)), 2: _TRI_FACES}
-# P2 midpoint DOF on each local face
-_FACE_MIDPOINTS = (4, 5, 3)
+# P2 midpoint 3+k lies on local face MIDPOINT_FACES[k], the edge opposite that vertex
+MIDPOINT_FACES = (2, 0, 1)
 
 # oriented element graphs used for flux recovery, fixed edge ordering
 _GRAPH_EDGES = {
@@ -168,7 +168,7 @@ def build_dofmap(mesh):
         return DofMap(mesh.elements.copy(), mesh.vertices.copy(), mesh.n_vertices, mesh.dim + 1)
     if mesh.degree == 2 and mesh.dim == 2:
         # midpoint DOFs numbered in first-seen order over the edges 01, 12, 20
-        edges = mesh.faces.id[:, [2, 0, 1]]
+        edges = mesh.faces.id[:, MIDPOINT_FACES]
         order = np.argsort(np.unique(edges, return_index=True)[1])
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -322,4 +322,4 @@ def volume_rule(mesh):
 def face_local_dofs(mesh, local_face):
     """Local DOF indices lying on a local face, in trace order."""
     ends = _LOCAL_FACES[mesh.dim][local_face]
-    return ends + (_FACE_MIDPOINTS[local_face],) if mesh.degree == 2 else ends
+    return ends + (3 + MIDPOINT_FACES.index(local_face),) if mesh.degree == 2 else ends

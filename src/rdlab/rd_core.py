@@ -240,11 +240,21 @@ class Discretization:
             raise table
         return table[e] if isinstance(table, np.ndarray) else build(e, u)
 
-    def face_points(self, e, lam):
-        """Positions (..., nq, dim) of barycentric points ``lam`` (..., nq,
-        dim + 1) on the elements ``e``, whose index shape broadcasts against
-        the leading axes of ``lam``."""
-        return lam @ self.mesh.vertices[self.mesh.elements[e]]
+    def across(self, a):
+        """The entry across each face point of a whole-mesh face table ``a`` (ne, nf,
+        nfq, ...), the only reader of ``mesh.faces.across``: the neighbour's entry at
+        its face point nfq-1-q, as ccw elements run a shared face the other way round.
+        A boundary face's entry is left for the caller to replace or zero."""
+        return a.reshape((-1,) + a.shape[2:])[self.nbr][:, :, ::-1]
+
+    def boundary_state(self, u_b, e, lam):
+        """The weak boundary state at barycentric points ``lam`` (..., nq, dim + 1)
+        of the elements ``e``, whose index shape broadcasts against the leading
+        axes of ``lam``: a constant ``u_b`` (m,) as it is, or a callable taking
+        positions (..., nq, dim) to states (..., nq, m), called once."""
+        if not callable(u_b):
+            return np.atleast_1d(u_b)
+        return u_b(lam @ self.mesh.vertices[self.mesh.elements[e]])
 
     def element_values(self, e, u):
         """DOF values of one element (#K, m), or of an index array (k, #K, m)."""
@@ -253,8 +263,7 @@ class Discretization:
     def _admissible(self, e, u):
         """Per element: every state its residuals evaluate is admissible, (k,)."""
         ue = self.element_values(e, u)
-        ok = self.law.admissible(self.face_values(ue)).all(axis=(1, 2))
-        ok &= self.law.admissible(self.vq_phi @ ue).all(axis=1)
+        ok = self.law.admissible(self.ptrace @ ue).all(axis=1)
         return ok & self.law.admissible(ue.mean(axis=1))
 
     # -- residual families -------------------------------------------------
@@ -358,13 +367,8 @@ class Discretization:
     def _jumps(self, e, u):
         """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); a
         boundary face's entry is left for ``_jump_term`` to zero."""
-        nbr = self.nbr[e]                                     # (k, 3)
-        e2, f2 = nbr // 3, nbr % 3
-        # ccw elements run a shared edge in opposite directions, so the
-        # neighbour's face point nfq-1-q is this element's face point q
-        return (np.einsum("...fqsd,...sm->...fqdm", self.fgrad[e], self.element_values(e, u))
-                - np.einsum("...fqsd,...fsm->...fqdm", self.fgrad[e2, f2],
-                            self.element_values(e2, u))[..., ::-1, :, :])
+        grad = np.einsum("kfqsd,ksm->kfqdm", self.fgrad, self.element_values(slice(None), u))
+        return (grad - self.across(grad))[e]
 
     def _jump_term(self, e, u, theta_e):
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
@@ -426,12 +430,11 @@ class Discretization:
 
         Returns local DOF ids on the faces (nb, nfd) and per-DOF residuals
         (nb, nfd, m); one pair drops the face axis as numpy indexing does.
-        ``u_b`` is a constant state (m,) or a callable taking positions
-        (..., dim) to states (..., m), called once for all face points.  A
-        linear law applies the per-mesh ``linear_inflow_w`` to u_b - u_h."""
+        ``u_b`` is read through ``boundary_state`` at the boundary rule's
+        points.  A linear law applies the per-mesh ``linear_inflow_w`` to u_b - u_h."""
         e, lf = face
         uq = np.einsum("...qs,...sm->...qm", self.bphi[lf], self.element_values(e, u))
-        ub = u_b(self.face_points(e, self.blam[lf])) if callable(u_b) else np.atleast_1d(u_b)
+        ub = self.boundary_state(u_b, e, self.blam[lf])
         if self.law.linear:
             return self.face_dofs[lf], self.linear_inflow_w[e, lf] @ (ub - uq)
         ub = np.broadcast_to(ub, uq.shape)
@@ -484,7 +487,7 @@ def rusanov_coefficients(disc, e, u, alpha=None):
     if disc.m != 1:
         raise UnsupportedFeatureError("coefficient extraction is scalar-only")
     mat = disc._rusanov_matrix(e, u)                      # (k, #K, #K, 1, 1)
-    alpha = disc.nloc * _max_specnorm(mat) if alpha is None else alpha
+    alpha = disc.rusanov_alpha(e, u) if alpha is None else alpha
     c = np.asarray(alpha)[..., None, None] / disc.nloc - mat[..., 0, 0]
     diag = np.arange(disc.nloc)
     c[..., diag, diag] = 0.0

@@ -48,6 +48,21 @@ def jittered_tri_mesh(n, degree, seed):
     return mesh
 
 
+def shuffled_tri_mesh(n, degree, seed):
+    """``jittered_tri_mesh`` in a random element order, each element's vertices
+    rotated by a random cyclic shift (still counter-clockwise), and the mesh's
+    vertices renumbered at random; the topology is unchanged (no edge flips)."""
+    mesh = jittered_tri_mesh(n, degree, seed)
+    rng = np.random.default_rng([seed, 1])
+    tris = mesh.elements[rng.permutation(mesh.n_elements)]
+    shift = rng.integers(0, 3, size=len(tris))[:, None]
+    tris = np.take_along_axis(tris, (np.arange(3) + shift) % 3, axis=1)
+    new_id = rng.permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[new_id] = mesh.vertices
+    return msh.Mesh(dim=2, vertices=verts, elements=new_id[tris], degree=degree)
+
+
 def read_back(mesh, tmp_path):
     """The mesh written as text with ``np.savetxt`` and built by hand from
     what ``np.loadtxt`` reads back: its vertices, elements, degree and period."""
@@ -111,6 +126,19 @@ def test_families_match_reference(law_name, degree, kind):
     # the per-element call is the same slice of the batch
     e = disc.mesh.n_elements // 2
     assert np.array_equal(disc.element_residuals([e], u, scheme)[0], phi[e])
+
+
+@pytest.mark.parametrize("kind", ["jump", "limited_jump"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("law_name", ["advection", "burgers", "euler"])
+def test_jump_families_match_reference_on_shuffled_mesh(law_name, degree, kind):
+    """The gradient jumps read the neighbour across each face, so an irregular
+    element order, vertex rotation and vertex numbering must not move them."""
+    law = make_law(law_name)
+    disc, ref = pair(shuffled_tri_mesh(3, degree, seed=31), law)
+    u = random_state(law, disc.dofmap.dof_coords, seed=9)
+    scheme = Scheme(kind=kind)
+    assert_close(disc.residual_set(u, scheme).phi, ref.residual_set(u, scheme).phi)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

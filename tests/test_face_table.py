@@ -4,9 +4,10 @@
 Boundary faces, the P2 midpoint DOFs, the neighbour table and the entropy
 audit are all derived from ``Mesh.faces``, and measures, diameters and
 scaled face normals from ``element_geometry``; on structured,
-vertex-jittered, read-back and interval meshes they must reproduce the
-dictionary loops and per-element functions they replaced.  The structured
-builder must reproduce its cell loop.
+vertex-jittered, shuffled (irregular element and vertex order), read-back
+and interval meshes they must reproduce the dictionary loops and
+per-element functions they replaced.  The structured builder must
+reproduce its cell loop.
 """
 
 import numpy as np
@@ -27,7 +28,12 @@ from rdlab.conslaw import Advection, Burgers
 from rdlab.diagnostics import entropy_inequality_audit
 from rdlab.errors import DegenerateGeometryError
 from rdlab.rd_core import Discretization, ResidualSet, Scheme
-from test_batched_equivalence import jittered_interval_mesh, jittered_tri_mesh, read_back
+from test_batched_equivalence import (
+    jittered_interval_mesh,
+    jittered_tri_mesh,
+    read_back,
+    shuffled_tri_mesh,
+)
 
 DOMAIN = ((-1.0, 0.5), (2.0, 2.0))
 
@@ -39,6 +45,8 @@ def build(name):
         return msh.build_structured_tri_mesh(3, 3, DOMAIN, degree=2)
     if name.startswith("jittered"):
         return jittered_tri_mesh(3, int(name[-1]), seed=17)
+    if name.startswith("shuffled"):
+        return shuffled_tri_mesh(3, int(name[-1]), seed=19)
     if name == "interval":
         return jittered_interval_mesh(7, False, seed=3)
     if name == "periodic_interval_jittered":
@@ -46,8 +54,8 @@ def build(name):
     return msh.build_interval_mesh(6, -1.0, 2.0, periodic=True)
 
 
-NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2",
-         "interval", "periodic_interval", "periodic_interval_jittered"]
+NAMES = ["structured_p1", "structured_p2", "jittered_p1", "jittered_p2", "shuffled_p1",
+         "shuffled_p2", "interval", "periodic_interval", "periodic_interval_jittered"]
 
 
 @pytest.fixture(params=[(n, rt) for n in NAMES for rt in (False, True)],
@@ -154,6 +162,28 @@ def test_entropy_audit_matches_reference(case):
             assert abs(report.defect - worst) <= 1e-14 * worst
             assert report.worst_location == where
             assert report.extra["violations"] == count
+
+
+def test_across_reads_the_neighbours_matching_face_point(case):
+    """A continuous u_h has one value at each interior face point, so the entry
+    that ``across`` gathers from the neighbour equals this element's own; a
+    global quadratic has a continuous gradient too, so at P2 its interior
+    gradient jumps vanish at round-off."""
+    mesh = case
+    disc = Discretization(mesh, Burgers(dim=mesh.dim))
+    interior = mesh.faces.across >= 0
+    u = np.random.default_rng(7).uniform(-1.0, 2.0, size=(disc.dofmap.n_dofs, 2))
+    own = disc.face_values(disc.element_values(slice(None), u))
+    gap = np.abs(disc.across(own) - own)[interior]
+    assert interior.any() and gap.max() <= 1e-14 * np.abs(own).max()
+    if mesh.degree == 2:
+        x, y = disc.dofmap.dof_coords.T
+        quad = (1.0 + x - 2.0 * y + 3.0 * x * x + x * y - y * y)[:, None]
+        jumps = disc._jumps(slice(None), quad)[interior]
+        # the largest sum of |u_s grad(phi_s)| at a face point bounds the cancellation
+        terms = np.einsum("kfqsd,ksm->kfqdm", np.abs(disc.fgrad),
+                          np.abs(disc.element_values(slice(None), quad)))
+        assert np.abs(jumps).max() <= 1e-14 * terms.max()
 
 
 @pytest.mark.parametrize("u_b", [1.0, lambda x: (x[..., :1] > 0.5) * 1.0])
