@@ -6,7 +6,8 @@ counterexample (p = 4), all with the square entropy u^2/2; the system is
 perfect-gas Euler.  States are numpy arrays of shape (..., m). ``flux``
 returns (..., d, m) and ``jac_n`` the m-by-m matrix of the normal-flux
 Jacobian, shape (..., m, m); its normals (..., d) broadcast against the
-leading axes of the states.
+leading axes of the states.  ``jac_n`` is linear in the normal, so ``rd_core``'s
+SUPG term reads A(u).grad(u_h) as sum_s jac_n(u, grad(phi_s)) u_s.
 """
 
 from __future__ import annotations

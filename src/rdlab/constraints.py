@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .conslaw import ADMISSIBLE_TOL
 from .errors import InadmissibleStateError, InfeasibleCorrectionError
 
-DENSITY_TOL = 1e-12
 ENTROPY_CORRECTION_TOL = 1e-11
 
 
@@ -44,11 +44,11 @@ def velocity_correction(phi_rho, phi_u, rho_p1, u_p, target_m):
     """
     rho_p1 = np.asarray(rho_p1, dtype=float)
     denom = rho_p1.sum(axis=0)
-    ok = denom >= DENSITY_TOL                       # NaN fails
+    ok = denom >= ADMISSIBLE_TOL                      # NaN fails
     if not ok.all():
         i = int(np.argmin(ok))
         raise InadmissibleStateError(f"density sum {np.ravel(denom)[i]} below "
-                                     f"{DENSITY_TOL} in element {i}")
+                                     f"{ADMISSIBLE_TOL} in element {i}")
     current = momentum_residuals(phi_rho, phi_u, rho_p1, np.asarray(u_p)).sum(axis=0)
     return (target_m - current) / denom
 

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import (DENSITY_TOL, energy_correction, energy_residuals, momentum_residuals,
+from .conslaw import ADMISSIBLE_TOL
+from .constraints import (energy_correction, energy_residuals, momentum_residuals,
                           velocity_correction)
 from .errors import InadmissibleStateError
 from .time_dec import march
@@ -73,11 +74,11 @@ def energy_flux(w, gamma):
 def checked_wave_speed(w, gamma):
     """Nodal wave speeds (n+1,) of an admissible state (3, n+1)."""
     rho, _, e = w
-    ok = (rho >= DENSITY_TOL) & (e >= DENSITY_TOL)  # NaN fails
+    ok = (rho >= ADMISSIBLE_TOL) & (e >= ADMISSIBLE_TOL)  # NaN fails
     if not ok.all():
         i = int(np.argmin(ok))
-        name, value = ("internal energy", e[i]) if rho[i] >= DENSITY_TOL else ("density", rho[i])
-        raise InadmissibleStateError(f"{name} {value} below {DENSITY_TOL} at node {i}")
+        name, value = ("internal energy", e[i]) if rho[i] >= ADMISSIBLE_TOL else ("density", rho[i])
+        raise InadmissibleStateError(f"{name} {value} below {ADMISSIBLE_TOL} at node {i}")
     return wave_speed(w.T, gamma)
 
 

@@ -15,9 +15,10 @@ quantity of the state alone is memoised for the last state seen, over every
 element, so the families and per-element queries of one state evaluate it
 once: the flux at the face and volume points, the normal face flux, the
 total residual, the boundary DOF flux, a nonlinear law's Rusanov bound, the
-volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), SUPG's
-A.grad(u_h) and unscaled tau, and the gradient jumps before theta_e.  Each
-scheme parameter is applied to the memo's rows on every call.
+volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), whose
+contraction with the DOF values is SUPG's A.grad(u_h), SUPG's unscaled tau,
+and the gradient jumps before theta_e, zero on boundary faces.  Each scheme
+parameter is applied to the memo's rows on every call.
 """
 
 from __future__ import annotations
@@ -350,31 +351,24 @@ class Discretization:
         hk = speed * self.diameter[e]
         return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
 
-    def _streamline(self, e, u):
-        """A(u_h).grad(u_h) at the volume points, (k, nq, m)."""
-        ue = self.element_values(e, u)
-        jd = self.law.jac_n((self.vq_phi @ ue)[..., None, :], np.eye(self.mesh.dim))
-        du = np.einsum("...qsd,...sm->...qdm", self.vgrad[e], ue)   # grad(u_h)
-        return np.einsum("...qdij,...qdj->...qi", jd, du)
-
     def _supg_term(self, e, u, tau_scale):
         jg = self._memo(self._jacobians, e, u)                # A.grad(phi_s)
-        adu = self._memo(self._streamline, e, u)
+        # A(u_h).grad(u_h) = sum_s (A.grad(phi_s)) u_s, as jac_n is linear in n
+        adu = np.einsum("...qsij,...sj->...qi", jg, self.element_values(e, u))
         tau = tau_scale * self._memo(self._tau, e, u)
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[..., None]
         return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * adu)
 
     def _jumps(self, e, u):
-        """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); a
-        boundary face's entry is left for ``_jump_term`` to zero."""
+        """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); zero on boundary faces."""
         grad = np.einsum("kfqsd,ksm->kfqdm", self.fgrad, self.element_values(slice(None), u))
-        return (grad - self.across(grad))[e]
+        interior = (self.nbr >= 0)[:, :, None, None, None]
+        return np.where(interior, grad - self.across(grad), 0.0)[e]
 
     def _jump_term(self, e, u, theta_e):
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
         # out of place: the memo's table is read-only
-        jump = self._memo(self._jumps, e, u) * np.where(
-            self.nbr[e] >= 0, 0.5 * theta_e * he * he, 0.0)[..., None, None, None]
+        jump = self._memo(self._jumps, e, u) * (0.5 * theta_e * he * he)[..., None, None, None]
         return self.fgrad_w[e] @ jump.reshape(jump.shape[:-4] + (self.fgrad_w.shape[-1], self.m))
 
     def check_kind(self, kind):
@@ -405,7 +399,7 @@ class Discretization:
         """Normal interface flux; picks the boundary state on inflow.
 
         Batched over the leading axes of the arrays ``uh``, ``ub`` (..., m)
-        and ``n`` (..., d); ``fh`` (..., m) is f(uh).n, which the caller has.
+        and ``n`` (..., d), which broadcast; ``fh`` (..., m) is f(uh).n, which the caller has.
         """
         fb = np.einsum("...dm,...d->...m", self.law.flux(ub), n)
         A = self.law.jac_n(0.5 * (uh + ub), n)
@@ -437,7 +431,6 @@ class Discretization:
         ub = self.boundary_state(u_b, e, self.blam[lf])
         if self.law.linear:
             return self.face_dofs[lf], self.linear_inflow_w[e, lf] @ (ub - uq)
-        ub = np.broadcast_to(ub, uq.shape)
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         fh = np.einsum("...qdm,...qd->...qm", self.law.flux(uq), n)
         return self.face_dofs[lf], self.bphi_w[e, lf] @ (self.upwind_flux(uq, ub, n, fh) - fh)

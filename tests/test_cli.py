@@ -180,6 +180,29 @@ def with_key(ini, section, line):
 PATHS = {"sod": SOD_INI, "triangle": TRI_INI, "interval": INTERVAL_INI}
 
 
+def test_sine_initial_is_written_at_t_end_zero(tmp_path):
+    """A run to t_end = 0 takes no step, so solution.csv is sin(2 pi x) at the DOFs."""
+    out = tmp_path / "o"
+    ini = with_key(INTERVAL_INI.replace("t_end = 0.01", "t_end = 0"), "run", "initial = sine")
+    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 0
+    _, x, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1).T
+    assert len(x) == 9 and np.array_equal(u, np.sin(2.0 * np.pi * x))
+
+
+@pytest.mark.parametrize("path, explicit", [("interval", "advection(1)"),
+                                            ("triangle", "advection(1, 0)")])
+def test_advection_without_parameters_runs_along_x(tmp_path, path, explicit):
+    """``advection`` alone is the unit speed along the x axis in either dimension."""
+    def solution(law):
+        ini = PATHS[path].replace("name = advection(1)\n", "")
+        out = tmp_path / law
+        assert main(["run", write_config(tmp_path, with_key(ini, "law", f"name = {law}")),
+                     "--out", str(out)]) == 0
+        return (out / "solution.csv").read_bytes()
+
+    assert solution("advection") == solution(explicit)
+
+
 @pytest.mark.parametrize("path, section, key, value", [
     ("sod", "mesh", "kind", "structured_tri"),
     ("sod", "mesh", "nx", "8"),

@@ -88,13 +88,13 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # the 72 elements of each family the boundary DOF flux, recovery,
         # certification and total.  All of them read one state, so the flux
         # is evaluated once, to fill the state memo that every Galerkin
-        # split, boundary DOF flux and total reads; jac_n once for the volume
+        # split, boundary DOF flux and total reads; jac_n once, for the volume
         # Jacobians, which the memo keeps for the Rusanov bound of the 4 kinds
-        # that read it and for the 2 SUPG terms, and once for the SUPG terms'
-        # A.grad(u_h), also kept (1 + 1)
+        # that read it and for the 2 SUPG terms, whose A.grad(u_h) is their
+        # contraction with the DOF values
         pins = (("flux_recovery.boundary_dof_flux", 504), ("flux_recovery.recover_fluxes", 504),
                 ("flux_recovery.certify", 504), ("rd_core.total_residual", 504),
                 ("rd_core.residual_set", 7), ("rd_core.blend_limiter", 3),
-                ("conslaw.flux", 1), ("conslaw.jac_n", 2))
+                ("conslaw.flux", 1), ("conslaw.jac_n", 1))
     for span, calls in pins:
         assert summary[span]["calls"] == calls, span

@@ -6,7 +6,8 @@ import pytest
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import rd_core
-from rdlab.conslaw import Advection, Burgers, CubicTransport, Euler, conserved_from_primitive
+from rdlab.conslaw import (Advection, Burgers, CubicTransport, Euler, conserved_from_primitive,
+                           make_law)
 from rdlab.errors import InadmissibleStateError, StepFailureError, UnsupportedFeatureError
 from rdlab.rd_core import (
     Discretization,
@@ -446,6 +447,38 @@ def test_non_finite_scalar_state_names_the_first_element(law, value):
             disc.residual_set(u, Scheme(kind=kind), 0.0)
 
 
+def test_non_finite_state_names_an_element_that_reads_it():
+    """An infinite DOF is named through an element that owns it or shares a
+    face with an owner, for every kind.  The DOF belongs to the last element,
+    whose last face entry is what the index -1 of a boundary face reads, so a
+    jump term that read it there would name element 0."""
+    disc = Discretization(msh.build_structured_tri_mesh(3, 3), Burgers(dim=2))
+    dofs = disc.dofmap.element_dofs
+    u = np.random.default_rng(9).uniform(0.2, 1.0, (disc.dofmap.n_dofs, 1))
+    dof = 15
+    u[dof] = np.inf
+    owners = np.flatnonzero((dofs == dof).any(axis=1))
+    across = disc.nbr[owners]
+    readers = set(owners) | set(across[across >= 0] // 3)
+    assert disc.mesh.n_elements - 1 in owners and 0 not in readers
+    for kind in ALL_KINDS:
+        # inf - inf warns on the way to the NaN residual
+        with pytest.raises(StepFailureError, match="non-finite residual") as err, \
+                np.errstate(invalid="ignore"):
+            disc.residual_set(u, Scheme(kind=kind))
+        assert err.value.element in readers and err.value.element != 0, kind
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_gradient_jumps_are_zero_on_boundary_faces(degree):
+    disc = Discretization(jittered_tri_mesh(3, degree, seed=4), Burgers(dim=2))
+    u = random_state(disc.law, disc.dofmap.dof_coords, seed=27)
+    jumps = disc._memo(disc._jumps, slice(None), u)
+    boundary = disc.nbr < 0
+    assert boundary.any() and (jumps[boundary] == 0.0).all()
+    assert (jumps[~boundary] != 0.0).any()
+
+
 def test_finite_residuals_whose_sum_overflows_are_not_refused(monkeypatch):
     """The finiteness check reads each residual, not a grand total of them."""
     disc = Discretization(msh.build_structured_tri_mesh(2, 2), Burgers(dim=2))
@@ -696,8 +729,9 @@ MEMO_QUERIES = {
     "boundary_dof_flux": (fr.boundary_dof_flux, Discretization._point_flux),
     "galerkin_residuals": (Discretization.galerkin_residuals, Discretization._point_flux),
     "rusanov_alpha": (Discretization.rusanov_alpha, Discretization._alpha),
-    # the volume Jacobians; with A.grad(u_h) and tau; the gradient jumps,
-    # which read DOF values alone, so no state is inadmissible to them
+    # the volume Jacobians; with tau, and A.grad(u_h) contracted from the
+    # Jacobians; the gradient jumps, zero on boundary faces, which read DOF
+    # values alone, so no state is inadmissible to them
     "rusanov_matrix": (Discretization._rusanov_matrix, Discretization._jacobians),
     "supg_term": (lambda disc, e, u: disc._supg_term(e, u, 2.0), Discretization._jacobians),
     "jump_term": (lambda disc, e, u: disc._jump_term(e, u, 0.05), None),
@@ -710,6 +744,33 @@ def euler_memo_problem(seed):
     w = np.array([1.0, 0.5, 0.25, 1.0]) + np.random.default_rng(seed).uniform(
         -0.2, 0.2, (disc.dofmap.n_dofs, 4))
     return disc, conserved_from_primitive(w)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name, reads", [("euler", {"flux": 1, "jac_n": 1}),
+                                         ("burgers", {"flux": 1, "jac_n": 2})])
+def test_one_state_reads_each_law_evaluation_once(name, reads, degree, monkeypatch):
+    """Every kind and per-element query of one state evaluates the flux once
+    and the volume Jacobians J(u_h).grad(phi_s) once; SUPG's A.grad(u_h) is
+    their contraction with the DOF values.  Burgers' tau calls jac_n once
+    more, for the wave speed at the element means; Euler's is closed form."""
+    law = make_law(name, dim=2)
+    calls = dict.fromkeys(reads, 0)
+    for attr in calls:
+        def counting(*args, method=getattr(law, attr), attr=attr):
+            calls[attr] += 1
+            return method(*args)
+        monkeypatch.setattr(law, attr, counting)
+    disc = Discretization(jittered_tri_mesh(3, degree, seed=4), law)
+    u = random_state(law, disc.dofmap.dof_coords, seed=28)
+    for kind in ALL_KINDS:
+        disc.residual_set(u, Scheme(kind))
+    for e in (0, [1, 2], slice(None)):
+        for kind in ALL_KINDS:
+            disc.element_residuals(e, u, Scheme(kind))
+        disc.total_residual(e, u)
+        fr.boundary_dof_flux(disc, e, u)
+    assert calls == reads
 
 
 def test_memo_reads_a_state_changed_in_place():
