@@ -5,9 +5,9 @@ Every ``rdlab run`` writes its audits as ``AuditReport`` lines to
 which gate --strict, then entropy_inequality where the law has an entropy
 pair, which is reported only; the Sod tube momentum_balance and
 energy_balance, which gate --strict with corrections on and are reported
-with them off.  Exit codes: 0 success, 1 runtime failure, 2 bad arguments
-or config, 3 (``run --strict`` only) a gating audit that fails or a time
-step above the CFL bound.
+with them off.  Exit codes: 0 success, 1 runtime failure or an output that
+cannot be written, 2 bad arguments or config, 3 (``run --strict`` only) a
+gating audit that fails or a time step above the CFL bound.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except RdlabError as err:
+    except (RdlabError, OSError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 * ``element_geometry`` returns ``snormal``, the OUTWARD normal of each local
   face scaled by the face length (1 in 1D), so grad(phi_j) at P1 is
   -snormal_j / (2|K|) on a triangle and snormal_j / |K| on an interval;
-* P2 local ordering is vertices 0,1,2 then midpoints 3 (edge 01), 4 (edge 12),
+* P2 local ordering is vertices 0,1,2 then midpoint 3 + k on local face
+  ``MIDPOINT_FACES[k]``, the edge ``MIDPOINT_EDGES[k]``: 3 (edge 01), 4 (edge 12),
   5 (edge 20).
 """
 
@@ -114,6 +115,8 @@ _TRI_FACES = ((1, 2), (2, 0), (0, 1))
 _LOCAL_FACES = {1: ((0,), (1,)), 2: _TRI_FACES}
 # P2 midpoint 3+k lies on local face MIDPOINT_FACES[k], the edge opposite that vertex
 MIDPOINT_FACES = (2, 0, 1)
+# the edge (i, j) of each P2 midpoint: (0, 1), (1, 2), (2, 0)
+MIDPOINT_EDGES = tuple(_TRI_FACES[f] for f in MIDPOINT_FACES)
 
 # oriented element graphs used for flux recovery, fixed edge ordering
 _GRAPH_EDGES = {
@@ -200,7 +203,8 @@ def element_geometry(mesh, e=slice(None)):
     else:
         # (k, 3, 2) face j, ccw; np.take keeps the element axis outermost in
         # memory, and every table built from the normals inherits that layout
-        edge = np.take(v, [2, 0, 1], axis=-2) - np.take(v, [1, 2, 0], axis=-2)
+        tail, head = zip(*_TRI_FACES)
+        edge = np.take(v, head, axis=-2) - np.take(v, tail, axis=-2)
         # half the cross product of the edges v0 - v2 and v1 - v0
         measure = 0.5 * (edge[..., 1, 0] * edge[..., 2, 1] - edge[..., 1, 1] * edge[..., 2, 0])
         diameter = np.linalg.norm(edge, axis=-1).max(axis=-1)
@@ -236,19 +240,10 @@ def tri_basis(degree, lam):
     lam = np.asarray(lam, dtype=float)
     if degree == 1:
         return lam.copy()
-    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
     if degree == 2:
-        return np.stack(
-            [
-                l1 * (2 * l1 - 1),
-                l2 * (2 * l2 - 1),
-                l3 * (2 * l3 - 1),
-                4 * l1 * l2,
-                4 * l2 * l3,
-                4 * l3 * l1,
-            ],
-            axis=-1,
-        )
+        lk = [lam[..., k] for k in range(3)]
+        return np.stack([v * (2 * v - 1) for v in lk]
+                        + [4 * lk[i] * lk[j] for i, j in MIDPOINT_EDGES], axis=-1)
     raise UnsupportedFeatureError(f"degree {degree} not supported")
 
 
@@ -264,24 +259,21 @@ def tri_basis_grad(degree, lam, grad_lam):
         lead = np.broadcast_shapes(lam.shape[:-1], g.shape[:-2])
         return np.broadcast_to(g, lead + g.shape[-2:]).copy()
     if degree == 2:
-        l1, l2, l3 = (lam[..., k, None] for k in range(3))
-        g1, g2, g3 = (g[..., k, :] for k in range(3))
-        rows = [
-            (4 * l1 - 1) * g1,
-            (4 * l2 - 1) * g2,
-            (4 * l3 - 1) * g3,
-            4 * l2 * g1 + 4 * l1 * g2,
-            4 * l3 * g2 + 4 * l2 * g3,
-            4 * l1 * g3 + 4 * l3 * g1,
-        ]
-        return np.stack(rows, axis=-2)
+        lk, gk = [lam[..., k, None] for k in range(3)], [g[..., k, :] for k in range(3)]
+        return np.stack([(4 * lk[k] - 1) * gk[k] for k in range(3)]
+                        + [4 * lk[j] * gk[i] + 4 * lk[i] * gk[j] for i, j in MIDPOINT_EDGES],
+                        axis=-2)
     raise UnsupportedFeatureError(f"degree {degree} not supported")
 
 
-def interval_basis(lam):
-    """Barycentric coordinates (1 - t, t), the P1 basis, of t in [0, 1] on an interval."""
-    t = np.asarray(lam, dtype=float)
-    return np.stack([1.0 - t, t], axis=-1)
+def edge_points(edges, t, n):
+    """Barycentric points 1 - t, t along each edge (i, j) of an n-vertex
+    simplex, (len(edges), len(t), n); a one-vertex edge (i,) is that vertex."""
+    lam = np.zeros((len(edges), len(t), n))
+    for f, ends in enumerate(edges):
+        lam[f, :, ends[0]] = 1.0 - t
+        lam[f, :, ends[-1]] += t
+    return lam
 
 
 # triangle rule of each mesh degree k, exact for degree 2k polynomials:
@@ -310,7 +302,7 @@ def volume_rule(mesh):
     cubics; ``_TRI_RULES`` of the mesh degree on a triangle."""
     if mesh.dim == 1:
         t, w = gauss_01(2)
-        return interval_basis(t), w
+        return edge_points([(0, 1)], t, 2)[0], w
     if mesh.degree not in _TRI_RULES:
         raise UnsupportedFeatureError(f"no triangle rule for degree {mesh.degree}")
     return _TRI_RULES[mesh.degree]

@@ -110,11 +110,7 @@ class Discretization:
         # boundaries; the face of an interval is one point of weight 1
         for npts in (mesh.degree + 1, mesh.degree + 2):
             t, w = msh.gauss_01(npts) if dim == 2 else (np.zeros(1), np.ones(1))
-            lam = np.zeros((len(faces), len(t), dim + 1))
-            for f, ends in enumerate(faces):
-                lam[f, :, ends[0]] = 1.0 - t
-                lam[f, :, ends[-1]] += t
-            rules.append((w * length[..., None], lam))
+            rules.append((w * length[..., None], msh.edge_points(faces, t, dim + 1)))
         # fw (ne, nf, nfq): weights times the face length; flam (nf, nfq, dim + 1):
         # barycentric face points; bw, blam: the same for the boundary rule
         (self.fw, self.flam), (self.bw, self.blam) = rules

@@ -259,6 +259,8 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
     (with_key(TRI_INI, "scheme", "kind = supg\ntau_scale = -1"), "tau_scale must be positive"),
     (with_key(TRI_INI, "time", "dec_iterations = 2"), "unknown key 'dec_iterations' in section [time]"),
     (TRI_INI.replace("nx = 2", "nx = 0"), "cell counts must be >= 1"),
+    (with_key(TRI_INI, "mesh", "x1 = 0"), "config error: degenerate domain rectangle"),
+    (INTERVAL_INI.replace("n = 8", "n = 0"), "config error: cell count must be >= 1"),
     (with_key(INTERVAL_INI, "mesh", "degree = 2"), "degree 1 only"),
     (with_key(TRI_INI, "mesh", "degree = 3"), "degree 3 not supported"),
     (SOD_INI.replace("n = 20", "n = 0"), "[mesh] n: cell count must be >= 1"),
@@ -309,7 +311,7 @@ def test_scheme_key_the_family_does_not_read_exits_2(tmp_path, capsys, family, k
      "[time] t_end 0.01 with [time] cfl 5e-324: time step 0.0 is not positive"),
 ], ids=["mesh_kind", "scheme_kind", "law_name", "time_method", "euler_gamma", "gamma_1",
         "gamma_nan", "gamma_negative", "gamma_inf", "gamma_below_1", "advection_nan", "tau_scale",
-        "dec_iterations_unknown", "nx", "interval_degree", "triangle_degree", "sod_cells",
+        "dec_iterations_unknown", "nx", "domain_x1", "interval_cells", "interval_degree", "triangle_degree", "sod_cells",
         "law_dim_interval", "law_dim_triangle", "burgers_args", "cubic_args", "euler_args",
         "cfl_zero", "cfl_negative", "cfl_nan", "dt_zero",
         "dt_negative", "dt_inf", "t_end_nan", "t_end_inf", "sod_cfl_zero", "sod_cfl_negative",
@@ -338,6 +340,21 @@ def test_bad_value_has_no_traceback(tmp_path):
     proc = run_cli("run", cfg, "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert proc.stderr == "config error: unknown time method 'rk4'\n"
+
+
+@pytest.mark.parametrize("command", [["run", "triangle"], ["run", "sod"],
+                                     ["burgers1d", "--n", "3", "--tend", "0"]],
+                         ids=["scalar", "sod", "burgers1d"])
+def test_unwritable_out_exits_1(tmp_path, command):
+    """An --out below a regular file cannot be made: exit 1 with
+    ``runtime error:``, not a traceback."""
+    (tmp_path / "file").write_text("")
+    if command[0] == "run":
+        command = ["run", write_config(tmp_path, PATHS[command[1]])]
+    proc = run_cli(*command, "--out", str(tmp_path / "file" / "sub"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("runtime error:")
+    assert "Traceback" not in proc.stderr
 
 
 BURGERS_RIEMANN_INI = """

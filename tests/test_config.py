@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
 from rdlab import cli
 from rdlab.cli import main
 from rdlab.config import DEFAULTS, ConfigError, RunConfig
+from rdlab.rd_core import Scheme
+from rdlab.time_dec import DecConfig
 
 
 def write(tmp_path, text):
@@ -92,3 +96,13 @@ def test_the_set_ups_read_every_key(tmp_path):
         cli._setup(cfg)
         read |= set(cfg.read)
     assert read == {(sec, key) for sec, keys in DEFAULTS.items() for key in keys}
+
+
+def test_defaults_are_the_library_defaults():
+    """The [scheme] and [time] cfl defaults are those of ``Scheme`` and
+    ``DecConfig``, written as the config file would: None as ''."""
+    scheme = {f.name: "" if f.default is None else str(f.default)
+              for f in dataclasses.fields(Scheme)}
+    assert DEFAULTS["scheme"] == scheme
+    cfl = {f.name: f.default for f in dataclasses.fields(DecConfig)}["cfl"]
+    assert DEFAULTS["time"]["cfl"] == str(cfl)

@@ -61,6 +61,10 @@ def test_run_snapshots():
     assert snaps[0][0] == 0 and snaps[-1][0] == 10
     assert len(snaps) == 3
     assert np.allclose(snaps[-1][1], u)
+    # a step count that is not a multiple of snapshot_every ends on the last step
+    u, snaps = fv1d.run("cons", u0, 0.4, 10, periodic=False, snapshot_every=4)
+    assert [k for k, _ in snaps] == [0, 4, 8, 10]
+    assert np.array_equal(snaps[-1][1], u)
 
 
 def test_locate_jump():
@@ -70,6 +74,8 @@ def test_locate_jump():
     assert abs(pos - 0.3) < 2.0 * grid.dx
     with pytest.raises(DiagnosticError):
         fv1d.locate_jump(grid.x, np.ones(100))
+    with pytest.raises(DiagnosticError, match="no jump above half the data range"):
+        fv1d.locate_jump(grid.x, grid.x)
 
 
 def test_measure_shock_speed_synthetic():

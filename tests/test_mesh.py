@@ -118,6 +118,25 @@ def test_basis_gradients_sum_to_zero():
     lam = np.array([[0.3, 0.5, 0.2], [1 / 3, 1 / 3, 1 / 3]])
     grads = msh.tri_basis_grad(2, lam, g)
     assert np.allclose(grads.sum(axis=-2), 0.0, atol=1e-13)
+    # the gradient is the chain rule through the basis: sum_k dphi/dlam_k
+    # grad(lam_k), with dphi/dlam_k the central difference of tri_basis,
+    # exact for quadratics up to round-off
+    rng = np.random.default_rng(3)
+    lam, grad_lam = rng.dirichlet(np.ones(3), size=(4, 5)), rng.standard_normal((4, 1, 3, 2))
+    h = 1e-3
+    for degree in (1, 2):
+        dphi = np.stack([msh.tri_basis(degree, lam + d) - msh.tri_basis(degree, lam - d)
+                         for d in h * np.eye(3)], axis=-1) / (2 * h)   # (4, 5, #K, 3)
+        chain = np.einsum("...sk,...kd->...sd", dphi, grad_lam)
+        assert np.abs(msh.tri_basis_grad(degree, lam, grad_lam) - chain).max() <= 1e-9
+
+
+@pytest.mark.parametrize("basis, args", [(msh.tri_basis, ()),
+                                         (msh.tri_basis_grad, (np.zeros((3, 2)),))],
+                         ids=["basis", "grad"])
+def test_basis_rejects_degree_3(basis, args):
+    with pytest.raises(UnsupportedFeatureError, match="degree 3 not supported"):
+        basis(3, np.full(3, 1 / 3), *args)
 
 
 def test_triangle_quadrature_exactness():

@@ -183,7 +183,7 @@ def test_interval_tables_are_the_end_point_rules(periodic):
     t, w = msh.gauss_01(2)
     ends, ones = np.eye(2)[:, None, :], np.ones((len(h), 2, 1))
     expect = dict(bgrad=bgrad, vgrad=np.repeat(bgrad[:, None], len(t), axis=1), vq_w=w,
-                  vq_phi=msh.interval_basis(t), fw=ones, bw=ones, flam=ends, blam=ends,
+                  vq_phi=msh.edge_points([(0, 1)], t, 2)[0], fw=ones, bw=ones, flam=ends, blam=ends,
                   fphi=ends, bphi=ends)
     for name, table in expect.items():
         got = getattr(disc, name)
@@ -241,6 +241,12 @@ def test_monotone_dt_scaling():
         assert dt > 0.0
         dts.append(dt)
     assert 1.5 < dts[0] / dts[1] < 2.5  # roughly first order in h
+
+
+def test_monotone_dt_without_a_positive_budget_is_unbounded():
+    disc = Discretization(msh.build_structured_tri_mesh(3, 3), Advection((0.0, 0.0)))
+    u = np.zeros((disc.dofmap.n_dofs, 1))
+    assert monotone_dt(disc, u, np.ones(disc.dofmap.n_dofs)) == np.inf
 
 
 def test_blend_limiter_example():
