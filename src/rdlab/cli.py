@@ -36,8 +36,9 @@ FMT = "%.17g"
 
 
 def _write_csv(path, header, rows, ints=0):
-    """Write ``rows`` of tuples under ``header``: the first ``ints`` columns as
-    integers, the others as ``FMT``."""
+    """Write ``rows`` of tuples under ``header``, making the file's directory: the
+    first ``ints`` columns as integers, the others as ``FMT``."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     fmt = ",".join(["%d"] * ints + [FMT] * (len(header) - ints)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -157,6 +158,11 @@ def cmd_run(args):
     if args.out:
         cfg.values["run", "out"] = args.out
     run = _setup(cfg)
+    top = os.path.abspath(run.out)
+    while not os.path.exists(top):          # the nearest existing ancestor of the output
+        top = os.path.dirname(top)
+    if not os.path.isdir(top):              # refused before the march, creating nothing
+        raise NotADirectoryError(f"cannot make {run.out}: {top} is not a directory")
     if run.sod is not None:
         return _run_sod(cfg, run, args)
     disc, scheme = run.disc, run.scheme
@@ -171,7 +177,6 @@ def cmd_run(args):
         except time_dec.CflWarning as err:
             print(f"step rejected: {err}", file=sys.stderr)
             return 3
-    os.makedirs(run.out, exist_ok=True)
     coords = disc.dofmap.dof_coords
     rows = zip(range(len(coords)), *coords.T, *u.T)
     hdr = ["dof"] + [f"x{k}" for k in range(disc.mesh.dim)] + \
@@ -189,7 +194,6 @@ def cmd_run(args):
 def _run_sod(cfg, run, args):
     with _config_values(f"[time] t_end {run.sod['t_end']} with [time] cfl {run.sod['cfl']}: "):
         res = euler1d.run_sod(**run.sod)
-    os.makedirs(run.out, exist_ok=True)
     rows = zip(range(len(res.x)), res.x, res.w[:, 0], res.w[:, 1], res.pressure())
     _write_csv(os.path.join(run.out, "solution.csv"),
                ["node", "x", "rho", "u", "p"], rows, ints=1)

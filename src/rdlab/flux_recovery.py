@@ -30,6 +30,9 @@ class IncidenceSystem:
     A: np.ndarray       # (#nodes, #edges), +1 at the tail, -1 at the head
     Linv: np.ndarray    # pseudo-inverse of L on the zero-mean subspace
 
+    def __post_init__(self):
+        self.AT = np.ascontiguousarray(self.A.T)    # A^T, stored C-contiguous
+
 
 @dataclass
 class BalanceReport:
@@ -61,23 +64,23 @@ def build_incidence(graph):
 
 
 def recover_fluxes(system, psi):
-    """Minimum-norm edge fluxes solving A f = Psi, componentwise.
+    """Minimum-norm edge fluxes A^T (L^+ Psi) solving A f = Psi, componentwise.
 
     ``psi`` has shape (..., #nodes, m) with any leading element axes, or
-    (#nodes,) for one component; returns (..., #edges, m).  The residuals of every
-    element must be finite and sum to zero; the error names the first element that
-    fails, as a flat index over the leading axes, and carries its defect.
-    A defect within ``COMPAT_TOL`` itself passes before the scale is built.
+    (#nodes,) for one component; returns (..., #edges, m), with A^T the stored ``system.AT``.
+    The residuals of every element must be finite and sum to zero; the error names the
+    first element that fails, as a flat index over the leading axes, and carries its defect.
+    A worst defect within ``COMPAT_TOL`` itself passes before the scale is built.
     """
     psi = _columns(psi)
-    defect = np.abs(psi.sum(axis=-2))
-    if not defect.max(initial=0.0) <= COMPAT_TOL:       # NaN goes on to fail
+    defect = np.abs(np.add.reduce(psi, axis=-2))
+    if not np.maximum.reduce(defect, None, initial=0.0) <= COMPAT_TOL:   # NaN goes on to fail
         bad = ~(np.isfinite(defect) & (defect <= COMPAT_TOL * (1.0 + np.abs(psi).max(axis=-2))))
         if np.any(bad):
             e = int(np.argmax(np.any(bad, axis=-1)))
             raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
                                           defect.reshape(-1, defect.shape[-1])[e], e)
-    return system.A.T @ (system.Linv @ psi)
+    return system.AT @ (system.Linv @ psi)
 
 
 def certify(system, fluxes, psi):
@@ -87,17 +90,18 @@ def certify(system, fluxes, psi):
     so the reverse flux is its negation by data layout: no antisymmetry defect.
     The report passes when, for every element and component, both defects
     are within their tolerance (``BALANCE_TOL``, ``COMPAT_TOL``) times
-    1 + max|psi|, as ``recover_fluxes`` scales its compatibility check; the
-    scale is built only if a defect exceeds the tolerance itself.  A NaN or
-    infinite defect fails; an empty batch has defects 0 and passes.
+    1 + max|psi|, as ``recover_fluxes`` scales its own; each worst defect is one maximum
+    over all its entries; per-element maxima and the scale are built only if one exceeds
+    its tolerance.  A NaN or infinite defect fails; an empty batch has defects 0 and passes.
     """
     psi, fluxes = _columns(psi), _columns(fluxes)
-    balance = np.abs(system.A @ fluxes - psi).max(axis=-2)
-    compat = np.abs(psi.sum(axis=-2))
-    worst = float(balance.max(initial=0.0)), float(compat.max(initial=0.0))
+    balance = np.abs(system.A @ fluxes - psi)
+    compat = np.abs(np.add.reduce(psi, axis=-2))
+    worst = (float(np.maximum.reduce(balance, None, initial=0.0)),
+             float(np.maximum.reduce(compat, None, initial=0.0)))
     passed = worst[0] <= BALANCE_TOL and worst[1] <= COMPAT_TOL
     if not passed:
-        scale = 1.0 + np.abs(psi).max(axis=-2)
+        balance, scale = balance.max(axis=-2), 1.0 + np.abs(psi).max(axis=-2)
         passed = bool((np.isfinite(balance) & np.isfinite(compat) & (balance <= BALANCE_TOL * scale)
                        & (compat <= COMPAT_TOL * scale)).all())
     return BalanceReport(*worst, passed=passed)

@@ -124,13 +124,11 @@ def locate_jump(x, u):
     half = 0.5 * rng
     for i in range(len(u) - 3):
         if abs(u[i + 3] - u[i]) > half:
-            lo, hi = i, i + 3
-            for j in range(lo, hi):
+            for j in range(i, i + 3):
                 a, b = u[j], u[j + 1]
                 if (a - mid) * (b - mid) <= 0.0 and a != b:
                     t = (mid - a) / (b - a)
                     return float(x[j] + t * (x[j + 1] - x[j]))
-            return float(0.5 * (x[lo] + x[hi]))
     raise DiagnosticError("no jump above half the data range")
 
 

@@ -15,8 +15,8 @@ quantity of the state alone is memoised for the last state seen, over every
 element, so the families and per-element queries of one state evaluate it
 once: the flux at the face and volume points, the normal face flux, the
 total residual, the boundary DOF flux, a nonlinear law's Rusanov bound, the
-volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), whose
-contraction with the DOF values is SUPG's A.grad(u_h), SUPG's unscaled tau,
+volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), SUPG's
+A.grad(u_h), their contraction with the DOF values, SUPG's unscaled tau,
 and the gradient jumps before theta_e, zero on boundary faces.  Each scheme
 parameter is applied to the memo's rows on every call.
 """
@@ -347,13 +347,16 @@ class Discretization:
         hk = speed * self.diameter[e]
         return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
 
+    def _adu(self, e, u):
+        """A(u_h).grad(u_h) = sum_s (A.grad(phi_s)) u_s, as jac_n is linear in n, (k, nq, m)."""
+        jg = self._memo(self._jacobians, e, u)
+        return np.einsum("...qsij,...sj->...qi", jg, self.element_values(e, u))
+
     def _supg_term(self, e, u, tau_scale):
         jg = self._memo(self._jacobians, e, u)                # A.grad(phi_s)
-        # A(u_h).grad(u_h) = sum_s (A.grad(phi_s)) u_s, as jac_n is linear in n
-        adu = np.einsum("...qsij,...sj->...qi", jg, self.element_values(e, u))
         tau = tau_scale * self._memo(self._tau, e, u)
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[..., None]
-        return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * adu)
+        return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * self._memo(self._adu, e, u))
 
     def _jumps(self, e, u):
         """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); zero on boundary faces."""

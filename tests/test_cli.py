@@ -9,10 +9,11 @@ import rdlab
 from rdlab import diagnostics as diag
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
-from rdlab import cli, time_dec
+from rdlab import cli, euler1d, time_dec
 from rdlab.cli import main
 from rdlab.config import RunConfig
 from rdlab.conslaw import Advection
+from rdlab.errors import StepFailureError
 from rdlab.rd_core import Discretization, Scheme
 
 RUN_INI = """
@@ -355,6 +356,26 @@ def test_unwritable_out_exits_1(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("runtime error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("path", ["scalar", "sod"])
+def test_unwritable_out_is_refused_before_the_march(tmp_path, capsys, monkeypatch, path):
+    """An --out whose nearest existing ancestor is a regular file is refused
+    before the march, creating nothing; an --out whose missing ancestors end at
+    a directory goes on to the march, still creating nothing before it."""
+    def march(*args, **kwargs):
+        raise StepFailureError("march entered")
+
+    monkeypatch.setattr(time_dec, "dec_run", march)
+    monkeypatch.setattr(euler1d, "run_sod", march)
+    cfg = write_config(tmp_path, PATHS["triangle" if path == "scalar" else "sod"])
+    (tmp_path / "file").write_text("")
+    for out in ("file", "file/sub", "file/sub/deeper", "new/deeper"):
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:")
+        assert ("march entered" in err) == out.startswith("new"), out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.ini"]
 
 
 BURGERS_RIEMANN_INI = """

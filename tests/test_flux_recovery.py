@@ -185,6 +185,57 @@ def test_unscaled_check_gives_the_scaled_verdict():
             (False, False, True)} <= verdicts
 
 
+def two_step_fluxes(system, psi):
+    """Reference recovery: the product with the strided view A.T."""
+    return system.A.T @ (system.Linv @ psi)
+
+
+def two_step_report(system, fluxes, psi):
+    """Reference certificate: per-element maxima of each defect, then their
+    maximum from 0.0, and the scaled rule where one exceeds its tolerance."""
+    balance = np.abs(system.A @ fluxes - psi).max(axis=-2)
+    compat = np.abs(psi.sum(axis=-2))
+    worst = float(balance.max(initial=0.0)), float(compat.max(initial=0.0))
+    passed = worst[0] <= fr.BALANCE_TOL and worst[1] <= fr.COMPAT_TOL
+    if not passed:
+        scale = 1.0 + np.abs(psi).max(axis=-2)
+        passed = bool((np.isfinite(balance) & np.isfinite(compat)
+                       & (balance <= fr.BALANCE_TOL * scale)
+                       & (compat <= fr.COMPAT_TOL * scale)).all())
+    return worst, passed
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("m", [1, 4])
+def test_recovery_and_certificate_keep_the_two_step_bits(degree, m):
+    """recover_fluxes and certify give the bits of the formulas above on the
+    reference graph: one element (also 1-D for m = 1), batches of 1, 5 and 0
+    elements, and the certificate of NaN, infinite and perturbed entries."""
+    system = fr.build_incidence(msh.reference_graph(2, degree))
+    n = system.A.shape[0]
+    rng = np.random.default_rng(40 + m + degree)
+    for shape in [(n, m), (1, n, m), (5, n, m), (0, n, m)] + [(n,)] * (m == 1):
+        # zero-sum residuals, each element at its own magnitude from 1e-3 to 1e5
+        size = 10.0 ** rng.uniform(-3.0, 5.0, shape[:-2] + (1,) * min(len(shape), 2))
+        psi = size * rng.normal(size=shape)
+        psi -= psi.mean(axis=-2 if len(shape) > 1 else 0, keepdims=True)
+        cols = psi if len(shape) > 1 else psi[:, None]
+        fluxes = fr.recover_fluxes(system, psi)
+        want = two_step_fluxes(system, cols)
+        assert fluxes.shape == want.shape and fluxes.tobytes() == want.tobytes(), shape
+        for where, value in [(None, 0.0), ("fluxes", np.nan), ("psi", np.nan), ("fluxes", np.inf),
+                             ("psi", -np.inf), ("fluxes", 1e-3), ("psi", 1e-8)]:
+            f, p = fluxes.copy(), cols.copy()
+            if where is not None:
+                {"fluxes": f, "psi": p}[where].reshape(-1, m)[-1:, -1] += value
+            with np.errstate(invalid="ignore"):             # 0 * inf in A @ fluxes
+                report = fr.certify(system, *((f, p) if len(shape) > 1 else (f[:, 0], p[:, 0])))
+                worst, passed = two_step_report(system, f, p)
+            got = np.array([report.balance_defect, report.compat_defect])
+            assert got.tobytes() == np.array(worst).tobytes(), (shape, where)
+            assert report.passed is passed, (shape, where)
+
+
 def test_trace_weights_p1():
     mesh = ref_triangle()
     N = fr.trace_normal_weights(mesh, 0)

@@ -78,6 +78,16 @@ def test_locate_jump():
         fv1d.locate_jump(grid.x, grid.x)
 
 
+def test_locate_jump_refuses_a_nan_profile():
+    """A NaN range passes the constant-profile check, but no window's jump
+    exceeds a NaN half range, so the search ends in the final refusal."""
+    grid = fv1d.Grid1D(20, 0.0, 1.0)
+    u = np.where(grid.x < 0.3, 1.0, 0.0)
+    u[7] = np.nan
+    with pytest.raises(DiagnosticError, match="no jump above half the data range"):
+        fv1d.locate_jump(grid.x, u)
+
+
 def test_measure_shock_speed_synthetic():
     grid = fv1d.Grid1D(200, 0.0, 2.0)
     dt = 0.01

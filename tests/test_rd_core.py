@@ -879,6 +879,29 @@ def test_memo_tables_are_read_only():
     assert np.array_equal(disc.rusanov_alpha(slice(None), u), fresh.rusanov_alpha(slice(None), u))
 
 
+def test_supg_builds_one_a_grad_u_table_per_state(monkeypatch):
+    """SUPG's A.grad(u_h) is one state-memo table: supg, limited_supg and the
+    per-element SUPG queries of a state build it once, over every element,
+    and each new state builds it once more."""
+    disc, u = euler_memo_problem(25)
+    builds, build = [], disc._adu
+
+    def counting(e, state):
+        builds.append(e)
+        return build(e, state)
+
+    counting.__name__ = build.__name__            # the memo's key
+    monkeypatch.setattr(disc, "_adu", counting)
+    v = u.copy()
+    v[5] *= 1.1
+    for count, state in enumerate((u, v, u), start=1):
+        for kind in ("supg", "limited_supg"):
+            disc.residual_set(state, Scheme(kind=kind))
+            for e in (slice(None), 7, [7, 2]):
+                disc.element_residuals(e, state, Scheme(kind=kind, tau_scale=0.5))
+        assert builds == [slice(None)] * count
+
+
 def test_scheme_parameters_survive_the_memo():
     """tau_scale and theta_e are applied to the memo's rows on every call:
     one Discretization gives a fresh one's bits for each value, batched and
