@@ -102,7 +102,7 @@ def entropy_inequality_audit(disc, u, rset, u_b=None):
     u_out[e, lf] = u_in[e, lf] if u_b is None else disc.boundary_state(u_b, e, disc.flam[lf])
     g = law.entropy_flux(0.5 * (u_in + u_out))                    # (ne, nf, nfq, dim)
     gn = np.einsum("kfqd,kfd->kfq", g, disc.fnormal)[..., None]
-    outflux = disc.contour(slice(None), gn).sum(axis=(1, 2))      # the basis sums to 1
+    outflux = disc.contour(gn).sum(axis=(1, 2))                    # the basis sums to 1
     defect = np.maximum(0.0, outflux - lhs)
     e = int(np.argmax(defect))
     report = AuditReport("entropy_inequality", float(defect[e]), ENTROPY_TOL,

@@ -118,11 +118,10 @@ def _columns(a):
 
 
 def boundary_dof_flux(disc, e, u):
-    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma
-    f(u_h).n, (k, #K, m) for an index array or slice of elements; one integer
-    element drops the element axis, as numpy indexing does; rows of a
-    read-only whole-mesh table in the state memo."""
-    return disc._memo(disc._boundary_dof_flux, e, u)
+    """Per-DOF boundary fluxes f_sigma^b = contour integral of phi_sigma f(u_h).n:
+    rows ``e`` of the read-only ``rd_core.State.boundary_dof_flux`` of ``u``, (k,
+    #K, m); one integer element drops the element axis, as numpy indexing does."""
+    return disc.state(u).boundary_dof_flux[e]
 
 
 def _p2_normal_weights(mesh, e, mid):

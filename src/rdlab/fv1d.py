@@ -117,16 +117,15 @@ def locate_jump(x, u):
     """Mid-jump position: first window of 3 cells whose jump exceeds half
     the global range, refined by linear interpolation to the mid level."""
     u = np.asarray(u, dtype=float)
-    rng = float(u.max() - u.min())
-    if rng <= 0.0:
+    half = 0.5 * float(u.max() - u.min())
+    if half <= 0.0:
         raise DiagnosticError("constant profile, no discontinuity")
-    mid = 0.5 * (u.max() + u.min())
-    half = 0.5 * rng
+    mid = 0.5 * u.max() + 0.5 * u.min()      # finite for every finite profile
     for i in range(len(u) - 3):
         if abs(u[i + 3] - u[i]) > half:
             for j in range(i, i + 3):
                 a, b = u[j], u[j + 1]
-                if (a - mid) * (b - mid) <= 0.0 and a != b:
+                if min(a, b) <= mid <= max(a, b) and a != b:
                     t = (mid - a) / (b - a)
                     return float(x[j] + t * (x[j + 1] - x[j]))
     raise DiagnosticError("no jump above half the data range")

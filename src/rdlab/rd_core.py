@@ -10,20 +10,17 @@ Every family is one Galerkin evaluation plus its stabilization terms, for
 an index array or slice of elements at once.  One integer element, or one
 face pair of ``boundary_residuals``, drops that axis, as numpy indexing does.
 
-Tables of the mesh alone are built once per mesh, on first use.  Every
-quantity of the state alone is memoised for the last state seen, over every
-element, so the families and per-element queries of one state evaluate it
-once: the flux at the face and volume points, the normal face flux, the
-total residual, the boundary DOF flux, a nonlinear law's Rusanov bound, the
-volume Jacobians J(u_h).grad(phi_s) (ne*nq*#K*m^2 floats), SUPG's
-A.grad(u_h), their contraction with the DOF values, SUPG's unscaled tau,
-and the gradient jumps before theta_e, zero on boundary faces.  Each scheme
-parameter is applied to the memo's rows on every call.
+Tables of the mesh alone are built once per mesh, on first use.  Those of
+one state alone, from its flux to its gradient jumps, are the whole-mesh
+tables of a ``State``.  ``Discretization.state`` keeps the last state's
+``State``, so the families and per-element queries of one state read rows
+of one evaluation, and each scheme parameter is applied on every call.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +32,16 @@ BLEND_ZERO_TOL = 1e-13
 # relative and absolute (subnormal squares) slack of the pruning in rusanov_alpha
 PRUNE_SLACK = 1e-12
 PRUNE_FLOOR = 1e-300
+
+
+def _table(build):
+    """A cached property whose array is read-only: a table that queries return views of."""
+    @functools.wraps(build)
+    def read_only(self):
+        table = build(self)
+        table.flags.writeable = False
+        return table
+    return functools.cached_property(read_only)
 
 
 @dataclass
@@ -87,7 +94,7 @@ class Discretization:
         self.dofmap = msh.build_dofmap(mesh)
         self.m = law.m
         self.nloc = self.dofmap.dofs_per_element
-        self._memo_key, self._memo_tables = None, {}
+        self._state_key = self._state = None
         self._setup()
 
     # -- geometry / quadrature arrays ----------------------------------------
@@ -184,20 +191,15 @@ class Discretization:
         """Consistent element mass matrices int_K phi_i phi_j, (ne, #K, #K)."""
         return self.vphi_w @ self.vq_phi
 
-    @functools.cached_property
+    @_table
     def linear_alpha(self):
-        """``rusanov_alpha`` of a linear law on every element, read-only, (ne,);
-        its zero state stays out of the state memo, whose entry it would replace."""
-        alpha = self._alpha(slice(None), np.zeros((self.dofmap.n_dofs, self.m)), False)
-        alpha.flags.writeable = False
-        return alpha
+        """``rusanov_alpha`` of a linear law: a detached zero ``State``'s, (ne,)."""
+        return State(self, np.zeros((self.dofmap.n_dofs, self.m))).alpha
 
-    @functools.cached_property
+    @_table
     def linear_galerkin(self):
         """``galerkin_residuals`` of a scalar linear law as a matrix, read-only, (ne, #K, #K)."""
-        table = self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
-        table.flags.writeable = False
-        return table
+        return self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
 
     @functools.cached_property
     def linear_speed(self):
@@ -210,32 +212,18 @@ class Discretization:
         h = self.measure if self.mesh.dim == 1 else 2.0 * self.measure / self.diameter
         return float(h.min())
 
-    @functools.cached_property
+    @_table
     def linear_inflow_w(self):
         """``bphi_w`` times min(a.n, 0) of a scalar linear law, read-only, (ne, nf, nfd, nbq)."""
-        table = self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
-        table.flags.writeable = False
-        return table
+        return self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
 
-    def _memo(self, build, e, u):
-        """Rows ``e`` of ``build(slice(None), u)``, read-only, kept for the last state
-        only, keyed on its shape, dtype and bytes; a state inadmissible somewhere keeps
-        its error, which a whole-mesh request re-raises; other rows are evaluated alone."""
+    def state(self, u):
+        """The ``State`` of ``u``, kept while its shape, dtype and bytes are the last ones."""
         u = np.asarray(u)
         key = (u.shape, u.dtype.str, u.tobytes())
-        if key != self._memo_key:
-            self._memo_key, self._memo_tables = key, {}
-        if build.__name__ not in self._memo_tables:
-            try:
-                table = build(slice(None), u)
-                table.flags.writeable = False
-            except InadmissibleStateError as err:
-                table = err
-            self._memo_tables[build.__name__] = table
-        table = self._memo_tables[build.__name__]
-        if isinstance(table, Exception) and isinstance(e, slice) and e == slice(None):
-            raise table
-        return table[e] if isinstance(table, np.ndarray) else build(e, u)
+        if key != self._state_key:
+            self._state_key, self._state = key, State(self, u)
+        return self._state
 
     def across(self, a):
         """The entry across each face point of a whole-mesh face table ``a`` (ne, nf,
@@ -257,9 +245,9 @@ class Discretization:
         """DOF values of one element (#K, m), or of an index array (k, #K, m)."""
         return np.asarray(u)[self.dofmap.element_dofs[e]]
 
-    def _admissible(self, e, u):
-        """Per element: every state its residuals evaluate is admissible, (k,)."""
-        ue = self.element_values(e, u)
+    def _admissible(self, u):
+        """Per element: every state its residuals evaluate is admissible, (ne,)."""
+        ue = self.element_values(slice(None), u)
         ok = self.law.admissible(self.ptrace @ ue).all(axis=1)
         return ok & self.law.admissible(ue.mean(axis=1))
 
@@ -269,52 +257,20 @@ class Discretization:
         """Values at the face points (..., nf, nfq, m) of DOF values (..., #K, m)."""
         return (self.ftrace @ ue).reshape(ue.shape[:-2] + self.fphi.shape[:2] + ue.shape[-1:])
 
-    def _point_flux(self, e, u):
-        """f(u_h) at the ``ptrace`` points, (k, nf*nfq + nq, dim, m)."""
-        return self.law.flux(self.ptrace @ self.element_values(e, u))
-
-    def _face_flux(self, e, u):
-        fq = self._memo(self._point_flux, e, u)[..., :len(self.ftrace), :, :]
-        fq = fq.reshape(fq.shape[:-3] + self.fphi.shape[:2] + fq.shape[-2:])
-        return np.einsum("...fqdm,...fd->...fqm", fq, self.fnormal[e])
-
-    def face_flux(self, e, u):
-        """Normal flux f(u_h).n at the face points, (k, nf, nfq, m), from the state memo."""
-        return self._memo(self._face_flux, e, u)
-
-    def contour(self, e, fn):
-        """Contour integral of phi_sigma fn, (k, #K, m), for fn (k, nf, nfq, m)."""
-        return self.fphi_w[e] @ fn.reshape(fn.shape[:-3] + (len(self.ftrace), fn.shape[-1]))
+    def contour(self, fn):
+        """Contour integral of phi_sigma fn, (ne, #K, m), for fn (ne, nf, nfq, m)."""
+        return self.fphi_w @ fn.reshape(fn.shape[:-3] + (len(self.ftrace), fn.shape[-1]))
 
     def total_residual(self, e, u):
-        """Boundary quadrature of the normal flux, (k, m); (m,) for one integer;
-        rows of a read-only whole-mesh table in the state memo."""
-        return self._memo(self._total_residual, e, u)
-
-    def _total_residual(self, e, u):
-        return np.einsum("...fq,...fqm->...m", self.fw[e], self.face_flux(e, u))
-
-    def _boundary_dof_flux(self, e, u):
-        return self.contour(e, self.face_flux(e, u))
+        """Rows ``e`` of ``State.total_residual``, (k, m); (m,) for one integer."""
+        return self.state(u).total_residual[e]
 
     def galerkin_residuals(self, e, u):
-        """Phi_sigma = contour minus volume term: the memoised flux, or ``linear_galerkin``."""
+        """Phi_sigma = contour minus volume term: ``State.point_flux``, or ``linear_galerkin``."""
         if self.law.linear:
             return self.linear_galerkin[e] @ self.element_values(e, u)
-        fq = self._memo(self._point_flux, e, u)               # (k, nf*nfq + nq, dim, m)
+        fq = self.state(u).point_flux[e]                      # (k, nf*nfq + nq, dim, m)
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
-
-    def _jacobians(self, e, u):
-        """J(u_q).grad(phi_s) at the volume points, (k, nq, #K, m, m)."""
-        uq = self.vq_phi @ self.element_values(e, u)
-        return self.law.jac_n(uq[..., None, :], self.vgrad[e])
-
-    def _rusanov_matrix(self, e, u, memo=True):
-        """int_K phi_s J(u_h).grad(phi_s'), (k, #K, #K, m, m); no k for one integer;
-        the Jacobians are read from the state memo if ``memo``."""
-        jg = self._memo(self._jacobians, e, u) if memo else self._jacobians(e, u)
-        mat = self.vphi_w[e] @ jg.reshape(jg.shape[:-3] + (self.nloc * self.m**2,))
-        return mat.reshape(mat.shape[:-1] + jg.shape[-3:])
 
     def rusanov_alpha(self, e, u):
         """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
@@ -325,49 +281,28 @@ class Discretization:
         decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
         ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
         block that sets the maximum always gets its own SVD, and alpha is the
-        float that decomposing every block gives; read from ``linear_alpha`` or the memo.
+        float that decomposing every block gives; read from ``linear_alpha`` or ``State``.
         """
         if self.law.linear:
             return self.linear_alpha[e]
-        return self._memo(self._alpha, e, u)
-
-    def _alpha(self, e, u, memo=True):
-        return self.nloc * _max_specnorm(self._rusanov_matrix(e, u, memo))
+        return self.state(u).alpha[e]
 
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
         alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
         return np.asarray(alpha)[..., None, None] * (ue - _ksum(ue) / self.nloc)
 
-    def _tau(self, e, u):
-        """Streamline relaxation time from the element wave-speed budget, (k,)."""
-        ubar = self.element_values(e, u).mean(axis=-2)
-        speed = self.law.max_wave_speed(ubar[..., None, :], self.snormal[e]).sum(axis=-1)
-        speed /= 2.0 * self.measure[e]
-        hk = speed * self.diameter[e]
-        return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
-
-    def _adu(self, e, u):
-        """A(u_h).grad(u_h) = sum_s (A.grad(phi_s)) u_s, as jac_n is linear in n, (k, nq, m)."""
-        jg = self._memo(self._jacobians, e, u)
-        return np.einsum("...qsij,...sj->...qi", jg, self.element_values(e, u))
-
     def _supg_term(self, e, u, tau_scale):
-        jg = self._memo(self._jacobians, e, u)                # A.grad(phi_s)
-        tau = tau_scale * self._memo(self._tau, e, u)
+        state = self.state(u)
+        jg = state.jacobians[e]                               # A.grad(phi_s)
+        tau = tau_scale * state.tau[e]
         wq = self.vq_w * (self.measure[e] * self.diameter[e] * tau)[..., None]
-        return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * self._memo(self._adu, e, u))
-
-    def _jumps(self, e, u):
-        """Jumps of grad(u_h) at the face points, (k, 3, nfq, dim, m); zero on boundary faces."""
-        grad = np.einsum("kfqsd,ksm->kfqdm", self.fgrad, self.element_values(slice(None), u))
-        interior = (self.nbr >= 0)[:, :, None, None, None]
-        return np.where(interior, grad - self.across(grad), 0.0)[e]
+        return np.einsum("...qsij,...qj->...si", jg, wq[..., None] * state.adu[e])
 
     def _jump_term(self, e, u, theta_e):
         he = self.fw[e].sum(axis=-1)                          # (k, 3)
-        # out of place: the memo's table is read-only
-        jump = self._memo(self._jumps, e, u) * (0.5 * theta_e * he * he)[..., None, None, None]
+        # out of place: the State's table is read-only
+        jump = self.state(u).jumps[e] * (0.5 * theta_e * he * he)[..., None, None, None]
         return self.fgrad_w[e] @ jump.reshape(jump.shape[:-4] + (self.fgrad_w.shape[-1], self.m))
 
     def check_kind(self, kind):
@@ -437,11 +372,10 @@ class Discretization:
     # -- assembly -----------------------------------------------------------
 
     def residual_set(self, u, scheme, u_b=None):
-        elements = slice(None)
         try:
-            phi = self.element_residuals(elements, u, scheme)
+            phi = self.element_residuals(slice(None), u, scheme)
         except InadmissibleStateError as err:
-            e = int(np.argmin(self._admissible(elements, u)))
+            e = int(np.argmin(self._admissible(u)))
             raise StepFailureError(
                 f"inadmissible state in element {e}: {err}", element=e
             ) from err
@@ -469,6 +403,76 @@ class Discretization:
         return self.scatter(rset.phi, rset.boundary), rset
 
 
+class State:
+    """One state's whole-mesh tables, each built on first read and read-only, from
+    one copy of its element values, which a later in-place change cannot reach."""
+
+    def __init__(self, disc, u):
+        self.disc = weakref.proxy(disc)   # no cycle: ``disc`` keeps its last State
+        self.ue = disc.element_values(slice(None), u)     # (ne, #K, m)
+
+    @_table
+    def point_flux(self):
+        """f(u_h) at the ``ptrace`` points, (ne, nf*nfq + nq, dim, m)."""
+        return self.disc.law.flux(self.disc.ptrace @ self.ue)
+
+    @_table
+    def face_flux(self):
+        """Normal flux f(u_h).n at the face points, (ne, nf, nfq, m)."""
+        fq = self.point_flux[..., :len(self.disc.ftrace), :, :]
+        fq = fq.reshape(fq.shape[:-3] + self.disc.fphi.shape[:2] + fq.shape[-2:])
+        return np.einsum("...fqdm,...fd->...fqm", fq, self.disc.fnormal)
+
+    @_table
+    def total_residual(self):
+        """Boundary quadrature of the normal flux, (ne, m)."""
+        return np.einsum("...fq,...fqm->...m", self.disc.fw, self.face_flux)
+
+    @_table
+    def boundary_dof_flux(self):
+        """Contour integral of phi_sigma f(u_h).n, (ne, #K, m)."""
+        return self.disc.contour(self.face_flux)
+
+    @_table
+    def jacobians(self):
+        """J(u_h).grad(phi_s) at the volume points, (ne, nq, #K, m, m): ne*nq*#K*m^2 floats."""
+        uq = self.disc.vq_phi @ self.ue
+        return self.disc.law.jac_n(uq[..., None, :], self.disc.vgrad)
+
+    @_table
+    def rusanov_matrix(self):
+        """int_K phi_s J(u_h).grad(phi_s'), (ne, #K, #K, m, m)."""
+        jg = self.jacobians
+        mat = self.disc.vphi_w @ jg.reshape(jg.shape[:-3] + (self.disc.nloc * self.disc.m**2,))
+        return mat.reshape(mat.shape[:-1] + jg.shape[-3:])
+
+    @_table
+    def alpha(self):
+        """The Rusanov bound of ``Discretization.rusanov_alpha``, (ne,)."""
+        return self.disc.nloc * _max_specnorm(self.rusanov_matrix)
+
+    @_table
+    def tau(self):
+        """SUPG's streamline relaxation time from the element wave-speed budget, (ne,)."""
+        ubar = self.ue.mean(axis=-2)
+        speed = self.disc.law.max_wave_speed(ubar[..., None, :], self.disc.snormal).sum(axis=-1)
+        speed /= 2.0 * self.disc.measure
+        hk = speed * self.disc.diameter
+        return np.divide(1.0, hk, out=np.zeros_like(hk), where=speed > 0.0)
+
+    @_table
+    def adu(self):
+        """A(u_h).grad(u_h) = sum_s (A.grad(phi_s)) u_s, as jac_n is linear in n, (ne, nq, m)."""
+        return np.einsum("...qsij,...sj->...qi", self.jacobians, self.ue)
+
+    @_table
+    def jumps(self):
+        """Jumps of grad(u_h) at the face points, (ne, nf, nfq, dim, m); zero on boundary faces."""
+        grad = np.einsum("kfqsd,ksm->kfqdm", self.disc.fgrad, self.ue)
+        interior = (self.disc.nbr >= 0)[:, :, None, None, None]
+        return np.where(interior, grad - self.disc.across(grad), 0.0)
+
+
 def rusanov_coefficients(disc, e, u, alpha=None):
     """Monotone-form coefficients c[s, sp] of the scalar Rusanov split.
 
@@ -478,7 +482,7 @@ def rusanov_coefficients(disc, e, u, alpha=None):
     """
     if disc.m != 1:
         raise UnsupportedFeatureError("coefficient extraction is scalar-only")
-    mat = disc._rusanov_matrix(e, u)                      # (k, #K, #K, 1, 1)
+    mat = disc.state(u).rusanov_matrix[e]                 # (k, #K, #K, 1, 1)
     alpha = disc.rusanov_alpha(e, u) if alpha is None else alpha
     c = np.asarray(alpha)[..., None, None] / disc.nloc - mat[..., 0, 0]
     diag = np.arange(disc.nloc)

@@ -179,7 +179,7 @@ def test_across_reads_the_neighbours_matching_face_point(case):
     if mesh.degree == 2:
         x, y = disc.dofmap.dof_coords.T
         quad = (1.0 + x - 2.0 * y + 3.0 * x * x + x * y - y * y)[:, None]
-        jumps = disc._jumps(slice(None), quad)[interior]
+        jumps = disc.state(quad).jumps[interior]
         # the largest sum of |u_s grad(phi_s)| at a face point bounds the cancellation
         terms = np.einsum("kfqsd,ksm->kfqdm", np.abs(disc.fgrad),
                           np.abs(disc.element_values(slice(None), quad)))

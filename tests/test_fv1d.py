@@ -88,6 +88,18 @@ def test_locate_jump_refuses_a_nan_profile():
         fv1d.locate_jump(grid.x, u)
 
 
+def test_locate_jump_at_any_finite_scale():
+    """The mid level is half the maximum plus half the minimum and a crossing is
+    an ordered test, so no sum overflows and no product underflows: near the
+    largest float the step is found, and near the smallest the position is
+    the one of the same profile at scale 1, inside the grid."""
+    x = np.linspace(0.0, 1.0, 8)
+    assert fv1d.locate_jump(x, np.repeat([1e308, 1.7e308], 4)) == 0.5
+    step = np.array([1.0, 1.0, 1.0, 0.9, 0.2, 0.0, 0.0, 0.0])
+    pos = fv1d.locate_jump(x, step * 1e-170)
+    assert pos == fv1d.locate_jump(x, step) and abs(pos - 0.5102) < 1e-4
+
+
 def test_measure_shock_speed_synthetic():
     grid = fv1d.Grid1D(200, 0.0, 2.0)
     dt = 0.01

@@ -34,8 +34,8 @@ def test_workload_runs_without_failures(name, tmp_path):
     assert workload.boundary_probe(problem, inputs) == PROBES.get(name)
 
 
-# traced names the package no longer defines, listed under "Benchmark
-# maintenance" in ROADMAP.md; their metrics read 0 until perfbench drops them
+# traced names the package no longer defines, listed under items 12 and 17
+# of ROADMAP.md; their metrics read 0 until perfbench drops them
 STALE_TARGETS = {"mesh.face_geometry", "rd_core.rusanov_residuals",
                  "rd_core.supg_residuals", "rd_core.jump_residuals"}
 
@@ -71,8 +71,8 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # set, not a new one.  Every assembly limits its split once and reads
         # the Rusanov bound once.  Advection is linear, so its Galerkin split,
         # Rusanov bound and boundary inflow weights are per-mesh tables: the
-        # flux runs once to build the Galerkin table, then once to fill the
-        # final state's memo, which the conservation audit's total_residual
+        # flux runs once to build the Galerkin table, then once for the final
+        # state's point flux table, which the conservation audit's total_residual
         # and the flux-form audit's boundary_dof_flux both read (1 + 1);
         # jac_n runs once to build each of the bound, inflow and CFL wave
         # speed tables, which the 22 stable_dt calls read (1 + 1 + 1)
@@ -87,10 +87,10 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
         # one residual set per family, three of them limited, then for each of
         # the 72 elements of each family the boundary DOF flux, recovery,
         # certification and total.  All of them read one state, so the flux
-        # is evaluated once, to fill the state memo that every Galerkin
-        # split, boundary DOF flux and total reads; jac_n once, for the volume
-        # Jacobians, which the memo keeps for the Rusanov bound of the 4 kinds
-        # that read it and for the 2 SUPG terms, whose A.grad(u_h) is their
+        # is evaluated once, for the state's point flux table that every
+        # Galerkin split, boundary DOF flux and total reads; jac_n once, for the
+        # volume Jacobians table, read by the Rusanov bound of the 4 kinds
+        # that read it and by the 2 SUPG terms, whose A.grad(u_h) is their
         # contraction with the DOF values
         pins = (("flux_recovery.boundary_dof_flux", 504), ("flux_recovery.recover_fluxes", 504),
                 ("flux_recovery.certify", 504), ("rd_core.total_residual", 504),

@@ -1,4 +1,7 @@
 import copy
+import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,12 +9,14 @@ import pytest
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import rd_core
+from rdlab import time_dec as td
 from rdlab.conslaw import (Advection, Burgers, CubicTransport, Euler, conserved_from_primitive,
                            make_law)
 from rdlab.errors import InadmissibleStateError, StepFailureError, UnsupportedFeatureError
 from rdlab.rd_core import (
     Discretization,
     Scheme,
+    State,
     blend_limiter,
     monotone_dt,
     rusanov_coefficients,
@@ -479,7 +484,7 @@ def test_non_finite_state_names_an_element_that_reads_it():
 def test_gradient_jumps_are_zero_on_boundary_faces(degree):
     disc = Discretization(jittered_tri_mesh(3, degree, seed=4), Burgers(dim=2))
     u = random_state(disc.law, disc.dofmap.dof_coords, seed=27)
-    jumps = disc._memo(disc._jumps, slice(None), u)
+    jumps = disc.state(u).jumps
     boundary = disc.nbr < 0
     assert boundary.any() and (jumps[boundary] == 0.0).all()
     assert (jumps[~boundary] != 0.0).any()
@@ -594,7 +599,7 @@ def test_rusanov_alpha_decomposes_only_candidate_blocks(monkeypatch):
     rng = np.random.default_rng(6)
     w = np.array([1.0, 0.5, 0.25, 1.0]) + rng.uniform(-0.2, 0.2, (disc.dofmap.n_dofs, 4))
     u = conserved_from_primitive(w)
-    a = disc._rusanov_matrix(slice(None), u)
+    a = disc.state(u).rusanov_matrix
     decomposed = []
     specnorm = rd_core._specnorm
 
@@ -625,7 +630,7 @@ def test_linear_alpha_is_the_bound_on_any_state(name):
     for u in np.random.default_rng(12).standard_normal((2, disc.dofmap.n_dofs, 1)):
         for e in (slice(1, None, 2), np.arange(ne)[::-1], [ne - 1, 0, 0], []):
             got = disc.rusanov_alpha(e, u)
-            ref = disc.nloc * rd_core._max_specnorm(disc._rusanov_matrix(e, u))
+            ref = disc.nloc * rd_core._max_specnorm(disc.state(u).rusanov_matrix[e])
             assert got.shape == ref.shape and np.array_equal(got, ref), e
     with pytest.raises(ValueError, match="read-only"):
         disc.rusanov_alpha(slice(None), u)[0] = 0.0
@@ -638,7 +643,7 @@ def test_linear_alpha_is_built_once(name, monkeypatch):
     per-mesh table (flux: the Galerkin split; jac_n: the bound and the inflow weights)."""
     disc = advection_disc(name)
     u = np.random.default_rng(13).standard_normal((disc.dofmap.n_dofs, 1))
-    calls = {"_rusanov_matrix": 0, "flux": 0, "jac_n": 0}
+    calls = {"rusanov_matrix": 0, "flux": 0, "jac_n": 0}
 
     def count(owner, attr):
         method = getattr(owner, attr)
@@ -648,12 +653,31 @@ def test_linear_alpha_is_built_once(name, monkeypatch):
             return method(*args)
         monkeypatch.setattr(owner, attr, counting)
 
-    count(Discretization, "_rusanov_matrix")
+    builds = record_builds(monkeypatch, "rusanov_matrix")
     count(disc.law, "flux")
     count(disc.law, "jac_n")
     for _ in range(5):
         disc.residual_set(u, Scheme(kind="limited"), u_b=0.0)
-    assert calls == {"_rusanov_matrix": 1, "flux": 1, "jac_n": 2}
+    calls["rusanov_matrix"] = len(builds)
+    assert calls == {"rusanov_matrix": 1, "flux": 1, "jac_n": 2}
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "interval"])
+def test_linear_march_builds_no_state(name, monkeypatch):
+    """A linear law's march reads the per-mesh tables alone: once ``linear_alpha``
+    has built its detached zero ``State``, a limited CN march with boundary data
+    builds none, and the Galerkin and Rusanov splits build none either."""
+    disc = advection_disc(name)
+    u = np.random.default_rng(29).standard_normal((disc.dofmap.n_dofs, 1))
+    built, init = [], State.__init__
+    monkeypatch.setattr(State, "__init__",
+                        lambda state, *args: built.append(1) or init(state, *args))
+    disc.linear_alpha
+    assert built == [1]
+    td.dec_run(disc, u, 0.02, Scheme(kind="limited"), td.DecConfig("cn"), u_b=0.0)
+    for kind in ("galerkin", "rusanov"):
+        disc.residual_set(u, Scheme(kind=kind), u_b=0.0)
+    assert built == [1]
 
 
 def test_linear_alpha_keeps_the_state_memo(monkeypatch):
@@ -728,20 +752,39 @@ def test_nonlinear_alpha_reads_the_state():
     assert np.array_equal(disc.rusanov_alpha(slice(None), 2.0 * u), 2.0 * alpha)
 
 
-# the per-element queries that read the state memo, each with the direct
-# evaluation whose error an inadmissible element raises
+# the per-element queries that read rows of the whole-mesh ``State`` tables,
+# each with the table whose build an inadmissible state fails
 MEMO_QUERIES = {
-    "total_residual": (Discretization.total_residual, Discretization._point_flux),
-    "boundary_dof_flux": (fr.boundary_dof_flux, Discretization._point_flux),
-    "galerkin_residuals": (Discretization.galerkin_residuals, Discretization._point_flux),
-    "rusanov_alpha": (Discretization.rusanov_alpha, Discretization._alpha),
+    "total_residual": (Discretization.total_residual, "point_flux"),
+    "boundary_dof_flux": (fr.boundary_dof_flux, "point_flux"),
+    "galerkin_residuals": (Discretization.galerkin_residuals, "point_flux"),
+    "rusanov_alpha": (Discretization.rusanov_alpha, "alpha"),
     # the volume Jacobians; with tau, and A.grad(u_h) contracted from the
     # Jacobians; the gradient jumps, zero on boundary faces, which read DOF
     # values alone, so no state is inadmissible to them
-    "rusanov_matrix": (Discretization._rusanov_matrix, Discretization._jacobians),
-    "supg_term": (lambda disc, e, u: disc._supg_term(e, u, 2.0), Discretization._jacobians),
+    "rusanov_matrix": (lambda disc, e, u: disc.state(u).rusanov_matrix[e], "jacobians"),
+    "supg_term": (lambda disc, e, u: disc._supg_term(e, u, 2.0), "jacobians"),
     "jump_term": (lambda disc, e, u: disc._jump_term(e, u, 0.05), None),
 }
+
+# every whole-mesh table of a ``State``, found on the class
+STATE_TABLES = [name for name, attr in vars(State).items()
+                if isinstance(attr, functools.cached_property)]
+
+
+def record_builds(monkeypatch, table):
+    """The rows of each build of the ``State`` table ``table``, one entry per build."""
+    build, builds = vars(State)[table].func, []
+
+    def recording(state):
+        rows = build(state)
+        builds.append(len(rows))
+        return rows
+
+    prop = functools.cached_property(recording)
+    prop.__set_name__(State, table)
+    monkeypatch.setattr(State, table, prop)
+    return builds
 
 
 def euler_memo_problem(seed):
@@ -812,36 +855,34 @@ def test_memo_tells_minus_zero_from_zero(monkeypatch):
 
 
 def test_memo_per_element_query_beside_an_inadmissible_element():
-    """A state inadmissible in some elements fills no memo: each query of an
-    admissible element evaluates it alone, with the bits of the admissible
-    state, and an inadmissible element raises the error of its own direct
-    evaluation."""
+    """A state inadmissible in some elements has no whole-mesh table that reads
+    the law: a query of any element, admissible or not, raises the error of
+    that table's build.  The gradient jumps read DOF values alone and give a
+    fresh Discretization's bits."""
     disc, u0 = euler_memo_problem(22)
     dofs = disc.dofmap.element_dofs
     u = u0.copy()
     u[dofs[4, 0], 0] = -1.0
     bad = np.flatnonzero((dofs == dofs[4, 0]).any(axis=1))
     good = np.setdiff1d(np.arange(disc.mesh.n_elements), bad)
-    for name, (query, direct) in MEMO_QUERIES.items():
+    for name, (query, table) in MEMO_QUERIES.items():
         fresh = Discretization(disc.mesh, disc.law)
-        if direct is None:
+        if table is None:
             for e in (int(bad[-1]), slice(None)):
                 assert np.array_equal(query(disc, e, u), query(fresh, e, u)), (name, e)
             continue
-        for e in (int(good[0]), good[::-1]):
-            assert np.array_equal(query(disc, e, u), query(fresh, e, u0)), (name, e)
-        for e in (int(bad[-1]), slice(None)):
-            with pytest.raises(InadmissibleStateError) as want:
-                direct(disc, e, u)
+        with pytest.raises(InadmissibleStateError) as want:
+            getattr(State(disc, u), table)
+        for e in (int(good[0]), good[::-1], int(bad[-1]), slice(None)):
             with pytest.raises(InadmissibleStateError, match="density") as err:
                 query(disc, e, u)
             assert str(err.value) == str(want.value), (name, e)
 
 
 def test_memo_tries_an_inadmissible_whole_mesh_once(monkeypatch):
-    """A state inadmissible somewhere keeps its whole-mesh error: residual_set
-    evaluates the flux once, and per-element totals make one whole-mesh
-    attempt, then evaluate each element alone."""
+    """residual_set evaluates the flux of a state inadmissible somewhere once
+    and names the element; a per-element total of that state raises too,
+    each query one whole-mesh attempt, as no table of it is kept."""
     mesh = msh.build_structured_tri_mesh(3, 3, ((0.0, 0.0), (1.0, 1.0)), degree=2)
     calls = []
 
@@ -854,25 +895,27 @@ def test_memo_tries_an_inadmissible_whole_mesh_once(monkeypatch):
     disc = counted()
     u = conserved_from_primitive(np.tile([1.0, 0.5, 0.25, 1.0], (disc.dofmap.n_dofs, 1)))
     u[5, 0] = -5.0
-    with pytest.raises(StepFailureError, match="inadmissible state"):
+    with pytest.raises(StepFailureError, match="inadmissible state") as err:
         disc.residual_set(u, Scheme(kind="rusanov"))
     assert calls == [(18,)]                  # the element axes of each evaluation
+    assert (disc.dofmap.element_dofs[err.value.element] == 5).any()
     calls.clear()
     disc = counted()
     for e in range(18):
-        try:
+        with pytest.raises(InadmissibleStateError, match="density"):
             disc.total_residual(e, u)
-        except InadmissibleStateError:
-            pass
-    assert calls == [(18,)] + [()] * 18
+    assert calls == [(18,)] * 18
 
 
 def test_memo_tables_are_read_only():
-    """A whole-mesh query may return a view of a memo table, so writing into
-    it raises instead of changing what later queries of the state read."""
+    """A whole-mesh query may return a view of a ``State`` table, so writing
+    into any table raises instead of changing what later queries of the state
+    read."""
     disc, u = euler_memo_problem(23)
-    for table in (disc.rusanov_alpha(slice(None), u), disc.face_flux(slice(None), u),
-                  disc.total_residual(slice(None), u), fr.boundary_dof_flux(disc, slice(None), u)):
+    assert {"point_flux", "face_flux", "alpha", "jumps"} <= set(STATE_TABLES)
+    tables = [getattr(disc.state(u), name) for name in STATE_TABLES]
+    for table in tables + [disc.rusanov_alpha(slice(None), u), disc.total_residual(slice(None), u),
+                           fr.boundary_dof_flux(disc, slice(None), u)]:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
     fresh = Discretization(disc.mesh, disc.law)
@@ -884,14 +927,7 @@ def test_supg_builds_one_a_grad_u_table_per_state(monkeypatch):
     per-element SUPG queries of a state build it once, over every element,
     and each new state builds it once more."""
     disc, u = euler_memo_problem(25)
-    builds, build = [], disc._adu
-
-    def counting(e, state):
-        builds.append(e)
-        return build(e, state)
-
-    counting.__name__ = build.__name__            # the memo's key
-    monkeypatch.setattr(disc, "_adu", counting)
+    builds = record_builds(monkeypatch, "adu")
     v = u.copy()
     v[5] *= 1.1
     for count, state in enumerate((u, v, u), start=1):
@@ -899,7 +935,32 @@ def test_supg_builds_one_a_grad_u_table_per_state(monkeypatch):
             disc.residual_set(state, Scheme(kind=kind))
             for e in (slice(None), 7, [7, 2]):
                 disc.element_residuals(e, state, Scheme(kind=kind, tau_scale=0.5))
-        assert builds == [slice(None)] * count
+        assert builds == [disc.mesh.n_elements] * count
+
+
+def test_a_discretization_with_a_state_is_freed_without_a_collection():
+    """A ``State`` refers to its Discretization weakly, so dropping a
+    Discretization that keeps its last State frees it at once, not at a later
+    cyclic collection: repeated set-ups do not pile up their tables."""
+    disc, u = euler_memo_problem(27)
+    disc.total_residual(slice(None), u)
+    ref = weakref.ref(disc)
+    gc.disable()
+    try:
+        del disc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_state_tables_read_the_state_at_construction():
+    """A ``State`` copies its element values when it is made, so a table first
+    read after the caller changes its state in place is the old state's."""
+    disc, u = euler_memo_problem(26)
+    state, want = State(disc, u), State(disc, u.copy())
+    u[5] *= 1.1
+    for name in STATE_TABLES:
+        assert np.array_equal(getattr(state, name), getattr(want, name)), name
 
 
 def test_scheme_parameters_survive_the_memo():
