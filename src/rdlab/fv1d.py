@@ -114,13 +114,14 @@ def run(scheme, u0, lam, n_steps, periodic=True, snapshot_every=None):
 
 
 def locate_jump(x, u):
-    """Mid-jump position: first window of 3 cells whose jump exceeds half
-    the global range, refined by linear interpolation to the mid level."""
+    """Mid-jump position: first window of 3 cells whose jump exceeds half the range of
+    ``u`` exactly scaled below 1 by a power of two, refined linearly to the mid level."""
     u = np.asarray(u, dtype=float)
+    u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
     half = 0.5 * float(u.max() - u.min())
     if half <= 0.0:
         raise DiagnosticError("constant profile, no discontinuity")
-    mid = 0.5 * u.max() + 0.5 * u.min()      # finite for every finite profile
+    mid = 0.5 * u.max() + 0.5 * u.min()
     for i in range(len(u) - 3):
         if abs(u[i + 3] - u[i]) > half:
             for j in range(i, i + 3):

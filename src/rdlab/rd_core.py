@@ -10,11 +10,11 @@ Every family is one Galerkin evaluation plus its stabilization terms, for
 an index array or slice of elements at once.  One integer element, or one
 face pair of ``boundary_residuals``, drops that axis, as numpy indexing does.
 
-Tables of the mesh alone are built once per mesh, on first use.  Those of
-one state alone, from its flux to its gradient jumps, are the whole-mesh
-tables of a ``State``.  ``Discretization.state`` keeps the last state's
-``State``, so the families and per-element queries of one state read rows
-of one evaluation, and each scheme parameter is applied on every call.
+Tables of the mesh alone, a linear law's splits and weak inflow among them,
+are built once per mesh, on first use.  Those of one state alone, from its
+flux to its gradient jumps, are the whole-mesh tables of the ``State`` that
+``Discretization.state`` keeps for the last state: the families and queries
+of one state read one evaluation, and scheme parameters apply on each call.
 """
 
 from __future__ import annotations
@@ -201,6 +201,20 @@ class Discretization:
         """``galerkin_residuals`` of a scalar linear law as a matrix, read-only, (ne, #K, #K)."""
         return self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
 
+    @_table
+    def linear_rusanov(self):
+        """``linear_galerkin`` plus ``linear_alpha``'s Rusanov term, read-only, (ne, #K, #K)."""
+        deviation = np.eye(self.nloc) - 1.0 / self.nloc          # u_s minus the element mean
+        return self.linear_galerkin + self.linear_alpha[:, None, None] * deviation
+
+    @_table
+    def linear_inflow(self):
+        """A scalar linear law's weak inflow on the ``faces.boundary`` faces, read-only, (nb, nfd,
+        #K + nbq): -W.phi on u_h's DOF values, then W = ``bphi_w`` min(a.n, 0) on u_b's points."""
+        e, lf = self.mesh.faces.boundary
+        w = self.bphi_w[e, lf] * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal[e, lf]), 0.0)
+        return np.concatenate([-w @ self.bphi[lf], w], axis=-1)
+
     @functools.cached_property
     def linear_speed(self):
         """Largest axis wave speed of a linear law, which reads no state."""
@@ -211,11 +225,6 @@ class Discretization:
         """Smallest element size of the CFL step: an interval's length, or 2|K|/diam."""
         h = self.measure if self.mesh.dim == 1 else 2.0 * self.measure / self.diameter
         return float(h.min())
-
-    @_table
-    def linear_inflow_w(self):
-        """``bphi_w`` times min(a.n, 0) of a scalar linear law, read-only, (ne, nf, nfd, nbq)."""
-        return self.bphi_w * np.minimum(self.law.jac_n(np.zeros(1), self.fnormal), 0.0)
 
     def state(self, u):
         """The ``State`` of ``u``, kept while its shape, dtype and bytes are the last ones."""
@@ -273,16 +282,13 @@ class Discretization:
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
     def rusanov_alpha(self, e, u):
-        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2.
-
-        A block's largest column or row norm bounds its spectral norm from
-        below and its Frobenius norm from above, so only blocks whose
-        Frobenius norm reaches the element's largest column or row norm are
-        decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and
-        ``PRUNE_FLOOR``, far above the rounding of the squared norms: the
-        block that sets the maximum always gets its own SVD, and alpha is the
-        float that decomposing every block gives; read from ``linear_alpha`` or ``State``.
-        """
+        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2, read from
+        ``linear_alpha`` (in ``linear_rusanov`` on a linear march) or ``State``.  A block's
+        largest column or row norm bounds its spectral norm from below and its Frobenius norm
+        from above, so only blocks whose Frobenius norm reaches the element's largest column
+        or row norm are decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and ``PRUNE_FLOOR``,
+        far above the rounding of the squared norms: the block that sets the maximum always
+        gets its own SVD, and alpha is the float that decomposing every block gives."""
         if self.law.linear:
             return self.linear_alpha[e]
         return self.state(u).alpha[e]
@@ -312,12 +318,14 @@ class Discretization:
 
     def element_residuals(self, e, u, scheme):
         """The Galerkin split plus the stabilization terms of the scheme kind."""
-        k = scheme.kind
+        k, coef = scheme.kind, 1.0
         self.check_kind(k)
-        phi = self.galerkin_residuals(e, u)
-        coef = 1.0
-        if k == "rusanov" or k.startswith("limited"):
-            phi = phi + self._rusanov_term(e, u, scheme.alpha)
+        if "alpha" not in scheme.PARAMS[k]:                  # no Rusanov split
+            phi = self.galerkin_residuals(e, u)
+        elif self.law.linear and scheme.alpha is None:
+            phi = self.linear_rusanov[e] @ self.element_values(e, u)
+        else:
+            phi = self.galerkin_residuals(e, u) + self._rusanov_term(e, u, scheme.alpha)
         if k.startswith("limited"):
             _, phi = blend_limiter(phi)
             coef = scheme.gamma_jump
@@ -352,19 +360,14 @@ class Discretization:
         return 0.5 * (fh + fb) - 0.5 * (absA @ (ub - uh)[..., None])[..., 0]
 
     def boundary_residuals(self, face, u, u_b):
-        """Weak boundary contribution of the faces ``e, lf = face``: index
-        arrays of elements and local faces like ``faces.boundary``, or one
-        (element, local face) pair like an entry of ``mesh.boundary_faces``.
-
-        Returns local DOF ids on the faces (nb, nfd) and per-DOF residuals
-        (nb, nfd, m); one pair drops the face axis as numpy indexing does.
-        ``u_b`` is read through ``boundary_state`` at the boundary rule's
-        points.  A linear law applies the per-mesh ``linear_inflow_w`` to u_b - u_h."""
+        """Weak upwind boundary residuals of the faces ``e, lf = face`` on the flux path, for
+        every law (``residual_set`` applies a linear law's ``linear_inflow``): index arrays
+        like ``faces.boundary``, or one (element, local face) pair like an entry of
+        ``mesh.boundary_faces``, which drops the face axis.  Returns local DOF ids (nb, nfd)
+        and residuals (nb, nfd, m); ``u_b`` is read through ``boundary_state`` at the points."""
         e, lf = face
         uq = np.einsum("...qs,...sm->...qm", self.bphi[lf], self.element_values(e, u))
         ub = self.boundary_state(u_b, e, self.blam[lf])
-        if self.law.linear:
-            return self.face_dofs[lf], self.linear_inflow_w[e, lf] @ (ub - uq)
         n = np.broadcast_to(self.fnormal[e, lf][..., None, :], uq.shape[:-1] + (self.mesh.dim,))
         fh = np.einsum("...qdm,...qd->...qm", self.law.flux(uq), n)
         return self.face_dofs[lf], self.bphi_w[e, lf] @ (self.upwind_flux(uq, ub, n, fh) - fh)
@@ -383,9 +386,13 @@ class Discretization:
         if not finite.all():
             e = int(np.argmin(finite.all(axis=(1, 2))))
             raise StepFailureError(f"non-finite residual in element {e}", element=e)
-        boundary = None
-        if u_b is not None and len(self.boundary_dofs):
-            _, boundary = self.boundary_residuals(self.mesh.faces.boundary, u, u_b)
+        boundary, (be, blf) = None, self.mesh.faces.boundary
+        if u_b is not None and len(be) and self.law.linear:
+            lam = self.blam[blf]                                 # u_b at every boundary point
+            ub = self.boundary_state(u_b, be, lam) * np.ones(lam.shape[:-1] + (1,))
+            boundary = self.linear_inflow @ np.concatenate([self.element_values(be, u), ub], axis=1)
+        elif u_b is not None and len(be):
+            _, boundary = self.boundary_residuals((be, blf), u, u_b)
         return ResidualSet(phi=phi, boundary=boundary)
 
     def scatter(self, phi, boundary=None):

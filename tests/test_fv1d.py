@@ -89,12 +89,13 @@ def test_locate_jump_refuses_a_nan_profile():
 
 
 def test_locate_jump_at_any_finite_scale():
-    """The mid level is half the maximum plus half the minimum and a crossing is
-    an ordered test, so no sum overflows and no product underflows: near the
-    largest float the step is found, and near the smallest the position is
-    the one of the same profile at scale 1, inside the grid."""
+    """The profile is scaled to |u| < 1 by a power of two and a crossing is an
+    ordered test, so no range overflows and no product underflows: near the
+    largest float, of one sign or both, the step is found, and near the smallest
+    the position is the one of the same profile at scale 1, inside the grid."""
     x = np.linspace(0.0, 1.0, 8)
     assert fv1d.locate_jump(x, np.repeat([1e308, 1.7e308], 4)) == 0.5
+    assert fv1d.locate_jump(x, np.repeat([-1.7e308, 1.7e308], 4)) == 0.5
     step = np.array([1.0, 1.0, 1.0, 0.9, 0.2, 0.0, 0.0, 0.0])
     pos = fv1d.locate_jump(x, step * 1e-170)
     assert pos == fv1d.locate_jump(x, step) and abs(pos - 0.5102) < 1e-4

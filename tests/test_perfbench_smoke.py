@@ -68,9 +68,10 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
     if name == "readme_run":
         # 22 CN steps of two assemblies each, plus the residual at t = 0; the
         # conservation and flux-form audits read the final state's residual
-        # set, not a new one.  Every assembly limits its split once and reads
-        # the Rusanov bound once.  Advection is linear, so its Galerkin split,
-        # Rusanov bound and boundary inflow weights are per-mesh tables: the
+        # set, not a new one.  Every assembly limits its split once.  Advection
+        # is linear, so its Rusanov split (the Galerkin table plus the bound's
+        # term) and its weak inflow are per-mesh operators, and no assembly
+        # calls rusanov_alpha: the span is traced and reads 0 calls.  The
         # flux runs once to build the Galerkin table, then once for the final
         # state's point flux table, which the conservation audit's total_residual
         # and the flux-form audit's boundary_dof_flux both read (1 + 1);
@@ -80,7 +81,7 @@ def test_tracer_counts_the_law_calls(name, tmp_path):
                 ("rd_core.assemble", 45), ("rd_core.residual_set", 45),
                 ("rd_core.blend_limiter", 45), ("time_dec.lumped_mass", 1),
                 ("diagnostics.conservation_audit", 1), ("rd_core.total_residual", 1),
-                ("conslaw.flux", 2), ("rd_core.rusanov_alpha", 45),
+                ("conslaw.flux", 2), ("rd_core.rusanov_alpha", 0),
                 ("conslaw.jac_n", 3), ("flux_recovery.boundary_dof_flux", 1),
                 ("flux_recovery.recover_fluxes", 1), ("flux_recovery.certify", 1))
     else:

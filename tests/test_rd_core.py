@@ -696,10 +696,11 @@ def test_linear_alpha_keeps_the_state_memo(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
 def test_linear_tables_match_the_flux_path(name):
-    """A linear law's Galerkin and inflow tables give the residuals that the
-    flux path computes for a copy of the law flagged nonlinear, within 1e-14
-    relative, for every kind, element selection and boundary state.  Both
-    tables are read-only, and nonlinear laws never build the linear tables."""
+    """A linear law's Galerkin and Rusanov tables and its inflow operator give
+    the residuals that the flux path computes for a copy of the law flagged
+    nonlinear, within 1e-14 relative, for every kind (and a Rusanov override),
+    element selection and boundary state, in direct boundary calls and in the
+    residual set.  The tables are read-only, and nonlinear laws never build them."""
     disc = advection_disc(name)
     law = copy.copy(disc.law)
     law.linear = False
@@ -713,17 +714,21 @@ def test_linear_tables_match_the_flux_path(name):
         if want.size:
             assert_close(got, want)
 
-    for kind in kinds:
+    schemes = [Scheme(kind) for kind in kinds] + [Scheme(kind="limited", alpha=0.3)]
+    for scheme in schemes:
         for e in (slice(None), np.arange(ne)[::-1], [ne - 1, 0, 0], [], 2):
-            check(disc.element_residuals(e, u, Scheme(kind)),
-                  flux_path.element_residuals(e, u, Scheme(kind)))
+            check(disc.element_residuals(e, u, scheme), flux_path.element_residuals(e, u, scheme))
     for u_b in (0.4, lambda x: np.sin(3.0 * x[..., :1]) + x[..., -1:]):
         for face in [disc.mesh.faces.boundary] + list(zip(*disc.mesh.faces.boundary)):
             dofs, psi = disc.boundary_residuals(face, u, u_b)
             want_dofs, want = flux_path.boundary_residuals(face, u, u_b)
             assert np.array_equal(dofs, want_dofs)
             check(psi, want)
-    for table in (disc.linear_galerkin, disc.linear_inflow_w):
+        for scheme in schemes:
+            got, want = disc.residual_set(u, scheme, u_b), flux_path.residual_set(u, scheme, u_b)
+            check(got.phi, want.phi)
+            check(got.boundary, want.boundary)
+    for table in (disc.linear_galerkin, disc.linear_rusanov, disc.linear_inflow):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
     dim = disc.mesh.dim
@@ -733,7 +738,8 @@ def test_linear_tables_match_the_flux_path(name):
         v = conserved_from_primitive(w) if law.m > 1 else w
         for kind in kinds:
             nonlinear.residual_set(v, Scheme(kind), u_b=v[0])
-        assert not {"linear_alpha", "linear_galerkin", "linear_inflow_w"} & set(vars(nonlinear))
+        assert not {"linear_alpha", "linear_galerkin", "linear_rusanov",
+                    "linear_inflow"} & set(vars(nonlinear))
 
 
 def test_only_linear_advection_is_flagged_linear():
