@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 
 DEFAULTS = {
-    "law": {"name": "advection(1,0)"},
+    "law": {"name": "advection"},
     "mesh": {
         "kind": "structured_tri",
         "n": "100",

@@ -30,9 +30,6 @@ class IncidenceSystem:
     A: np.ndarray       # (#nodes, #edges), +1 at the tail, -1 at the head
     Linv: np.ndarray    # pseudo-inverse of L on the zero-mean subspace
 
-    def __post_init__(self):
-        self.AT = np.ascontiguousarray(self.A.T)    # A^T, stored C-contiguous
-
 
 @dataclass
 class BalanceReport:
@@ -67,7 +64,7 @@ def recover_fluxes(system, psi):
     """Minimum-norm edge fluxes A^T (L^+ Psi) solving A f = Psi, componentwise.
 
     ``psi`` has shape (..., #nodes, m) with any leading element axes, or
-    (#nodes,) for one component; returns (..., #edges, m), with A^T the stored ``system.AT``.
+    (#nodes,) for one component; returns (..., #edges, m).
     The residuals of every element must be finite and sum to zero; the error names the
     first element that fails, as a flat index over the leading axes, and carries its defect.
     A worst defect within ``COMPAT_TOL`` itself passes before the scale is built.
@@ -80,7 +77,7 @@ def recover_fluxes(system, psi):
             e = int(np.argmax(np.any(bad, axis=-1)))
             raise ConservationDefectError(f"per-DOF residuals of element {e} do not sum to zero",
                                           defect.reshape(-1, defect.shape[-1])[e], e)
-    return system.AT @ (system.Linv @ psi)
+    return system.A.T @ (system.Linv @ psi)
 
 
 def certify(system, fluxes, psi):

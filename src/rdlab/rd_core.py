@@ -192,20 +192,17 @@ class Discretization:
         return self.vphi_w @ self.vq_phi
 
     @_table
-    def linear_alpha(self):
-        """``rusanov_alpha`` of a linear law: a detached zero ``State``'s, (ne,)."""
-        return State(self, np.zeros((self.dofmap.n_dofs, self.m))).alpha
-
-    @_table
     def linear_galerkin(self):
         """``galerkin_residuals`` of a scalar linear law as a matrix, read-only, (ne, #K, #K)."""
         return self.gal_w @ self.law.flux(self.ptrace.T[..., None]).reshape(self.nloc, -1).T
 
     @_table
     def linear_rusanov(self):
-        """``linear_galerkin`` plus ``linear_alpha``'s Rusanov term, read-only, (ne, #K, #K)."""
+        """``linear_galerkin`` plus the Rusanov term of a linear law's bound, which a detached
+        zero ``State`` gives as every state does, read-only, (ne, #K, #K)."""
+        alpha = State(self, np.zeros((self.dofmap.n_dofs, self.m))).alpha
         deviation = np.eye(self.nloc) - 1.0 / self.nloc          # u_s minus the element mean
-        return self.linear_galerkin + self.linear_alpha[:, None, None] * deviation
+        return self.linear_galerkin + alpha[:, None, None] * deviation
 
     @_table
     def linear_inflow(self):
@@ -282,15 +279,13 @@ class Discretization:
         return self.gal_w[e] @ fq.reshape(fq.shape[:-3] + (self.gal_w.shape[-1], self.m))
 
     def rusanov_alpha(self, e, u):
-        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2, read from
-        ``linear_alpha`` (in ``linear_rusanov`` on a linear march) or ``State``.  A block's
-        largest column or row norm bounds its spectral norm from below and its Frobenius norm
-        from above, so only blocks whose Frobenius norm reaches the element's largest column
+        """Dissipation bound #K * max_{s,s'} ||int phi_s J(u_h)*grad(phi_s')||_2, read from the
+        ``State`` of ``u`` for every law (a linear march reads it inside ``linear_rusanov``).  A
+        block's largest column or row norm bounds its spectral norm from below and its Frobenius
+        norm from above, so only blocks whose Frobenius norm reaches the element's largest column
         or row norm are decomposed.  The bound is relaxed by ``PRUNE_SLACK`` and ``PRUNE_FLOOR``,
         far above the rounding of the squared norms: the block that sets the maximum always
         gets its own SVD, and alpha is the float that decomposing every block gives."""
-        if self.law.linear:
-            return self.linear_alpha[e]
         return self.state(u).alpha[e]
 
     def _rusanov_term(self, e, u, alpha=None):

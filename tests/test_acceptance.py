@@ -15,13 +15,13 @@ from rdlab import euler1d, fv1d
 from rdlab import flux_recovery as fr
 from rdlab import mesh as msh
 from rdlab import time_dec as td
-from rdlab.conslaw import Advection, Burgers
+from rdlab.conslaw import Advection, Burgers, CubicTransport
 from rdlab.constraints import (
     conserved_increment_matrix,
     entropy_pressure_correction,
 )
 from rdlab.diagnostics import convergence_order, maximum_principle_audit
-from rdlab.errors import InfeasibleCorrectionError
+from rdlab.errors import InfeasibleCorrectionError, UnsupportedFeatureError
 from rdlab.rd_core import Discretization, Scheme, monotone_dt
 
 # exact rational edge-flux coefficients of the quadratic triangle graph,
@@ -337,3 +337,52 @@ def test_criterion_12_rd_accuracy_condition(degree):
     report(f"criterion 12 RD accuracy condition P{degree}",
            ", ".join(f"{kind} {slope:.2f}" for kind, slope in slopes.items())
            + f" over n = 8, 16, 32, {elapsed:.2f}s")
+
+
+def _rd_shock_error(law, kind, n, cube=False):
+    """Mid-jump position minus the exact 0.58 of a periodic P1 Burgers march to t = 0.3
+    from u0 = 1 on (0.1, 0.4), 0.2 elsewhere, located on the DOFs right of x = 0.45; with
+    ``cube``, the v-form march from v0 = cbrt(u0), located on v^3."""
+    disc = Discretization(msh.build_interval_mesh(n, periodic=True), law)
+    x = disc.dofmap.dof_coords[:, 0]
+    u0 = np.where((x > 0.1) & (x < 0.4), 1.0, 0.2)
+    u, *_ = td.dec_run(disc, np.cbrt(u0) if cube else u0, 0.3, Scheme(kind=kind),
+                       td.DecConfig("euler", cfl=0.3))
+    right = np.flatnonzero(x > 0.45)
+    right = right[np.argsort(x[right])]
+    return fv1d.locate_jump(x[right], u[right, 0] ** 3 if cube else u[right, 0]) - 0.58
+
+
+def test_criterion_13_rd_families_reach_the_right_shock():
+    """The conservative RD families converge to the weak solution's shock; the v-form does not.
+
+    Conservation in Roe's sense is what makes a convergent RD scheme reach the right
+    weak solution (Lax-Wendroff).  The shock of speed 0.6 lies at 0.58 at t = 0.3.  Per
+    doubling of n the error shrinks by a factor of at most 0.65 (measured at most 0.56),
+    and at n = 200 it is at most 0.004 (measured at most 0.0023).  The v-form of the same
+    data conserves v, not u: it stays at least 0.02 from 0.58 (measured at least 0.0241).
+    Galerkin alone has no dissipation: its step collapses at n = 200.  The jump kinds
+    need 2D.
+    """
+    def signed(errors):
+        return " ".join(f"{e:+.4f}" for e in errors)
+
+    ns = (50, 100, 200)
+    t0 = time.perf_counter()
+    table = []
+    for kind in ("rusanov", "limited", "supg", "limited_supg"):
+        err = [_rd_shock_error(Burgers(dim=1), kind, n) for n in ns]
+        v_err = [_rd_shock_error(CubicTransport(), kind, n, cube=True) for n in ns]
+        for coarse, fine in zip(err, err[1:]):
+            assert abs(fine) <= 0.65 * abs(coarse), f"{kind}: {err}"
+        assert abs(err[-1]) <= 0.004, f"{kind}: {err}"
+        assert min(abs(e) for e in v_err) >= 0.02, f"{kind} v-form: {v_err}"
+        table.append(f"{kind} {signed(err)} (v-form {signed(v_err)})")
+    with pytest.raises(ValueError, match="more than"):
+        _rd_shock_error(Burgers(dim=1), "galerkin", 200)
+    for kind in ("jump", "limited_jump"):
+        with pytest.raises(UnsupportedFeatureError):
+            _rd_shock_error(Burgers(dim=1), kind, ns[0])
+    elapsed = time.perf_counter() - t0
+    report("criterion 13 RD shock position", "; ".join(table)
+           + f" at n = 50, 100, 200; galerkin refused at n = 200, {elapsed:.2f}s")

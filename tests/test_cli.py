@@ -204,6 +204,15 @@ def test_advection_without_parameters_runs_along_x(tmp_path, path, explicit):
     assert solution("advection") == solution(explicit)
 
 
+def test_interval_runs_with_the_default_law(tmp_path):
+    """A config that leaves ``[law] name`` unset runs on an interval as on triangles:
+    the default ``advection`` takes its direction from the mesh dimension."""
+    ini = "[mesh]\nkind = interval\nn = 20\n\n[time]\nt_end = 0.01\n"
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, ini), "--out", str(out)]) == 0
+    assert "law.name=advection\n" in (out / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("path, section, key, value", [
     ("sod", "mesh", "kind", "structured_tri"),
     ("sod", "mesh", "nx", "8"),

@@ -19,7 +19,7 @@ def test_defaults_and_overrides(tmp_path):
     cfg = RunConfig.load(write(tmp_path, "[mesh]\nnx = 4\n"))
     assert cfg.get_int("mesh", "nx") == 4
     assert cfg.get_int("mesh", "ny") == 16  # untouched default
-    assert cfg.get("law", "name") == "advection(1,0)"
+    assert cfg.get("law", "name") == "advection"
     assert cfg.get_float("time", "cfl") == 0.3
     assert cfg.get_bool("corrections", "correct_conservation") is True
 

@@ -622,9 +622,11 @@ def advection_disc(name):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
 def test_linear_alpha_is_the_bound_on_any_state(name):
-    """A linear law reads alpha from a read-only per-mesh table; it equals the
-    bound evaluated on the state, bit for bit, for two states and for each kind
-    of element selection."""
+    """A linear law reads alpha from the read-only ``State`` table of the state, as
+    every law does; it equals the bound evaluated on the state, bit for bit, for two
+    states and for each kind of element selection.  A NaN state gives the bound of
+    a detached zero ``State`` bit for bit, as ``linear_rusanov`` relies on: J.grad(phi)
+    of a linear law reads no state."""
     disc = advection_disc(name)
     ne = disc.mesh.n_elements
     for u in np.random.default_rng(12).standard_normal((2, disc.dofmap.n_dofs, 1)):
@@ -634,6 +636,8 @@ def test_linear_alpha_is_the_bound_on_any_state(name):
             assert got.shape == ref.shape and np.array_equal(got, ref), e
     with pytest.raises(ValueError, match="read-only"):
         disc.rusanov_alpha(slice(None), u)[0] = 0.0
+    zero = State(disc, np.zeros((disc.dofmap.n_dofs, 1))).alpha
+    assert np.array_equal(disc.rusanov_alpha(slice(None), np.full_like(u, np.nan)), zero)
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
@@ -664,7 +668,7 @@ def test_linear_alpha_is_built_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "interval"])
 def test_linear_march_builds_no_state(name, monkeypatch):
-    """A linear law's march reads the per-mesh tables alone: once ``linear_alpha``
+    """A linear law's march reads the per-mesh tables alone: once ``linear_rusanov``
     has built its detached zero ``State``, a limited CN march with boundary data
     builds none, and the Galerkin and Rusanov splits build none either."""
     disc = advection_disc(name)
@@ -672,7 +676,7 @@ def test_linear_march_builds_no_state(name, monkeypatch):
     built, init = [], State.__init__
     monkeypatch.setattr(State, "__init__",
                         lambda state, *args: built.append(1) or init(state, *args))
-    disc.linear_alpha
+    disc.linear_rusanov
     assert built == [1]
     td.dec_run(disc, u, 0.02, Scheme(kind="limited"), td.DecConfig("cn"), u_b=0.0)
     for kind in ("galerkin", "rusanov"):
@@ -681,8 +685,8 @@ def test_linear_march_builds_no_state(name, monkeypatch):
 
 
 def test_linear_alpha_keeps_the_state_memo(monkeypatch):
-    """``linear_alpha`` is built from the zero state outside the state memo,
-    so building it between two queries of a state does not evict that state."""
+    """A linear law's ``rusanov_alpha`` reads the ``State`` of the state queried, so
+    a query of the bound between two queries of a state does not evict that state."""
     disc = advection_disc("p2")
     u = np.random.default_rng(18).standard_normal((disc.dofmap.n_dofs, 1))
     calls = []
