@@ -291,7 +291,7 @@ class Discretization:
     def _rusanov_term(self, e, u, alpha=None):
         ue = self.element_values(e, u)
         alpha = self.rusanov_alpha(e, u) if alpha is None else alpha
-        return np.asarray(alpha)[..., None, None] * (ue - _ksum(ue) / self.nloc)
+        return np.asarray(alpha)[..., None, None] * (ue - ue.mean(axis=-2, keepdims=True))
 
     def _supg_term(self, e, u, tau_scale):
         state = self.state(u)
@@ -513,23 +513,17 @@ def blend_limiter(phi_L):
     sum_sigma beta_sigma = 1, so the limited split conserves by construction.
     A nonzero float sum has a summand of its sign, so some ratio
     phi_sigma / Phi^K is positive; a sum at round-off is spread evenly.
+    Every sum over #K runs in order from 0.0 over the rows of one contiguous
+    (#K, ..., m) copy, so an element's floats do not depend on its batch.
     """
-    phi_L = np.asarray(phi_L, dtype=float)
-    total = _ksum(phi_L)
-    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + _ksum(np.abs(phi_L), np.maximum))
-    num = np.maximum(0.0, phi_L / np.where(zero, 1.0, total))
-    den = _ksum(num)
-    beta = np.where(zero, 1.0 / phi_L.shape[-2], num / np.where(zero, 1.0, den))
-    return beta, beta * total
-
-
-def _ksum(a, op=np.add):
-    """``op`` over the #K axis of ``a`` (..., #K, m), kept, in order from 0.0: numpy's own sum
-    for up to 7 terms without its reduction overhead, and its max for ``np.maximum`` of a >= 0."""
-    out = op(a[..., 0, :], 0.0)
-    for s in range(1, a.shape[-2]):
-        op(out, a[..., s, :], out=out)
-    return out[..., None, :]
+    rows = np.moveaxis(np.asarray(phi_L, dtype=float), -2, 0).copy()
+    total = np.add.reduce(rows, axis=0, initial=0.0)
+    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(rows).max(axis=0, initial=0.0))
+    np.maximum(0.0, rows / np.where(zero, 1.0, total), out=rows)
+    rows[:, zero] = 1.0                                  # beta = 1/#K below
+    rows /= np.add.reduce(rows, axis=0, initial=0.0)
+    beta = np.moveaxis(rows, 0, -2)
+    return beta, beta * total[..., None, :]
 
 
 def _specnorm(a):

@@ -307,24 +307,63 @@ def test_blend_limiter_matches_the_oracle_bit_for_bit(nloc, m):
 
 
 @pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("nloc", [2, 3, 6])
+def test_blend_limiter_edge_inputs_match_the_oracle(nloc, m):
+    """Inputs where the limiter's memory layout could show: whole elements of
+    -0.0, signed zeros beside a nonzero total, totals at round-off from pairs of
+    +-1e-20, subnormals, +-inf, and the batch given one element (#K, m) at a
+    time and with two leading axes (k1, k2, #K, m).  Every float is the
+    oracle's to the byte, except that a NaN (from inf - inf) is only required
+    to be a NaN: its sign may differ."""
+    rng = np.random.default_rng(100 + 10 * nloc + m)
+    phi = rng.standard_normal((10, nloc, m))
+    phi[0] = -0.0
+    phi[1] = 0.0
+    phi[1, 0], phi[1, 1] = 1e-20, -1e-20                # a total at round-off
+    phi[2] = 5e-324 * rng.integers(-3, 4, (nloc, m))    # subnormals only
+    phi[3] = 1e-310 * rng.standard_normal((nloc, m))
+    phi[3, 0] = 1.0                                     # subnormal ratios
+    phi[4, 0] = np.inf
+    phi[5, 0], phi[5, -1] = np.inf, -np.inf             # a NaN total
+    phi[6, -1] = -np.inf
+    phi[7, 1:] = np.abs(phi[7, 1:])
+    phi[7, 0] = -0.0                                    # signed zeros beside a nonzero total
+    phi[8] = -phi[7]
+    with np.errstate(invalid="ignore"):
+        want = [oracle_blend_limiter(p, p.sum(axis=0)) for p in phi]
+        one = [blend_limiter(p) for p in phi]
+        batch = blend_limiter(phi)
+        lead = [a.reshape(phi.shape) for a in blend_limiter(phi.reshape(2, 5, nloc, m))]
+    for e in range(len(phi)):
+        for got in (one[e], [a[e] for a in batch], [a[e] for a in lead]):
+            for a, b in zip(got, want[e]):
+                assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), e
+                assert a[~np.isnan(b)].tobytes() == b[~np.isnan(b)].tobytes(), e
+
+
+@pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("nloc", range(1, 8))
 def test_numpy_sums_up_to_7_terms_in_order_from_zero(nloc, m):
-    """``rd_core`` replaces numpy's #K-axis sums by in-order slice adds from
-    0.0, which match numpy's own sum to the bit only while numpy adds up to 7
-    terms that way (from 8 it adds pairwise).  A numpy that changes this order
-    fails here, before the limited kinds' floats move; rdlab's #K is 2, 3 or 6."""
+    """``blend_limiter`` sums over #K with ``np.add.reduce`` along axis 0 of a
+    contiguous (#K, ..., m) copy, from 0.0, and takes the round-off scale with
+    numpy's axis-0 max; ``_rusanov_term`` takes numpy's mean over the #K axis.
+    Each must add the rows in order from 0.0, as the oracle's per-element sums
+    do (from 8 terms along a contiguous axis numpy adds pairwise).  A numpy that
+    changes either order fails here, before the limited kinds' floats move;
+    rdlab's #K is 2, 3 or 6."""
     rng = np.random.default_rng(nloc + 10 * m)
     a = rng.standard_normal((300, nloc, m)) * np.exp(rng.uniform(-30.0, 30.0, (300, nloc, m)))
     a[0] = -0.0
     ordered = np.zeros((300, 1, m))
     for s in range(nloc):
         ordered = ordered + a[:, s:s + 1]
-    for got in (a.sum(axis=-2, keepdims=True), rd_core._ksum(a)):
+    rows = np.moveaxis(a, -2, 0).copy()
+    for got in (a.sum(axis=-2, keepdims=True), np.add.reduce(rows, axis=0, initial=0.0)):
         assert got.tobytes() == ordered.tobytes()
     assert a.mean(axis=-2, keepdims=True).tobytes() == (ordered / nloc).tobytes()
     if nloc > 2:                                        # the data tells the orders apart
         assert not np.array_equal(ordered[:, 0], a[:, ::-1].cumsum(axis=1)[:, -1])
-    assert np.array_equal(rd_core._ksum(np.abs(a), np.maximum), np.abs(a).max(axis=-2, keepdims=True))
+    assert np.array_equal(np.abs(rows).max(axis=0, initial=0.0), np.abs(a).max(axis=-2))
 
 
 @pytest.mark.parametrize("mesh, law", [
@@ -742,7 +781,7 @@ def test_linear_tables_match_the_flux_path(name):
         v = conserved_from_primitive(w) if law.m > 1 else w
         for kind in kinds:
             nonlinear.residual_set(v, Scheme(kind), u_b=v[0])
-        assert not {"linear_alpha", "linear_galerkin", "linear_rusanov",
+        assert not {"linear_galerkin", "linear_rusanov",
                     "linear_inflow"} & set(vars(nonlinear))
 
 
