@@ -287,10 +287,25 @@ _TRI_RULES = {
 }
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] of 1 to 4 points, the floats that
+# np.polynomial.legendre.leggauss returns (its 3-point end weight is not the double nearest 5/9)
+_LEGGAUSS = {
+    1: ([0.0], [2.0]),
+    2: ([-0.5773502691896257, 0.5773502691896257], [1.0, 1.0]),
+    3: ([-0.7745966692414834, 0.0, 0.7745966692414834],
+        [0.5555555555555557, 0.8888888888888888, 0.5555555555555557]),
+    4: ([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526],
+        [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_01(npts):
-    """Gauss-Legendre nodes/weights on [0, 1], cached and read-only."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre nodes/weights on [0, 1], cached and read-only.  Tabulated
+    for 1 to 4 points (P2 needs at most 4), equal to ``leggauss`` bit for bit."""
+    if npts not in _LEGGAUSS:
+        raise UnsupportedFeatureError(f"no {npts}-point Gauss rule")
+    x, w = map(np.array, _LEGGAUSS[npts])
     t, w = 0.5 * (x + 1.0), 0.5 * w
     t.flags.writeable = w.flags.writeable = False
     return t, w

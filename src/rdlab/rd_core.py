@@ -516,13 +516,14 @@ def blend_limiter(phi_L):
     Every sum over #K runs in order from 0.0 over the rows of one contiguous
     (#K, ..., m) copy, so an element's floats do not depend on its batch.
     """
-    rows = np.moveaxis(np.asarray(phi_L, dtype=float), -2, 0).copy()
+    k = np.ndim(phi_L) - 2                               # the #K axis, moved to the front
+    rows = np.asarray(phi_L, dtype=float).transpose((k, *range(k), k + 1)).copy()
     total = np.add.reduce(rows, axis=0, initial=0.0)
-    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.abs(rows).max(axis=0, initial=0.0))
+    zero = np.abs(total) <= BLEND_ZERO_TOL * (1.0 + np.maximum.reduce(np.abs(rows), 0, initial=0.0))
     np.maximum(0.0, rows / np.where(zero, 1.0, total), out=rows)
-    rows[:, zero] = 1.0                                  # beta = 1/#K below
+    np.copyto(rows, 1.0, where=zero)                     # beta = 1/#K below
     rows /= np.add.reduce(rows, axis=0, initial=0.0)
-    beta = np.moveaxis(rows, 0, -2)
+    beta = rows.transpose((*range(1, k + 1), 0, k + 1))
     return beta, beta * total[..., None, :]
 
 

@@ -72,9 +72,18 @@ def test_residual_shape_is_not_guessed():
 
 
 def test_disconnected_graph_raises():
-    graph = ElementGraph(n_nodes=4, edges=((0, 1), (2, 3)))
-    with pytest.raises(InvalidGraphError):
-        fr.build_incidence(graph)
+    """Connectivity is tested exactly, by reachability from node 0: two
+    components, an isolated node and a graph of no edge raise.  A connected
+    graph given with reversed and duplicated edges builds, and certifies."""
+    for graph in (ElementGraph(n_nodes=4, edges=((0, 1), (2, 3))),
+                  ElementGraph(n_nodes=4, edges=((0, 1), (1, 2), (2, 0))),
+                  ElementGraph(n_nodes=3, edges=())):
+        with pytest.raises(InvalidGraphError):
+            fr.build_incidence(graph)
+    system = fr.build_incidence(ElementGraph(n_nodes=4,
+                                             edges=((1, 0), (2, 1), (1, 2), (3, 2), (1, 0))))
+    psi = np.array([[0.5], [-0.2], [-0.4], [0.1]])
+    assert fr.certify(system, fr.recover_fluxes(system, psi), psi).passed
 
 
 def test_p2_laplacian_rank():

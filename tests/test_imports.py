@@ -1,6 +1,7 @@
 """Every name an import binds is read in the file that imports it, every
-module-level private name of ``src/rdlab`` is read somewhere in it, and each
-public name that nothing in it reads is pinned with its reader outside it.
+module-level private name of ``src/rdlab`` is read somewhere in it, each
+public name that nothing in it reads is pinned with its reader outside it, and
+``src/rdlab`` does not use ``numpy.polynomial``.
 
 An ``ast`` scan of the modules of ``src/rdlab``, ``tests`` and ``perfbench``;
 it only reads them.  ``from __future__`` imports and the package
@@ -142,3 +143,15 @@ def test_every_public_name_is_read():
     for name, reader in READ_OUTSIDE_SRC.items():
         tree = ast.parse((ROOT / reader).read_text())
         assert name.rsplit(".", 1)[-1] in loaded_names([tree]), (name, reader)
+
+
+def test_src_does_not_use_numpy_polynomial():
+    """Gauss rules are tabulated: a run that imports ``numpy.polynomial`` and
+    solves for ``leggauss``'s nodes pays for both in peak memory."""
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    imported = {part for tree in trees for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+                for part in name.split(".")}
+    assert len(trees) > 10
+    assert not (loaded_names(trees) | imported) & {"polynomial", "leggauss"}

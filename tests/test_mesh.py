@@ -172,11 +172,15 @@ def test_gauss_rule_is_leggauss_on_unit_interval(npts):
 
 
 def test_gauss_rule_is_read_only():
+    """And tabulated for 1 to 4 points only: P2 needs at most 4."""
     t, w = msh.gauss_01(3)
     with pytest.raises(ValueError):
         t[0] = 0.0
     with pytest.raises(ValueError):
         w += 1.0
+    for npts in (0, 5):
+        with pytest.raises(UnsupportedFeatureError):
+            msh.gauss_01(npts)
 
 
 def test_face_geometry():
